@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import ndimage, optimize
 
 from .errors import PreconditionError
 from .matpoly import MatrixPolynomial
 from .pseudospectrum import GridSpec
-from .svdcore import singular_values_many
+from .svdcore import singular_values_many, surface_gap
 
 # Probe agreement threshold for "identical surfaces".  Agreement at every
 # generic probe is strong (not certified) evidence of global identity,
@@ -102,8 +102,7 @@ def collapsed_gap(P: MatrixPolynomial, lam: complex, smap: SurfaceIndexMap) -> f
     """s_{c2}(lambda) - s_{c1}(lambda) >= 0, the collapsed surface gap."""
     if smap.c2 is None:
         raise PreconditionError("fewer than two distinct surfaces; gap undefined")
-    s = singular_values_many(P, np.array([lam]))[0]
-    return float(s[smap.c2 - 1] - s[smap.c1 - 1])
+    return float(surface_gap(singular_values_many(P, np.array([lam]))[0], smap.c1, smap.c2))
 
 
 def is_fault_point(
@@ -112,7 +111,8 @@ def is_fault_point(
     smap: SurfaceIndexMap,
     tol: float | None = None,
 ) -> bool:
-    """True iff the collapsed gap at lambda is below tolerance.
+    """True iff the collapsed gap at lambda is below tolerance, by default
+    REFINED_GAP_RTOL * (1 + s_1(lambda)).
 
     With fewer than two distinct surfaces the fault set is vacuously empty
     and every point answers False.
@@ -122,7 +122,7 @@ def is_fault_point(
     s = singular_values_many(P, np.array([lam]))[0]
     if tol is None:
         tol = REFINED_GAP_RTOL * (1.0 + float(s[0]))
-    return float(s[smap.c2 - 1] - s[smap.c1 - 1]) <= tol
+    return float(surface_gap(s, smap.c1, smap.c2)) <= tol
 
 
 def fault_scan(
@@ -137,10 +137,10 @@ def fault_scan(
     value is below 10 * cell diagonal * local slope estimate are candidate
     cells (the margin keeps curve crossings between nodes from being
     missed).  Each candidate is refined by Nelder-Mead simplex minimization
-    of the gap, and refined points are kept only where the gap is
-    numerically zero.  An empty report is a valid outcome; with fewer than
-    two distinct surfaces (scalar problems, fully repeated structure) the
-    fault set is vacuously empty.
+    of the gap, and refined points are kept where ``is_fault_point`` holds.
+    An empty report is a valid outcome; with fewer than two distinct
+    surfaces (scalar problems, fully repeated structure) the fault set is
+    vacuously empty.
     """
     if smap.c2 is None:
         return FaultReport(
@@ -149,50 +149,31 @@ def fault_scan(
             refined_gaps=np.zeros(0, dtype=float),
             empty=True,
         )
-    pts = grid.points()
-    svals = singular_values_many(P, pts)
-    g = svals[..., smap.c2 - 1] - svals[..., smap.c1 - 1]
-    s1 = svals[..., 0]
-
-    gx, gy = np.gradient(g, grid.xs(), grid.ys())
+    g = surface_gap(singular_values_many(P, grid.points()), smap.c1, smap.c2)
+    xs, ys = grid.xs(), grid.ys()
+    gx, gy = np.gradient(g, xs, ys)
     slope = np.maximum(np.hypot(gx, gy), np.finfo(float).tiny)
-    tau_cell = 10.0 * grid.cell_diagonal * _max_filter3(slope)
+    tau_cell = 10.0 * grid.cell_diagonal * ndimage.maximum_filter(slope, size=3, mode="nearest")
 
-    is_min = np.ones_like(g, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = np.full_like(g, np.inf)
-            src_i = slice(max(0, -di), g.shape[0] - max(0, di))
-            dst_i = slice(max(0, di), g.shape[0] - max(0, -di))
-            src_j = slice(max(0, -dj), g.shape[1] - max(0, dj))
-            dst_j = slice(max(0, dj), g.shape[1] - max(0, -dj))
-            shifted[dst_i, dst_j] = g[src_i, src_j]
-            is_min &= g <= shifted
+    is_min = g <= ndimage.minimum_filter(g, size=3, mode="nearest")
     is_min[[0, -1], :] = False
     is_min[:, [0, -1]] = False
-    candidates = np.argwhere(is_min & (g <= tau_cell))
+    # argwhere lists the cells in row-major, i.e. sorted, order
+    cells = tuple((int(i), int(j)) for i, j in np.argwhere(is_min & (g <= tau_cell)))
 
-    def gap_at(p) -> float:
-        s = singular_values_many(P, np.array([complex(p[0], p[1])]))[0]
-        return float(s[smap.c2 - 1] - s[smap.c1 - 1])
-
-    xs, ys = grid.xs(), grid.ys()
     bounds = [(grid.x_min, grid.x_max), (grid.y_min, grid.y_max)]
     refined = []
-    for i, j in sorted(map(tuple, candidates)):
+    for i, j in cells:
         res = optimize.minimize(
-            gap_at,
+            lambda p: collapsed_gap(P, complex(p[0], p[1]), smap),
             x0=[xs[i], ys[j]],
             method="Nelder-Mead",
             bounds=bounds,
             options=dict(maxiter=refine_maxiter, xatol=1e-12, fatol=1e-15),
         )
         lam = complex(res.x[0], res.x[1])
-        gval = float(res.fun)
-        if gval <= REFINED_GAP_RTOL * (1.0 + float(s1[i, j])):
-            refined.append((lam, gval))
+        if is_fault_point(P, lam, smap):
+            refined.append((lam, float(res.fun)))
 
     # near-duplicate refinements from neighboring cells collapse to one point
     dedupe_radius = 0.5 * grid.cell_diagonal
@@ -204,25 +185,8 @@ def fault_scan(
     points = np.array([lam for lam, _ in kept], dtype=complex)
     gaps = np.array([gv for _, gv in kept], dtype=float)
     return FaultReport(
-        cells=tuple((int(i), int(j)) for i, j in sorted(map(tuple, candidates))),
+        cells=cells,
         refined_points=points,
         refined_gaps=gaps,
         empty=len(points) == 0,
     )
-
-
-def _max_filter3(a: np.ndarray) -> np.ndarray:
-    """3x3 maximum filter with edge replication."""
-    out = a.copy()
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = np.full_like(a, -np.inf)
-            src_i = slice(max(0, -di), a.shape[0] - max(0, di))
-            dst_i = slice(max(0, di), a.shape[0] - max(0, -di))
-            src_j = slice(max(0, -dj), a.shape[1] - max(0, dj))
-            dst_j = slice(max(0, dj), a.shape[1] - max(0, -dj))
-            shifted[dst_i, dst_j] = a[src_i, src_j]
-            out = np.maximum(out, shifted)
-    return out

@@ -136,26 +136,31 @@ def max_norm(P: MatrixPolynomial) -> float:
     return max(float(np.linalg.norm(C, 2)) for C in P.coeffs)
 
 
-def weight_eval(w: WeightPolynomial, r) -> float:
-    """w(r) for r >= 0; strictly positive since w_0 > 0."""
-    r = float(r)
-    if r < 0:
-        raise PreconditionError(f"weight polynomial argument must be nonnegative, got {r}")
+def _horner(coeffs, r):
+    """sum_j coeffs[j] * r**j for r >= 0, a float or an array like r."""
+    if isinstance(r, np.ndarray):
+        negative = bool((r < 0).any())
+    else:
+        r = float(r)
+        negative = r < 0
+    if negative:
+        raise PreconditionError(
+            f"weight polynomial argument must be nonnegative, got {np.min(r)}"
+        )
     acc = 0.0
-    for c in reversed(w.weights):
+    for c in reversed(coeffs):
         acc = acc * r + c
     return acc
 
 
-def weight_deriv_eval(w: WeightPolynomial, r) -> float:
+def weight_eval(w: WeightPolynomial, r):
+    """w(r) for r >= 0, a float or an array like r; positive since w_0 > 0."""
+    return _horner(w.weights, r)
+
+
+def weight_deriv_eval(w: WeightPolynomial, r):
     """w'(r) for r >= 0."""
-    r = float(r)
-    if r < 0:
-        raise PreconditionError(f"weight polynomial argument must be nonnegative, got {r}")
-    acc = 0.0
-    for j in range(len(w.weights) - 1, 0, -1):
-        acc = acc * r + j * w.weights[j]
-    return acc
+    return _horner([j * c for j, c in enumerate(w.weights)][1:], r)
 
 
 def singular_tolerance(P: MatrixPolynomial) -> float:

@@ -37,7 +37,6 @@ from .matpoly import (
     derivative,
     eigenvalues,
     evaluate,
-    weight_deriv_eval,
     weight_eval,
 )
 from .pseudospectrum import (
@@ -49,7 +48,14 @@ from .pseudospectrum import (
     default_window,
     label_sublevel,
 )
-from .svdcore import ORIGIN_TOL, singular_triplets, singular_values_many
+from .svdcore import (
+    ORIGIN_TOL,
+    PointEval,
+    on_spectrum,
+    s_min,
+    singular_values_many,
+    surface_gap,
+)
 
 # Multiplicity cluster width for the smallest singular value, relative to s_1.
 MULTIPLICITY_RTOL = 1e-8
@@ -57,6 +63,9 @@ MULTIPLICITY_RTOL = 1e-8
 DEFECT_RTOL = 1e-6
 # Residual bound for the constructed perturbations.
 RESIDUAL_RTOL = 1e-8
+# Residual surface gap, relative to 1 + s_1, that certifies an on-fault
+# merge point found by the crossing search.
+_CROSSING_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -139,20 +148,20 @@ def _trailing_cluster_size(values: np.ndarray) -> int:
     return int(np.count_nonzero(values - sn <= tol))
 
 
-def _check_off_spectrum(values: np.ndarray, mu: complex) -> None:
-    scale = 1.0 + float(values[0])
-    if values[-1] <= 1e-12 * scale:
+def _off_spectrum(P: MatrixPolynomial, w: WeightPolynomial, mu: complex) -> PointEval:
+    here = PointEval(P, w, mu)
+    if here.on_spectrum:
         raise PreconditionError(
-            f"mu={mu:.6g} is numerically an eigenvalue (s_min={values[-1]:.3e}); "
+            f"mu={mu:.6g} is numerically an eigenvalue (s_min={here.s_min:.3e}); "
             "the construction degenerates there"
         )
+    return here
 
 
 def _build_perturbation(
-    P: MatrixPolynomial, w: WeightPolynomial, mu: complex, low_rank: bool
+    P: MatrixPolynomial, w: WeightPolynomial, mu: complex, trip, low_rank: bool
 ) -> PerturbationSet:
-    trip = singular_triplets(P, mu)
-    _check_off_spectrum(trip.values, mu)
+    """Perturbation from the off-spectrum singular triplets ``trip`` of P(mu)."""
     sn = float(trip.values[-1])
     k = _trailing_cluster_size(trip.values)
     if low_rank:
@@ -181,13 +190,13 @@ def build_qhat(P: MatrixPolynomial, w: WeightPolynomial, mu: complex) -> Perturb
     spectral norm w_j * s_n(mu) / w(|mu|), and the perturbations sum to
     -s_n(mu) Z at mu, annihilating the trailing singular directions.
     """
-    return _build_perturbation(P, w, mu, low_rank=False)
+    return _build_perturbation(P, w, mu, _off_spectrum(P, w, mu).trip, low_rank=False)
 
 
 def build_qtilde(P: MatrixPolynomial, w: WeightPolynomial, mu: complex) -> PerturbationSet:
     """Rank-k variant of build_qhat built from the trailing k singular
     vector pairs only."""
-    return _build_perturbation(P, w, mu, low_rank=True)
+    return _build_perturbation(P, w, mu, _off_spectrum(P, w, mu).trip, low_rank=True)
 
 
 def ball_membership(
@@ -230,8 +239,7 @@ def distance_to_eigenvalue(P: MatrixPolynomial, w: WeightPolynomial, mu: complex
     smaller ball reaches mu.  Returns 0 (with a warning) on the spectrum.
     """
     s = singular_values_many(P, np.array([mu]))[0]
-    scale = 1.0 + float(s[0])
-    if s[-1] <= 1e-12 * scale:
+    if on_spectrum(s):
         warnings.warn(f"mu={mu:.6g} is numerically an eigenvalue; distance is 0")
         return 0.0
     return float(s[-1]) / weight_eval(w, abs(mu))
@@ -258,15 +266,15 @@ def certify_multiple(
     the singular-value cluster of P(mu), and for k = 1 evaluates the
     derivative criterion in the trailing singular pair.
     """
-    trip = singular_triplets(P, mu)
-    _check_off_spectrum(trip.values, mu)
+    here = _off_spectrum(P, w, mu)
+    trip = here.trip
     k = _trailing_cluster_size(trip.values)
-    q_hat = build_qhat(P, w, mu)
-    q_tilde = build_qtilde(P, w, mu)
+    q_hat = _build_perturbation(P, w, mu, trip, low_rank=False)
+    q_tilde = _build_perturbation(P, w, mu, trip, low_rank=True)
     Qh = q_hat.polynomial()
     Qt = q_tilde.polynomial()
-    res_h = float(np.linalg.svd(evaluate(Qh, mu), compute_uv=False)[-1])
-    res_t = float(np.linalg.svd(evaluate(Qt, mu), compute_uv=False)[-1])
+    res_h = s_min(Qh, mu)
+    res_t = s_min(Qt, mu)
     scale = 1.0 + float(np.linalg.norm(evaluate(Qh, mu), 2))
     if max(res_h, res_t) > RESIDUAL_RTOL * scale:
         raise ConstructionError(
@@ -276,7 +284,7 @@ def certify_multiple(
     at_origin = abs(mu) < ORIGIN_TOL
     crit = multiple_criterion(Qh, mu, trip.left[:, -1], trip.right[:, -1])
     if k == 1:
-        deriv_scale = max(1.0, float(np.linalg.norm(evaluate(derivative(P), mu), 2)))
+        deriv_scale = max(1.0, float(np.linalg.norm(here.deriv, 2)))
         defective = abs(crit) < DEFECT_RTOL * deriv_scale
     else:
         defective = False  # multiple via geometric multiplicity k >= 2
@@ -295,32 +303,6 @@ def certify_multiple(
         criterion=crit,
         constant_weight_substituted=at_origin and not w.is_constant,
     )
-
-
-def _ratio_and_gradient(P: MatrixPolynomial, w: WeightPolynomial, lam: complex):
-    """phi = s_min/w and its gradient; None gradient when untrustworthy."""
-    trip = singular_triplets(P, lam)
-    s = trip.values
-    r = abs(lam)
-    W = weight_eval(w, r)
-    phi = float(s[-1]) / W
-    s1 = float(s[0])
-    gap_ok = (P.n < 2) or (s[-2] - s[-1] > 1e-8 * s1)
-    if not gap_ok or s[-1] <= 1e-12 * (1.0 + s1):
-        return phi, None, trip
-    u = trip.left[:, -1]
-    v = trip.right[:, -1]
-    Pp = evaluate(derivative(P), lam)
-    core = u.conj() @ (Pp @ v)
-    gs = np.array([core.real, (1j * core).real])
-    if r < ORIGIN_TOL:
-        gw = np.zeros(2) if w.is_constant else None
-        if gw is None:
-            return phi, None, trip
-    else:
-        gw = weight_deriv_eval(w, r) * np.array([lam.real, lam.imag]) / r
-    grad = (gs - phi * gw) / W
-    return phi, grad, trip
 
 
 def find_saddle(
@@ -345,28 +327,26 @@ def find_saddle(
     if not window.contains(lam):
         raise SaddleOutsideWindowError(f"start {lam:.6g} outside window")
 
-    def eig_scale(s_vals):
-        return 1.0 + float(s_vals[0])
-
-    phi, grad, trip = _ratio_and_gradient(P, w, lam)
-    if trip.values[-1] <= 1e-12 * eig_scale(trip.values):
+    dP = derivative(P)
+    here = PointEval(P, w, lam, dP)
+    if here.on_spectrum:
         raise SaddleAtEigenvalueError("start is numerically on the spectrum")
 
     h_base = 1e-6
+    grad = here.ratio_grad
     stalled = grad is None
     iters = 0
     if not stalled:
         for iters in range(1, max_iter + 1):
-            W = weight_eval(w, abs(lam))
             ng = float(np.linalg.norm(grad))
-            if ng * W < grad_tol:
-                return SaddleResult(mu=lam, delta=phi, on_fault=False, iterations=iters)
+            if ng * here.weight < grad_tol:
+                return SaddleResult(mu=lam, delta=here.ratio, on_fault=False, iterations=iters)
             h = h_base * (1.0 + abs(lam))
             J = np.empty((2, 2))
             ok = True
             for col, dz in enumerate((h, 1j * h)):
-                _, gp, _ = _ratio_and_gradient(P, w, lam + dz)
-                _, gm, _ = _ratio_and_gradient(P, w, lam - dz)
+                gp = PointEval(P, w, lam + dz, dP).ratio_grad
+                gm = PointEval(P, w, lam - dz, dP).ratio_grad
                 if gp is None or gm is None:
                     ok = False
                     break
@@ -382,13 +362,14 @@ def find_saddle(
             alpha, accepted = 1.0, False
             for _ in range(25):
                 cand = lam + alpha * complex(step[0], step[1])
-                phi_c, grad_c, trip_c = _ratio_and_gradient(P, w, cand)
-                if trip_c.values[-1] <= 1e-12 * eig_scale(trip_c.values):
+                trial = PointEval(P, w, cand, dP)
+                if trial.on_spectrum:
                     raise SaddleAtEigenvalueError(
                         f"iterates converged to the spectrum near {cand:.6g}"
                     )
+                grad_c = trial.ratio_grad
                 if grad_c is not None and np.linalg.norm(grad_c) < ng * (1 - 1e-4 * alpha):
-                    lam, phi, grad = cand, phi_c, grad_c
+                    lam, here, grad = cand, trial, grad_c
                     accepted = True
                     break
                 alpha *= 0.5
@@ -426,11 +407,10 @@ def find_saddle(
     )
     mu = complex(res.x[0], res.x[1])
     s = singular_values_many(P, np.array([mu]))[0]
-    scale = 1.0 + float(s[0])
-    if s[-1] <= 1e-12 * scale:
+    if on_spectrum(s):
         raise SaddleAtEigenvalueError(f"crossing search converged to the spectrum at {mu:.6g}")
-    gap = float(s[smap.c2 - 1] - s[smap.c1 - 1])
-    if gap > 1e-6 * scale:
+    gap = float(surface_gap(s, smap.c1, smap.c2))
+    if gap > _CROSSING_RTOL * (1.0 + float(s[0])):
         raise SaddleOnFaultError(
             f"search stalled at {mu:.6g} without a certified crossing "
             f"(residual surface gap {gap:.3e})"

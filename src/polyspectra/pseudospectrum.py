@@ -25,12 +25,13 @@ from .matpoly import (
     EigenReport,
     MatrixPolynomial,
     WeightPolynomial,
+    derivative,
     eigenvalues,
     max_norm,
     require_nonsingular_leading,
     weight_eval,
 )
-from .svdcore import F_eps, grad_F, singular_values_many
+from .svdcore import F_eps, PointEval, singular_values_many
 
 _LABEL_STRUCTURE = np.ones((3, 3), dtype=int)
 
@@ -150,12 +151,7 @@ def compute_field(P: MatrixPolynomial, w: WeightPolynomial, grid: GridSpec) -> S
     in LAPACK.  One field serves every eps.
     """
     pts = grid.points()
-    smin = singular_values_many(P, pts)[..., -1]
-    flat = np.abs(pts).ravel()
-    wflat = np.zeros_like(flat)
-    for j in range(len(w.weights) - 1, -1, -1):
-        wflat = wflat * flat + w.weights[j]
-    values = smin / wflat.reshape(pts.shape)
+    values = singular_values_many(P, pts)[..., -1] / weight_eval(w, np.abs(pts))
     values.setflags(write=False)
     return ScalarField(grid=grid, values=values)
 
@@ -307,7 +303,9 @@ def trace_boundary(
 
     The predictor moves along the tangent (the gradient rotated +90 degrees,
     keeping the sublevel interior on the left); the corrector runs Newton
-    steps along the gradient until |F_eps| is below tolerance.  Tracing
+    steps along the gradient until |F_eps| is below tolerance.  Each
+    corrector iterate costs one SVD, which gives both F_eps and its gradient;
+    the converged iterate's evaluation seeds the next predictor.  Tracing
     terminates on closure, window exit, step budget, or loss of gradient
     trust: an invalid gradient, a gradient norm below the stationarity
     threshold, an estimated stationary point within 1.5 steps (approach to a
@@ -317,10 +315,12 @@ def trace_boundary(
     if step_size is None:
         step_size = window.diagonal / 500.0
     tol = on_curve_tolerance(P)
-    f_seed = F_eps(P, w, eps, seed)
+    dP = derivative(P)
+    here = PointEval(P, w, seed, dP)
+    f_seed = here.F(eps)
     if abs(f_seed) > tol:
         raise PreconditionError(f"seed is not on the curve: |F_eps| = {abs(f_seed):.3e}")
-    g = grad_F(P, w, eps, seed)
+    g = here.grad_F(eps)
     if not g.valid or g.norm <= SADDLE_GRAD_TOL:
         raise PreconditionError("gradient at seed is invalid or vanishing")
 
@@ -332,12 +332,13 @@ def trace_boundary(
     )
 
     def correct(lam: complex, step: float):
-        """Newton along grad_F toward F = 0.  None on failure."""
+        """Newton along grad_F toward F = 0; the converged PointEval, or None."""
         for _ in range(_MAX_CORRECTOR_ITERS):
-            f = F_eps(P, w, eps, lam)
+            pe = PointEval(P, w, lam, dP)
+            f = pe.F(eps)
             if abs(f) <= tol:
-                return lam
-            gg = grad_F(P, w, eps, lam)
+                return pe
+            gg = pe.grad_F(eps)
             if not gg.valid or gg.norm == 0.0:
                 return None
             shift = f / gg.norm**2
@@ -356,7 +357,7 @@ def trace_boundary(
     min_step = step_size * _MIN_STEP_FRACTION
 
     for k in range(max_steps):
-        g = grad_F(P, w, eps, lam)
+        g = here.grad_F(eps)
         if not g.valid:
             termination = Termination.gradient_invalid
             detail = "gradient invalid (surface crossing, zero value, or origin)"
@@ -383,7 +384,7 @@ def trace_boundary(
         nxt = None
         while step >= min_step:
             cand = correct(lam + step * complex(*tangent), step)
-            if cand is not None and abs(cand - lam) <= 2.0 * step_size:
+            if cand is not None and abs(cand.lam - lam) <= 2.0 * step_size:
                 nxt = cand
                 break
             step *= 0.5
@@ -393,7 +394,7 @@ def trace_boundary(
             break
         prev_grad = g
         prev_tangent = tangent
-        lam = nxt
+        here, lam = nxt, nxt.lam
         pts.append(lam)
         if not window.contains(lam):
             termination = Termination.left_window

@@ -7,6 +7,12 @@ form (Re u* P'(lambda) v, Re u* i P'(lambda) v) in the trailing singular
 vector pair (u, v); the GradientValue carries a validity flag that is lowered
 when the surface gap or the value itself is too small for the formula to be
 trusted.
+
+A caller that needs only singular values (grids, ray bisection, simplex
+searches, gaps) uses the batched values-only ``singular_values_many``.  A
+caller that needs vectors or a gradient reads everything from one
+``PointEval``, a single SVD with vectors.  LAPACK's singular values with
+and without vectors may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -113,14 +119,79 @@ def singular_values_many(P: MatrixPolynomial, lams) -> np.ndarray:
     return out.reshape(L.shape + (P.n,))
 
 
+def on_spectrum(values) -> bool:
+    """True when the least of the descending singular values is numerically zero."""
+    return bool(values[-1] <= ZERO_RTOL * (1.0 + float(values[0])))
+
+
+def surface_gap(values, c1: int, c2: int):
+    """s_{c2} - s_{c1} (1-based) from one row or a stack of rows of values."""
+    return values[..., c2 - 1] - values[..., c1 - 1]
+
+
+def _require_eps(eps: float) -> None:
+    if eps < 0:
+        raise PreconditionError("eps must be nonnegative")
+
+
 def F_eps(P: MatrixPolynomial, w: WeightPolynomial, eps: float, lam: complex) -> float:
     """Level function s_min(lambda) - eps * w(|lambda|).
 
     Nonpositive exactly on the eps-sublevel set of s_min / w.
     """
-    if eps < 0:
-        raise PreconditionError("eps must be nonnegative")
+    _require_eps(eps)
     return s_min(P, lam) - eps * weight_eval(w, abs(lam))
+
+
+class PointEval:
+    """One SVD of P(lambda) with vectors, and everything derived from it.
+
+    ``gap`` is s_{n-1} - s_n (infinite for n = 1); ``smooth`` says s_min is
+    simple and nonzero, so the closed-form gradient ``s_grad`` holds;
+    ``weight_grad``, the gradient of w(|.|), is None at the origin for a
+    non-constant weight.  Callers that evaluate many points pass the
+    derivative polynomial ``dP``, built once.
+    """
+
+    def __init__(self, P: MatrixPolynomial, w: WeightPolynomial, lam: complex, dP=None):
+        self.lam = lam
+        self.trip = singular_triplets(P, lam)
+        s = self.trip.values
+        self.s_min = float(s[-1])
+        self.gap = float(s[-2] - s[-1]) if self.trip.n >= 2 else np.inf
+        self.on_spectrum = on_spectrum(s)
+        self.smooth = bool(self.gap > GAP_RTOL * float(s[0]) and not self.on_spectrum)
+        self.deriv = evaluate(derivative(P) if dP is None else dP, lam)
+        core = self.trip.left[:, -1].conj() @ (self.deriv @ self.trip.right[:, -1])
+        self.s_grad = np.array([core.real, (1j * core).real])
+        r = abs(lam)
+        self.weight = weight_eval(w, r)
+        self.ratio = self.s_min / self.weight
+        if r >= ORIGIN_TOL:
+            self.weight_grad = weight_deriv_eval(w, r) * np.array([lam.real, lam.imag]) / r
+        else:
+            self.weight_grad = np.zeros(2) if w.is_constant else None
+
+    def F(self, eps: float) -> float:
+        """s_min - eps * w(|lambda|)."""
+        _require_eps(eps)
+        return self.s_min - eps * self.weight
+
+    def grad_F(self, eps: float) -> GradientValue:
+        """Gradient of F; invalid at the origin under a non-constant weight."""
+        _require_eps(eps)
+        if self.weight_grad is None:
+            dx, dy = self.s_grad
+            return GradientValue(dx=float(dx), dy=float(dy), gap=self.gap, valid=False)
+        dx, dy = self.s_grad - eps * self.weight_grad
+        return GradientValue(dx=float(dx), dy=float(dy), gap=self.gap, valid=self.smooth)
+
+    @property
+    def ratio_grad(self) -> np.ndarray | None:
+        """Gradient of s_min / w; None where the closed form cannot be trusted."""
+        if not self.smooth or self.weight_grad is None:
+            return None
+        return (self.s_grad - self.ratio * self.weight_grad) / self.weight
 
 
 def grad_s_min(P: MatrixPolynomial, lam: complex) -> GradientValue:
@@ -129,18 +200,7 @@ def grad_s_min(P: MatrixPolynomial, lam: complex) -> GradientValue:
     Uses dP/dx = P'(lambda) and dP/dy = i P'(lambda).  Invalid (not raised)
     when the smallest singular value is degenerate or numerically zero.
     """
-    trip = singular_triplets(P, lam)
-    s = trip.values
-    u = trip.left[:, -1]
-    v = trip.right[:, -1]
-    Pp = evaluate(derivative(P), lam)
-    core = u.conj() @ (Pp @ v)
-    dx = float(core.real)
-    dy = float((1j * core).real)
-    gap = float(s[-2] - s[-1]) if trip.n >= 2 else np.inf
-    s1 = float(s[0])
-    valid = bool(gap > GAP_RTOL * s1 and s[-1] > ZERO_RTOL * (1.0 + s1))
-    return GradientValue(dx=dx, dy=dy, gap=gap, valid=valid)
+    return PointEval(P, WeightPolynomial([1.0]), lam).grad_F(0.0)
 
 
 def grad_F(
@@ -152,18 +212,7 @@ def grad_F(
     constant w; with a non-constant weight the result is flagged invalid
     rather than raising, so tracing code can treat it as a stop condition.
     """
-    if eps < 0:
-        raise PreconditionError("eps must be nonnegative")
-    base = grad_s_min(P, lam)
-    r = abs(lam)
-    if r < ORIGIN_TOL:
-        if w.is_constant:
-            return base
-        return GradientValue(dx=base.dx, dy=base.dy, gap=base.gap, valid=False)
-    wp = weight_deriv_eval(w, r)
-    dx = base.dx - eps * (lam.real / r) * wp
-    dy = base.dy - eps * (lam.imag / r) * wp
-    return GradientValue(dx=dx, dy=dy, gap=base.gap, valid=base.valid)
+    return PointEval(P, w, lam).grad_F(eps)
 
 
 def gap(P: MatrixPolynomial, lam: complex, indices: tuple[int, int] | None = None) -> float:
@@ -174,11 +223,7 @@ def gap(P: MatrixPolynomial, lam: complex, indices: tuple[int, int] | None = Non
     """
     if P.n < 2:
         raise PreconditionError("gap needs at least two singular values (n >= 2)")
-    s = np.linalg.svd(evaluate(P, lam), compute_uv=False)
-    if indices is None:
-        c1, c2 = P.n, P.n - 1
-    else:
-        c1, c2 = indices
-        if not (1 <= c2 < c1 <= P.n):
-            raise PreconditionError(f"bad surface indices {indices}")
-    return float(s[c2 - 1] - s[c1 - 1])
+    c1, c2 = (P.n, P.n - 1) if indices is None else indices
+    if not (1 <= c2 < c1 <= P.n):
+        raise PreconditionError(f"bad surface indices {indices}")
+    return float(surface_gap(singular_values_many(P, np.array([lam]))[0], c1, c2))

@@ -234,6 +234,41 @@ class TestTraceBoundary:
         assert curve.termination is Termination.left_window
 
 
+class TestTraceCost:
+    @pytest.mark.parametrize(
+        "poly, weight, eps, window",
+        [
+            ("uptri_quadratic", "weight_quadratic", 0.005, "uptri_window"),
+            ("damped_system", "weight_damped", 0.02, "damped_window"),
+            ("conic_pencil", "unit_weight", 0.31622776601683794, None),
+        ],
+        ids=["uptri", "damped", "conic"],
+    )
+    def test_svds_per_traced_point(self, request, monkeypatch, poly, weight, eps, window):
+        # each corrector iterate reads F_eps and its gradient from one SVD,
+        # so a point costs about two SVDs (predicted point, converged point)
+        P = request.getfixturevalue(poly)
+        w = request.getfixturevalue(weight)
+        if window is None:
+            win = GridSpec(x_min=-2.0, x_max=2.5, y_min=-2.0, y_max=2.0, nx=241, ny=241)
+        else:
+            win = request.getfixturevalue(window)
+        lam = eigenvalues(P).eigenvalues[0]
+        seed = find_boundary_seed(P, w, eps, lam, 1.0, win)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        curve = trace_boundary(P, w, eps, seed, win)
+        monkeypatch.undo()
+        assert curve.closed
+        assert len(calls) / len(curve.points) < 3.5
+
+
 class TestMergeEpsilon:
     def test_uptri_merge_level(self, uptri_field, uptri_quadratic, weight_quadratic):
         got = merge_epsilon(

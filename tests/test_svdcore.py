@@ -17,8 +17,9 @@ from polyspectra import (
     weight_eval,
 )
 from polyspectra.matpoly import eigenvalue_residual_scale
+from polyspectra.svdcore import PointEval
 
-from conftest import random_polynomial
+from conftest import random_polynomial, random_weight
 
 MU = 1.4145
 
@@ -168,6 +169,42 @@ class TestGradSMin:
             assert np.linalg.norm(g.as_array() - fd) <= 1e-5 * max(
                 1.0, np.linalg.norm(fd)
             )
+            checked += 1
+
+
+class TestWeightedGradients:
+    @pytest.mark.parametrize("which", ["grad_F", "ratio"])
+    def test_matches_finite_differences(self, which):
+        # same loop as for grad_s_min, now with the w'(r) lambda / r term
+        # of a non-constant weight
+        rng = np.random.default_rng(11)
+        h = 1e-6
+        checked = 0
+        while checked < 40:
+            m = int(rng.integers(1, 4))
+            P = random_polynomial(rng, int(rng.integers(1, 5)), m)
+            w = random_weight(rng, m)
+            eps = float(rng.uniform(0.1, 1.0))
+            lam = complex(rng.normal(), rng.normal())
+            pe = PointEval(P, w, lam)
+            if not pe.smooth or pe.gap <= 1e-3 or pe.s_min <= 1e-3:
+                continue
+            if which == "grad_F":
+                got = grad_F(P, w, eps, lam).as_array()
+
+                def f(z):
+                    return F_eps(P, w, eps, z)
+
+            else:
+                got = pe.ratio_grad
+
+                def f(z):
+                    return s_min(P, z) / weight_eval(w, abs(z))
+
+            fd = np.array(
+                [(f(lam + h) - f(lam - h)) / (2 * h), (f(lam + 1j * h) - f(lam - 1j * h)) / (2 * h)]
+            )
+            assert np.linalg.norm(got - fd) <= 1e-5 * max(1.0, np.linalg.norm(fd))
             checked += 1
 
 

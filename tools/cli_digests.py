@@ -1,0 +1,107 @@
+"""Print the sha256 of every CLI output on every fixture.
+
+Runs each of ``eigs field components trace faults distance perturb`` on each
+problem in ``fixtures/`` through ``polyspectra.cli.main`` and prints one line
+per output file and per captured stdout::
+
+    <command> <fixture> <stream> <sha256>
+
+``distance`` and ``perturb`` run only on the fixtures that have a reference
+distance, with the ``--eps-max`` and ``--mu`` values of the benchmark.  Run it
+in two checkouts and diff the output to show that a change keeps the CLI
+outputs byte-identical:
+
+    python tools/cli_digests.py > digests.txt
+    python tools/cli_digests.py --keep out/    # also keep the output files
+
+The package is imported from the ``src/`` next to this script, so each
+checkout digests its own code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from polyspectra.cli import main  # noqa: E402
+
+FIXTURES = ROOT / "fixtures"
+
+# (eps_max, mu) per fixture, as used by the benchmark's landscape and
+# pointwise workloads.
+REFERENCES = {
+    "uptri_quadratic_2x2": (0.05, (1.4147304787787185, 0.0)),
+    "damped_system_3x3": (0.1, (-0.3412963429240235, 1.2694236157717083)),
+    "conic_pencil_3x3": (0.2, (0.9952496114392373, 0.0)),
+    "isolated_fault_pencil_3x3": (0.5, (0.40701257422673, -0.40156721587399824)),
+    "diag_movable_eigenvalue_2x2": (1.0, (0.4, 0.0)),
+}
+
+# Output files each command writes, and the extra arguments it takes.
+OUTPUTS = {
+    "eigs": ("json",),
+    "field": ("csv", "svg", "json"),
+    "components": ("json",),
+    "trace": ("csv", "svg", "json"),
+    "faults": ("json", "svg"),
+    "distance": ("json",),
+    "perturb": ("json",),
+}
+
+
+def _extra_args(command: str, name: str) -> list | None:
+    if command in ("distance", "perturb"):
+        if name not in REFERENCES:
+            return None
+        eps_max, mu = REFERENCES[name]
+        if command == "distance":
+            return ["--eps-max", repr(eps_max)]
+        return ["--mu", repr(mu[0]), repr(mu[1])]
+    return []
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(keep: Path | None) -> None:
+    work = Path(tempfile.mkdtemp(prefix="cli_digests_"))
+    try:
+        for command, kinds in OUTPUTS.items():
+            for path in sorted(FIXTURES.glob("*.json")):
+                name = path.stem
+                extra = _extra_args(command, name)
+                if extra is None:
+                    continue
+                files = {kind: work / f"{command}.{name}.{kind}" for kind in kinds}
+                argv = [command, "--input", str(path), *extra]
+                for kind, out in files.items():
+                    argv += [f"--{kind}", str(out)]
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                print(f"{command} {name} exit {code}", flush=True)
+                print(f"{command} {name} stdout {_sha(stdout.getvalue().encode())}", flush=True)
+                for kind, out in files.items():
+                    digest = _sha(out.read_bytes()) if out.exists() else "missing"
+                    print(f"{command} {name} {kind} {digest}", flush=True)
+                    if keep is not None and out.exists():
+                        keep.mkdir(parents=True, exist_ok=True)
+                        shutil.copy(out, keep / out.name)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", type=Path, help="copy every output file into this directory")
+    run(parser.parse_args().keep)
