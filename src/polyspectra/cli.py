@@ -100,6 +100,10 @@ def _parse_matrix(entry, n: int, where: str) -> np.ndarray:
         raise InputError(f"{where}: non-numeric matrix entry ({exc})") from exc
     _require(re_arr.shape == (n, n), f"{where}.re: expected shape {(n, n)}, got {re_arr.shape}")
     _require(im_arr.shape == (n, n), f"{where}.im: expected shape {(n, n)}, got {im_arr.shape}")
+    _require(
+        np.isfinite(re_arr).all() and np.isfinite(im_arr).all(),
+        f"{where}: entries must be finite",
+    )
     return re_arr + 1j * im_arr
 
 
@@ -158,6 +162,12 @@ def _parse_window(doc) -> GridSpec:
         raise InputError(f"window: {exc}") from exc
 
 
+def _check_epsilons(epsilons, where: str) -> None:
+    _require(
+        all(0.0 < e < np.inf for e in epsilons), f"{where}: entries must be finite and positive"
+    )
+
+
 def parse_problem(text: str) -> ProblemSpec:
     """Parse a problem-specification JSON document."""
     try:
@@ -187,7 +197,7 @@ def parse_problem(text: str) -> ProblemSpec:
         epsilons = tuple(float(e) for e in eps_doc)
     except (TypeError, ValueError) as exc:
         raise InputError(f"epsilons: non-numeric entry ({exc})") from exc
-    _require(all(e > 0 for e in epsilons), "epsilons: entries must be positive")
+    _check_epsilons(epsilons, "epsilons")
     return ProblemSpec(
         polynomial=P,
         weight=weight,
@@ -262,8 +272,17 @@ def _write_json(path: str, doc) -> None:
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write the ``header`` line and the row strings ``rows`` as one file."""
+    _atomic_write(path, "\n".join([header, *rows]) + "\n")
+
+
+def _field_rows(window: GridSpec, values: np.ndarray):
+    """``x,y,value`` rows of a sampled field, x-major, each x and y
+    formatted once; values are converted one row of the grid at a time."""
+    xs = [f"{x:.17g}," for x in window.xs().tolist()]
+    ys = [f"{y:.17g}," for y in window.ys().tolist()]
+    return (f"{x}{y}{v:.17g}" for x, row in zip(xs, values) for y, v in zip(ys, row.tolist()))
 
 
 def _complex_doc(z: complex) -> dict:
@@ -298,7 +317,7 @@ def _svg_document(window: GridSpec, layers, markers, extra_points=()) -> str:
     for idx, (level, polylines) in enumerate(layers):
         color = _PALETTE[idx % len(_PALETTE)]
         out.append(f'<g stroke="{color}" fill="none" stroke-width="1.2" '
-                   f'data-level="{_fmt(level)}">')
+                   f'data-level="{level:.17g}">')
         for poly in polylines:
             pts = " ".join(f"{tx(x):.2f},{ty(y):.2f}" for x, y in poly)
             out.append(f'<polyline points="{pts}"/>')
@@ -320,27 +339,20 @@ def _svg_document(window: GridSpec, layers, markers, extra_points=()) -> str:
 
 
 def _resolve_window(spec: ProblemSpec, args, eps_for_margin: float = 0.0) -> GridSpec:
-    nx = ny = None
-    if getattr(args, "grid", None):
-        nx, ny = int(args.grid[0]), int(args.grid[1])
+    grid = getattr(args, "grid", None)
+    nx, ny = (int(grid[0]), int(grid[1])) if grid is not None else (_DEFAULT_GRID,) * 2
     if getattr(args, "window", None):
         xmin, xmax, ymin, ymax = (float(v) for v in args.window)
-        return GridSpec(
-            x_min=xmin, x_max=xmax, y_min=ymin, y_max=ymax,
-            nx=nx or _DEFAULT_GRID, ny=ny or _DEFAULT_GRID,
-        )
+        return GridSpec(x_min=xmin, x_max=xmax, y_min=ymin, y_max=ymax, nx=nx, ny=ny)
     if spec.window is not None:
         win = spec.window
-        if nx or ny:
+        if grid is not None:
             win = GridSpec(
                 x_min=win.x_min, x_max=win.x_max, y_min=win.y_min, y_max=win.y_max,
-                nx=nx or win.nx, ny=ny or win.ny,
+                nx=nx, ny=ny,
             )
         return win
-    return default_window(
-        spec.polynomial, spec.weight, eps_max=eps_for_margin,
-        nx=nx or _DEFAULT_GRID, ny=ny or _DEFAULT_GRID,
-    )
+    return default_window(spec.polynomial, spec.weight, eps_max=eps_for_margin, nx=nx, ny=ny)
 
 
 def _resolve_epsilons(spec: ProblemSpec, args) -> tuple:
@@ -393,12 +405,7 @@ def _cmd_field(spec: ProblemSpec, args, report: RunReport) -> None:
     field = compute_field(P, w, window)
     eigen = eigenvalues(P)
     if args.csv:
-        lines = ["x,y,value"]
-        xs, ys = window.xs(), window.ys()
-        for i in range(window.nx):
-            for j in range(window.ny):
-                lines.append(f"{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(field.values[i, j])}")
-        _atomic_write(args.csv, "\n".join(lines) + "\n")
+        _write_csv(args.csv, "x,y,value", _field_rows(window, field.values))
         report.outputs.append(args.csv)
     if args.svg:
         layers = [
@@ -499,11 +506,12 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
     if not curves:
         raise SeedNotFoundError("no traceable boundary seed for any requested level")
     if args.csv:
-        lines = ["curve_id,x,y"]
-        for cid, (_, curve) in enumerate(curves):
-            for z in curve.points:
-                lines.append(f"{cid},{_fmt(z.real)},{_fmt(z.imag)}")
-        _atomic_write(args.csv, "\n".join(lines) + "\n")
+        rows = (
+            f"{cid},{z.real:.17g},{z.imag:.17g}"
+            for cid, (_, curve) in enumerate(curves)
+            for z in curve.points.tolist()
+        )
+        _write_csv(args.csv, "curve_id,x,y", rows)
         report.outputs.append(args.csv)
     if args.svg:
         layers = []
@@ -705,6 +713,8 @@ def main(argv=None) -> int:
             raw = fh.read()
         report.input_digest = hashlib.sha256(raw).hexdigest()[:16]
         spec = parse_problem(raw.decode("utf-8"))
+        if args.eps is not None:
+            _check_epsilons(args.eps, "--eps")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             _COMMANDS[args.command](spec, args, report)

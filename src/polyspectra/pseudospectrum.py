@@ -48,6 +48,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        if not np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max]).all():
+            raise PreconditionError("window bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise PreconditionError("window must have positive extent")
         if self.nx < 2 or self.ny < 2:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polyspectra import GridSpec, compute_field
 from polyspectra.cli import main, parse_problem, serialize_problem
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -96,6 +97,44 @@ class TestExitCodes:
         # perturbing at an eigenvalue degenerates the construction
         assert main(["perturb", "--input", UPTRI, "--mu", "1.0", "0.0"]) == 4
 
+    @pytest.mark.parametrize("grid", [("0", "5"), ("5", "0"), ("1", "1")])
+    def test_grid_below_two_points(self, grid, capsys):
+        assert main(["field", "--input", UPTRI, "--grid", *grid]) == 4
+        assert "at least 2 points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, eps",
+        [("field", "0"), ("field", "inf"), ("components", "nan"), ("faults", "-1")],
+    )
+    def test_eps_must_be_finite_and_positive(self, command, eps, capsys):
+        argv = [command, "--input", UPTRI, "--grid", "21", "21", "--eps", "0.01", eps]
+        assert main(argv) == 2
+        assert "--eps" in capsys.readouterr().err
+
+    def test_document_epsilons_must_be_finite(self, tmp_path, capsys):
+        doc = json.loads(Path(UPTRI).read_text())
+        doc["epsilons"] = [0.01, float("inf")]
+        p = tmp_path / "inf_eps.json"
+        p.write_text(json.dumps(doc))
+        assert main(["field", "--input", str(p), "--grid", "21", "21"]) == 2
+        assert "epsilons" in capsys.readouterr().err
+
+    def test_non_finite_coefficient(self, tmp_path, capsys):
+        doc = json.loads(Path(UPTRI).read_text())
+        doc["coefficients"][1]["im"][0][1] = float("nan")
+        p = tmp_path / "nan_coef.json"
+        p.write_text(json.dumps(doc))
+        assert main(["eigs", "--input", str(p)]) == 2
+        assert "coefficients[1]" in capsys.readouterr().err
+
+    def test_non_finite_window(self, tmp_path, capsys):
+        doc = json.loads(Path(UPTRI).read_text())
+        doc["window"]["x_max"] = float("inf")
+        p = tmp_path / "inf_window.json"
+        p.write_text(json.dumps(doc))
+        assert main(["components", "--input", str(p)]) == 2
+        assert "window" in capsys.readouterr().err
+
 
 class TestOutputs:
     def test_eigs_json(self, tmp_path, capsys):
@@ -148,6 +187,22 @@ class TestOutputs:
         assert len(lines) == 1 + 41 * 41
         x, y, v = lines[1].split(",")
         assert float(x) == 0.2 and float(y) == -1.0 and float(v) >= 0
+
+    def test_field_csv_matches_row_reference(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main(["field", "--input", DAMPED, "--grid", "7", "5", "--csv", str(out)]) == 0
+        spec = parse_problem(Path(DAMPED).read_text())
+        window = GridSpec(
+            x_min=spec.window.x_min, x_max=spec.window.x_max,
+            y_min=spec.window.y_min, y_max=spec.window.y_max, nx=7, ny=5,
+        )
+        values = compute_field(spec.polynomial, spec.weight, window).values
+        xs, ys = window.xs(), window.ys()
+        lines = ["x,y,value"]
+        for i in range(7):
+            for j in range(5):
+                lines.append(f"{xs[i]:.17g},{ys[j]:.17g},{values[i, j]:.17g}")
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_field_svg(self, tmp_path, capsys):
         out = tmp_path / "f.svg"

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from polyspectra import GridSpec
-from polyspectra.contours import marching_squares
+from polyspectra.contours import _edge_points, marching_squares
 
 
 def radial_field(grid):
@@ -47,3 +48,175 @@ class TestMarchingSquares:
         assert len(polys) == 2
         centers = sorted(np.mean(p[:, 0]) for p in polys)
         assert abs(centers[0] + 1.0) < 0.05 and abs(centers[1] - 1.0) < 0.05
+
+
+def reference_marching_squares(grid, values, level):
+    """The per-cell marching-squares loop, kept as the reference the
+    vectorised code must reproduce bit for bit."""
+    xs, ys = grid.xs(), grid.ys()
+    inside = values <= level
+    table = {
+        1: (("left", "bottom"),), 2: (("bottom", "right"),), 3: (("left", "right"),),
+        4: (("right", "top"),), 6: (("bottom", "top"),), 7: (("left", "top"),),
+        8: (("top", "left"),), 9: (("top", "bottom"),), 11: (("top", "right"),),
+        12: (("right", "left"),), 13: (("right", "bottom"),), 14: (("bottom", "left"),),
+    }
+    saddles = {
+        (5, True): (("left", "top"), ("bottom", "right")),
+        (5, False): (("left", "bottom"), ("right", "top")),
+        (10, True): (("bottom", "left"), ("top", "right")),
+        (10, False): (("bottom", "right"), ("top", "left")),
+    }
+    names = {
+        "bottom": lambda i, j: ("x", i, j),
+        "top": lambda i, j: ("x", i, j + 1),
+        "left": lambda i, j: ("y", i, j),
+        "right": lambda i, j: ("y", i + 1, j),
+    }
+
+    def point_on(kind, i, j):
+        i1, j1 = (i + 1, j) if kind == "x" else (i, j + 1)
+        p, q = (xs[i], ys[j]), (xs[i1], ys[j1])
+        fp, fq = values[i, j], values[i1, j1]
+        t = 0.5 if fq == fp else min(max((level - fp) / (fq - fp), 0.0), 1.0)
+        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+    segments = []
+    for i in range(grid.nx - 1):
+        for j in range(grid.ny - 1):
+            case = (
+                int(inside[i, j]) | int(inside[i + 1, j]) << 1
+                | int(inside[i + 1, j + 1]) << 2 | int(inside[i, j + 1]) << 3
+            )
+            if case in (5, 10):
+                center = 0.25 * (
+                    values[i, j] + values[i + 1, j] + values[i + 1, j + 1] + values[i, j + 1]
+                )
+                pairs = saddles[case, bool(center <= level)]
+            else:
+                pairs = table.get(case, ())
+            segments += [(names[a](i, j), names[b](i, j)) for a, b in pairs]
+
+    adjacency = {}
+    for idx, (ea, eb) in enumerate(segments):
+        adjacency.setdefault(ea, []).append((idx, eb))
+        adjacency.setdefault(eb, []).append((idx, ea))
+    used = [False] * len(segments)
+
+    def walk(edge):
+        chain = [edge]
+        while True:
+            nxt = next(((idx, o) for idx, o in adjacency[edge] if not used[idx]), None)
+            if nxt is None:
+                return np.array([point_on(*c) for c in chain])
+            used[nxt[0]] = True
+            edge = nxt[1]
+            chain.append(edge)
+
+    polylines = []
+    for e in sorted(e for e, nbrs in adjacency.items() if len(nbrs) == 1):
+        if not all(used[idx] for idx, _ in adjacency[e]):
+            polylines.append(walk(e))
+    for ea, _ in segments:
+        if any(not used[idx] for idx, _ in adjacency[ea]):
+            polylines.append(walk(ea))
+    return polylines
+
+
+def assert_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+UNIT = GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=2, ny=2)
+
+
+def one_cell(bl, br, tr, tl):
+    return np.array([[bl, tl], [br, tr]], dtype=float)
+
+
+class TestBranches:
+    # values 0 and 1 on a saddle cell: the center value is 0.5, inside the
+    # level 0.75 and outside the level 0.25
+    @pytest.mark.parametrize(
+        "corners, level, want",
+        [
+            # case 5 (BL, TR inside), center outside: BL and TR cut off
+            ((0, 1, 0, 1), 0.25, [[(0.25, 0.0), (0.0, 0.25)], [(0.75, 1.0), (1.0, 0.75)]]),
+            # case 5, center inside: the band joining BL and TR
+            ((0, 1, 0, 1), 0.75, [[(0.75, 0.0), (1.0, 0.25)], [(0.25, 1.0), (0.0, 0.75)]]),
+            # case 10 (BR, TL inside), center outside: BR and TL cut off
+            ((1, 0, 1, 0), 0.25, [[(0.75, 0.0), (1.0, 0.25)], [(0.25, 1.0), (0.0, 0.75)]]),
+            # case 10, center inside: the band joining BR and TL
+            ((1, 0, 1, 0), 0.75, [[(0.25, 0.0), (0.0, 0.25)], [(0.75, 1.0), (1.0, 0.75)]]),
+        ],
+        ids=["case5-center-out", "case5-center-in", "case10-center-out", "case10-center-in"],
+    )
+    def test_saddle_cell(self, corners, level, want):
+        values = one_cell(*corners)
+        polys = marching_squares(UNIT, values, level)
+        assert [p.tolist() for p in polys] == [[list(pt) for pt in w] for w in want]
+        assert_bitwise_equal(polys, reference_marching_squares(UNIT, values, level))
+
+    def test_level_equal_to_two_neighbouring_samples(self):
+        # samples 1 and 2 equal the level and count as inside; the crossing
+        # sits exactly on sample 2 (t = 0), the flat edge between them is
+        # not crossed
+        grid = GridSpec(x_min=0.0, x_max=3.0, y_min=0.0, y_max=1.0, nx=4, ny=2)
+        values = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+        polys = marching_squares(grid, values, 1.0)
+        assert [p.tolist() for p in polys] == [[[2.0, 0.0], [2.0, 1.0]]]
+        assert_bitwise_equal(polys, reference_marching_squares(grid, values, 1.0))
+        # an edge whose two samples are equal interpolates to its midpoint
+        flat_x_edge = np.array([1 * grid.ny + 0])
+        assert _edge_points(grid, values, 1.0, flat_x_edge).tolist() == [[1.5, 0.0]]
+
+    @pytest.mark.parametrize("level", [-0.5, 2.5])
+    def test_no_crossings(self, level):
+        grid = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=9, ny=7)
+        values = 1.0 + radial_field(grid) / 2.0  # in [1, 1.71]
+        assert marching_squares(grid, values, level) == []
+
+    def test_pinned_polylines(self):
+        # two discs of radius^2 1.5: one centered on the left window edge
+        # (an open curve) and one inside the window (a closed loop)
+        grid = GridSpec(x_min=-3.0, x_max=3.0, y_min=-2.0, y_max=2.0, nx=7, ny=5)
+        X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+        values = np.minimum((X - 1) ** 2 + Y**2, (X + 3) ** 2 + Y**2)
+        polys = marching_squares(grid, values, 1.5)
+        assert [len(p) for p in polys] == [7, 13]
+        assert [bool(np.array_equal(p[0], p[-1])) for p in polys] == [False, True]
+        assert polys[0][0].tolist() == [-3.0, -1.1666666666666665]
+        assert polys[0][-1].tolist() == [-3.0, 1.1666666666666667]
+        assert polys[1][0].tolist() == [0.0, -0.5]
+        assert polys[1][1].tolist() == [-0.16666666666666663, 0.0]
+        assert_bitwise_equal(polys, reference_marching_squares(grid, values, 1.5))
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_fields(self, seed):
+        # coarse integer-valued and rounded fields hit exact ties with the
+        # level and many saddle cells
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(x_min=-1.0, x_max=2.0, y_min=-0.0, y_max=1.0, nx=23, ny=17)
+        fields = (
+            rng.standard_normal((23, 17)),
+            rng.integers(-2, 3, (23, 17)).astype(float),
+            np.round(rng.standard_normal((23, 17)), 1),
+        )
+        for values in fields:
+            for level in (0.0, 0.5, -1.0, float(rng.standard_normal())):
+                assert_bitwise_equal(
+                    marching_squares(grid, values, level),
+                    reference_marching_squares(grid, values, level),
+                )
+
+    def test_circle(self):
+        grid = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=101, ny=101)
+        values = radial_field(grid)
+        assert_bitwise_equal(
+            marching_squares(grid, values, 0.6), reference_marching_squares(grid, values, 0.6)
+        )

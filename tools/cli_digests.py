@@ -7,7 +7,9 @@ per output file and per captured stdout::
     <command> <fixture> <stream> <sha256>
 
 ``distance`` and ``perturb`` run only on the fixtures that have a reference
-distance, with the ``--eps-max`` and ``--mu`` values of the benchmark.  Run it
+distance, with the ``--eps-max`` and ``--mu`` values of the benchmark.
+``faults`` runs twice: as is, and as ``faults+eps`` with the fixture's own
+``epsilons`` passed as ``--eps``, which adds the level curves to its SVG.  Run it
 in two checkouts and diff the output to show that a change keeps the CLI
 outputs byte-identical:
 
@@ -24,6 +26,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import shutil
 import sys
 import tempfile
@@ -46,24 +49,29 @@ REFERENCES = {
     "diag_movable_eigenvalue_2x2": (1.0, (0.4, 0.0)),
 }
 
-# Output files each command writes, and the extra arguments it takes.
+# Output files each run writes; a run is a command, or a command and a
+# variant of its arguments after a "+".
 OUTPUTS = {
     "eigs": ("json",),
     "field": ("csv", "svg", "json"),
     "components": ("json",),
     "trace": ("csv", "svg", "json"),
     "faults": ("json", "svg"),
+    "faults+eps": ("json", "svg"),
     "distance": ("json",),
     "perturb": ("json",),
 }
 
 
-def _extra_args(command: str, name: str) -> list | None:
-    if command in ("distance", "perturb"):
+def _extra_args(run: str, path: Path) -> list | None:
+    name = path.stem
+    if run == "faults+eps":
+        return ["--eps", *(repr(e) for e in json.loads(path.read_text())["epsilons"])]
+    if run in ("distance", "perturb"):
         if name not in REFERENCES:
             return None
         eps_max, mu = REFERENCES[name]
-        if command == "distance":
+        if run == "distance":
             return ["--eps-max", repr(eps_max)]
         return ["--mu", repr(mu[0]), repr(mu[1])]
     return []
@@ -79,11 +87,11 @@ def run(keep: Path | None) -> None:
         for command, kinds in OUTPUTS.items():
             for path in sorted(FIXTURES.glob("*.json")):
                 name = path.stem
-                extra = _extra_args(command, name)
+                extra = _extra_args(command, path)
                 if extra is None:
                     continue
                 files = {kind: work / f"{command}.{name}.{kind}" for kind in kinds}
-                argv = [command, "--input", str(path), *extra]
+                argv = [command.split("+")[0], "--input", str(path), *extra]
                 for kind, out in files.items():
                     argv += [f"--{kind}", str(out)]
                 stdout = io.StringIO()
