@@ -3,9 +3,18 @@
 Reads a JSON problem specification, runs the library, and writes
 machine-readable reports:
 
-    polyspectra <eigs|field|trace|components|faults|distance|perturb>
-        --input FILE [--eps ...] [--grid NX NY]
-        [--window XMIN XMAX YMIN YMAX] [--svg PATH] [--json PATH] [--csv PATH]
+    polyspectra COMMAND --input FILE [FLAGS], where each COMMAND reads:
+
+    eigs        [--json PATH]
+    field       [--eps EPS ...] [--grid NX NY] [--window W] [--json/--csv/--svg PATH]
+    components  [--eps EPS ...] [--grid NX NY] [--window W] [--json PATH]
+    trace       [--eps EPS ...] [--window W] [--seed RE IM]... [--step-size H]
+                [--max-steps N] [--json/--csv/--svg PATH]
+    faults      [--eps EPS ...] [--grid NX NY] [--window W] [--json/--svg PATH]
+    distance    [--eps-max LIMIT] [--grid NX NY] [--window W] [--json PATH]
+    perturb     --mu RE IM [--json PATH]
+
+W is XMIN XMAX YMIN YMAX.  A command rejects any other flag.
 
 Exit codes: 0 success, 2 parse error, 3 numerical failure, 4 precondition
 violation.  File outputs are deterministic for identical inputs and flags
@@ -22,7 +31,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +46,7 @@ from .errors import (
 )
 from .faultlines import build_surface_map, default_probes, fault_scan
 from .matpoly import (
+    EigenReport,
     MatrixPolynomial,
     WeightPolynomial,
     eigenvalues,
@@ -162,10 +172,30 @@ def _parse_window(doc) -> GridSpec:
         raise InputError(f"window: {exc}") from exc
 
 
-def _check_epsilons(epsilons, where: str) -> None:
-    _require(
-        all(0.0 < e < np.inf for e in epsilons), f"{where}: entries must be finite and positive"
-    )
+_POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and positive")
+
+# Numeric flags: the test every value must pass, and its description.
+_FLAG_CHECKS = {
+    "eps": _POSITIVE,
+    "step_size": _POSITIVE,
+    "eps_max": _POSITIVE,
+    "max_steps": (lambda v: v >= 1, "at least 1"),
+    "mu": (np.isfinite, "finite"),
+    "seed": (np.isfinite, "finite"),
+}
+
+
+def _check_values(values, name: str, where: str) -> None:
+    ok, what = _FLAG_CHECKS[name]
+    _require(all(ok(v) for v in np.ravel(values)), f"{where}: entries must be {what}")
+
+
+def _check_flags(args) -> None:
+    """Reject a numeric flag value that the command cannot use."""
+    for name in _FLAG_CHECKS:
+        values = getattr(args, name, None)
+        if values is not None:
+            _check_values(values, name, "--" + name.replace("_", "-"))
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -197,7 +227,7 @@ def parse_problem(text: str) -> ProblemSpec:
         epsilons = tuple(float(e) for e in eps_doc)
     except (TypeError, ValueError) as exc:
         raise InputError(f"epsilons: non-numeric entry ({exc})") from exc
-    _check_epsilons(epsilons, "epsilons")
+    _check_values(epsilons, "eps", "epsilons")
     return ProblemSpec(
         polynomial=P,
         weight=weight,
@@ -207,14 +237,6 @@ def parse_problem(text: str) -> ProblemSpec:
         window=window,
         epsilons=epsilons,
     )
-
-
-def parse_problem_file(path: str) -> ProblemSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_problem(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read input file {path}: {exc}") from exc
 
 
 def _matrix_doc(M: np.ndarray) -> dict:
@@ -338,25 +360,32 @@ def _svg_document(window: GridSpec, layers, markers, extra_points=()) -> str:
     return "\n".join(out) + "\n"
 
 
-def _resolve_window(spec: ProblemSpec, args, eps_for_margin: float = 0.0) -> GridSpec:
+def _resolve_window(
+    spec: ProblemSpec, args, eigen: EigenReport | None = None, eps_for_margin: float = 0.0
+) -> GridSpec | None:
+    """The window of ``--window`` or of the document, sized by ``--grid``;
+    else the default window around ``eigen``, or None without ``eigen``."""
     grid = getattr(args, "grid", None)
     nx, ny = (int(grid[0]), int(grid[1])) if grid is not None else (_DEFAULT_GRID,) * 2
-    if getattr(args, "window", None):
+    if args.window is not None:
         xmin, xmax, ymin, ymax = (float(v) for v in args.window)
         return GridSpec(x_min=xmin, x_max=xmax, y_min=ymin, y_max=ymax, nx=nx, ny=ny)
     if spec.window is not None:
-        win = spec.window
-        if grid is not None:
-            win = GridSpec(
-                x_min=win.x_min, x_max=win.x_max, y_min=win.y_min, y_max=win.y_max,
-                nx=nx, ny=ny,
-            )
-        return win
-    return default_window(spec.polynomial, spec.weight, eps_max=eps_for_margin, nx=nx, ny=ny)
+        return spec.window if grid is None else replace(spec.window, nx=nx, ny=ny)
+    if eigen is None:
+        return None
+    return default_window(
+        spec.polynomial, spec.weight, eps_max=eps_for_margin, nx=nx, ny=ny, eigen=eigen
+    )
+
+
+def _contour_layers(window: GridSpec, field, eps_list) -> list:
+    """(level, polylines) for each level, as ``_svg_document`` draws them."""
+    return [(eps, marching_squares(window, field.values, eps)) for eps in eps_list]
 
 
 def _resolve_epsilons(spec: ProblemSpec, args) -> tuple:
-    if getattr(args, "eps", None):
+    if args.eps is not None:
         return tuple(float(e) for e in args.eps)
     if spec.epsilons:
         return spec.epsilons
@@ -372,26 +401,22 @@ def _resolve_epsilons(spec: ProblemSpec, args) -> tuple:
 def _cmd_eigs(spec: ProblemSpec, args, report: RunReport) -> None:
     P = spec.polynomial
     eigen = eigenvalues(P)
-    rows = []
-    for lam, mult in zip(eigen.eigenvalues, eigen.multiplicities):
-        geo = geometric_multiplicity(P, lam)
-        rows.append({"value": complex(lam), "algebraic": int(mult), "geometric": geo})
+    rows = [
+        {
+            "algebraic": int(mult),
+            "geometric": geometric_multiplicity(P, lam),
+            "im": float(lam.imag),
+            "re": float(lam.real),
+        }
+        for lam, mult in zip(eigen.eigenvalues, eigen.multiplicities)
+    ]
     print(f"{'eigenvalue':>28}  {'algebraic':>9}  {'geometric':>9}")
-    for row in rows:
-        z = row["value"]
-        print(f"{z.real:>14.6g} {z.imag:>+12.6g}i  {row['algebraic']:>9}  {row['geometric']:>9}")
+    for r in rows:
+        print(f"{r['re']:>14.6g} {r['im']:>+12.6g}i  {r['algebraic']:>9}  {r['geometric']:>9}")
     if args.json:
         doc = {
             "cluster_radius": eigen.cluster_radius,
-            "eigenvalues": [
-                {
-                    "algebraic": row["algebraic"],
-                    "geometric": row["geometric"],
-                    "im": row["value"].imag,
-                    "re": row["value"].real,
-                }
-                for row in rows
-            ],
+            "eigenvalues": rows,
             "total_multiplicity": eigen.total_multiplicity,
         }
         _write_json(args.json, doc)
@@ -401,16 +426,14 @@ def _cmd_eigs(spec: ProblemSpec, args, report: RunReport) -> None:
 def _cmd_field(spec: ProblemSpec, args, report: RunReport) -> None:
     P, w = spec.polynomial, spec.weight
     eps_list = _resolve_epsilons(spec, args)
-    window = _resolve_window(spec, args, eps_for_margin=max(eps_list))
-    field = compute_field(P, w, window)
     eigen = eigenvalues(P)
+    window = _resolve_window(spec, args, eigen, eps_for_margin=max(eps_list))
+    field = compute_field(P, w, window)
     if args.csv:
         _write_csv(args.csv, "x,y,value", _field_rows(window, field.values))
         report.outputs.append(args.csv)
     if args.svg:
-        layers = [
-            (eps, marching_squares(window, field.values, eps)) for eps in eps_list
-        ]
+        layers = _contour_layers(window, field, eps_list)
         _atomic_write(args.svg, _svg_document(window, layers, eigen.eigenvalues))
         report.outputs.append(args.svg)
     if args.json:
@@ -433,9 +456,9 @@ def _cmd_field(spec: ProblemSpec, args, report: RunReport) -> None:
 def _cmd_components(spec: ProblemSpec, args, report: RunReport) -> None:
     P, w = spec.polynomial, spec.weight
     eps_list = _resolve_epsilons(spec, args)
-    window = _resolve_window(spec, args, eps_for_margin=max(eps_list))
-    field = compute_field(P, w, window)
     eigen = eigenvalues(P)
+    window = _resolve_window(spec, args, eigen, eps_for_margin=max(eps_list))
+    field = compute_field(P, w, window)
     docs = []
     for eps in eps_list:
         rep = components(field, eps, eigen)
@@ -470,18 +493,18 @@ def _cmd_components(spec: ProblemSpec, args, report: RunReport) -> None:
 def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
     P, w = spec.polynomial, spec.weight
     eps_list = _resolve_epsilons(spec, args)
-    window = _resolve_window(spec, args, eps_for_margin=max(eps_list))
     eigen = eigenvalues(P)
-    step = float(args.step_size) if args.step_size else None
+    window = _resolve_window(spec, args, eigen, eps_for_margin=max(eps_list))
+
+    def trace(eps: float, seed: complex):
+        return trace_boundary(
+            P, w, eps, seed, window, step_size=args.step_size, max_steps=args.max_steps
+        )
+
     curves = []
     for eps in eps_list:
-        if args.seed:
-            for s in args.seed:
-                curve = trace_boundary(
-                    P, w, eps, complex(s[0], s[1]), window,
-                    step_size=step, max_steps=args.max_steps,
-                )
-                curves.append((eps, curve))
+        if args.seed is not None:
+            curves += [(eps, trace(eps, complex(re, im))) for re, im in args.seed]
             continue
         for lam in eigen.eigenvalues:
             # try the four axis rays; skip combinations with no traceable
@@ -489,11 +512,7 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
             curve = None
             for direction in (1.0, -1.0, 1j, -1j):
                 try:
-                    seed = find_boundary_seed(P, w, eps, lam, direction, window)
-                    curve = trace_boundary(
-                        P, w, eps, seed, window, step_size=step,
-                        max_steps=args.max_steps,
-                    )
+                    curve = trace(eps, find_boundary_seed(P, w, eps, lam, direction, window))
                     break
                 except (SeedNotFoundError, PreconditionError):
                     continue
@@ -514,14 +533,10 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
         _write_csv(args.csv, "curve_id,x,y", rows)
         report.outputs.append(args.csv)
     if args.svg:
-        layers = []
-        for eps in eps_list:
-            polys = [
-                np.column_stack([c.points.real, c.points.imag])
-                for e, c in curves
-                if e == eps
-            ]
-            layers.append((eps, polys))
+        layers = [
+            (eps, [np.column_stack([c.points.real, c.points.imag]) for e, c in curves if e == eps])
+            for eps in eps_list
+        ]
         _atomic_write(args.svg, _svg_document(window, layers, eigen.eigenvalues))
         report.outputs.append(args.svg)
     if args.json:
@@ -540,17 +555,15 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
         _write_json(args.json, doc)
         report.outputs.append(args.json)
     for eps, c in curves:
-        print(
-            f"eps={eps:.6g}: {len(c.points)} points, termination={c.termination.value}"
-        )
+        print(f"eps={eps:.6g}: {len(c.points)} points, termination={c.termination.value}")
 
 
 def _cmd_faults(spec: ProblemSpec, args, report: RunReport) -> None:
     P = spec.polynomial
-    window = _resolve_window(spec, args)
+    eigen = eigenvalues(P)
+    window = _resolve_window(spec, args, eigen)
     smap = build_surface_map(P, default_probes(window))
     rep = fault_scan(P, window, smap)
-    eigen = eigenvalues(P)
     print(f"fault scan: {len(rep.refined_points)} refined point(s), empty={rep.empty}")
     if args.json:
         doc = {
@@ -567,12 +580,8 @@ def _cmd_faults(spec: ProblemSpec, args, report: RunReport) -> None:
         report.outputs.append(args.json)
     if args.svg:
         layers = []
-        if getattr(args, "eps", None):
-            field = compute_field(P, spec.weight, window)
-            layers = [
-                (float(eps), marching_squares(window, field.values, float(eps)))
-                for eps in args.eps
-            ]
+        if args.eps is not None:
+            layers = _contour_layers(window, compute_field(P, spec.weight, window), args.eps)
         _atomic_write(
             args.svg,
             _svg_document(window, layers, eigen.eigenvalues, rep.refined_points),
@@ -606,13 +615,9 @@ def _certificate_doc(cert) -> dict:
 
 def _cmd_distance(spec: ProblemSpec, args, report: RunReport) -> None:
     P, w = spec.polynomial, spec.weight
-    eps_max = float(args.eps_max) if args.eps_max else 0.1 * max_norm(P)
-    window = None
-    if getattr(args, "window", None) or spec.window is not None:
-        window = _resolve_window(spec, args, eps_for_margin=eps_max)
-    nx = ny = 401
-    if getattr(args, "grid", None):
-        nx, ny = int(args.grid[0]), int(args.grid[1])
+    eps_max = args.eps_max if args.eps_max is not None else 0.1 * max_norm(P)
+    nx, ny = (args.grid[0], args.grid[1]) if args.grid is not None else (401, 401)
+    window = _resolve_window(spec, args)
     result = distance_to_multiple(P, w, eps_max, window=window, nx=nx, ny=ny)
     cert = result.certificate
     print(
@@ -637,9 +642,9 @@ def _cmd_distance(spec: ProblemSpec, args, report: RunReport) -> None:
 
 def _cmd_perturb(spec: ProblemSpec, args, report: RunReport) -> None:
     P, w = spec.polynomial, spec.weight
-    if not args.mu:
+    if args.mu is None:
         raise PreconditionError("perturb requires --mu RE IM")
-    mu = complex(float(args.mu[0]), float(args.mu[1]))
+    mu = complex(args.mu[0], args.mu[1])
     cert = certify_multiple(P, w, mu)
     print(
         f"mu = {mu.real:.6g}{mu.imag:+.6g}i: delta = {cert.delta:.6g}, "
@@ -652,14 +657,32 @@ def _cmd_perturb(spec: ProblemSpec, args, report: RunReport) -> None:
         report.outputs.append(args.json)
 
 
+# Each command and the flags it reads besides --input; it rejects any other.
 _COMMANDS = {
-    "eigs": _cmd_eigs,
-    "field": _cmd_field,
-    "components": _cmd_components,
-    "trace": _cmd_trace,
-    "faults": _cmd_faults,
-    "distance": _cmd_distance,
-    "perturb": _cmd_perturb,
+    "eigs": (_cmd_eigs, "json"),
+    "field": (_cmd_field, "eps grid window json csv svg"),
+    "components": (_cmd_components, "eps grid window json"),
+    "trace": (_cmd_trace, "eps window seed step-size max-steps json csv svg"),
+    "faults": (_cmd_faults, "eps grid window json svg"),
+    "distance": (_cmd_distance, "eps-max grid window json"),
+    "perturb": (_cmd_perturb, "mu json"),
+}
+
+_FLAGS = {
+    "eps": dict(type=float, nargs="+", help="level value(s)"),
+    "grid": dict(type=int, nargs=2, metavar=("NX", "NY")),
+    "window": dict(type=float, nargs=4, metavar=("XMIN", "XMAX", "YMIN", "YMAX")),
+    "seed": dict(
+        type=float, nargs=2, action="append", metavar=("RE", "IM"),
+        help="explicit on-curve seed (repeatable); default seeds from eigenvalues",
+    ),
+    "step-size": dict(type=float),
+    "max-steps": dict(type=int, default=20000),
+    "eps-max": dict(type=float),
+    "mu": dict(type=float, nargs=2, metavar=("RE", "IM")),
+    "json": dict(help="write a JSON report here"),
+    "csv": dict(help="write CSV data here"),
+    "svg": dict(help="write an SVG figure here"),
 }
 
 
@@ -678,27 +701,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("distance", "distance to the nearest polynomial with a multiple eigenvalue"),
         ("perturb", "explicit boundary perturbations at a chosen point"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        # no abbreviations: ``distance --eps`` would otherwise mean --eps-max
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--input", required=True, help="problem JSON file")
-        p.add_argument("--eps", type=float, nargs="+", help="level value(s)")
-        p.add_argument("--grid", type=int, nargs=2, metavar=("NX", "NY"))
-        p.add_argument(
-            "--window", type=float, nargs=4, metavar=("XMIN", "XMAX", "YMIN", "YMAX")
-        )
-        p.add_argument("--json", help="write a JSON report here")
-        p.add_argument("--csv", help="write CSV data here")
-        p.add_argument("--svg", help="write an SVG figure here")
-        if name == "trace":
-            p.add_argument(
-                "--seed", type=float, nargs=2, action="append", metavar=("RE", "IM"),
-                help="explicit on-curve seed (repeatable); default seeds from eigenvalues",
-            )
-            p.add_argument("--step-size", type=float, dest="step_size")
-            p.add_argument("--max-steps", type=int, dest="max_steps", default=20000)
-        if name == "distance":
-            p.add_argument("--eps-max", type=float, dest="eps_max")
-        if name == "perturb":
-            p.add_argument("--mu", type=float, nargs=2, metavar=("RE", "IM"))
+        for flag in _COMMANDS[name][1].split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -713,11 +720,10 @@ def main(argv=None) -> int:
             raw = fh.read()
         report.input_digest = hashlib.sha256(raw).hexdigest()[:16]
         spec = parse_problem(raw.decode("utf-8"))
-        if args.eps is not None:
-            _check_epsilons(args.eps, "--eps")
+        _check_flags(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _COMMANDS[args.command](spec, args, report)
+            _COMMANDS[args.command][0](spec, args, report)
         report.warnings.extend(str(w.message) for w in caught)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

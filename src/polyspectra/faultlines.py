@@ -102,7 +102,7 @@ def collapsed_gap(P: MatrixPolynomial, lam: complex, smap: SurfaceIndexMap) -> f
     """s_{c2}(lambda) - s_{c1}(lambda) >= 0, the collapsed surface gap."""
     if smap.c2 is None:
         raise PreconditionError("fewer than two distinct surfaces; gap undefined")
-    return float(surface_gap(singular_values_many(P, np.array([lam]))[0], smap.c1, smap.c2))
+    return float(surface_gap(singular_values_many(P, lam), smap.c1, smap.c2))
 
 
 def is_fault_point(
@@ -119,7 +119,7 @@ def is_fault_point(
     """
     if smap.c2 is None:
         return False
-    s = singular_values_many(P, np.array([lam]))[0]
+    s = singular_values_many(P, lam)
     if tol is None:
         tol = REFINED_GAP_RTOL * (1.0 + float(s[0]))
     return float(surface_gap(s, smap.c1, smap.c2)) <= tol

@@ -117,11 +117,11 @@ def evaluate_many(P: MatrixPolynomial, lams) -> np.ndarray:
 
     ``lams`` may have any shape; the result has shape ``lams.shape + (n, n)``.
     """
-    L = np.asarray(lams, dtype=complex)
-    acc = np.broadcast_to(P.coeffs[-1], L.shape + (P.n, P.n)).copy()
+    L = np.asarray(lams, dtype=complex)[..., None, None]
+    acc = P.coeffs[-1]  # the first step broadcasts it: P_m * lambda + P_{m-1}
     for C in reversed(P.coeffs[:-1]):
-        acc = acc * L[..., None, None] + C
-    return acc
+        acc = acc * L + C
+    return acc if P.m else np.broadcast_to(acc, L.shape[:-2] + acc.shape).copy()
 
 
 def derivative(P: MatrixPolynomial) -> MatrixPolynomial:
@@ -169,9 +169,14 @@ def singular_tolerance(P: MatrixPolynomial) -> float:
     return P.n * np.finfo(float).eps * float(np.linalg.norm(lead, 2))
 
 
-def require_nonsingular_leading(P: MatrixPolynomial) -> None:
+def leading_s_min(P: MatrixPolynomial) -> float:
+    """Smallest singular value of the leading coefficient P_m."""
     lead = P.coeffs[-1]
-    smin = float(np.linalg.svd(lead, compute_uv=False)[-1]) if lead.size else 0.0
+    return float(np.linalg.svd(lead, compute_uv=False)[-1]) if lead.size else 0.0
+
+
+def require_nonsingular_leading(P: MatrixPolynomial) -> None:
+    smin = leading_s_min(P)
     if smin <= singular_tolerance(P):
         raise SingularLeadingCoefficientError(
             f"leading coefficient is numerically singular (smallest singular value "
@@ -263,11 +268,11 @@ def eigenvalues(P: MatrixPolynomial, cluster_radius: float | None = None) -> Eig
 def geometric_multiplicity(P: MatrixPolynomial, lam0: complex, tol: float = 1e-8) -> int:
     """dim null P(lam0): singular values below ``tol`` times the natural
     magnitude scale of P at lam0 count as zero."""
+    from .svdcore import singular_values_many  # svdcore imports this module
     if tol <= 0:
         raise PreconditionError(f"tolerance must be positive, got {tol}")
-    A = evaluate(P, lam0)
-    s = np.linalg.svd(A, compute_uv=False)
-    scale = max_norm(P) * max(1.0, abs(lam0)) ** P.m
+    s = singular_values_many(P, lam0)
+    scale = eigenvalue_residual_scale(P, lam0)
     if scale == 0.0:
         return P.n
     return int(np.count_nonzero(s <= tol * scale))

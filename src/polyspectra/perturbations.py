@@ -37,6 +37,7 @@ from .matpoly import (
     derivative,
     eigenvalues,
     evaluate,
+    leading_s_min,
     weight_eval,
 )
 from .pseudospectrum import (
@@ -238,7 +239,7 @@ def distance_to_eigenvalue(P: MatrixPolynomial, w: WeightPolynomial, mu: complex
     Realized exactly by build_qhat / build_qtilde on the ball boundary; no
     smaller ball reaches mu.  Returns 0 (with a warning) on the spectrum.
     """
-    s = singular_values_many(P, np.array([mu]))[0]
+    s = singular_values_many(P, mu)
     if on_spectrum(s):
         warnings.warn(f"mu={mu:.6g} is numerically an eigenvalue; distance is 0")
         return 0.0
@@ -273,9 +274,10 @@ def certify_multiple(
     q_tilde = _build_perturbation(P, w, mu, trip, low_rank=True)
     Qh = q_hat.polynomial()
     Qt = q_tilde.polynomial()
-    res_h = s_min(Qh, mu)
+    s_h = singular_values_many(Qh, mu)
+    res_h = float(s_h[-1])
     res_t = s_min(Qt, mu)
-    scale = 1.0 + float(np.linalg.norm(evaluate(Qh, mu), 2))
+    scale = 1.0 + float(s_h[0])
     if max(res_h, res_t) > RESIDUAL_RTOL * scale:
         raise ConstructionError(
             f"perturbed polynomial does not annihilate mu={mu:.6g}: residuals "
@@ -395,7 +397,7 @@ def find_saddle(
         )
 
     def second_ratio(p) -> float:
-        s = singular_values_many(P, np.array([complex(p[0], p[1])]))[0]
+        s = singular_values_many(P, complex(p[0], p[1]))
         return float(s[smap.c2 - 1]) / weight_eval(w, float(np.hypot(p[0], p[1])))
 
     res = optimize.minimize(
@@ -406,7 +408,7 @@ def find_saddle(
         options=dict(maxiter=400, xatol=1e-12, fatol=1e-15),
     )
     mu = complex(res.x[0], res.x[1])
-    s = singular_values_many(P, np.array([mu]))[0]
+    s = singular_values_many(P, mu)
     if on_spectrum(s):
         raise SaddleAtEigenvalueError(f"crossing search converged to the spectrum at {mu:.6g}")
     gap = float(surface_gap(s, smap.c1, smap.c2))
@@ -446,8 +448,7 @@ def distance_to_multiple(
     eps_eff = float(eps_max)
     wm = w.coefficient(P.m)
     if not boundedness_check(P, w, eps_eff) and wm > 0:
-        smin_lead = float(np.linalg.svd(P.coeffs[-1], compute_uv=False)[-1])
-        eps_eff = 0.99 * smin_lead / wm
+        eps_eff = 0.99 * leading_s_min(P) / wm
         if eps_eff <= 0:
             raise PreconditionError("no positive level satisfies the boundedness condition")
 

@@ -27,6 +27,7 @@ from .matpoly import (
     WeightPolynomial,
     derivative,
     eigenvalues,
+    leading_s_min,
     max_norm,
     require_nonsingular_leading,
     weight_eval,
@@ -479,8 +480,7 @@ def boundedness_check(P: MatrixPolynomial, w: WeightPolynomial, eps: float) -> b
     if wm == 0.0:
         return True
     require_nonsingular_leading(P)
-    smin_lead = float(np.linalg.svd(P.coeffs[-1], compute_uv=False)[-1])
-    return eps * wm < smin_lead
+    return eps * wm < leading_s_min(P)
 
 
 def default_window(
@@ -503,7 +503,7 @@ def default_window(
     pad = 0.5 * span
     if eps_max > 0 and w is not None and P.m >= 1:
         radius = float(np.abs(eigen.eigenvalues).max())
-        smin_lead = float(np.linalg.svd(P.coeffs[-1], compute_uv=False)[-1])
+        smin_lead = leading_s_min(P)
         if smin_lead > 0:
             pad += (eps_max * weight_eval(w, radius) / smin_lead) ** (1.0 / P.m)
     return GridSpec(

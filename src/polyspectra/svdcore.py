@@ -8,9 +8,11 @@ vector pair (u, v); the GradientValue carries a validity flag that is lowered
 when the surface gap or the value itself is too small for the formula to be
 trusted.
 
-A caller that needs only singular values (grids, ray bisection, simplex
-searches, gaps) uses the batched values-only ``singular_values_many``.  A
-caller that needs vectors or a gradient reads everything from one
+A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
+ray bisection, simplex searches, gaps, certificate residuals) goes through
+``singular_values_many``, the one values-only SVD of P(lambda), for a
+single point as for a grid; it evaluates at most 4 MiB of matrices at a
+time.  A caller that needs vectors or a gradient reads everything from one
 ``PointEval``, a single SVD with vectors.  LAPACK's singular values with
 and without vectors may differ in the last bits.
 """
@@ -38,7 +40,8 @@ GAP_RTOL = 1e-8
 ZERO_RTOL = 1e-12
 ORIGIN_TOL = 1e-12
 
-_SVD_CHUNK = 1 << 16
+# Bytes of evaluated matrices per batched SVD call: 65536 matrices at n = 2.
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -99,20 +102,24 @@ def singular_triplets(P: MatrixPolynomial, lam: complex) -> SingularTripletSet:
 
 def s_min(P: MatrixPolynomial, lam: complex) -> float:
     """Smallest singular value of P(lambda)."""
-    return float(np.linalg.svd(evaluate(P, lam), compute_uv=False)[-1])
+    return float(singular_values_many(P, lam)[-1])
 
 
 def singular_values_many(P: MatrixPolynomial, lams) -> np.ndarray:
     """Descending singular values at every point of ``lams``.
 
-    Result shape is ``lams.shape + (n,)``.  Evaluation is chunked so large
-    grids do not hold all evaluated matrices at once.
+    Result shape is ``lams.shape + (n,)``, so ``(n,)`` for a scalar point.
+    Evaluation is chunked so that no chunk holds more than ``_CHUNK_BYTES``
+    of evaluated matrices.
     """
     L = np.asarray(lams, dtype=complex)
+    chunk = max(1, _CHUNK_BYTES // (16 * P.n * P.n))
+    if L.size <= chunk:  # a single point costs no more than one SVD call
+        return np.linalg.svd(evaluate_many(P, L), compute_uv=False)
     flat = L.reshape(-1)
     out = np.empty((flat.size, P.n), dtype=float)
-    for start in range(0, flat.size, _SVD_CHUNK):
-        block = flat[start : start + _SVD_CHUNK]
+    for start in range(0, flat.size, chunk):
+        block = flat[start : start + chunk]
         out[start : start + block.size] = np.linalg.svd(
             evaluate_many(P, block), compute_uv=False
         )
@@ -226,4 +233,4 @@ def gap(P: MatrixPolynomial, lam: complex, indices: tuple[int, int] | None = Non
     c1, c2 = (P.n, P.n - 1) if indices is None else indices
     if not (1 <= c2 < c1 <= P.n):
         raise PreconditionError(f"bad surface indices {indices}")
-    return float(surface_gap(singular_values_many(P, np.array([lam]))[0], c1, c2))
+    return float(surface_gap(singular_values_many(P, lam), c1, c2))

@@ -111,6 +111,41 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "--eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--step-size", ["trace", "--eps", "0.01", "--step-size", "nan"]),
+            ("--step-size", ["trace", "--eps", "0.01", "--step-size", "0"]),
+            ("--max-steps", ["trace", "--eps", "0.01", "--max-steps", "-5"]),
+            ("--seed", ["trace", "--eps", "0.01", "--seed", "nan", "0"]),
+            ("--eps-max", ["distance", "--eps-max", "0"]),
+            ("--eps-max", ["distance", "--eps-max", "inf"]),
+            ("--mu", ["perturb", "--mu", "nan", "0"]),
+        ],
+    )
+    def test_numeric_flags_are_checked(self, flag, argv, capsys):
+        assert main([*argv, "--input", UPTRI]) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["components", "--csv", "out.csv"],
+            ["perturb", "--mu", "1.5", "0", "--grid", "21", "21"],
+            ["trace", "--grid", "21", "21"],
+            ["eigs", "--eps", "0.1"],
+            # an abbreviation of --eps-max is not accepted either
+            ["distance", "--eps", "0.1"],
+        ],
+    )
+    def test_unread_flag_is_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", UPTRI])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_document_epsilons_must_be_finite(self, tmp_path, capsys):
         doc = json.loads(Path(UPTRI).read_text())
         doc["epsilons"] = [0.01, float("inf")]

@@ -3,9 +3,13 @@ import pytest
 
 from polyspectra import (
     F_eps,
+    GridSpec,
     MatrixPolynomial,
     PreconditionError,
     WeightPolynomial,
+    build_surface_map,
+    collapsed_gap,
+    default_probes,
     eigenvalues,
     evaluate,
     gap,
@@ -13,11 +17,12 @@ from polyspectra import (
     grad_s_min,
     s_min,
     singular_triplets,
+    svdcore,
     weight_deriv_eval,
     weight_eval,
 )
 from polyspectra.matpoly import eigenvalue_residual_scale
-from polyspectra.svdcore import PointEval
+from polyspectra.svdcore import PointEval, singular_values_many
 
 from conftest import random_polynomial, random_weight
 
@@ -251,3 +256,56 @@ class TestGap:
         assert gap(conic_pencil, 0.3 + 0.1j, indices=(3, 2)) == pytest.approx(
             gap(conic_pencil, 0.3 + 0.1j), rel=1e-14
         )
+
+
+class TestValuesPath:
+    """``singular_values_many`` is the one values-only SVD of P(lambda)."""
+
+    CHUNK_BYTES = 4 << 20
+
+    @pytest.fixture
+    def wide(self):
+        rng = np.random.default_rng(16)
+        return random_polynomial(rng, 16, 2)
+
+    def test_chunks_hold_at_most_the_byte_budget(self, wide, monkeypatch):
+        blocks = []
+        original = svdcore.evaluate_many
+
+        def recording(P, lams):
+            out = original(P, lams)
+            blocks.append(out.nbytes)
+            return out
+
+        monkeypatch.setattr(svdcore, "evaluate_many", recording)
+        grid = GridSpec(x_min=-2, x_max=2, y_min=-2, y_max=2, nx=50, ny=50)
+        values = singular_values_many(wide, grid.points())
+        assert values.shape == (50, 50, 16)
+        assert len(blocks) >= 3
+        assert max(blocks) <= self.CHUNK_BYTES
+        assert sum(blocks) == 50 * 50 * 16 * 16 * 16
+
+    def test_multi_chunk_rows_equal_single_points(self, wide):
+        rng = np.random.default_rng(17)
+        lams = rng.normal(size=2500) + 1j * rng.normal(size=2500)
+        batched = singular_values_many(wide, lams)
+        for lam, row in zip(lams, batched):
+            assert np.array_equal(singular_values_many(wide, lam), row)
+            direct = np.linalg.svd(evaluate(wide, lam), compute_uv=False)
+            assert np.array_equal(direct, row)
+
+    def test_scalar_point_gives_one_row(self, uptri_quadratic, wide):
+        assert singular_values_many(uptri_quadratic, 1.4145).shape == (2,)
+        assert singular_values_many(wide, 0.3 - 1j).shape == (16,)
+        assert singular_values_many(wide, [0.3 - 1j]).shape == (1, 16)
+
+    def test_point_queries_equal_batched_entries(self, conic_pencil):
+        rng = np.random.default_rng(18)
+        lams = rng.normal(size=40) + 1j * rng.normal(size=40)
+        batched = singular_values_many(conic_pencil, lams)
+        window = GridSpec(x_min=-2, x_max=2, y_min=-2, y_max=2, nx=5, ny=5)
+        smap = build_surface_map(conic_pencil, default_probes(window))
+        for lam, row in zip(lams, batched):
+            assert s_min(conic_pencil, lam) == row[-1]
+            assert gap(conic_pencil, lam) == row[-2] - row[-1]
+            assert collapsed_gap(conic_pencil, lam, smap) == row[smap.c2 - 1] - row[smap.c1 - 1]
