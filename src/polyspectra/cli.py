@@ -62,6 +62,7 @@ from .pseudospectrum import (
     find_boundary_seed,
     trace_boundary,
 )
+from .svdcore import singular_values_many
 
 _DEFAULT_GRID = 301
 
@@ -563,7 +564,10 @@ def _cmd_faults(spec: ProblemSpec, args, report: RunReport) -> None:
     eigen = eigenvalues(P)
     window = _resolve_window(spec, args, eigen)
     smap = build_surface_map(P, default_probes(window))
-    rep = fault_scan(P, window, smap)
+    # one grid SVD gives both the collapsed gap and the contour levels
+    contoured = bool(args.svg) and args.eps is not None
+    svals = singular_values_many(P, window.points()) if contoured else None
+    rep = fault_scan(P, window, smap, svals=svals)
     print(f"fault scan: {len(rep.refined_points)} refined point(s), empty={rep.empty}")
     if args.json:
         doc = {
@@ -580,8 +584,9 @@ def _cmd_faults(spec: ProblemSpec, args, report: RunReport) -> None:
         report.outputs.append(args.json)
     if args.svg:
         layers = []
-        if args.eps is not None:
-            layers = _contour_layers(window, compute_field(P, spec.weight, window), args.eps)
+        if contoured:
+            field = compute_field(P, spec.weight, window, svals)
+            layers = _contour_layers(window, field, args.eps)
         _atomic_write(
             args.svg,
             _svg_document(window, layers, eigen.eigenvalues, rep.refined_points),

@@ -130,6 +130,7 @@ def fault_scan(
     grid: GridSpec,
     smap: SurfaceIndexMap,
     refine_maxiter: int = 200,
+    svals: np.ndarray | None = None,
 ) -> FaultReport:
     """Locate fault points inside the window.
 
@@ -140,7 +141,8 @@ def fault_scan(
     of the gap, and refined points are kept where ``is_fault_point`` holds.
     An empty report is a valid outcome; with fewer than two distinct
     surfaces (scalar problems, fully repeated structure) the fault set is
-    vacuously empty.
+    vacuously empty.  A caller that already holds
+    ``singular_values_many(P, grid.points())`` passes it as ``svals``.
     """
     if smap.c2 is None:
         return FaultReport(
@@ -149,7 +151,9 @@ def fault_scan(
             refined_gaps=np.zeros(0, dtype=float),
             empty=True,
         )
-    g = surface_gap(singular_values_many(P, grid.points()), smap.c1, smap.c2)
+    if svals is None:
+        svals = singular_values_many(P, grid.points())
+    g = surface_gap(svals, smap.c1, smap.c2)
     xs, ys = grid.xs(), grid.ys()
     gx, gy = np.gradient(g, xs, ys)
     slope = np.maximum(np.hypot(gx, gy), np.finfo(float).tiny)

@@ -9,6 +9,7 @@ requires a nonsingular leading coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,8 @@ class MatrixPolynomial:
     """Degree-m polynomial with n x n complex coefficients.
 
     ``coeffs[j]`` multiplies lambda**j.  Coefficient arrays are copied and
-    frozen at construction, so instances are safe to share between threads.
+    frozen at construction, so instances are safe to share between threads;
+    the singular values of P_m are computed on first use and kept.
     """
 
     coeffs: tuple
@@ -50,6 +52,13 @@ class MatrixPolynomial:
     @property
     def m(self) -> int:
         return len(self.coeffs) - 1
+
+    @cached_property
+    def leading_values(self) -> np.ndarray:
+        """Descending singular values of P_m, from one SVD per polynomial."""
+        values = np.linalg.svd(self.coeffs[-1], compute_uv=False)
+        values.setflags(write=False)
+        return values
 
     def __call__(self, lam):
         return evaluate(self, lam)
@@ -116,12 +125,17 @@ def evaluate_many(P: MatrixPolynomial, lams) -> np.ndarray:
     """Vectorized Horner evaluation.
 
     ``lams`` may have any shape; the result has shape ``lams.shape + (n, n)``.
+    It is allocated once, and each multiply/add step writes into it.
     """
     L = np.asarray(lams, dtype=complex)[..., None, None]
-    acc = P.coeffs[-1]  # the first step broadcasts it: P_m * lambda + P_{m-1}
-    for C in reversed(P.coeffs[:-1]):
-        acc = acc * L + C
-    return acc if P.m else np.broadcast_to(acc, L.shape[:-2] + acc.shape).copy()
+    if not P.m:
+        return np.broadcast_to(P.coeffs[0], L.shape[:-2] + (P.n, P.n)).copy()
+    acc = P.coeffs[-1] * L  # the one allocation; every later step is in place
+    acc += P.coeffs[-2]
+    for C in reversed(P.coeffs[:-2]):
+        acc *= L
+        acc += C
+    return acc
 
 
 def derivative(P: MatrixPolynomial) -> MatrixPolynomial:
@@ -165,14 +179,12 @@ def weight_deriv_eval(w: WeightPolynomial, r):
 
 def singular_tolerance(P: MatrixPolynomial) -> float:
     """Rank tolerance for the leading coefficient: n * eps * ||P_m||."""
-    lead = P.coeffs[-1]
-    return P.n * np.finfo(float).eps * float(np.linalg.norm(lead, 2))
+    return P.n * np.finfo(float).eps * float(P.leading_values.max())
 
 
 def leading_s_min(P: MatrixPolynomial) -> float:
     """Smallest singular value of the leading coefficient P_m."""
-    lead = P.coeffs[-1]
-    return float(np.linalg.svd(lead, compute_uv=False)[-1]) if lead.size else 0.0
+    return float(P.leading_values[-1]) if P.n else 0.0
 
 
 def require_nonsingular_leading(P: MatrixPolynomial) -> None:

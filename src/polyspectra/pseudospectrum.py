@@ -147,14 +147,19 @@ class BoundaryCurve:
     detail: str = ""
 
 
-def compute_field(P: MatrixPolynomial, w: WeightPolynomial, grid: GridSpec) -> ScalarField:
+def compute_field(
+    P: MatrixPolynomial, w: WeightPolynomial, grid: GridSpec, svals: np.ndarray | None = None
+) -> ScalarField:
     """Sample s_min / w on the grid.
 
     Each point is an independent evaluation; the batched SVD keeps the loop
-    in LAPACK.  One field serves every eps.
+    in LAPACK.  One field serves every eps.  A caller that already holds
+    ``singular_values_many(P, grid.points())`` passes it as ``svals``.
     """
     pts = grid.points()
-    values = singular_values_many(P, pts)[..., -1] / weight_eval(w, np.abs(pts))
+    if svals is None:
+        svals = singular_values_many(P, pts)
+    values = svals[..., -1] / weight_eval(w, np.abs(pts))
     values.setflags(write=False)
     return ScalarField(grid=grid, values=values)
 

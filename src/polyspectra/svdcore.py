@@ -11,14 +11,21 @@ trusted.
 A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
 ray bisection, simplex searches, gaps, certificate residuals) goes through
 ``singular_values_many``, the one values-only SVD of P(lambda), for a
-single point as for a grid; it evaluates at most 4 MiB of matrices at a
-time.  A caller that needs vectors or a gradient reads everything from one
-``PointEval``, a single SVD with vectors.  LAPACK's singular values with
-and without vectors may differ in the last bits.
+single point as for a grid.  A grid larger than one chunk is decomposed
+on every CPU in the process's affinity mask: the calling thread runs the
+Horner evaluation chunk by chunk, a thread pool created for the call runs
+the SVDs, and the 4 MiB budget covers every evaluated chunk in flight.
+Each chunk's values land in their own rows, so results do not depend on
+the core count.  A caller that needs vectors or a gradient reads
+everything from one ``PointEval``, a single SVD with vectors.  LAPACK's
+singular values with and without vectors may differ in the last bits.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +47,20 @@ GAP_RTOL = 1e-8
 ZERO_RTOL = 1e-12
 ORIGIN_TOL = 1e-12
 
-# Bytes of evaluated matrices per batched SVD call: 65536 matrices at n = 2.
+# Bytes of evaluated matrices alive at once in a batched SVD, shared by the
+# chunk being evaluated and the chunks being decomposed.
 _CHUNK_BYTES = 4 << 20
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# Threads that decompose chunks: one per CPU the process may run on.
+_WORKERS = _usable_cpus()
 
 
 @dataclass(frozen=True)
@@ -109,21 +128,36 @@ def singular_values_many(P: MatrixPolynomial, lams) -> np.ndarray:
     """Descending singular values at every point of ``lams``.
 
     Result shape is ``lams.shape + (n,)``, so ``(n,)`` for a scalar point.
-    Evaluation is chunked so that no chunk holds more than ``_CHUNK_BYTES``
-    of evaluated matrices.
+    An input larger than one chunk is evaluated chunk by chunk on the
+    calling thread, and a pool of ``_WORKERS`` threads that lives for this
+    call decomposes at most ``_WORKERS`` chunks at a time; each job writes
+    its own rows, so the result does not depend on the scheduling or on
+    ``_WORKERS``.  Chunks are sized so that ``_WORKERS + 1`` evaluated
+    blocks fit in ``_CHUNK_BYTES``.
     """
     L = np.asarray(lams, dtype=complex)
-    chunk = max(1, _CHUNK_BYTES // (16 * P.n * P.n))
+    chunk = max(1, _CHUNK_BYTES // (16 * P.n * P.n * (_WORKERS + 1)))
     if L.size <= chunk:  # a single point costs no more than one SVD call
         return np.linalg.svd(evaluate_many(P, L), compute_uv=False)
     flat = L.reshape(-1)
     out = np.empty((flat.size, P.n), dtype=float)
-    for start in range(0, flat.size, chunk):
-        block = flat[start : start + chunk]
-        out[start : start + block.size] = np.linalg.svd(
-            evaluate_many(P, block), compute_uv=False
-        )
+    # Wait before evaluating, so the calling thread's Horner shares the CPUs
+    # with at most _WORKERS - 1 running SVDs.  A block goes straight into
+    # submit: only its job refers to it.
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        jobs = deque()
+        for start in range(0, flat.size, chunk):
+            if len(jobs) == _WORKERS:
+                jobs.popleft().result()
+            rows = slice(start, start + chunk)
+            jobs.append(pool.submit(_decompose, out[rows], evaluate_many(P, flat[rows])))
+        for job in jobs:
+            job.result()
     return out.reshape(L.shape + (P.n,))
+
+
+def _decompose(rows: np.ndarray, block: np.ndarray) -> None:
+    rows[...] = np.linalg.svd(block, compute_uv=False)
 
 
 def on_spectrum(values) -> bool:

@@ -279,6 +279,21 @@ class TestOutputs:
         pt = doc["refined_points"][0]
         assert abs(complex(pt["re"], pt["im"])) < 1e-4
 
+    def test_faults_svg_levels_share_the_grid_svd(self, tmp_path, capsys, monkeypatch):
+        from polyspectra import svdcore
+
+        shapes = []
+        original = svdcore.evaluate_many
+
+        def recording(P, lams):
+            shapes.append(np.shape(lams))
+            return original(P, lams)
+
+        monkeypatch.setattr(svdcore, "evaluate_many", recording)
+        argv = ["faults", "--input", DAMPED, "--grid", "41", "41", "--eps", "0.05"]
+        assert main(argv + ["--svg", str(tmp_path / "f.svg")]) == 0
+        assert shapes.count((41, 41)) == 1
+
     def test_distance_json(self, tmp_path, capsys):
         out = tmp_path / "d.json"
         assert (

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -333,6 +335,32 @@ class TestDistanceToMultiple:
             damped_system, weight_damped, 0.2, window=damped_window
         )
         assert 0.02 < res.r < 0.05
+
+    def test_one_svd_of_the_leading_coefficient(self, damped_system, weight_damped,
+                                                damped_window, monkeypatch):
+        # a fresh instance, since the session fixture may hold cached values
+        P = MatrixPolynomial(damped_system.coeffs)
+        lead = P.coeffs[-1]
+        calls = []
+        svd, norm = np.linalg.svd, np.linalg.norm
+
+        def on_lead(a):
+            return np.shape(a) == lead.shape and np.array_equal(a, lead)
+
+        def counting_svd(a, *args, **kwargs):
+            calls.extend(["svd"] if on_lead(a) else [])
+            return svd(a, *args, **kwargs)
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            # the matrix 2-norm is the largest singular value: one more SVD
+            calls.extend(["norm"] if ord == 2 and on_lead(x) else [])
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        window = replace(damped_window, nx=81, ny=81)
+        distance_to_multiple(P, weight_damped, 0.2, window=window)
+        assert calls == ["svd"]
 
     def test_disc_pair(self, disc_pair, unit_weight):
         res = distance_to_multiple(disc_pair, unit_weight, 2.0)

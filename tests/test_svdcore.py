@@ -1,3 +1,7 @@
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,7 +25,7 @@ from polyspectra import (
     weight_deriv_eval,
     weight_eval,
 )
-from polyspectra.matpoly import eigenvalue_residual_scale
+from polyspectra.matpoly import eigenvalue_residual_scale, evaluate_many
 from polyspectra.svdcore import PointEval, singular_values_many
 
 from conftest import random_polynomial, random_weight
@@ -309,3 +313,82 @@ class TestValuesPath:
             assert s_min(conic_pencil, lam) == row[-1]
             assert gap(conic_pencil, lam) == row[-2] - row[-1]
             assert collapsed_gap(conic_pencil, lam, smap) == row[smap.c2 - 1] - row[smap.c1 - 1]
+
+
+class TestPooledPath:
+    """Chunks are evaluated on the calling thread and decomposed by a pool."""
+
+    @staticmethod
+    def chunk(n, workers):
+        return svdcore._CHUNK_BYTES // (16 * n * n * (workers + 1))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_bitwise_equal_to_one_serial_call(self, n, workers, monkeypatch):
+        monkeypatch.setattr(svdcore, "_WORKERS", workers)
+        rng = np.random.default_rng(100 + n)
+        P = random_polynomial(rng, n, 2)
+        chunk = self.chunk(n, workers)
+        count = 2 * chunk + chunk // 3 + 1
+        assert count % chunk != 0
+        lams = rng.normal(size=count) + 1j * rng.normal(size=count)
+        reference = np.linalg.svd(evaluate_many(P, lams), compute_uv=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
+        try:
+            pooled = singular_values_many(P, lams)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.tobytes() == reference.tobytes()
+
+    def test_nan_coefficient_raises_without_hanging(self, monkeypatch):
+        monkeypatch.setattr(svdcore, "_WORKERS", 2)
+        P = MatrixPolynomial([np.full((3, 3), np.nan), np.eye(3)])
+        lams = np.linspace(-1, 1, 5 * self.chunk(3, 2)) + 0.5j
+        caught = []
+
+        def call():
+            try:
+                singular_values_many(P, lams)
+            except np.linalg.LinAlgError as exc:
+                caught.append(exc)
+
+        worker = threading.Thread(target=call, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(caught) == 1
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(svdcore, "_WORKERS", 3)
+        rng = np.random.default_rng(19)
+        P = random_polynomial(rng, 16, 2)
+        before = threading.active_count()
+        values = singular_values_many(P, rng.normal(size=4 * self.chunk(16, 3)))
+        assert values.shape[0] == 4 * self.chunk(16, 3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocks_alive_at_once_fit_the_budget(self, workers, monkeypatch):
+        monkeypatch.setattr(svdcore, "_WORKERS", workers)
+        live, peak = [0], [0]
+        lock = threading.Lock()
+        original = svdcore.evaluate_many
+
+        def release(nbytes):
+            with lock:
+                live[0] -= nbytes
+
+        def recording(P, lams):
+            out = original(P, lams)
+            with lock:
+                live[0] += out.nbytes
+                peak[0] = max(peak[0], live[0])
+            weakref.finalize(out, release, out.nbytes)
+            return out
+
+        monkeypatch.setattr(svdcore, "evaluate_many", recording)
+        rng = np.random.default_rng(20)
+        P = random_polynomial(rng, 16, 2)
+        singular_values_many(P, rng.normal(size=10 * self.chunk(16, workers)))
+        assert self.chunk(16, workers) * 16 * 16 * 16 <= peak[0] <= svdcore._CHUNK_BYTES
