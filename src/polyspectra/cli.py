@@ -739,7 +739,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 4
-    except (NumericalError, PolyspectraError) as exc:
+    except (NumericalError, PolyspectraError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     report.wall_time = time.perf_counter() - t0

@@ -90,8 +90,6 @@ def _edge_points(grid: GridSpec, values: np.ndarray, level: float, edges: np.nda
     fp, fq = values[i0, j0], values[i1, j1]
     same = fq == fp
     t = np.where(same, 0.5, (level - fp) / np.where(same, 1.0, fq - fp))
-    t = np.where(t < 0.0, 0.0, t)
-    t = np.where(t > 1.0, 1.0, t)
     return np.column_stack([px + t * (qx - px), py + t * (qy - py)])
 
 

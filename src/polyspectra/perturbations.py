@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy import optimize
@@ -44,10 +45,10 @@ from .pseudospectrum import (
     SADDLE_GRAD_TOL,
     GridSpec,
     boundedness_check,
-    components,
     compute_field,
     default_window,
-    label_sublevel,
+    grid_merge_level,
+    labels_near,
 )
 from .svdcore import (
     ORIGIN_TOL,
@@ -428,18 +429,19 @@ def distance_to_multiple(
     window: GridSpec | None = None,
     nx: int = 401,
     ny: int = 401,
-    bisect_tol: float = 1e-6,
 ) -> DistanceResult:
-    """Smallest level at which the component count of the sublevel set
-    drops, with an explicit certificate at the merge point.
+    """Smallest level at which the sublevel components around two distinct
+    eigenvalues meet, with an explicit certificate at the merge point.
 
-    Bisects the count over a sampled field, then sharpens the level by a
-    stationary-point search started between the pair of eigenvalues whose
-    components merged.  The reference count is the number of distinct
-    eigenvalues (for simple spectra, the full nm); the first drop below it
-    marks the smallest level at which some member of the ball acquires a
-    multiple eigenvalue at the meeting point.  If the boundedness condition
-    fails at eps_max, the budget is capped at the largest level it supports.
+    On a sampled field the components first meet at a field value: the
+    first level at which two eigenvalues' grid cells share a label.  That
+    level is found exactly over the sorted field values, and
+    ``DistanceResult.bracket`` holds the field value just below it and the
+    level itself.  A stationary-point search started between the closest
+    pair of eigenvalues that share a label there then sharpens the level
+    off the grid; at that level some member of the ball acquires a multiple
+    eigenvalue at the meeting point.  If the boundedness condition fails at
+    eps_max, the budget is capped at the largest level it supports.
     """
     eigen = eigenvalues(P)
     if len(eigen.eigenvalues) == 0:
@@ -457,7 +459,7 @@ def distance_to_multiple(
     if not all(window.contains(z) for z in eigen.eigenvalues):
         raise PreconditionError("window must contain every eigenvalue of P")
     field = compute_field(P, w, window)
-    n_distinct = len(eigen.eigenvalues)
+    eigs = [complex(z) for z in eigen.eigenvalues]
 
     # the floor level must put every eigenvalue inside a labeled cell
     eig_cell_values = [field.value_near(lam) for lam in eigen.eigenvalues]
@@ -467,50 +469,29 @@ def distance_to_multiple(
             f"grid floor level {eps_floor:.3e} exceeds the budget {eps_eff:.3e}; refine the grid"
         )
 
-    def count_at(eps: float) -> int:
-        _, cnt = label_sublevel(field, eps)
-        return cnt
+    # above eps_floor every eigenvalue cell is labeled and the sublevel sets
+    # are nested, so this predicate is monotone in eps
+    def shared(eps: float) -> bool:
+        return len(set(labels_near(field, eps, eigs))) < len(eigs)
 
-    if count_at(eps_floor) < n_distinct:
+    if shared(eps_floor):
         raise GridTooCoarseError(
             "components already merged at the smallest grid-resolvable level; refine the grid"
         )
-    if count_at(eps_eff) >= n_distinct:
+    if not shared(eps_eff):
         raise NotFoundWithinBudgetError(
-            f"still {n_distinct} components at eps_max={eps_eff:.4e}; no merge found within budget"
+            f"the {len(eigs)} distinct eigenvalues are still in separate components at "
+            f"eps_max={eps_eff:.4e}; no merge found within budget"
         )
+    lo, hi = grid_merge_level(field, eps_floor, eps_eff, shared)
 
-    lo, hi = eps_floor, eps_eff
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if count_at(mid) < n_distinct:
-            hi = mid
-        else:
-            lo = mid
-
-    # pick the merging pair: a component at `hi` holding eigenvalues that
-    # were separated at `lo`
-    rep_lo = components(field, lo, eigen)
-    rep_hi = components(field, hi, eigen)
-    lo_label = {}
-    for lab, entries in rep_lo.eigen_assignment.items():
-        for lam, _ in entries:
-            lo_label[lam] = lab
-    pair = None
-    best = np.inf
-    for lab, entries in sorted(rep_hi.eigen_assignment.items()):
-        if len(entries) < 2:
-            continue
-        for a in range(len(entries)):
-            for b in range(a + 1, len(entries)):
-                la, lb = entries[a][0], entries[b][0]
-                if lo_label[la] != lo_label[lb] and abs(la - lb) < best:
-                    best = abs(la - lb)
-                    pair = (la, lb)
-    if pair is None:
-        raise NotFoundWithinBudgetError(
-            "component count dropped but no merged eigenvalue pair was identified"
-        )
+    # the merging pair: no two eigenvalues share a label at lo, so it is the
+    # closest pair sharing one at hi (ties go to the lower label)
+    at_hi = labels_near(field, hi, eigs)
+    pair = min(
+        ((a, b, la) for (a, la), (b, lb) in combinations(zip(eigs, at_hi), 2) if la == lb),
+        key=lambda p: (abs(p[0] - p[1]), p[2]),
+    )
 
     saddle = find_saddle(P, w, 0.5 * (pair[0] + pair[1]), window)
     r = saddle.delta

@@ -1,5 +1,5 @@
 """Grid sampling of the s_min/w landscape, sublevel components, boundary
-tracing, and critical-level bisection.
+tracing, and the exact grid level at which components merge.
 
 A single ScalarField stores the ratio s_min(lambda) / w(|lambda|) on a
 rectangular grid; the eps-sublevel set of that one field answers membership
@@ -9,6 +9,7 @@ necks are not split spuriously.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 
@@ -421,21 +422,28 @@ def trace_boundary(
     )
 
 
-def _group_labels(field: ScalarField, eps: float, group) -> set:
+def labels_near(field: ScalarField, eps: float, points) -> list:
+    """Labels of the eps-sublevel set at the grid cells nearest ``points``
+    (0 where the cell lies outside the set)."""
     labels, _ = label_sublevel(field, eps)
-    out = set()
-    for lam in group:
-        lam = complex(lam)
-        if not field.grid.contains(lam):
-            raise BracketError(f"group point {lam:.6g} lies outside the window")
-        i, j = field.grid.nearest_index(lam)
-        lab = int(labels[i, j])
-        if lab == 0:
-            raise BracketError(
-                f"point {lam:.6g} is outside the sublevel set at eps={eps:.4e}"
-            )
-        out.add(lab)
-    return out
+    return [int(labels[field.grid.nearest_index(z)]) for z in points]
+
+
+def grid_merge_level(field: ScalarField, lo: float, hi: float, merged) -> tuple[float, float]:
+    """First level in (lo, hi] at which the predicate ``merged(eps)`` holds.
+
+    The sublevel labels change only where eps crosses a field value, so the
+    search runs over the sorted field values in (lo, hi), followed by hi.
+    ``merged`` must be monotone in eps, false at lo and true at hi; it is
+    called once per level tested, never at lo or hi.  Returns the level just
+    below the merge (lo when there is none) and the merge level itself.
+    """
+    v = field.values
+    levels = np.append(np.unique(v[(v > lo) & (v < hi)]), hi)
+    k = bisect.bisect_left(
+        range(len(levels)), True, hi=len(levels) - 1, key=lambda k: merged(float(levels[k]))
+    )
+    return (float(levels[k - 1]) if k else float(lo)), float(levels[k])
 
 
 def merge_epsilon(
@@ -446,32 +454,32 @@ def merge_epsilon(
     group_b,
     eps_lo: float,
     eps_hi: float,
-    tol: float = 1e-6,
 ) -> float:
-    """Bisect for the level at which two eigenvalue groups join.
+    """Grid level at which two eigenvalue groups join.
 
-    At eps_lo the groups must lie in different components of the sublevel
-    set, at eps_hi in the same one; the bracket midpoint is returned once it
-    is narrower than ``tol``.
+    Every point of both groups must lie in the window and in the eps_lo
+    sublevel set.  At eps_lo the points must not all share one component,
+    at eps_hi they must.  Returns the smallest field value in (eps_lo,
+    eps_hi), or eps_hi, at which they do: the exact merge level of the
+    sampled field, since its labels change only at its own values.
     """
+    points = [complex(z) for z in (*group_a, *group_b)]
+    for lam in points:
+        if not field.grid.contains(lam):
+            raise BracketError(f"group point {lam:.6g} lies outside the window")
 
     def merged(eps: float) -> bool:
-        la = _group_labels(field, eps, group_a)
-        lb = _group_labels(field, eps, group_b)
-        return len(la) == 1 and la == lb
+        return len(set(labels_near(field, eps, points))) == 1
 
-    if merged(eps_lo):
+    at_lo = labels_near(field, eps_lo, points)
+    if 0 in at_lo:
+        lam = points[at_lo.index(0)]
+        raise BracketError(f"point {lam:.6g} is outside the sublevel set at eps={eps_lo:.4e}")
+    if len(set(at_lo)) == 1:
         raise BracketError(f"groups already share a component at eps_lo={eps_lo:.4e}")
     if not merged(eps_hi):
         raise BracketError(f"groups still separated at eps_hi={eps_hi:.4e}")
-    lo, hi = float(eps_lo), float(eps_hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if merged(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return grid_merge_level(field, eps_lo, eps_hi, merged)[1]
 
 
 def boundedness_check(P: MatrixPolynomial, w: WeightPolynomial, eps: float) -> bool:

@@ -109,14 +109,11 @@ def singular_triplets(P: MatrixPolynomial, lam: complex) -> SingularTripletSet:
     """Full SVD of P(lambda) with deterministic phases."""
     U, s, Vh = np.linalg.svd(evaluate(P, lam))
     V = Vh.conj().T
-    for j in range(len(s)):
-        k = int(np.argmax(np.abs(V[:, j])))
-        a = V[k, j]
-        if abs(a) > 0:
-            phase = a / abs(a)
-            V[:, j] = V[:, j] * phase.conjugate()
-            U[:, j] = U[:, j] * phase.conjugate()
-    return SingularTripletSet(values=s, left=U, right=V)
+    # each column's largest-modulus entry of V becomes real and positive; one
+    # scalar division per column (an array division differs in the last bit)
+    lead = V[np.argmax(np.abs(V), axis=0), np.arange(len(s))]
+    phase = np.array([a / abs(a) for a in lead]).conj()
+    return SingularTripletSet(values=s, left=U * phase, right=V * phase)
 
 
 def s_min(P: MatrixPolynomial, lam: complex) -> float:

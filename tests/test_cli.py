@@ -93,6 +93,17 @@ class TestExitCodes:
         p.write_text(json.dumps(doc))
         assert main(["eigs", "--input", str(p)]) == 3
 
+    @pytest.mark.parametrize(
+        "command", ["eigs", "field", "components", "trace", "faults", "distance"]
+    )
+    def test_overflow_in_the_companion_matrix(self, command, tmp_path, capsys):
+        # finite entries, but inv(P_m) overflows and LAPACK rejects the result
+        doc = {"n": 1, "m": 1, "coefficients": [{"re": [[1e308]]}, {"re": [[1e-308]]}]}
+        p = tmp_path / "overflow.json"
+        p.write_text(json.dumps(doc))
+        assert main([command, "--input", str(p)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_precondition_violation(self, capsys):
         # perturbing at an eigenvalue degenerates the construction
         assert main(["perturb", "--input", UPTRI, "--mu", "1.0", "0.0"]) == 4

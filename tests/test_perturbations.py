@@ -15,6 +15,7 @@ from polyspectra import (
     build_qhat,
     build_qtilde,
     certify_multiple,
+    compute_field,
     distance_to_eigenvalue,
     distance_to_multiple,
     eigenvalues,
@@ -27,6 +28,7 @@ from polyspectra import (
     weight_eval,
 )
 from polyspectra.perturbations import DEFECT_RTOL
+from polyspectra.pseudospectrum import label_sublevel
 
 from conftest import random_polynomial
 
@@ -329,6 +331,25 @@ class TestDistanceToMultiple:
         assert res.certificate.mu.real == pytest.approx(1.4145, abs=5e-4)
         assert res.certificate.defective
         assert not res.origin_case
+
+    def test_bracket_is_the_grid_merge_level(self, uptri_quadratic, weight_quadratic,
+                                             uptri_window):
+        res = distance_to_multiple(
+            uptri_quadratic, weight_quadratic, 0.05, window=uptri_window
+        )
+        lo, hi = res.bracket
+        field = compute_field(uptri_quadratic, weight_quadratic, uptri_window)
+        assert hi in field.values
+        assert not np.any((field.values > lo) & (field.values < hi))
+
+        def eigenvalue_labels(eps):
+            labels, _ = label_sublevel(field, eps)
+            return [labels[uptri_window.nearest_index(z)] for z in (1.0, 2.0)]
+
+        a, b = eigenvalue_labels(hi)
+        assert a == b != 0
+        a, b = eigenvalue_labels(lo)
+        assert a != b
 
     def test_damped_bracket(self, damped_system, weight_damped, damped_window):
         res = distance_to_multiple(

@@ -7,6 +7,7 @@ from polyspectra import (
     GridTooCoarseError,
     MatrixPolynomial,
     PreconditionError,
+    ScalarField,
     SeedNotFoundError,
     Termination,
     WeightPolynomial,
@@ -22,6 +23,7 @@ from polyspectra import (
     trace_boundary,
     weight_eval,
 )
+from polyspectra import pseudospectrum
 from polyspectra.pseudospectrum import label_sublevel, on_curve_tolerance
 from polyspectra.svdcore import F_eps
 
@@ -269,7 +271,75 @@ class TestTraceCost:
         assert len(calls) / len(curve.points) < 3.5
 
 
+def scan_merge_level(field, points, eps_lo):
+    """Smallest field value above eps_lo at which the cells nearest
+    ``points`` are 8-connected in the sublevel set, by a linear scan that
+    adds the cells in increasing value order to a union-find."""
+    values = field.values
+    ny = values.shape[1]
+    marked = [field.grid.nearest_index(complex(z)) for z in points]
+    parent = {}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    order = np.argsort(values, axis=None, kind="stable")
+    flat = values.ravel()
+    for pos, idx in enumerate(order):
+        cell = divmod(int(idx), ny)
+        parent[cell] = cell
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                other = (cell[0] + di, cell[1] + dj)
+                if other in parent:
+                    parent[find(other)] = find(cell)
+        level = flat[idx]
+        if pos + 1 < len(order) and flat[order[pos + 1]] == level:
+            continue  # a level's cells all join before it is read
+        if level > eps_lo and all(m in parent for m in marked):
+            if len({find(m) for m in marked}) == 1:
+                return float(level)
+    return None
+
+
 class TestMergeEpsilon:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_level_on_random_fields(self, seed):
+        # ties are common: the values are multiples of 1/30
+        rng = np.random.default_rng(seed)
+        grid = GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=15, ny=15)
+        values = rng.integers(1, 30, size=(15, 15)) / 30.0
+        cells = [(1, 2), (12, 11), (3, 13)][: 2 + seed % 2]
+        for i, j in cells:
+            values[i, j] = 0.0
+        field = ScalarField(grid=grid, values=values)
+        points = [complex(grid.xs()[i], grid.ys()[j]) for i, j in cells]
+        got = merge_epsilon(None, None, field, points[:-1], points[-1:], 0.0, 1.0)
+        assert got == scan_merge_level(field, points, 0.0)
+        assert got in values
+
+    def test_exact_level_on_uptri(self, uptri_field, uptri_quadratic, weight_quadratic):
+        got = merge_epsilon(
+            uptri_quadratic, weight_quadratic, uptri_field, [1.0], [2.0], 0.005, 0.02
+        )
+        assert got == scan_merge_level(uptri_field, [1.0, 2.0], 0.005)
+
+    def test_one_labeling_per_level(self, uptri_field, uptri_quadratic, weight_quadratic,
+                                    monkeypatch):
+        levels = []
+        label = pseudospectrum.label_sublevel
+
+        def counting(field, eps):
+            levels.append(eps)
+            return label(field, eps)
+
+        monkeypatch.setattr(pseudospectrum, "label_sublevel", counting)
+        merge_epsilon(uptri_quadratic, weight_quadratic, uptri_field, [1.0], [2.0], 0.005, 0.02)
+        assert len(levels) == len(set(levels))
+
     def test_uptri_merge_level(self, uptri_field, uptri_quadratic, weight_quadratic):
         got = merge_epsilon(
             uptri_quadratic, weight_quadratic, uptri_field, [1.0], [2.0], 0.005, 0.02
@@ -279,7 +349,7 @@ class TestMergeEpsilon:
     def test_disc_tangency(self, disc_pair, unit_weight):
         win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=201, ny=201)
         field = compute_field(disc_pair, unit_weight, win)
-        got = merge_epsilon(disc_pair, unit_weight, field, [-1.0], [1.0], 0.8, 1.2, tol=1e-6)
+        got = merge_epsilon(disc_pair, unit_weight, field, [-1.0], [1.0], 0.8, 1.2)
         assert got == pytest.approx(1.0, abs=1e-4)
 
     def test_damped_upper_pair(self, damped_system, weight_damped, damped_window):
