@@ -497,10 +497,10 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
     eigen = eigenvalues(P)
     window = _resolve_window(spec, args, eigen, eps_for_margin=max(eps_list))
 
+    steps = {} if args.max_steps is None else {"max_steps": args.max_steps}
+
     def trace(eps: float, seed: complex):
-        return trace_boundary(
-            P, w, eps, seed, window, step_size=args.step_size, max_steps=args.max_steps
-        )
+        return trace_boundary(P, w, eps, seed, window, step_size=args.step_size, **steps)
 
     curves = []
     for eps in eps_list:
@@ -621,9 +621,9 @@ def _certificate_doc(cert) -> dict:
 def _cmd_distance(spec: ProblemSpec, args, report: RunReport) -> None:
     P, w = spec.polynomial, spec.weight
     eps_max = args.eps_max if args.eps_max is not None else 0.1 * max_norm(P)
-    nx, ny = (args.grid[0], args.grid[1]) if args.grid is not None else (401, 401)
+    grid = {} if args.grid is None else {"nx": args.grid[0], "ny": args.grid[1]}
     window = _resolve_window(spec, args)
-    result = distance_to_multiple(P, w, eps_max, window=window, nx=nx, ny=ny)
+    result = distance_to_multiple(P, w, eps_max, window=window, **grid)
     cert = result.certificate
     print(
         f"r = {result.r:.6g} at mu = {cert.mu.real:.6g}{cert.mu.imag:+.6g}i "
@@ -682,7 +682,7 @@ _FLAGS = {
         help="explicit on-curve seed (repeatable); default seeds from eigenvalues",
     ),
     "step-size": dict(type=float),
-    "max-steps": dict(type=int, default=20000),
+    "max-steps": dict(type=int),
     "eps-max": dict(type=float),
     "mu": dict(type=float, nargs=2, metavar=("RE", "IM")),
     "json": dict(help="write a JSON report here"),

@@ -27,6 +27,13 @@ IDENTITY_RTOL = 1e-10
 
 REFINED_GAP_RTOL = 1e-8
 
+# Probes per window for the surface identity test, and the seed that draws them.
+PROBE_COUNT = 24
+PROBE_SEED = 20240
+
+# Nelder-Mead iteration budget per candidate cell.
+REFINE_MAXITER = 200
+
 
 @dataclass(frozen=True)
 class SurfaceIndexMap:
@@ -58,11 +65,11 @@ class FaultReport:
     empty: bool
 
 
-def default_probes(window: GridSpec, count: int = 24, seed: int = 20240) -> np.ndarray:
+def default_probes(window: GridSpec) -> np.ndarray:
     """Generic probe points drawn uniformly from the window (deterministic)."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(window.x_min, window.x_max, count)
-    y = rng.uniform(window.y_min, window.y_max, count)
+    rng = np.random.default_rng(PROBE_SEED)
+    x = rng.uniform(window.x_min, window.x_max, PROBE_COUNT)
+    y = rng.uniform(window.y_min, window.y_max, PROBE_COUNT)
     return x + 1j * y
 
 
@@ -78,24 +85,14 @@ def build_surface_map(P: MatrixPolynomial, probes) -> SurfaceIndexMap:
         raise PreconditionError("need at least 2 probe points (20+ recommended)")
     svals = singular_values_many(P, probes)  # (npr, n)
     n = P.n
-    scale = 1.0 + svals[:, 0]
-    same_as_next = [
-        bool(np.all(np.abs(svals[:, j] - svals[:, j + 1]) <= IDENTITY_RTOL * scale))
-        for j in range(n - 1)
-    ]
-    rep = [0] * n
-    j = n - 1
-    while j >= 0:
-        k = j
-        while k > 0 and same_as_next[k - 1]:
-            k -= 1
-        for i in range(k, j + 1):
-            rep[i] = j + 1  # 1-based representative = largest index in group
-        j = k - 1
-    canonical = sorted(set(rep), reverse=True)
-    c1 = canonical[0]
-    c2 = canonical[1] if len(canonical) > 1 else None
-    return SurfaceIndexMap(representative=tuple(rep), c1=c1, c2=c2)
+    scale = 1.0 + svals[:, :1]
+    same_as_next = np.all(np.abs(np.diff(svals, axis=1)) <= IDENTITY_RTOL * scale, axis=0)
+    # 1-based largest index of each group: every index that differs from
+    # the next one, and n
+    ends = np.append(np.flatnonzero(~same_as_next) + 1, n)
+    rep = ends[np.searchsorted(ends, np.arange(1, n + 1))]
+    c2 = int(ends[-2]) if len(ends) > 1 else None
+    return SurfaceIndexMap(representative=tuple(rep.tolist()), c1=n, c2=c2)
 
 
 def collapsed_gap(P: MatrixPolynomial, lam: complex, smap: SurfaceIndexMap) -> float:
@@ -105,13 +102,8 @@ def collapsed_gap(P: MatrixPolynomial, lam: complex, smap: SurfaceIndexMap) -> f
     return float(surface_gap(singular_values_many(P, lam), smap.c1, smap.c2))
 
 
-def is_fault_point(
-    P: MatrixPolynomial,
-    lam: complex,
-    smap: SurfaceIndexMap,
-    tol: float | None = None,
-) -> bool:
-    """True iff the collapsed gap at lambda is below tolerance, by default
+def is_fault_point(P: MatrixPolynomial, lam: complex, smap: SurfaceIndexMap) -> bool:
+    """True iff the collapsed gap at lambda is at most
     REFINED_GAP_RTOL * (1 + s_1(lambda)).
 
     With fewer than two distinct surfaces the fault set is vacuously empty
@@ -120,16 +112,13 @@ def is_fault_point(
     if smap.c2 is None:
         return False
     s = singular_values_many(P, lam)
-    if tol is None:
-        tol = REFINED_GAP_RTOL * (1.0 + float(s[0]))
-    return float(surface_gap(s, smap.c1, smap.c2)) <= tol
+    return float(surface_gap(s, smap.c1, smap.c2)) <= REFINED_GAP_RTOL * (1.0 + float(s[0]))
 
 
 def fault_scan(
     P: MatrixPolynomial,
     grid: GridSpec,
     smap: SurfaceIndexMap,
-    refine_maxiter: int = 200,
     svals: np.ndarray | None = None,
 ) -> FaultReport:
     """Locate fault points inside the window.
@@ -173,7 +162,7 @@ def fault_scan(
             x0=[xs[i], ys[j]],
             method="Nelder-Mead",
             bounds=bounds,
-            options=dict(maxiter=refine_maxiter, xatol=1e-12, fatol=1e-15),
+            options=dict(maxiter=REFINE_MAXITER, xatol=1e-12, fatol=1e-15),
         )
         lam = complex(res.x[0], res.x[1])
         if is_fault_point(P, lam, smap):

@@ -12,8 +12,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, PreconditionError, SingularLeadingCoefficientError
+
+# Companion roots within 2 * CLUSTER_RTOL * (1 + max |root|) are one eigenvalue.
+CLUSTER_RTOL = 1e-6
+# Singular values below NULLITY_RTOL * eigenvalue_residual_scale count as zero.
+NULLITY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,8 @@ class WeightPolynomial:
         ws = tuple(float(x) for x in np.atleast_1d(weights))
         if not ws:
             raise InputError("weight polynomial needs at least the constant term")
+        if not np.isfinite(ws).all():
+            raise InputError("weights must be finite")
         if ws[0] <= 0:
             raise InputError("constant weight w_0 must be strictly positive")
         if any(x < 0 for x in ws):
@@ -215,47 +223,29 @@ def companion_matrix(P: MatrixPolynomial) -> np.ndarray:
 def _cluster_points(points: np.ndarray, radius: float):
     """Merge points whose mutual distance is at most 2*radius.
 
-    Re-clusters representatives until they are pairwise separated by more
-    than 2*radius, so chained near-coincidences collapse into one value.
+    The groups are the connected components of the graph joining points
+    within 2*radius, taken in the order of their lowest member (the order
+    ``connected_components`` numbers them in).  Representatives are
+    re-clustered until they are pairwise separated by more than 2*radius,
+    so chained near-coincidences collapse into one value.
     """
     vals = np.asarray(points, dtype=complex)
     counts = np.ones(len(vals), dtype=int)
     while True:
-        k = len(vals)
-        parent = list(range(k))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        merged = False
-        for i in range(k):
-            for j in range(i + 1, k):
-                if abs(vals[i] - vals[j]) <= 2 * radius:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-                        merged = True
-        if not merged:
+        k, labels = connected_components(
+            np.abs(vals[:, None] - vals[None, :]) <= 2 * radius, directed=False
+        )
+        if k == len(vals):
             break
-        groups = {}
-        for i in range(k):
-            groups.setdefault(find(i), []).append(i)
-        new_vals, new_counts = [], []
-        for root in sorted(groups):
-            idx = groups[root]
-            c = counts[idx].sum()
-            new_vals.append((vals[idx] * counts[idx]).sum() / c)
-            new_counts.append(c)
-        vals = np.array(new_vals, dtype=complex)
-        counts = np.array(new_counts, dtype=int)
+        groups = [np.flatnonzero(labels == g) for g in range(k)]
+        totals = np.array([(vals[idx] * counts[idx]).sum() for idx in groups])
+        counts = np.array([counts[idx].sum() for idx in groups])
+        vals = totals / counts
     order = np.lexsort((vals.imag, vals.real))
     return vals[order], counts[order]
 
 
-def eigenvalues(P: MatrixPolynomial, cluster_radius: float | None = None) -> EigenReport:
+def eigenvalues(P: MatrixPolynomial) -> EigenReport:
     """All nm eigenvalues via the companion linearization, clustered into
     distinct values with algebraic multiplicities.
 
@@ -269,25 +259,20 @@ def eigenvalues(P: MatrixPolynomial, cluster_radius: float | None = None) -> Eig
             cluster_radius=0.0,
         )
     raw = np.linalg.eigvals(C)
-    if cluster_radius is None:
-        cluster_radius = 1e-6 * (1.0 + float(np.abs(raw).max()))
+    cluster_radius = CLUSTER_RTOL * (1.0 + float(np.abs(raw).max()))
     vals, counts = _cluster_points(raw, cluster_radius)
-    return EigenReport(
-        eigenvalues=vals, multiplicities=counts, cluster_radius=float(cluster_radius)
-    )
+    return EigenReport(eigenvalues=vals, multiplicities=counts, cluster_radius=cluster_radius)
 
 
-def geometric_multiplicity(P: MatrixPolynomial, lam0: complex, tol: float = 1e-8) -> int:
-    """dim null P(lam0): singular values below ``tol`` times the natural
+def geometric_multiplicity(P: MatrixPolynomial, lam0: complex) -> int:
+    """dim null P(lam0): singular values below NULLITY_RTOL times the natural
     magnitude scale of P at lam0 count as zero."""
     from .svdcore import singular_values_many  # svdcore imports this module
-    if tol <= 0:
-        raise PreconditionError(f"tolerance must be positive, got {tol}")
     s = singular_values_many(P, lam0)
     scale = eigenvalue_residual_scale(P, lam0)
     if scale == 0.0:
         return P.n
-    return int(np.count_nonzero(s <= tol * scale))
+    return int(np.count_nonzero(s <= NULLITY_RTOL * scale))
 
 
 def eigenvalue_residual_scale(P: MatrixPolynomial, lam0: complex) -> float:

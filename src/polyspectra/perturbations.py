@@ -68,6 +68,10 @@ RESIDUAL_RTOL = 1e-8
 # Residual surface gap, relative to 1 + s_1, that certifies an on-fault
 # merge point found by the crossing search.
 _CROSSING_RTOL = 1e-6
+# Relative width of the ball boundary; levels are often quoted to a few digits.
+BALL_RTOL = 1e-3
+# Damped Newton iterations of find_saddle before it reports no convergence.
+_SADDLE_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -201,16 +205,14 @@ def build_qtilde(P: MatrixPolynomial, w: WeightPolynomial, mu: complex) -> Pertu
     return _build_perturbation(P, w, mu, _off_spectrum(P, w, mu).trip, low_rank=True)
 
 
-def ball_membership(
-    delta_set: PerturbationSet, w: WeightPolynomial, eps: float, rtol: float = 1e-3
-) -> BallMembership:
+def ball_membership(delta_set: PerturbationSet, w: WeightPolynomial, eps: float) -> BallMembership:
     """Smallest ball radius containing the perturbation, classified
     against eps.
 
     The radius is max_j ||Delta_j|| / w_j over the perturbable coefficients;
     any nonzero perturbation of a coefficient with w_j = 0 is inadmissible
-    at every radius (infinite).  The boundary verdict is relative to rtol,
-    which accommodates levels quoted to a few significant digits.
+    at every radius (infinite).  The boundary verdict is relative to
+    BALL_RTOL.
     """
     radius = 0.0
     for j, D in enumerate(delta_set.deltas):
@@ -224,7 +226,7 @@ def ball_membership(
             radius = max(radius, nrm / wj)
     if not np.isfinite(radius):
         cls = BallClassification.outside
-    elif abs(radius - eps) <= rtol * max(eps, radius):
+    elif abs(radius - eps) <= BALL_RTOL * max(eps, radius):
         cls = BallClassification.boundary
     elif radius < eps:
         cls = BallClassification.interior
@@ -309,12 +311,7 @@ def certify_multiple(
 
 
 def find_saddle(
-    P: MatrixPolynomial,
-    w: WeightPolynomial,
-    start: complex,
-    window: GridSpec,
-    max_iter: int = 60,
-    grad_tol: float = SADDLE_GRAD_TOL,
+    P: MatrixPolynomial, w: WeightPolynomial, start: complex, window: GridSpec
 ) -> SaddleResult:
     """Stationary point of s_min / w near ``start``.
 
@@ -340,9 +337,9 @@ def find_saddle(
     stalled = grad is None
     iters = 0
     if not stalled:
-        for iters in range(1, max_iter + 1):
+        for iters in range(1, _SADDLE_MAX_ITER + 1):
             ng = float(np.linalg.norm(grad))
-            if ng * here.weight < grad_tol:
+            if ng * here.weight < SADDLE_GRAD_TOL:
                 return SaddleResult(mu=lam, delta=here.ratio, on_fault=False, iterations=iters)
             h = h_base * (1.0 + abs(lam))
             J = np.empty((2, 2))
@@ -383,7 +380,7 @@ def find_saddle(
                 raise SaddleOutsideWindowError(f"iterates left the window at {lam:.6g}")
         else:
             raise SaddleNotConvergedError(
-                f"no stationary point within {max_iter} damped Newton iterations"
+                f"no stationary point within {_SADDLE_MAX_ITER} damped Newton iterations"
             )
 
     # smooth search gave up: look for a merge point on a surface crossing,

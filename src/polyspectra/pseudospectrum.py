@@ -27,7 +27,6 @@ from .matpoly import (
     MatrixPolynomial,
     WeightPolynomial,
     derivative,
-    eigenvalues,
     leading_s_min,
     max_norm,
     require_nonsingular_leading,
@@ -36,6 +35,12 @@ from .matpoly import (
 from .svdcore import F_eps, PointEval, singular_values_many
 
 _LABEL_STRUCTURE = np.ones((3, 3), dtype=int)
+
+# Largest grid a GridSpec accepts: 4096 x 4096, whose complex points take 256 MiB.
+MAX_GRID_POINTS = 1 << 24
+
+# Points tested along a seed ray before its sign change is bisected.
+_SEED_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,8 @@ class GridSpec:
             raise PreconditionError("window must have positive extent")
         if self.nx < 2 or self.ny < 2:
             raise PreconditionError("grid needs at least 2 points per axis")
+        if self.nx * self.ny > MAX_GRID_POINTS:
+            raise PreconditionError(f"{self.nx} x {self.ny} grid exceeds {MAX_GRID_POINTS} points")
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -233,7 +240,6 @@ def find_boundary_seed(
     lam0: complex,
     direction: complex,
     window: GridSpec,
-    samples: int = 512,
 ) -> complex:
     """Point with |F_eps| below tolerance on the ray lam0 + t*direction.
 
@@ -257,7 +263,7 @@ def find_boundary_seed(
         raise SeedNotFoundError("starting point lies on the window edge")
     lo = 0.0
     hi = None
-    for t in np.linspace(0.0, t_max, samples)[1:]:
+    for t in np.linspace(0.0, t_max, _SEED_SAMPLES)[1:]:
         f = F_eps(P, w, eps, lam0 + t * direction)
         if f >= 0:
             hi = t
@@ -446,15 +452,7 @@ def grid_merge_level(field: ScalarField, lo: float, hi: float, merged) -> tuple[
     return (float(levels[k - 1]) if k else float(lo)), float(levels[k])
 
 
-def merge_epsilon(
-    P: MatrixPolynomial,
-    w: WeightPolynomial,
-    field: ScalarField,
-    group_a,
-    group_b,
-    eps_lo: float,
-    eps_hi: float,
-) -> float:
+def merge_epsilon(field: ScalarField, group_a, group_b, eps_lo: float, eps_hi: float) -> float:
     """Grid level at which two eigenvalue groups join.
 
     Every point of both groups must lie in the window and in the eps_lo
@@ -498,23 +496,23 @@ def boundedness_check(P: MatrixPolynomial, w: WeightPolynomial, eps: float) -> b
 
 def default_window(
     P: MatrixPolynomial,
-    w: WeightPolynomial | None = None,
+    w: WeightPolynomial,
     eps_max: float = 0.0,
-    nx: int = 301,
-    ny: int = 301,
-    eigen: EigenReport | None = None,
+    *,
+    nx: int,
+    ny: int,
+    eigen: EigenReport,
 ) -> GridSpec:
-    """Heuristic window: eigenvalue bounding box inflated by 50% of its
-    larger span plus a growth margin for the requested level."""
-    if eigen is None:
-        eigen = eigenvalues(P)
+    """Heuristic window of nx x ny points: the bounding box of ``eigen``, the
+    eigenvalues of P, inflated by 50% of its larger span plus a growth
+    margin for the level eps_max."""
     if len(eigen.eigenvalues) == 0:
         raise PreconditionError("cannot pick a window for a polynomial without eigenvalues")
     xs = eigen.eigenvalues.real
     ys = eigen.eigenvalues.imag
     span = max(xs.max() - xs.min(), ys.max() - ys.min(), 1.0)
     pad = 0.5 * span
-    if eps_max > 0 and w is not None and P.m >= 1:
+    if eps_max > 0 and P.m >= 1:
         radius = float(np.abs(eigen.eigenvalues).max())
         smin_lead = leading_s_min(P)
         if smin_lead > 0:

@@ -113,6 +113,33 @@ class TestExitCodes:
         assert main(["field", "--input", UPTRI, "--grid", *grid]) == 4
         assert "at least 2 points" in capsys.readouterr().err
 
+    def test_grid_above_the_cap(self, tmp_path, capsys):
+        # rejected before any grid array is allocated
+        assert main(["components", "--input", UPTRI, "--grid", "100000", "100000"]) == 4
+        assert "exceeds" in capsys.readouterr().err
+        doc = json.loads(Path(UPTRI).read_text())
+        doc["window"]["nx"] = doc["window"]["ny"] = 100000
+        p = tmp_path / "huge_grid.json"
+        p.write_text(json.dumps(doc))
+        assert main(["components", "--input", str(p)]) == 2
+        assert "window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            {"mode": "custom", "values": [1.0, float("nan")]},
+            {"mode": "custom", "values": [float("inf")]},
+            {"mode": "constant", "value": float("inf")},
+        ],
+    )
+    def test_weights_must_be_finite(self, weight, tmp_path, capsys):
+        doc = json.loads(Path(UPTRI).read_text())
+        doc["weight"] = weight
+        p = tmp_path / "weight.json"
+        p.write_text(json.dumps(doc))
+        assert main(["components", "--input", str(p), "--grid", "41", "41"]) == 2
+        assert "weight" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, eps",
         [("field", "0"), ("field", "inf"), ("components", "nan"), ("faults", "-1")],

@@ -17,6 +17,28 @@ from polyspectra import faultlines
 SQUARE = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=241, ny=241)
 
 
+def reference_surface_map(svals):
+    """Run-loop form of ``build_surface_map`` on the probe values ``svals``:
+    (representative, c1, c2)."""
+    n = svals.shape[1]
+    scale = 1.0 + svals[:, 0]
+    same_as_next = [
+        bool(np.all(np.abs(svals[:, j] - svals[:, j + 1]) <= faultlines.IDENTITY_RTOL * scale))
+        for j in range(n - 1)
+    ]
+    rep = [0] * n
+    j = n - 1
+    while j >= 0:
+        k = j
+        while k > 0 and same_as_next[k - 1]:
+            k -= 1
+        for i in range(k, j + 1):
+            rep[i] = j + 1
+        j = k - 1
+    canonical = sorted(set(rep), reverse=True)
+    return tuple(rep), canonical[0], canonical[1] if len(canonical) > 1 else None
+
+
 class TestSurfaceMap:
     def test_distinct_diagonal(self, disc_pair):
         smap = build_surface_map(disc_pair, default_probes(SQUARE))
@@ -33,6 +55,19 @@ class TestSurfaceMap:
     def test_quadratic_pair_distinct(self, diag_quadratic_pair):
         smap = build_surface_map(diag_quadratic_pair, default_probes(SQUARE))
         assert smap.distinct_count == 2
+
+    def test_matches_run_loop(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            # descending surfaces, some runs of them identical up to a
+            # difference around the identity threshold
+            svals = -np.sort(-rng.uniform(0, 5, size=(6, n)), axis=1)
+            for j in np.flatnonzero(rng.uniform(size=n - 1) < 0.5):
+                svals[:, j + 1] = svals[:, j] - rng.choice([0.0, 1e-11, 1e-9])
+            monkeypatch.setattr(faultlines, "singular_values_many", lambda P, z: svals)
+            smap = build_surface_map(MatrixPolynomial([np.eye(n)]), np.zeros(6))
+            assert (smap.representative, smap.c1, smap.c2) == reference_surface_map(svals)
 
     def test_probe_count_guard(self, disc_pair):
         with pytest.raises(Exception):

@@ -16,7 +16,7 @@ from polyspectra import (
     weight_deriv_eval,
     weight_eval,
 )
-from polyspectra.matpoly import eigenvalue_residual_scale
+from polyspectra.matpoly import _cluster_points, eigenvalue_residual_scale
 
 from conftest import random_polynomial
 
@@ -43,6 +43,10 @@ class TestConstruction:
             WeightPolynomial([0.0, 1.0])
         with pytest.raises(InputError):
             WeightPolynomial([1.0, -0.5])
+        with pytest.raises(InputError, match="finite"):
+            WeightPolynomial([1.0, np.nan])
+        with pytest.raises(InputError, match="finite"):
+            WeightPolynomial([np.inf])
 
 
 class TestEvaluate:
@@ -196,6 +200,78 @@ class TestEigenvalues:
             for lam in rep.eigenvalues:
                 smin = np.linalg.svd(evaluate(P, lam), compute_uv=False)[-1]
                 assert smin < 1e-8 * eigenvalue_residual_scale(P, lam)
+
+
+def reference_cluster_points(points, radius):
+    """Pairwise union-find form of ``matpoly._cluster_points``: merge points
+    within 2*radius, the union root being the lowest index, until the
+    representatives are pairwise separated by more than 2*radius."""
+    vals = np.asarray(points, dtype=complex)
+    counts = np.ones(len(vals), dtype=int)
+    while True:
+        k = len(vals)
+        parent = list(range(k))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        merged = False
+        for i in range(k):
+            for j in range(i + 1, k):
+                if abs(vals[i] - vals[j]) <= 2 * radius:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[max(ri, rj)] = min(ri, rj)
+                        merged = True
+        if not merged:
+            break
+        groups = {}
+        for i in range(k):
+            groups.setdefault(find(i), []).append(i)
+        new_vals, new_counts = [], []
+        for root in sorted(groups):
+            idx = groups[root]
+            c = counts[idx].sum()
+            new_vals.append((vals[idx] * counts[idx]).sum() / c)
+            new_counts.append(c)
+        vals = np.array(new_vals, dtype=complex)
+        counts = np.array(new_counts, dtype=int)
+    order = np.lexsort((vals.imag, vals.real))
+    return vals[order], counts[order]
+
+
+def random_cluster_sets(seed, count):
+    """Seeded point sets of 1-40 points with radii 1e-7 to 1e-1: a chain of
+    steps between 0.2 and 1.6 times 2*radius (neighbours join, the chain
+    may or may not), a ring of near-coincident roots, exact repeats, and
+    scattered points, in random order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 41))
+        radius = 10.0 ** rng.uniform(-7, -1)
+        n_chain, n_ring, n_same = rng.multinomial(k // 2, [1 / 3] * 3)
+        steps = rng.uniform(0.2, 1.6, n_chain) * np.exp(2j * np.pi * rng.uniform(size=n_chain))
+        ring = 0.9 * np.exp(2j * np.pi * np.arange(n_ring) / max(n_ring, 1))
+        scattered = rng.normal(size=k - n_chain - n_ring - n_same)
+        pts = np.concatenate([
+            rng.normal() + 2 * radius * np.cumsum(steps),
+            rng.normal() + radius * ring,
+            np.full(n_same, rng.normal()),
+            scattered + 1j * rng.normal(size=len(scattered)),
+        ])
+        yield rng.permutation(pts), radius
+
+
+class TestClusterPoints:
+    def test_matches_pairwise_union_find(self):
+        for pts, radius in random_cluster_sets(7, 2000):
+            got_vals, got_counts = _cluster_points(pts, radius)
+            ref_vals, ref_counts = reference_cluster_points(pts, radius)
+            assert got_vals.tobytes() == ref_vals.tobytes()
+            assert got_counts.tolist() == ref_counts.tolist()
 
 
 class TestGeometricMultiplicity:

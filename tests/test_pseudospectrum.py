@@ -24,7 +24,7 @@ from polyspectra import (
     weight_eval,
 )
 from polyspectra import pseudospectrum
-from polyspectra.pseudospectrum import label_sublevel, on_curve_tolerance
+from polyspectra.pseudospectrum import MAX_GRID_POINTS, label_sublevel, on_curve_tolerance
 from polyspectra.svdcore import F_eps
 
 from conftest import random_polynomial, random_weight
@@ -44,6 +44,13 @@ class TestGridSpec:
             GridSpec(x_min=1.0, x_max=0.0, y_min=0.0, y_max=1.0, nx=10, ny=10)
         with pytest.raises(PreconditionError):
             GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=1, ny=10)
+
+    def test_point_count_cap(self):
+        side = 1 << 12
+        assert side * side == MAX_GRID_POINTS
+        GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=side, ny=side)
+        with pytest.raises(PreconditionError, match="exceeds"):
+            GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, nx=side + 1, ny=side)
 
     def test_nearest_index_roundtrip(self):
         g = GridSpec(x_min=-1.0, x_max=1.0, y_min=-2.0, y_max=2.0, nx=21, ny=41)
@@ -317,18 +324,15 @@ class TestMergeEpsilon:
             values[i, j] = 0.0
         field = ScalarField(grid=grid, values=values)
         points = [complex(grid.xs()[i], grid.ys()[j]) for i, j in cells]
-        got = merge_epsilon(None, None, field, points[:-1], points[-1:], 0.0, 1.0)
+        got = merge_epsilon(field, points[:-1], points[-1:], 0.0, 1.0)
         assert got == scan_merge_level(field, points, 0.0)
         assert got in values
 
-    def test_exact_level_on_uptri(self, uptri_field, uptri_quadratic, weight_quadratic):
-        got = merge_epsilon(
-            uptri_quadratic, weight_quadratic, uptri_field, [1.0], [2.0], 0.005, 0.02
-        )
+    def test_exact_level_on_uptri(self, uptri_field):
+        got = merge_epsilon(uptri_field, [1.0], [2.0], 0.005, 0.02)
         assert got == scan_merge_level(uptri_field, [1.0, 2.0], 0.005)
 
-    def test_one_labeling_per_level(self, uptri_field, uptri_quadratic, weight_quadratic,
-                                    monkeypatch):
+    def test_one_labeling_per_level(self, uptri_field, monkeypatch):
         levels = []
         label = pseudospectrum.label_sublevel
 
@@ -337,19 +341,17 @@ class TestMergeEpsilon:
             return label(field, eps)
 
         monkeypatch.setattr(pseudospectrum, "label_sublevel", counting)
-        merge_epsilon(uptri_quadratic, weight_quadratic, uptri_field, [1.0], [2.0], 0.005, 0.02)
+        merge_epsilon(uptri_field, [1.0], [2.0], 0.005, 0.02)
         assert len(levels) == len(set(levels))
 
-    def test_uptri_merge_level(self, uptri_field, uptri_quadratic, weight_quadratic):
-        got = merge_epsilon(
-            uptri_quadratic, weight_quadratic, uptri_field, [1.0], [2.0], 0.005, 0.02
-        )
+    def test_uptri_merge_level(self, uptri_field):
+        got = merge_epsilon(uptri_field, [1.0], [2.0], 0.005, 0.02)
         assert got == pytest.approx(0.0091, abs=2e-4)
 
     def test_disc_tangency(self, disc_pair, unit_weight):
         win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=201, ny=201)
         field = compute_field(disc_pair, unit_weight, win)
-        got = merge_epsilon(disc_pair, unit_weight, field, [-1.0], [1.0], 0.8, 1.2)
+        got = merge_epsilon(field, [-1.0], [1.0], 0.8, 1.2)
         assert got == pytest.approx(1.0, abs=1e-4)
 
     def test_damped_upper_pair(self, damped_system, weight_damped, damped_window):
@@ -358,20 +360,14 @@ class TestMergeEpsilon:
         upper = sorted(
             (z for z in eigen.eigenvalues if z.imag > 0), key=lambda z: -z.imag
         )
-        got = merge_epsilon(
-            damped_system, weight_damped, field, [upper[0]], [upper[1]], 0.02, 0.05
-        )
+        got = merge_epsilon(field, [upper[0]], [upper[1]], 0.02, 0.05)
         assert 0.02 < got < 0.05
 
-    def test_bad_bracket(self, uptri_field, uptri_quadratic, weight_quadratic):
+    def test_bad_bracket(self, uptri_field):
         with pytest.raises(BracketError):
-            merge_epsilon(
-                uptri_quadratic, weight_quadratic, uptri_field, [1.0], [2.0], 0.02, 0.03
-            )
+            merge_epsilon(uptri_field, [1.0], [2.0], 0.02, 0.03)
         with pytest.raises(BracketError):
-            merge_epsilon(
-                uptri_quadratic, weight_quadratic, uptri_field, [1.0], [2.0], 0.002, 0.005
-            )
+            merge_epsilon(uptri_field, [1.0], [2.0], 0.002, 0.005)
 
 
 class TestBoundedness:
