@@ -74,6 +74,7 @@ from .pseudospectrum import (
     default_window,
     find_boundary_seed,
     merge_epsilon,
+    retraced_curve,
     trace_boundary,
 )
 from .svdcore import (

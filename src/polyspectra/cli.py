@@ -53,13 +53,14 @@ from .matpoly import (
     geometric_multiplicity,
     max_norm,
 )
-from .perturbations import certify_multiple, distance_to_multiple
+from .perturbations import DISTANCE_GRID, certify_multiple, distance_to_multiple
 from .pseudospectrum import (
     GridSpec,
     components,
     compute_field,
     default_window,
     find_boundary_seed,
+    retraced_curve,
     trace_boundary,
 )
 from .svdcore import singular_values_many
@@ -362,12 +363,17 @@ def _svg_document(window: GridSpec, layers, markers, extra_points=()) -> str:
 
 
 def _resolve_window(
-    spec: ProblemSpec, args, eigen: EigenReport | None = None, eps_for_margin: float = 0.0
+    spec: ProblemSpec,
+    args,
+    eigen: EigenReport | None = None,
+    eps_for_margin: float = 0.0,
+    points: int = _DEFAULT_GRID,
 ) -> GridSpec | None:
-    """The window of ``--window`` or of the document, sized by ``--grid``;
-    else the default window around ``eigen``, or None without ``eigen``."""
+    """The window of ``--window`` or of the document, sized by ``--grid``
+    (``--window`` alone takes ``points`` per axis); else the default window
+    around ``eigen``, or None without ``eigen``."""
     grid = getattr(args, "grid", None)
-    nx, ny = (int(grid[0]), int(grid[1])) if grid is not None else (_DEFAULT_GRID,) * 2
+    nx, ny = (int(grid[0]), int(grid[1])) if grid is not None else (points, points)
     if args.window is not None:
         xmin, xmax, ymin, ymax = (float(v) for v in args.window)
         return GridSpec(x_min=xmin, x_max=xmax, y_min=ymin, y_max=ymax, nx=nx, ny=ny)
@@ -507,21 +513,34 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
         if args.seed is not None:
             curves += [(eps, trace(eps, complex(re, im))) for re, im in args.seed]
             continue
+        level = []  # curve ids of this level
         for lam in eigen.eigenvalues:
             # try the four axis rays; skip combinations with no traceable
-            # seed (curve leaves the window, or the seed lands on a corner)
+            # seed (curve leaves the window, or the seed lands on a corner),
+            # and a seed on a boundary this level already traced
             curve = None
             for direction in (1.0, -1.0, 1j, -1j):
                 try:
-                    curve = trace(eps, find_boundary_seed(P, w, eps, lam, direction, window))
+                    seed = find_boundary_seed(P, w, eps, lam, direction, window)
+                    k = retraced_curve(
+                        P, w, eps, seed, [curves[c][1] for c in level], window, args.step_size
+                    )
+                    if k is not None:
+                        print(
+                            f"eps={eps:.6g}: eigenvalue {lam:.6g} seeds curve {level[k]} "
+                            "again, skipped"
+                        )
+                        break
+                    curve = trace(eps, seed)
                     break
                 except (SeedNotFoundError, PreconditionError):
                     continue
-            if curve is None:
+            else:
                 report.warnings.append(
                     f"eps={eps:.6g}: no traceable seed from eigenvalue {lam:.6g}"
                 )
-            else:
+            if curve is not None:
+                level.append(len(curves))
                 curves.append((eps, curve))
     if not curves:
         raise SeedNotFoundError("no traceable boundary seed for any requested level")
@@ -622,7 +641,7 @@ def _cmd_distance(spec: ProblemSpec, args, report: RunReport) -> None:
     P, w = spec.polynomial, spec.weight
     eps_max = args.eps_max if args.eps_max is not None else 0.1 * max_norm(P)
     grid = {} if args.grid is None else {"nx": args.grid[0], "ny": args.grid[1]}
-    window = _resolve_window(spec, args)
+    window = _resolve_window(spec, args, points=DISTANCE_GRID)
     result = distance_to_multiple(P, w, eps_max, window=window, **grid)
     cert = result.certificate
     print(

@@ -419,13 +419,18 @@ def find_saddle(
     return SaddleResult(mu=mu, delta=delta, on_fault=True, iterations=iters + res.nit)
 
 
+# Points per axis of the field distance_to_multiple samples in its default
+# window; the CLI samples a --window given without --grid the same way.
+DISTANCE_GRID = 401
+
+
 def distance_to_multiple(
     P: MatrixPolynomial,
     w: WeightPolynomial,
     eps_max: float,
     window: GridSpec | None = None,
-    nx: int = 401,
-    ny: int = 401,
+    nx: int = DISTANCE_GRID,
+    ny: int = DISTANCE_GRID,
 ) -> DistanceResult:
     """Smallest level at which the sublevel components around two distinct
     eigenvalues meet, with an explicit certificate at the merge point.

@@ -303,6 +303,51 @@ _MAX_CORRECTOR_ITERS = 20
 _MIN_STEP_FRACTION = 2.0 ** -12
 _STATIONARY_PROXIMITY = 1.5
 _TANGENT_FLIP_COS = 0.0
+# A corrected point must lie at least this fraction of the attempted step
+# from the current one; a corrector that keeps returning to a corner fails
+# this at every step down to the minimum, which ends the curve there.
+_MIN_ADVANCE_FRACTION = 0.5
+# A seed within this fraction of a step of an earlier curve, on a segment
+# that runs the way the tracer would leave the seed, repeats that curve.
+_RETRACE_FRACTION = 0.1
+
+
+def _tracer_step(window: GridSpec, step_size: float | None) -> float:
+    return window.diagonal / 500.0 if step_size is None else step_size
+
+
+def retraced_curve(
+    P: MatrixPolynomial,
+    w: WeightPolynomial,
+    eps: float,
+    seed: complex,
+    curves,
+    window: GridSpec,
+    step_size: float | None = None,
+) -> int | None:
+    """Index of the first of ``curves`` (BoundaryCurves of level eps) that
+    tracing from ``seed`` would repeat, or None.
+
+    A curve is repeated when one of its segments passes within
+    _RETRACE_FRACTION of a step of the seed and runs the same way as the
+    tangent there (positive cosine).  The direction test keeps the curves
+    of two components that face each other across a neck narrower than
+    that distance: their boundaries run opposite ways there.
+    """
+    g = PointEval(P, w, seed, derivative(P)).grad_F(eps)
+    if not g.valid or g.norm == 0.0:
+        return None
+    tangent = complex(-g.dy, g.dx)
+    reach = _RETRACE_FRACTION * _tracer_step(window, step_size)
+    for k, curve in enumerate(curves):
+        a = curve.points[:-1]
+        d = curve.points[1:] - a
+        length2 = np.abs(d) ** 2
+        t = np.clip(np.real((seed - a) * np.conj(d)) / np.where(length2 > 0, length2, 1.0), 0, 1)
+        near = np.abs(a + t * d - seed) <= reach
+        if np.any(near & (np.real(d * np.conj(tangent)) > 0)):
+            return k
+    return None
 
 
 def trace_boundary(
@@ -325,10 +370,12 @@ def trace_boundary(
     trust: an invalid gradient, a gradient norm below the stationarity
     threshold, an estimated stationary point within 1.5 steps (approach to a
     saddle / self-intersection), or persistent corrector failure at the
-    minimum step (corner or cusp on the curve).
+    minimum step (corner or cusp on the curve).  A corrected point counts
+    only if it advanced at least half the attempted step, so a corrector
+    pulled back onto a corner fails at every step and stops the curve there
+    instead of piling points onto the corner.
     """
-    if step_size is None:
-        step_size = window.diagonal / 500.0
+    step_size = _tracer_step(window, step_size)
     tol = on_curve_tolerance(P)
     dP = derivative(P)
     here = PointEval(P, w, seed, dP)
@@ -399,7 +446,10 @@ def trace_boundary(
         nxt = None
         while step >= min_step:
             cand = correct(lam + step * complex(*tangent), step)
-            if cand is not None and abs(cand.lam - lam) <= 2.0 * step_size:
+            if (
+                cand is not None
+                and _MIN_ADVANCE_FRACTION * step <= abs(cand.lam - lam) <= 2.0 * step_size
+            ):
                 nxt = cand
                 break
             step *= 0.5

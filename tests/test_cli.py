@@ -14,6 +14,8 @@ UPTRI = str(FIXTURES / "uptri_quadratic_2x2.json")
 DAMPED = str(FIXTURES / "damped_system_3x3.json")
 SCALAR = str(FIXTURES / "scalar_double_root.json")
 ISOLATED = str(FIXTURES / "isolated_fault_pencil_3x3.json")
+CONIC = str(FIXTURES / "conic_pencil_3x3.json")
+DIAG_PAIR = str(FIXTURES / "diag_quadratic_pair_2x2.json")
 
 
 class TestParsing:
@@ -364,6 +366,71 @@ class TestOutputs:
         assert np.allclose(got, ref, atol=1e-3)
 
 
+def _curves(path) -> list:
+    return json.loads(Path(path).read_text())["curves"]
+
+
+class TestTraceCurves:
+    def test_corner_stall_ends_the_curve(self, tmp_path, capsys):
+        # at eps = 1 the corrector from this seed is pulled onto a corner at
+        # 1.3165+0.2887i; the curve must end there, not fill the step budget
+        out = tmp_path / "t.json"
+        argv = ["trace", "--input", DIAG_PAIR, "--eps", "1",
+                "--seed", "2.414213562373095", "0", "--json", str(out)]
+        assert main(argv) == 0
+        [curve] = _curves(out)
+        assert curve["termination"] == "gradient_invalid"
+        assert curve["points"] < 200
+
+    @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
+    def test_fixture_levels_end_before_the_step_limit(self, path, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(["trace", "--input", str(path), "--json", str(out)]) == 0
+        assert all(c["termination"] != "step_limit" for c in _curves(out))
+
+    def test_one_curve_per_boundary(self, tmp_path, capsys):
+        # all three eigenvalues of the conic pencil share one component at
+        # these levels, so its boundary is traced once
+        out = tmp_path / "t.json"
+        argv = ["trace", "--input", CONIC, "--eps", "0.5590169943749475",
+                "0.7071067811865476", "--json", str(out)]
+        assert main(argv) == 0
+        assert [c["epsilon"] for c in _curves(out)] == [0.5590169943749475, 0.7071067811865476]
+        # each skipped eigenvalue is named with the level and the curve it repeats
+        skipped = [line for line in capsys.readouterr().out.splitlines() if "skipped" in line]
+        assert skipped == [
+            "eps=0.559017: eigenvalue 0.75-0j seeds curve 0 again, skipped",
+            "eps=0.559017: eigenvalue 1.25-0j seeds curve 0 again, skipped",
+            "eps=0.707107: eigenvalue 0.75-0j seeds curve 1 again, skipped",
+            "eps=0.707107: eigenvalue 1.25-0j seeds curve 1 again, skipped",
+        ]
+
+    def test_facing_boundaries_across_a_neck_are_both_traced(self, tmp_path, capsys):
+        # diag(l - 1, l + 1) at eps = 0.9996: the two discs face each other
+        # across a 0.0008 neck, closer than a tenth of a step, and the ray
+        # from 1 seeds at the neck; the boundaries run opposite ways there
+        doc = {
+            "n": 2, "m": 1,
+            "coefficients": [{"re": [[-1.0, 0.0], [0.0, 1.0]]},
+                             {"re": [[1.0, 0.0], [0.0, 1.0]]}],
+        }
+        problem = tmp_path / "discs.json"
+        problem.write_text(json.dumps(doc))
+        out = tmp_path / "t.json"
+        argv = ["trace", "--input", str(problem), "--eps", "0.9996",
+                "--window", "-2.5", "1.9", "-1.5", "1.5", "--json", str(out)]
+        assert main(argv) == 0
+        assert len(_curves(out)) == 2
+        assert "skipped" not in capsys.readouterr().out
+
+    def test_explicit_seeds_are_always_traced(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        seed = ["--seed", "2.414213562373095", "0"]
+        argv = ["trace", "--input", DIAG_PAIR, "--eps", "1", *seed, *seed, "--json", str(out)]
+        assert main(argv) == 0
+        assert len(_curves(out)) == 2
+
+
 class TestDeterminism:
     def test_identical_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -394,6 +461,27 @@ class TestDeterminism:
 
 
 class TestDefaults:
+    def test_distance_window_samples_the_default_grid(self, tmp_path, capsys, monkeypatch):
+        # a --window without --grid samples as many points as the default window
+        from polyspectra import perturbations
+
+        shapes = []
+        original = perturbations.compute_field
+
+        def recording(P, w, grid, svals=None):
+            shapes.append(grid.points().shape)
+            return original(P, w, grid, svals)
+
+        monkeypatch.setattr(perturbations, "compute_field", recording)
+        doc = json.loads(Path(UPTRI).read_text())
+        del doc["window"]
+        problem = tmp_path / "no_window.json"
+        problem.write_text(json.dumps(doc))
+        argv = ["distance", "--input", str(problem), "--eps-max", "0.05"]
+        assert main(argv) == 0
+        assert main(argv + ["--window", "0.2", "2.8", "-1", "1"]) == 0
+        assert len(shapes) == 2 and shapes[0] == shapes[1]
+
     def test_default_epsilon_sweep(self, tmp_path, capsys):
         # no epsilons in the file and none on the command line: the command
         # falls back to a norm-scaled logarithmic sweep

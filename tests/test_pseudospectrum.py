@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from polyspectra import (
     find_boundary_seed,
     find_saddle,
     merge_epsilon,
+    retraced_curve,
     s_min,
     trace_boundary,
     weight_eval,
@@ -241,6 +244,21 @@ class TestTraceBoundary:
         seed = find_boundary_seed(P, w, 0.5, 0.0, 1.0, win)
         curve = trace_boundary(P, w, 0.5, seed, win)
         assert curve.termination is Termination.left_window
+
+
+class TestRetracedCurve:
+    def test_seed_on_a_curve_running_the_same_way(self, disc_pair, unit_weight):
+        win = GridSpec(x_min=-2.5, x_max=2.5, y_min=-1.5, y_max=1.5, nx=11, ny=11)
+        seed = find_boundary_seed(disc_pair, unit_weight, 0.5, 1.0, 1.0, win)
+        curve = trace_boundary(disc_pair, unit_weight, 0.5, seed, win)
+        other = find_boundary_seed(disc_pair, unit_weight, 0.5, 1.0, 1j, win)
+        assert retraced_curve(disc_pair, unit_weight, 0.5, other, [curve], win) == 0
+        # the same points traversed backwards run against the tangent
+        backwards = replace(curve, points=curve.points[::-1])
+        assert retraced_curve(disc_pair, unit_weight, 0.5, other, [backwards], win) is None
+        # a seed on the other disc is not on the curve
+        far = find_boundary_seed(disc_pair, unit_weight, 0.5, -1.0, 1.0, win)
+        assert retraced_curve(disc_pair, unit_weight, 0.5, far, [curve], win) is None
 
 
 class TestTraceCost:
