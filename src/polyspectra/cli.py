@@ -53,8 +53,9 @@ from .matpoly import (
     geometric_multiplicity,
     max_norm,
 )
-from .perturbations import DISTANCE_GRID, certify_multiple, distance_to_multiple
+from .perturbations import certify_multiple, distance_to_multiple
 from .pseudospectrum import (
+    DEFAULT_GRID,
     GridSpec,
     components,
     compute_field,
@@ -64,8 +65,6 @@ from .pseudospectrum import (
     trace_boundary,
 )
 from .svdcore import singular_values_many
-
-_DEFAULT_GRID = 301
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,8 @@ def _parse_window(doc) -> GridSpec:
             x_max=float(doc["x_max"]),
             y_min=float(doc["y_min"]),
             y_max=float(doc["y_max"]),
-            nx=int(doc.get("nx", _DEFAULT_GRID)),
-            ny=int(doc.get("ny", _DEFAULT_GRID)),
+            nx=int(doc.get("nx", DEFAULT_GRID)),
+            ny=int(doc.get("ny", DEFAULT_GRID)),
         )
     except KeyError as exc:
         raise InputError(f"window.{exc.args[0]}: missing") from exc
@@ -367,13 +366,12 @@ def _resolve_window(
     args,
     eigen: EigenReport | None = None,
     eps_for_margin: float = 0.0,
-    points: int = _DEFAULT_GRID,
 ) -> GridSpec | None:
     """The window of ``--window`` or of the document, sized by ``--grid``
-    (``--window`` alone takes ``points`` per axis); else the default window
-    around ``eigen``, or None without ``eigen``."""
+    (``--window`` alone takes DEFAULT_GRID points per axis); else the
+    default window around ``eigen``, or None without ``eigen``."""
     grid = getattr(args, "grid", None)
-    nx, ny = (int(grid[0]), int(grid[1])) if grid is not None else (points, points)
+    nx, ny = (int(grid[0]), int(grid[1])) if grid is not None else (DEFAULT_GRID, DEFAULT_GRID)
     if args.window is not None:
         xmin, xmax, ymin, ymax = (float(v) for v in args.window)
         return GridSpec(x_min=xmin, x_max=xmax, y_min=ymin, y_max=ymax, nx=nx, ny=ny)
@@ -641,15 +639,13 @@ def _cmd_distance(spec: ProblemSpec, args, report: RunReport) -> None:
     P, w = spec.polynomial, spec.weight
     eps_max = args.eps_max if args.eps_max is not None else 0.1 * max_norm(P)
     grid = {} if args.grid is None else {"nx": args.grid[0], "ny": args.grid[1]}
-    window = _resolve_window(spec, args, points=DISTANCE_GRID)
+    window = _resolve_window(spec, args)
     result = distance_to_multiple(P, w, eps_max, window=window, **grid)
     cert = result.certificate
     print(
         f"r = {result.r:.6g} at mu = {cert.mu.real:.6g}{cert.mu.imag:+.6g}i "
         f"(geometric multiplicity {cert.geometric_mult}, defective={cert.defective})"
     )
-    if result.origin_case:
-        report.warnings.append("merge at origin: certificate uses the constant weight")
     if cert.constant_weight_substituted:
         report.warnings.append("constant weight substituted at mu = 0")
     if args.json:

@@ -115,6 +115,20 @@ def is_fault_point(P: MatrixPolynomial, lam: complex, smap: SurfaceIndexMap) -> 
     return float(surface_gap(s, smap.c1, smap.c2)) <= REFINED_GAP_RTOL * (1.0 + float(s[0]))
 
 
+def simplex_minimum(f, start: complex, window: GridSpec, maxiter: int) -> tuple:
+    """Nelder-Mead minimum of the real function ``f(lambda)`` from ``start``
+    inside the window, within ``maxiter`` iterations: the point, the value
+    of ``f`` there and the iterations taken."""
+    res = optimize.minimize(
+        lambda p: f(complex(p[0], p[1])),
+        x0=[start.real, start.imag],
+        method="Nelder-Mead",
+        bounds=[(window.x_min, window.x_max), (window.y_min, window.y_max)],
+        options=dict(maxiter=maxiter, xatol=1e-12, fatol=1e-15),
+    )
+    return complex(res.x[0], res.x[1]), float(res.fun), int(res.nit)
+
+
 def fault_scan(
     P: MatrixPolynomial,
     grid: GridSpec,
@@ -154,19 +168,13 @@ def fault_scan(
     # argwhere lists the cells in row-major, i.e. sorted, order
     cells = tuple((int(i), int(j)) for i, j in np.argwhere(is_min & (g <= tau_cell)))
 
-    bounds = [(grid.x_min, grid.x_max), (grid.y_min, grid.y_max)]
     refined = []
     for i, j in cells:
-        res = optimize.minimize(
-            lambda p: collapsed_gap(P, complex(p[0], p[1]), smap),
-            x0=[xs[i], ys[j]],
-            method="Nelder-Mead",
-            bounds=bounds,
-            options=dict(maxiter=REFINE_MAXITER, xatol=1e-12, fatol=1e-15),
+        lam, gval, _ = simplex_minimum(
+            lambda z: collapsed_gap(P, z, smap), complex(xs[i], ys[j]), grid, REFINE_MAXITER
         )
-        lam = complex(res.x[0], res.x[1])
         if is_fault_point(P, lam, smap):
-            refined.append((lam, float(res.fun)))
+            refined.append((lam, gval))
 
     # near-duplicate refinements from neighboring cells collapse to one point
     dedupe_radius = 0.5 * grid.cell_diagonal

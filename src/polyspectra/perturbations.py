@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     ConstructionError,
@@ -31,7 +30,13 @@ from .errors import (
     SaddleOnFaultError,
     SaddleOutsideWindowError,
 )
-from .faultlines import build_surface_map, default_probes
+from .faultlines import (
+    build_surface_map,
+    collapsed_gap,
+    default_probes,
+    is_fault_point,
+    simplex_minimum,
+)
 from .matpoly import (
     MatrixPolynomial,
     WeightPolynomial,
@@ -42,6 +47,7 @@ from .matpoly import (
     weight_eval,
 )
 from .pseudospectrum import (
+    DEFAULT_GRID,
     SADDLE_GRAD_TOL,
     GridSpec,
     boundedness_check,
@@ -56,7 +62,6 @@ from .svdcore import (
     on_spectrum,
     s_min,
     singular_values_many,
-    surface_gap,
 )
 
 # Multiplicity cluster width for the smallest singular value, relative to s_1.
@@ -65,13 +70,12 @@ MULTIPLICITY_RTOL = 1e-8
 DEFECT_RTOL = 1e-6
 # Residual bound for the constructed perturbations.
 RESIDUAL_RTOL = 1e-8
-# Residual surface gap, relative to 1 + s_1, that certifies an on-fault
-# merge point found by the crossing search.
-_CROSSING_RTOL = 1e-6
 # Relative width of the ball boundary; levels are often quoted to a few digits.
 BALL_RTOL = 1e-3
 # Damped Newton iterations of find_saddle before it reports no convergence.
 _SADDLE_MAX_ITER = 60
+# Nelder-Mead iteration budget of find_saddle's search for a crossing.
+_CROSSING_MAXITER = 400
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,14 @@ def _off_spectrum(P: MatrixPolynomial, w: WeightPolynomial, mu: complex) -> Poin
     return here
 
 
+def _certificate_weight(w: WeightPolynomial, mu: complex) -> tuple:
+    """(weight, at_origin) of a perturbation at mu: at the origin, |mu| <
+    ORIGIN_TOL, only the constant coefficient can act, so the constant
+    weight w_c(x) = w_0 replaces w there."""
+    at_origin = abs(mu) < ORIGIN_TOL
+    return (WeightPolynomial([w.weights[0]]) if at_origin else w), at_origin
+
+
 def _build_perturbation(
     P: MatrixPolynomial, w: WeightPolynomial, mu: complex, trip, low_rank: bool
 ) -> PerturbationSet:
@@ -175,10 +187,7 @@ def _build_perturbation(
     else:
         Z = trip.left @ trip.right.conj().T
     E = -sn * Z
-    # at mu = 0 only the constant coefficient can act, so the constant
-    # weight w_c(x) = w_0 replaces w there
-    at_origin = abs(mu) < ORIGIN_TOL
-    w_eff = WeightPolynomial([w.weights[0]]) if at_origin else w
+    w_eff, at_origin = _certificate_weight(w, mu)
     denom = weight_eval(w_eff, abs(mu))
     phase = 0.0 if at_origin else (mu.conjugate() / abs(mu))
     deltas = []
@@ -215,8 +224,7 @@ def ball_membership(delta_set: PerturbationSet, w: WeightPolynomial, eps: float)
     BALL_RTOL.
     """
     radius = 0.0
-    for j, D in enumerate(delta_set.deltas):
-        nrm = float(np.linalg.norm(D, 2))
+    for j, nrm in enumerate(delta_set.norms().tolist()):
         wj = w.coefficient(j)
         if wj == 0.0:
             if nrm > 0.0:
@@ -286,16 +294,14 @@ def certify_multiple(
             f"perturbed polynomial does not annihilate mu={mu:.6g}: residuals "
             f"{res_h:.3e}, {res_t:.3e} exceed {RESIDUAL_RTOL * scale:.3e}"
         )
-    at_origin = abs(mu) < ORIGIN_TOL
     crit = multiple_criterion(Qh, mu, trip.left[:, -1], trip.right[:, -1])
     if k == 1:
         deriv_scale = max(1.0, float(np.linalg.norm(here.deriv, 2)))
         defective = abs(crit) < DEFECT_RTOL * deriv_scale
     else:
         defective = False  # multiple via geometric multiplicity k >= 2
-    delta = float(trip.values[-1]) / weight_eval(
-        WeightPolynomial([w.weights[0]]) if at_origin else w, abs(mu)
-    )
+    w_eff, at_origin = _certificate_weight(w, mu)
+    delta = float(trip.values[-1]) / weight_eval(w_eff, abs(mu))
     return MultiplicityCertificate(
         mu=complex(mu),
         q_hat=q_hat,
@@ -394,34 +400,21 @@ def find_saddle(
             "smooth search stalled and all surfaces coincide; no crossing to use"
         )
 
-    def second_ratio(p) -> float:
-        s = singular_values_many(P, complex(p[0], p[1]))
-        return float(s[smap.c2 - 1]) / weight_eval(w, float(np.hypot(p[0], p[1])))
+    def second_ratio(z: complex) -> float:
+        s = singular_values_many(P, z)
+        return float(s[smap.c2 - 1]) / weight_eval(w, abs(z))
 
-    res = optimize.minimize(
-        second_ratio,
-        x0=[lam.real, lam.imag],
-        method="Nelder-Mead",
-        bounds=[(window.x_min, window.x_max), (window.y_min, window.y_max)],
-        options=dict(maxiter=400, xatol=1e-12, fatol=1e-15),
-    )
-    mu = complex(res.x[0], res.x[1])
+    mu, _, nit = simplex_minimum(second_ratio, lam, window, _CROSSING_MAXITER)
     s = singular_values_many(P, mu)
     if on_spectrum(s):
         raise SaddleAtEigenvalueError(f"crossing search converged to the spectrum at {mu:.6g}")
-    gap = float(surface_gap(s, smap.c1, smap.c2))
-    if gap > _CROSSING_RTOL * (1.0 + float(s[0])):
+    if not is_fault_point(P, mu, smap):
         raise SaddleOnFaultError(
             f"search stalled at {mu:.6g} without a certified crossing "
-            f"(residual surface gap {gap:.3e})"
+            f"(residual surface gap {collapsed_gap(P, mu, smap):.3e})"
         )
     delta = float(s[-1]) / weight_eval(w, abs(mu))
-    return SaddleResult(mu=mu, delta=delta, on_fault=True, iterations=iters + res.nit)
-
-
-# Points per axis of the field distance_to_multiple samples in its default
-# window; the CLI samples a --window given without --grid the same way.
-DISTANCE_GRID = 401
+    return SaddleResult(mu=mu, delta=delta, on_fault=True, iterations=iters + nit)
 
 
 def distance_to_multiple(
@@ -429,8 +422,8 @@ def distance_to_multiple(
     w: WeightPolynomial,
     eps_max: float,
     window: GridSpec | None = None,
-    nx: int = DISTANCE_GRID,
-    ny: int = DISTANCE_GRID,
+    nx: int = DEFAULT_GRID,
+    ny: int = DEFAULT_GRID,
 ) -> DistanceResult:
     """Smallest level at which the sublevel components around two distinct
     eigenvalues meet, with an explicit certificate at the merge point.
@@ -450,11 +443,10 @@ def distance_to_multiple(
         raise PreconditionError("constant polynomial has no eigenvalues")
 
     eps_eff = float(eps_max)
-    wm = w.coefficient(P.m)
-    if not boundedness_check(P, w, eps_eff) and wm > 0:
-        eps_eff = 0.99 * leading_s_min(P) / wm
-        if eps_eff <= 0:
-            raise PreconditionError("no positive level satisfies the boundedness condition")
+    if not boundedness_check(P, w, eps_eff):
+        # boundedness_check holds when w_m = 0, and eigenvalues(P) required
+        # a nonsingular leading coefficient, so this level is positive
+        eps_eff = 0.99 * leading_s_min(P) / w.coefficient(P.m)
 
     if window is None:
         window = default_window(P, w, eps_max=eps_eff, nx=nx, ny=ny, eigen=eigen)
@@ -496,14 +488,11 @@ def distance_to_multiple(
     )
 
     saddle = find_saddle(P, w, 0.5 * (pair[0] + pair[1]), window)
-    r = saddle.delta
-    origin_case = abs(saddle.mu) < 1e-8 * (1.0 + abs(pair[0])) and not w.is_constant
-    cert_weight = WeightPolynomial([w.weights[0]]) if origin_case else w
-    certificate = certify_multiple(P, cert_weight, saddle.mu)
+    certificate = certify_multiple(P, w, saddle.mu)
     return DistanceResult(
-        r=float(r),
+        r=float(saddle.delta),
         certificate=certificate,
         saddle=saddle,
         bracket=(float(lo), float(hi)),
-        origin_case=origin_case,
+        origin_case=certificate.constant_weight_substituted,
     )

@@ -39,6 +39,10 @@ _LABEL_STRUCTURE = np.ones((3, 3), dtype=int)
 # Largest grid a GridSpec accepts: 4096 x 4096, whose complex points take 256 MiB.
 MAX_GRID_POINTS = 1 << 24
 
+# Points per axis of every window whose size no input sets: the default
+# window, a --window without --grid, and a document window without nx/ny.
+DEFAULT_GRID = 401
+
 # Points tested along a seed ray before its sign change is bisected.
 _SEED_SAMPLES = 512
 
@@ -429,8 +433,9 @@ def trace_boundary(
             detail = "gradient below stationarity threshold"
             break
         if prev_grad is not None:
-            dist = abs(lam - pts[-2]) if len(pts) >= 2 else step_size
-            hess = np.hypot(g.dx - prev_grad.dx, g.dy - prev_grad.dy) / max(dist, 1e-300)
+            # pts[-2] exists and lies >= _MIN_ADVANCE_FRACTION of a step from lam
+            dist = abs(lam - pts[-2])
+            hess = np.hypot(g.dx - prev_grad.dx, g.dy - prev_grad.dy) / dist
             if hess > 0 and g.norm / hess <= _STATIONARY_PROXIMITY * step_size:
                 termination = Termination.gradient_invalid
                 detail = "stationary point of F_eps within reach (near self-intersection)"

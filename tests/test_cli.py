@@ -460,6 +460,63 @@ class TestDeterminism:
         assert out.exists() and out.stat().st_size > 0
 
 
+class TestDefaultGrid:
+    """A window whose size no input sets has DEFAULT_GRID points per axis."""
+
+    @staticmethod
+    def _spy(monkeypatch, module, name, position):
+        """Record the shape of the grid, positional argument ``position``,
+        of each call of ``module.name``."""
+        grids = []
+        original = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            grids.append(args[position].points().shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        return grids
+
+    @staticmethod
+    def _problem(tmp_path, drop):
+        doc = json.loads(Path(UPTRI).read_text())
+        if drop == "window":
+            del doc["window"]
+        else:
+            del doc["window"]["nx"], doc["window"]["ny"]
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(doc))
+        return str(problem)
+
+    def test_distance_document_window_without_size(self, tmp_path, capsys, monkeypatch):
+        from polyspectra import perturbations
+        from polyspectra.pseudospectrum import DEFAULT_GRID
+
+        grids = self._spy(monkeypatch, perturbations, "compute_field", 2)
+        problem = self._problem(tmp_path, "size")
+        assert main(["distance", "--input", problem, "--eps-max", "0.05"]) == 0
+        assert grids == [(DEFAULT_GRID, DEFAULT_GRID)]
+
+    @pytest.mark.parametrize(
+        "command, spied, position",
+        [("field", "compute_field", 2), ("components", "compute_field", 2),
+         ("faults", "fault_scan", 1)],
+    )
+    def test_default_window(self, tmp_path, capsys, monkeypatch, command, spied, position):
+        from polyspectra import cli
+        from polyspectra.pseudospectrum import DEFAULT_GRID
+
+        grids = self._spy(monkeypatch, cli, spied, position)
+        problem = self._problem(tmp_path, "window")
+        assert main([command, "--input", problem, "--json", str(tmp_path / "out.json")]) == 0
+        assert grids == [(DEFAULT_GRID, DEFAULT_GRID)]
+
+    def test_trace_default_window(self, tmp_path, capsys):
+        problem = self._problem(tmp_path, "window")
+        assert main(["trace", "--input", problem, "--json", str(tmp_path / "out.json")]) == 0
+        assert json.loads((tmp_path / "out.json").read_text())["curves"]
+
+
 class TestDefaults:
     def test_distance_window_samples_the_default_grid(self, tmp_path, capsys, monkeypatch):
         # a --window without --grid samples as many points as the default window

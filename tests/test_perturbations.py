@@ -409,3 +409,35 @@ class TestDistanceToMultiple:
                 assert res.certificate.defective
                 found += 1
         assert found >= 2
+
+
+class TestSingleRules:
+    """faults and distance share one fault-point test; the certificate and
+    distance share one origin rule."""
+
+    def test_crossing_uses_the_fault_point_test(self, diag_movable, unit_weight, monkeypatch):
+        from polyspectra import SaddleOnFaultError, faultlines
+
+        win = GridSpec(x_min=-3.0, x_max=3.0, y_min=-2.5, y_max=2.5, nx=241, ny=241)
+        # the merging pair 0, 2/3 meets on a crossing whose gap is exactly 0
+        assert find_saddle(diag_movable, unit_weight, 1.0 / 3.0, win).on_fault
+        monkeypatch.setattr(faultlines, "REFINED_GAP_RTOL", -1.0)
+        with pytest.raises(SaddleOnFaultError, match="residual surface gap"):
+            find_saddle(diag_movable, unit_weight, 1.0 / 3.0, win)
+
+    def test_origin_rule_is_the_certificates(self, disc_pair, monkeypatch):
+        from polyspectra import SaddleResult, perturbations
+        from polyspectra.svdcore import PointEval
+
+        # |mu| = 1e-10 is off the origin (ORIGIN_TOL = 1e-12), where the
+        # phase of mu is defined and the certificate keeps w itself
+        w = WeightPolynomial([1.0, 1.0])
+        mu = 1e-10 + 0j
+        fake = SaddleResult(mu=mu, delta=PointEval(disc_pair, w, mu).ratio, on_fault=True,
+                            iterations=0)
+        monkeypatch.setattr(perturbations, "find_saddle", lambda *args: fake)
+        win = GridSpec(x_min=-3.0, x_max=3.0, y_min=-3.0, y_max=3.0, nx=61, ny=61)
+        res = distance_to_multiple(disc_pair, w, 0.9, window=win)
+        assert not res.origin_case
+        assert not res.certificate.constant_weight_substituted
+        assert res.certificate.delta == res.r

@@ -9,7 +9,10 @@ per output file and per captured stdout::
 ``distance`` and ``perturb`` run only on the fixtures that have a reference
 distance, with the ``--eps-max`` and ``--mu`` values of the benchmark.
 ``faults`` runs twice: as is, and as ``faults+eps`` with the fixture's own
-``epsilons`` passed as ``--eps``, which adds the level curves to its SVG.  Run it
+``epsilons`` passed as ``--eps``, which adds the level curves to its SVG.
+``field``, ``components``, ``trace``, ``faults`` and ``distance`` also run as
+``<command>+nowindow`` on the ``NO_WINDOW`` fixtures with ``window`` removed
+from the document, so they take the default window and grid.  Run it
 in two checkouts and diff the output to show that a change keeps the CLI
 outputs byte-identical:
 
@@ -49,6 +52,9 @@ REFERENCES = {
     "diag_movable_eigenvalue_2x2": (1.0, (0.4, 0.0)),
 }
 
+# Fixtures also run without their window; the first has a reference distance.
+NO_WINDOW = ("uptri_quadratic_2x2", "diag_movable_eigenvalue_2x2")
+
 # Output files each run writes; a run is a command, or a command and a
 # variant of its arguments after a "+".
 OUTPUTS = {
@@ -60,18 +66,26 @@ OUTPUTS = {
     "faults+eps": ("json", "svg"),
     "distance": ("json",),
     "perturb": ("json",),
+    "field+nowindow": ("csv", "svg", "json"),
+    "components+nowindow": ("json",),
+    "trace+nowindow": ("csv", "svg", "json"),
+    "faults+nowindow": ("json", "svg"),
+    "distance+nowindow": ("json",),
 }
 
 
 def _extra_args(run: str, path: Path) -> list | None:
     name = path.stem
-    if run == "faults+eps":
+    command, _, variant = run.partition("+")
+    if variant == "nowindow" and name not in NO_WINDOW:
+        return None
+    if variant == "eps":
         return ["--eps", *(repr(e) for e in json.loads(path.read_text())["epsilons"])]
-    if run in ("distance", "perturb"):
+    if command in ("distance", "perturb"):
         if name not in REFERENCES:
             return None
         eps_max, mu = REFERENCES[name]
-        if run == "distance":
+        if command == "distance":
             return ["--eps-max", repr(eps_max)]
         return ["--mu", repr(mu[0]), repr(mu[1])]
     return []
@@ -91,7 +105,13 @@ def run(keep: Path | None) -> None:
                 if extra is None:
                     continue
                 files = {kind: work / f"{command}.{name}.{kind}" for kind in kinds}
-                argv = [command.split("+")[0], "--input", str(path), *extra]
+                source = path
+                if command.endswith("+nowindow"):
+                    doc = json.loads(path.read_text())
+                    del doc["window"]
+                    source = work / f"{name}.nowindow.json"
+                    source.write_text(json.dumps(doc))
+                argv = [command.split("+")[0], "--input", str(source), *extra]
                 for kind, out in files.items():
                     argv += [f"--{kind}", str(out)]
                 stdout = io.StringIO()
