@@ -271,33 +271,36 @@ def serialize_problem(spec: ProblemSpec) -> str:
         }
     if spec.epsilons:
         doc["epsilons"] = list(spec.epsilons)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc)
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _emit(report: RunReport, path: str, text: str) -> None:
+    """Write one output file atomically and record it for the final
+    missing-or-empty check."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".polyspectra-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    report.outputs.append(path)
 
 
-def _write_json(path: str, doc) -> None:
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """Write the ``header`` line and the row strings ``rows`` as one file."""
-    _atomic_write(path, "\n".join([header, *rows]) + "\n")
+def _csv_text(header: str, rows) -> str:
+    """The ``header`` line and the row strings ``rows`` as one file's text."""
+    return "\n".join([header, *rows]) + "\n"
 
 
 def _field_rows(window: GridSpec, values: np.ndarray):
@@ -424,8 +427,7 @@ def _cmd_eigs(spec: ProblemSpec, args, report: RunReport) -> None:
             "eigenvalues": rows,
             "total_multiplicity": eigen.total_multiplicity,
         }
-        _write_json(args.json, doc)
-        report.outputs.append(args.json)
+        _emit(report, args.json, _json_text(doc))
 
 
 def _cmd_field(spec: ProblemSpec, args, report: RunReport) -> None:
@@ -435,12 +437,10 @@ def _cmd_field(spec: ProblemSpec, args, report: RunReport) -> None:
     window = _resolve_window(spec, args, eigen, eps_for_margin=max(eps_list))
     field = compute_field(P, w, window)
     if args.csv:
-        _write_csv(args.csv, "x,y,value", _field_rows(window, field.values))
-        report.outputs.append(args.csv)
+        _emit(report, args.csv, _csv_text("x,y,value", _field_rows(window, field.values)))
     if args.svg:
         layers = _contour_layers(window, field, eps_list)
-        _atomic_write(args.svg, _svg_document(window, layers, eigen.eigenvalues))
-        report.outputs.append(args.svg)
+        _emit(report, args.svg, _svg_document(window, layers, eigen.eigenvalues))
     if args.json:
         doc = {
             "epsilons": list(eps_list),
@@ -454,8 +454,7 @@ def _cmd_field(spec: ProblemSpec, args, report: RunReport) -> None:
                 "y_min": window.y_min,
             },
         }
-        _write_json(args.json, doc)
-        report.outputs.append(args.json)
+        _emit(report, args.json, _json_text(doc))
 
 
 def _cmd_components(spec: ProblemSpec, args, report: RunReport) -> None:
@@ -491,8 +490,7 @@ def _cmd_components(spec: ProblemSpec, args, report: RunReport) -> None:
         )
         print(f"eps={eps:.6g}: {rep.count} component(s)")
     if args.json:
-        _write_json(args.json, {"reports": docs})
-        report.outputs.append(args.json)
+        _emit(report, args.json, _json_text({"reports": docs}))
 
 
 def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
@@ -548,15 +546,13 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
             for cid, (_, curve) in enumerate(curves)
             for z in curve.points.tolist()
         )
-        _write_csv(args.csv, "curve_id,x,y", rows)
-        report.outputs.append(args.csv)
+        _emit(report, args.csv, _csv_text("curve_id,x,y", rows))
     if args.svg:
         layers = [
             (eps, [np.column_stack([c.points.real, c.points.imag]) for e, c in curves if e == eps])
             for eps in eps_list
         ]
-        _atomic_write(args.svg, _svg_document(window, layers, eigen.eigenvalues))
-        report.outputs.append(args.svg)
+        _emit(report, args.svg, _svg_document(window, layers, eigen.eigenvalues))
     if args.json:
         doc = {
             "curves": [
@@ -570,8 +566,7 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
                 for eps, c in curves
             ]
         }
-        _write_json(args.json, doc)
-        report.outputs.append(args.json)
+        _emit(report, args.json, _json_text(doc))
     for eps, c in curves:
         print(f"eps={eps:.6g}: {len(c.points)} points, termination={c.termination.value}")
 
@@ -597,18 +592,14 @@ def _cmd_faults(spec: ProblemSpec, args, report: RunReport) -> None:
                 for z, g in zip(rep.refined_points, rep.refined_gaps)
             ],
         }
-        _write_json(args.json, doc)
-        report.outputs.append(args.json)
+        _emit(report, args.json, _json_text(doc))
     if args.svg:
         layers = []
         if contoured:
             field = compute_field(P, spec.weight, window, svals)
             layers = _contour_layers(window, field, args.eps)
-        _atomic_write(
-            args.svg,
-            _svg_document(window, layers, eigen.eigenvalues, rep.refined_points),
-        )
-        report.outputs.append(args.svg)
+        svg = _svg_document(window, layers, eigen.eigenvalues, rep.refined_points)
+        _emit(report, args.svg, svg)
 
 
 def _perturbation_doc(pset) -> list:
@@ -656,8 +647,7 @@ def _cmd_distance(spec: ProblemSpec, args, report: RunReport) -> None:
             "r": result.r,
             "saddle_on_fault": result.saddle.on_fault,
         }
-        _write_json(args.json, doc)
-        report.outputs.append(args.json)
+        _emit(report, args.json, _json_text(doc))
 
 
 def _cmd_perturb(spec: ProblemSpec, args, report: RunReport) -> None:
@@ -673,8 +663,7 @@ def _cmd_perturb(spec: ProblemSpec, args, report: RunReport) -> None:
     if cert.constant_weight_substituted:
         report.warnings.append("constant weight substituted at mu = 0")
     if args.json:
-        _write_json(args.json, {"certificate": _certificate_doc(cert)})
-        report.outputs.append(args.json)
+        _emit(report, args.json, _json_text({"certificate": _certificate_doc(cert)}))
 
 
 # Each command and the flags it reads besides --input; it rejects any other.

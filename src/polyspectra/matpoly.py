@@ -28,7 +28,8 @@ class MatrixPolynomial:
 
     ``coeffs[j]`` multiplies lambda**j.  Coefficient arrays are copied and
     frozen at construction, so instances are safe to share between threads;
-    the singular values of P_m are computed on first use and kept.
+    the singular values of P_m and the derivative P' are computed on first
+    use and kept.
     """
 
     coeffs: tuple
@@ -65,6 +66,13 @@ class MatrixPolynomial:
         values = np.linalg.svd(self.coeffs[-1], compute_uv=False)
         values.setflags(write=False)
         return values
+
+    @cached_property
+    def derivative(self) -> MatrixPolynomial:
+        """Term-wise derivative P', degree max(m-1, 0)."""
+        if self.m == 0:
+            return MatrixPolynomial([np.zeros((self.n, self.n), dtype=complex)])
+        return MatrixPolynomial([j * self.coeffs[j] for j in range(1, self.m + 1)])
 
     def __call__(self, lam):
         return evaluate(self, lam)
@@ -133,7 +141,8 @@ def evaluate_many(P: MatrixPolynomial, lams) -> np.ndarray:
     """Vectorized Horner evaluation.
 
     ``lams`` may have any shape; the result has shape ``lams.shape + (n, n)``.
-    It is allocated once, and each multiply/add step writes into it.
+    It is allocated once, and each multiply/add step writes into it.  Each
+    point gets the same bits whatever the shape, and the same as ``evaluate``.
     """
     L = np.asarray(lams, dtype=complex)[..., None, None]
     if not P.m:
@@ -141,16 +150,17 @@ def evaluate_many(P: MatrixPolynomial, lams) -> np.ndarray:
     acc = P.coeffs[-1] * L  # the one allocation; every later step is in place
     acc += P.coeffs[-2]
     for C in reversed(P.coeffs[:-2]):
-        acc *= L
+        # except a product of one element (a point at n = 1): numpy takes it
+        # in place for a reduction, whose scalar loop rounds differently from
+        # the vector loop every other product runs
+        acc = np.multiply(acc, L, out=acc if acc.size > 1 else None)
         acc += C
     return acc
 
 
 def derivative(P: MatrixPolynomial) -> MatrixPolynomial:
-    """Term-wise derivative, degree max(m-1, 0)."""
-    if P.m == 0:
-        return MatrixPolynomial([np.zeros((P.n, P.n), dtype=complex)])
-    return MatrixPolynomial([j * P.coeffs[j] for j in range(1, P.m + 1)])
+    """Term-wise derivative, degree max(m-1, 0): the P' kept on P."""
+    return P.derivative
 
 
 def max_norm(P: MatrixPolynomial) -> float:

@@ -40,7 +40,6 @@ from .faultlines import (
 from .matpoly import (
     MatrixPolynomial,
     WeightPolynomial,
-    derivative,
     eigenvalues,
     evaluate,
     leading_s_min,
@@ -265,7 +264,7 @@ def multiple_criterion(P_or_Q: MatrixPolynomial, mu: complex, u, v) -> complex:
     """
     u = np.asarray(u, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
-    Qp = evaluate(derivative(P_or_Q), mu)
+    Qp = evaluate(P_or_Q.derivative, mu)
     return complex(u.conj() @ (Qp @ v))
 
 
@@ -333,8 +332,7 @@ def find_saddle(
     if not window.contains(lam):
         raise SaddleOutsideWindowError(f"start {lam:.6g} outside window")
 
-    dP = derivative(P)
-    here = PointEval(P, w, lam, dP)
+    here = PointEval(P, w, lam)
     if here.on_spectrum:
         raise SaddleAtEigenvalueError("start is numerically on the spectrum")
 
@@ -351,8 +349,8 @@ def find_saddle(
             J = np.empty((2, 2))
             ok = True
             for col, dz in enumerate((h, 1j * h)):
-                gp = PointEval(P, w, lam + dz, dP).ratio_grad
-                gm = PointEval(P, w, lam - dz, dP).ratio_grad
+                gp = PointEval(P, w, lam + dz).ratio_grad
+                gm = PointEval(P, w, lam - dz).ratio_grad
                 if gp is None or gm is None:
                     ok = False
                     break
@@ -368,7 +366,7 @@ def find_saddle(
             alpha, accepted = 1.0, False
             for _ in range(25):
                 cand = lam + alpha * complex(step[0], step[1])
-                trial = PointEval(P, w, cand, dP)
+                trial = PointEval(P, w, cand)
                 if trial.on_spectrum:
                     raise SaddleAtEigenvalueError(
                         f"iterates converged to the spectrum near {cand:.6g}"

@@ -26,7 +26,6 @@ from .matpoly import (
     EigenReport,
     MatrixPolynomial,
     WeightPolynomial,
-    derivative,
     leading_s_min,
     max_norm,
     require_nonsingular_leading,
@@ -153,10 +152,13 @@ class BoundaryCurve:
     """
 
     points: np.ndarray
-    closed: bool
     termination: Termination
     interior_curve: bool = False
     detail: str = ""
+
+    @property
+    def closed(self) -> bool:
+        return self.termination is Termination.closed
 
 
 def compute_field(
@@ -248,8 +250,9 @@ def find_boundary_seed(
     """Point with |F_eps| below tolerance on the ray lam0 + t*direction.
 
     lam0 must be strictly inside the sublevel set (F_eps(lam0) < 0, true for
-    any eigenvalue); the ray is marched to the window edge to bracket a sign
-    change, then bisected.
+    any eigenvalue).  One F_eps call samples the ray up to the window edge;
+    the first sample outside the set brackets a sign change with the one
+    before it, which is then bisected point by point.
     """
     direction = complex(direction)
     if direction == 0:
@@ -265,19 +268,15 @@ def find_boundary_seed(
     t_max = _ray_exit_parameter(window, lam0, direction)
     if t_max <= 0:
         raise SeedNotFoundError("starting point lies on the window edge")
-    lo = 0.0
-    hi = None
-    for t in np.linspace(0.0, t_max, _SEED_SAMPLES)[1:]:
-        f = F_eps(P, w, eps, lam0 + t * direction)
-        if f >= 0:
-            hi = t
-            break
-        lo = t
-    if hi is None:
+    ts = np.linspace(0.0, t_max, _SEED_SAMPLES)[1:]
+    outside = F_eps(P, w, eps, lam0 + ts * direction) >= 0
+    k = int(np.argmax(outside))
+    if not outside[k]:
         raise SeedNotFoundError(
             "no sign change of F_eps along the ray inside the window; the "
             "component may be unbounded through the window edge"
         )
+    lo, hi = (float(ts[k - 1]) if k else 0.0), float(ts[k])
     # bisect to full floating-point convergence; the final midpoint then
     # sits on the curve well inside the on-curve tolerance
     for _ in range(120):
@@ -291,10 +290,10 @@ def find_boundary_seed(
             hi = mid
     seed = lam0 + 0.5 * (lo + hi) * direction
     tol = on_curve_tolerance(P)
-    if abs(F_eps(P, w, eps, seed)) > tol:
+    residual = abs(F_eps(P, w, eps, seed))
+    if residual > tol:
         raise SeedNotFoundError(
-            f"bisection converged but |F_eps| = "
-            f"{abs(F_eps(P, w, eps, seed)):.3e} stays above tolerance {tol:.3e}"
+            f"bisection converged but |F_eps| = {residual:.3e} stays above tolerance {tol:.3e}"
         )
     return seed
 
@@ -338,7 +337,7 @@ def retraced_curve(
     of two components that face each other across a neck narrower than
     that distance: their boundaries run opposite ways there.
     """
-    g = PointEval(P, w, seed, derivative(P)).grad_F(eps)
+    g = PointEval(P, w, seed).grad_F(eps)
     if not g.valid or g.norm == 0.0:
         return None
     tangent = complex(-g.dy, g.dx)
@@ -381,8 +380,7 @@ def trace_boundary(
     """
     step_size = _tracer_step(window, step_size)
     tol = on_curve_tolerance(P)
-    dP = derivative(P)
-    here = PointEval(P, w, seed, dP)
+    here = PointEval(P, w, seed)
     f_seed = here.F(eps)
     if abs(f_seed) > tol:
         raise PreconditionError(f"seed is not on the curve: |F_eps| = {abs(f_seed):.3e}")
@@ -391,16 +389,13 @@ def trace_boundary(
         raise PreconditionError("gradient at seed is invalid or vanishing")
 
     normal = np.array([g.dx, g.dy]) / g.norm
-    probe = 2.0 * step_size
-    interior_curve = (
-        F_eps(P, w, eps, seed + probe * complex(*normal)) <= 0
-        and F_eps(P, w, eps, seed - probe * complex(*normal)) <= 0
-    )
+    probe = 2.0 * step_size * complex(*normal)
+    interior_curve = bool(np.all(F_eps(P, w, eps, seed + np.array([probe, -probe])) <= 0))
 
     def correct(lam: complex, step: float):
         """Newton along grad_F toward F = 0; the converged PointEval, or None."""
         for _ in range(_MAX_CORRECTOR_ITERS):
-            pe = PointEval(P, w, lam, dP)
+            pe = PointEval(P, w, lam)
             f = pe.F(eps)
             if abs(f) <= tol:
                 return pe
@@ -476,7 +471,6 @@ def trace_boundary(
 
     return BoundaryCurve(
         points=np.array(pts, dtype=complex),
-        closed=termination is Termination.closed,
         termination=termination,
         interior_curve=interior_curve,
         detail=detail,

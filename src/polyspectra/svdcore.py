@@ -9,7 +9,7 @@ when the surface gap or the value itself is too small for the formula to be
 trusted.
 
 A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
-ray bisection, simplex searches, gaps, certificate residuals) goes through
+seed rays, simplex searches, gaps, certificate residuals) goes through
 ``singular_values_many``, the one values-only SVD of P(lambda), for a
 single point as for a grid.  A grid larger than one chunk is decomposed
 on every CPU in the process's affinity mask: the calling thread runs the
@@ -34,7 +34,6 @@ from .errors import PreconditionError
 from .matpoly import (
     MatrixPolynomial,
     WeightPolynomial,
-    derivative,
     evaluate,
     evaluate_many,
     weight_deriv_eval,
@@ -172,13 +171,16 @@ def _require_eps(eps: float) -> None:
         raise PreconditionError("eps must be nonnegative")
 
 
-def F_eps(P: MatrixPolynomial, w: WeightPolynomial, eps: float, lam: complex) -> float:
-    """Level function s_min(lambda) - eps * w(|lambda|).
+def F_eps(P: MatrixPolynomial, w: WeightPolynomial, eps: float, lam):
+    """Level function s_min(lambda) - eps * w(|lambda|) at a point, or at
+    every point of an array (result shaped like ``lam``).
 
-    Nonpositive exactly on the eps-sublevel set of s_min / w.
+    Nonpositive exactly on the eps-sublevel set of s_min / w.  |lambda| is
+    ``np.hypot`` of the parts, which rounds like ``abs()`` of a complex.
     """
     _require_eps(eps)
-    return s_min(P, lam) - eps * weight_eval(w, abs(lam))
+    L = np.asarray(lam, dtype=complex)
+    return singular_values_many(P, L)[..., -1] - eps * weight_eval(w, np.hypot(L.real, L.imag))
 
 
 class PointEval:
@@ -187,11 +189,10 @@ class PointEval:
     ``gap`` is s_{n-1} - s_n (infinite for n = 1); ``smooth`` says s_min is
     simple and nonzero, so the closed-form gradient ``s_grad`` holds;
     ``weight_grad``, the gradient of w(|.|), is None at the origin for a
-    non-constant weight.  Callers that evaluate many points pass the
-    derivative polynomial ``dP``, built once.
+    non-constant weight.  P'(lambda) is evaluated from the P' kept on P.
     """
 
-    def __init__(self, P: MatrixPolynomial, w: WeightPolynomial, lam: complex, dP=None):
+    def __init__(self, P: MatrixPolynomial, w: WeightPolynomial, lam: complex):
         self.lam = lam
         self.trip = singular_triplets(P, lam)
         s = self.trip.values
@@ -199,7 +200,7 @@ class PointEval:
         self.gap = float(s[-2] - s[-1]) if self.trip.n >= 2 else np.inf
         self.on_spectrum = on_spectrum(s)
         self.smooth = bool(self.gap > GAP_RTOL * float(s[0]) and not self.on_spectrum)
-        self.deriv = evaluate(derivative(P) if dP is None else dP, lam)
+        self.deriv = evaluate(P.derivative, lam)
         core = self.trip.left[:, -1].conj() @ (self.deriv @ self.trip.right[:, -1])
         self.s_grad = np.array([core.real, (1j * core).real])
         r = abs(lam)

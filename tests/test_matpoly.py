@@ -87,6 +87,17 @@ class TestEvaluate:
         for idx in np.ndindex(2, 2):
             assert np.allclose(batch[idx], evaluate(uptri_quadratic, lams[idx]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_point_equals_array_entry_bitwise(self, n):
+        # a single point, at n = 1 a one-element product, rounds like an array
+        rng = np.random.default_rng(12)
+        P = random_polynomial(rng, n, 3)
+        lams = rng.uniform(-3, 3, 500) + 1j * rng.uniform(-3, 3, 500)
+        batch = evaluate_many(P, lams)
+        for lam, want in zip(lams, batch):
+            assert evaluate_many(P, lam).tobytes() == want.tobytes()
+            assert evaluate(P, lam).tobytes() == want.tobytes()
+
 
 class TestDerivative:
     def test_uptri_coefficients(self, uptri_quadratic):
@@ -104,6 +115,10 @@ class TestDerivative:
         D = derivative(scalar_double_root)  # 2*lambda - 2
         assert D.coeffs[0][0, 0] == -2.0
         assert D.coeffs[1][0, 0] == 2.0
+
+    def test_built_once_per_polynomial(self, damped_system):
+        assert derivative(damped_system) is derivative(damped_system)
+        assert damped_system.derivative is derivative(damped_system)
 
 
 class TestMaxNorm:

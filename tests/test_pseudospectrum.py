@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +28,13 @@ from polyspectra import (
     weight_eval,
 )
 from polyspectra import pseudospectrum
+from polyspectra.cli import parse_problem
 from polyspectra.pseudospectrum import MAX_GRID_POINTS, label_sublevel, on_curve_tolerance
 from polyspectra.svdcore import F_eps
 
 from conftest import random_polynomial, random_weight
+
+FIXTURE_FILES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +185,82 @@ class TestBoundarySeed:
         win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=11, ny=11)
         with pytest.raises(PreconditionError):
             find_boundary_seed(disc_pair, unit_weight, 0.25, 5.0, 1.0, win)
+
+
+def reference_seed(P, w, eps, lam0, direction, window):
+    """Reference: march the ray one point at a time, then bisect."""
+
+    def level(z):
+        return s_min(P, z) - eps * weight_eval(w, abs(z))
+
+    direction = complex(direction)
+    direction /= abs(direction)
+    if not window.contains(lam0):
+        raise PreconditionError("outside the window")
+    if level(lam0) >= 0:
+        raise PreconditionError("not inside the sublevel set")
+    t_max = pseudospectrum._ray_exit_parameter(window, lam0, direction)
+    if t_max <= 0:
+        raise SeedNotFoundError("on the window edge")
+    lo, hi = 0.0, None
+    for t in np.linspace(0.0, t_max, pseudospectrum._SEED_SAMPLES)[1:]:
+        if level(lam0 + t * direction) >= 0:
+            hi = t
+            break
+        lo = t
+    if hi is None:
+        raise SeedNotFoundError("no sign change")
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if level(lam0 + mid * direction) < 0:
+            lo = mid
+        else:
+            hi = mid
+    seed = lam0 + 0.5 * (lo + hi) * direction
+    if abs(level(seed)) > on_curve_tolerance(P):
+        raise SeedNotFoundError("off the curve")
+    return seed
+
+
+class TestSeedRay:
+    """One F_eps call samples the ray; the seed is that of the point march."""
+
+    @pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.stem)
+    def test_matches_point_march_bitwise(self, path):
+        spec = parse_problem(path.read_text())
+        P, w, window = spec.polynomial, spec.weight, spec.window
+        outcomes = []
+        for eps in spec.epsilons:
+            for lam in eigenvalues(P).eigenvalues:
+                for direction in (1.0, -1.0, 1j, -1j):
+                    try:
+                        want = reference_seed(P, w, eps, lam, direction, window)
+                    except (PreconditionError, SeedNotFoundError) as exc:
+                        with pytest.raises(type(exc)):
+                            find_boundary_seed(P, w, eps, lam, direction, window)
+                        outcomes.append(type(exc))
+                        continue
+                    got = find_boundary_seed(P, w, eps, lam, direction, window)
+                    assert complex(got) == complex(want)
+                    outcomes.append(complex)
+        assert complex in outcomes
+
+    def test_one_call_samples_the_ray(
+        self, uptri_quadratic, weight_quadratic, uptri_window, monkeypatch
+    ):
+        sizes = []
+
+        def counting(P, w, eps, lam):
+            sizes.append(np.size(lam))
+            return F_eps(P, w, eps, lam)
+
+        monkeypatch.setattr(pseudospectrum, "F_eps", counting)
+        find_boundary_seed(uptri_quadratic, weight_quadratic, 0.005, 1.0, 1.0, uptri_window)
+        assert [k for k in sizes if k > 1] == [pseudospectrum._SEED_SAMPLES - 1]
+        assert sizes[0] == 1 and sizes[1] > 1  # lam0, then the ray
+        assert sizes.count(1) <= 122  # lam0, at most 120 bisection steps, the seed
 
 
 class TestTraceBoundary:

@@ -142,6 +142,22 @@ class TestLevelFunction:
         with pytest.raises(PreconditionError):
             F_eps(uptri_quadratic, weight_quadratic, -0.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "poly, weight",
+        [("scalar_double_root", "weight_linear"), ("damped_system", "weight_damped")],
+    )
+    def test_array_matches_points_bitwise(self, request, poly, weight):
+        # one call on an array gives each point's value to the last bit,
+        # |lambda| included, and keeps the array's shape
+        P, w = request.getfixturevalue(poly), request.getfixturevalue(weight)
+        rng = np.random.default_rng(10)
+        lams = (rng.uniform(-3, 3, 2000) + 1j * rng.uniform(-3, 3, 2000)).reshape(40, 50)
+        got = F_eps(P, w, 0.3, lams)
+        assert got.shape == lams.shape
+        want = np.array([[F_eps(P, w, 0.3, z) for z in row] for row in lams])
+        assert got.tobytes() == want.tobytes()
+        assert np.all(want.reshape(-1) == [s_min(P, z) - 0.3 * w(abs(z)) for z in lams.flat])
+
 
 class TestGradSMin:
     def test_uptri_matches_weight_gradient(self, uptri_quadratic, weight_quadratic):

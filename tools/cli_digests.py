@@ -12,9 +12,12 @@ distance, with the ``--eps-max`` and ``--mu`` values of the benchmark.
 ``epsilons`` passed as ``--eps``, which adds the level curves to its SVG.
 ``field``, ``components``, ``trace``, ``faults`` and ``distance`` also run as
 ``<command>+nowindow`` on the ``NO_WINDOW`` fixtures with ``window`` removed
-from the document, so they take the default window and grid.  Run it
-in two checkouts and diff the output to show that a change keeps the CLI
-outputs byte-identical:
+from the document, so they take the default window and grid.
+``trace+seed`` traces the ``SEEDED`` fixture at one level from an explicit
+``--seed``, the benchmark's explicit-seed operation, so ``trace_boundary``
+also runs from a seed no eigenvalue ray supplies.  Run it in two checkouts
+and diff the output to show that a change keeps the CLI outputs
+byte-identical:
 
     python tools/cli_digests.py > digests.txt
     python tools/cli_digests.py --keep out/    # also keep the output files
@@ -55,6 +58,9 @@ REFERENCES = {
 # Fixtures also run without their window; the first has a reference distance.
 NO_WINDOW = ("uptri_quadratic_2x2", "diag_movable_eigenvalue_2x2")
 
+# (fixture, eps, seed) of the explicit-seed trace, as in the pointwise workload.
+SEEDED = ("diag_quadratic_pair_2x2", 1.0, (2.414213562373095, 0.0))
+
 # Output files each run writes; a run is a command, or a command and a
 # variant of its arguments after a "+".
 OUTPUTS = {
@@ -71,6 +77,7 @@ OUTPUTS = {
     "trace+nowindow": ("csv", "svg", "json"),
     "faults+nowindow": ("json", "svg"),
     "distance+nowindow": ("json",),
+    "trace+seed": ("csv", "svg", "json"),
 }
 
 
@@ -79,6 +86,9 @@ def _extra_args(run: str, path: Path) -> list | None:
     command, _, variant = run.partition("+")
     if variant == "nowindow" and name not in NO_WINDOW:
         return None
+    if variant == "seed":
+        fixture, eps, seed = SEEDED
+        return ["--eps", repr(eps), "--seed", *map(repr, seed)] if name == fixture else None
     if variant == "eps":
         return ["--eps", *(repr(e) for e in json.loads(path.read_text())["epsilons"])]
     if command in ("distance", "perturb"):
