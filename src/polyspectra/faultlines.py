@@ -4,8 +4,12 @@ Surfaces that coincide identically (repeated structure in the polynomial)
 are first collapsed through a probe-based index map; the fault set is then
 the zero set of the gap between the two lowest surviving surfaces.  The gap
 is nonnegative and typically conic at its zeros, so refinement uses a
-derivative-free simplex search.  Fault detection never involves the weight
-polynomial: the operation signatures admit no weight input.
+derivative-free simplex search.  ``simplex_minima`` is the one Nelder-Mead
+of the package: it takes scipy's steps bit for bit, but advances the
+simplices of all its starts together, so that each step is one batched
+singular-value call however many candidates are refined.  Fault detection
+never involves the weight polynomial: the operation signatures admit no
+weight input.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, optimize
+from scipy import ndimage
 
 from .errors import PreconditionError
 from .matpoly import MatrixPolynomial
@@ -33,6 +37,13 @@ PROBE_SEED = 20240
 
 # Nelder-Mead iteration budget per candidate cell.
 REFINE_MAXITER = 200
+
+# Nelder-Mead in the plane: scipy's reflection, expansion, contraction and
+# shrink coefficients, initial simplex steps and stopping tolerances.
+_NDIM = 2
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+_XATOL, _FATOL = 1e-12, 1e-15
 
 
 @dataclass(frozen=True)
@@ -102,6 +113,13 @@ def collapsed_gap(P: MatrixPolynomial, lam: complex, smap: SurfaceIndexMap) -> f
     return float(surface_gap(singular_values_many(P, lam), smap.c1, smap.c2))
 
 
+def _fault_rows(svals, smap: SurfaceIndexMap):
+    """Row-wise fault test on descending singular values: the collapsed gap
+    is at most REFINED_GAP_RTOL * (1 + s_1)."""
+    gap = surface_gap(svals, smap.c1, smap.c2)
+    return gap <= REFINED_GAP_RTOL * (1.0 + svals[..., 0])
+
+
 def is_fault_point(P: MatrixPolynomial, lam: complex, smap: SurfaceIndexMap) -> bool:
     """True iff the collapsed gap at lambda is at most
     REFINED_GAP_RTOL * (1 + s_1(lambda)).
@@ -111,22 +129,110 @@ def is_fault_point(P: MatrixPolynomial, lam: complex, smap: SurfaceIndexMap) -> 
     """
     if smap.c2 is None:
         return False
-    s = singular_values_many(P, lam)
-    return float(surface_gap(s, smap.c1, smap.c2)) <= REFINED_GAP_RTOL * (1.0 + float(s[0]))
+    return bool(_fault_rows(singular_values_many(P, lam), smap))
 
 
-def simplex_minimum(f, start: complex, window: GridSpec, maxiter: int) -> tuple:
-    """Nelder-Mead minimum of the real function ``f(lambda)`` from ``start``
-    inside the window, within ``maxiter`` iterations: the point, the value
-    of ``f`` there and the iterations taken."""
-    res = optimize.minimize(
-        lambda p: f(complex(p[0], p[1])),
-        x0=[start.real, start.imag],
-        method="Nelder-Mead",
-        bounds=[(window.x_min, window.x_max), (window.y_min, window.y_max)],
-        options=dict(maxiter=maxiter, xatol=1e-12, fatol=1e-15),
-    )
-    return complex(res.x[0], res.x[1]), float(res.fun), int(res.nit)
+def _complex_points(xy: np.ndarray) -> np.ndarray:
+    """(m, 2) coordinates as m complex points; a view keeps the sign of a
+    zero part, which ``x + 1j * y`` would not."""
+    return np.ascontiguousarray(xy, dtype=float).view(complex)[:, 0]
+
+
+def simplex_minima(f, starts, window: GridSpec, maxiter: int) -> list:
+    """Nelder-Mead minima of a real function inside the window, one per start.
+
+    ``f`` maps a complex array to a real array of the same shape.  Every
+    start walks its own simplex; all live simplices advance together, and
+    each step evaluates every point they ask for in one call of ``f``.  Each
+    walker takes exactly the steps of scipy's bounded Nelder-Mead
+    (``method="Nelder-Mead"`` with ``xatol=1e-12``, ``fatol=1e-15``): the same
+    initial simplex, coefficients, comparisons, clipping and ordering.  So
+    with an ``f`` that gives a point the same bits in any array, the result
+    ``(point, value, iterations)`` of each start is the one scipy returns.
+    """
+    x0 = np.array([(z.real, z.imag) for z in starts], dtype=float).reshape(-1, 2)
+    k = len(x0)
+    if k == 0:
+        return []
+    lower = np.array([window.x_min, window.y_min])
+    upper = np.array([window.x_max, window.y_max])
+    x0 = np.clip(x0, lower, upper)
+
+    # vertex j + 1 moves coordinate j of the start by 5%, or to 0.00025 from 0
+    sim = np.repeat(x0[:, None, :], _NDIM + 1, axis=1)
+    for j in range(_NDIM):
+        sim[:, j + 1, j] = np.where(x0[:, j] != 0, (1 + _NONZDELT) * x0[:, j], _ZDELT)
+    # vertices beyond the upper bound are reflected into the window
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = f(_complex_points(sim.reshape(-1, _NDIM))).reshape(k, _NDIM + 1)
+    rows = np.arange(k)[:, None]
+    for _ in range(2):  # scipy sorts the first simplex twice
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
+
+    points = np.empty((k, _NDIM))
+    values = np.empty(k)
+    iters = np.empty(k, dtype=int)
+    live = np.arange(k)
+    iterations = 1
+    while iterations < maxiter:
+        done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL) & (
+            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL
+        )
+        if done.any():
+            ended = live[done]
+            points[ended], values[ended] = sim[done, 0], fsim[done].min(axis=1)
+            iters[ended] = iterations
+            keep = ~done
+            live, sim, fsim = live[keep], sim[keep], fsim[keep]
+            if len(live) == 0:
+                break
+            rows = rows[: len(live)]
+
+        worst = sim[:, -1]
+        xbar = np.add.reduce(sim[:, :-1], 1) / _NDIM
+        xr = np.clip((1 + _RHO) * xbar - _RHO * worst, lower, upper)
+        fxr = f(_complex_points(xr))
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~accept & (fxr < fsim[:, -1])
+        inside = ~(expand | accept | outside)
+
+        # the second point: expansion, outside or inside contraction
+        x2 = np.where(
+            expand[:, None],
+            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+            np.where(
+                outside[:, None],
+                (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                (1 - _PSI) * xbar + _PSI * worst,
+            ),
+        )
+        x2 = np.clip(x2, lower, upper)
+        fx2 = np.full(len(live), np.nan)
+        asks = ~accept
+        fx2[asks] = f(_complex_points(x2[asks]))
+        take2 = (
+            (expand & (fx2 < fxr)) | (outside & (fx2 <= fxr)) | (inside & (fx2 < fsim[:, -1]))
+        )
+        # a failed contraction shrinks the simplex; every other walker
+        # replaces its worst vertex by the second point or the reflection
+        shrink = (outside | inside) & ~take2
+        sim[:, -1] = np.where(shrink[:, None], worst, np.where(take2[:, None], x2, xr))
+        fsim[:, -1] = np.where(shrink, fsim[:, -1], np.where(take2, fx2, fxr))
+        if shrink.any():
+            s = sim[shrink]
+            s[:, 1:] = np.clip(s[:, :1] + _SIGMA * (s[:, 1:] - s[:, :1]), lower, upper)
+            sim[shrink] = s
+            fsim[shrink, 1:] = f(_complex_points(s[:, 1:].reshape(-1, _NDIM))).reshape(-1, _NDIM)
+        iterations += 1
+        order = np.argsort(fsim, axis=1)
+        sim, fsim = sim[rows, order], fsim[rows, order]
+
+    points[live], values[live], iters[live] = sim[:, 0], fsim.min(axis=1), iterations
+    return [
+        (complex(x, y), float(v), int(n)) for (x, y), v, n in zip(points.tolist(), values, iters)
+    ]
 
 
 def fault_scan(
@@ -140,8 +246,9 @@ def fault_scan(
     The collapsed gap is sampled on the grid; 8-neighbor local minima whose
     value is below 10 * cell diagonal * local slope estimate are candidate
     cells (the margin keeps curve crossings between nodes from being
-    missed).  Each candidate is refined by Nelder-Mead simplex minimization
-    of the gap, and refined points are kept where ``is_fault_point`` holds.
+    missed).  All candidates are refined together by ``simplex_minima`` on
+    the gap, one batched SVD per simplex step, and the refined points are
+    kept where the ``is_fault_point`` rule holds, tested in one more call.
     An empty report is a valid outcome; with fewer than two distinct
     surfaces (scalar problems, fully repeated structure) the fault set is
     vacuously empty.  A caller that already holds
@@ -168,13 +275,16 @@ def fault_scan(
     # argwhere lists the cells in row-major, i.e. sorted, order
     cells = tuple((int(i), int(j)) for i, j in np.argwhere(is_min & (g <= tau_cell)))
 
+    def gaps(z: np.ndarray) -> np.ndarray:
+        return surface_gap(singular_values_many(P, z), smap.c1, smap.c2)
+
+    starts = [complex(xs[i], ys[j]) for i, j in cells]
+    minima = simplex_minima(gaps, starts, grid, REFINE_MAXITER)
     refined = []
-    for i, j in cells:
-        lam, gval, _ = simplex_minimum(
-            lambda z: collapsed_gap(P, z, smap), complex(xs[i], ys[j]), grid, REFINE_MAXITER
-        )
-        if is_fault_point(P, lam, smap):
-            refined.append((lam, gval))
+    if minima:
+        lams = np.array([lam for lam, _, _ in minima])
+        fault = _fault_rows(singular_values_many(P, lams), smap)
+        refined = [(lam, gval) for (lam, gval, _), ok in zip(minima, fault) if ok]
 
     # near-duplicate refinements from neighboring cells collapse to one point
     dedupe_radius = 0.5 * grid.cell_diagonal

@@ -35,7 +35,7 @@ from .faultlines import (
     collapsed_gap,
     default_probes,
     is_fault_point,
-    simplex_minimum,
+    simplex_minima,
 )
 from .matpoly import (
     MatrixPolynomial,
@@ -324,9 +324,10 @@ def find_saddle(
     of the ratio coincides with a vanishing level-function gradient at the
     matching level).  When the smooth iteration stalls or the gradient loses
     validity, the search switches to simplex minimization of the second
-    lowest distinct surface ratio: where that minimum touches the lowest
-    surface the components meet on a surface crossing, which is returned as
-    an on-fault merge point.
+    lowest distinct surface ratio (``simplex_minima`` from the last iterate,
+    within ``_CROSSING_MAXITER`` iterations): where that minimum touches the
+    lowest surface the components meet on a surface crossing, which is
+    returned as an on-fault merge point.
     """
     lam = complex(start)
     if not window.contains(lam):
@@ -398,11 +399,12 @@ def find_saddle(
             "smooth search stalled and all surfaces coincide; no crossing to use"
         )
 
-    def second_ratio(z: complex) -> float:
-        s = singular_values_many(P, z)
-        return float(s[smap.c2 - 1]) / weight_eval(w, abs(z))
+    def second_ratios(z: np.ndarray) -> np.ndarray:
+        # np.hypot rounds |z| like abs() of one complex; np.abs does not
+        second = singular_values_many(P, z)[:, smap.c2 - 1]
+        return second / weight_eval(w, np.hypot(z.real, z.imag))
 
-    mu, _, nit = simplex_minimum(second_ratio, lam, window, _CROSSING_MAXITER)
+    ((mu, _, nit),) = simplex_minima(second_ratios, [lam], window, _CROSSING_MAXITER)
     s = singular_values_many(P, mu)
     if on_spectrum(s):
         raise SaddleAtEigenvalueError(f"crossing search converged to the spectrum at {mu:.6g}")
@@ -450,6 +452,11 @@ def distance_to_multiple(
         window = default_window(P, w, eps_max=eps_eff, nx=nx, ny=ny, eigen=eigen)
     if not all(window.contains(z) for z in eigen.eigenvalues):
         raise PreconditionError("window must contain every eigenvalue of P")
+    if len(eigen.eigenvalues) < 2:
+        raise PreconditionError(
+            f"{len(eigen.eigenvalues)} distinct eigenvalue in the window; "
+            "two components can meet only between two distinct eigenvalues"
+        )
     field = compute_field(P, w, window)
     eigs = [complex(z) for z in eigen.eigenvalues]
 

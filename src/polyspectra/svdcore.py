@@ -9,7 +9,8 @@ when the surface gap or the value itself is too small for the formula to be
 trusted.
 
 A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
-seed rays, simplex searches, gaps, certificate residuals) goes through
+seed rays, the simplex searches, which evaluate every live simplex's
+points in one call per step, gaps, certificate residuals) goes through
 ``singular_values_many``, the one values-only SVD of P(lambda), for a
 single point as for a grid.  A grid larger than one chunk is decomposed
 on every CPU in the process's affinity mask: the calling thread runs the

@@ -110,6 +110,18 @@ class TestExitCodes:
         # perturbing at an eigenvalue degenerates the construction
         assert main(["perturb", "--input", UPTRI, "--mu", "1.0", "0.0"]) == 4
 
+    def test_distance_needs_two_distinct_eigenvalues(self, capsys, monkeypatch):
+        # (l - 1)^2 has one distinct eigenvalue, so no two components can
+        # meet; this is known before any field is sampled
+        from polyspectra import perturbations
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("field sampled")
+
+        monkeypatch.setattr(perturbations, "compute_field", no_field)
+        assert main(["distance", "--input", SCALAR, "--eps-max", "0.2"]) == 4
+        assert "1 distinct eigenvalue" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", [("0", "5"), ("5", "0"), ("1", "1")])
     def test_grid_below_two_points(self, grid, capsys):
         assert main(["field", "--input", UPTRI, "--grid", *grid]) == 4

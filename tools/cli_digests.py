@@ -15,7 +15,10 @@ distance, with the ``--eps-max`` and ``--mu`` values of the benchmark.
 from the document, so they take the default window and grid.
 ``trace+seed`` traces the ``SEEDED`` fixture at one level from an explicit
 ``--seed``, the benchmark's explicit-seed operation, so ``trace_boundary``
-also runs from a seed no eigenvalue ray supplies.  Run it in two checkouts
+also runs from a seed no eigenvalue ray supplies.  ``faults+grid401`` runs
+``faults --grid 401 401`` on the ``GRID401`` fixtures, whose fault sets are
+curves, so that every candidate cell of the largest refinement batches
+(hundreds per fixture) is digested.  Run it in two checkouts
 and diff the output to show that a change keeps the CLI outputs
 byte-identical:
 
@@ -61,6 +64,9 @@ NO_WINDOW = ("uptri_quadratic_2x2", "diag_movable_eigenvalue_2x2")
 # (fixture, eps, seed) of the explicit-seed trace, as in the pointwise workload.
 SEEDED = ("diag_quadratic_pair_2x2", 1.0, (2.414213562373095, 0.0))
 
+# Fixtures whose faults also run at 401 x 401: the most candidate cells.
+GRID401 = ("diag_quadratic_pair_2x2", "normal_pencil_3x3")
+
 # Output files each run writes; a run is a command, or a command and a
 # variant of its arguments after a "+".
 OUTPUTS = {
@@ -78,6 +84,7 @@ OUTPUTS = {
     "faults+nowindow": ("json", "svg"),
     "distance+nowindow": ("json",),
     "trace+seed": ("csv", "svg", "json"),
+    "faults+grid401": ("json", "svg"),
 }
 
 
@@ -89,6 +96,8 @@ def _extra_args(run: str, path: Path) -> list | None:
     if variant == "seed":
         fixture, eps, seed = SEEDED
         return ["--eps", repr(eps), "--seed", *map(repr, seed)] if name == fixture else None
+    if variant == "grid401":
+        return ["--grid", "401", "401"] if name in GRID401 else None
     if variant == "eps":
         return ["--eps", *(repr(e) for e in json.loads(path.read_text())["epsilons"])]
     if command in ("distance", "perturb"):
