@@ -37,7 +37,6 @@ from .matpoly import (
     EigenReport,
     MatrixPolynomial,
     WeightPolynomial,
-    derivative,
     eigenvalues,
     evaluate,
     evaluate_many,
@@ -79,11 +78,7 @@ from .pseudospectrum import (
 )
 from .svdcore import (
     F_eps,
-    GradientValue,
     SingularTripletSet,
-    gap,
-    grad_F,
-    grad_s_min,
     s_min,
     singular_triplets,
     singular_values_many,

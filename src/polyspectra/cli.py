@@ -156,14 +156,16 @@ def _build_weight(doc, P: MatrixPolynomial):
 
 def _parse_window(doc) -> GridSpec:
     _require(isinstance(doc, dict), "window: expected an object")
+    sizes = {key: doc.get(key, DEFAULT_GRID) for key in ("nx", "ny")}
+    for key, size in sizes.items():  # a JSON integer: not a float, string or bool
+        _require(type(size) is int, f"window.{key}: expected an integer, got {size!r}")
     try:
         return GridSpec(
             x_min=float(doc["x_min"]),
             x_max=float(doc["x_max"]),
             y_min=float(doc["y_min"]),
             y_max=float(doc["y_max"]),
-            nx=int(doc.get("nx", DEFAULT_GRID)),
-            ny=int(doc.get("ny", DEFAULT_GRID)),
+            **sizes,
         )
     except KeyError as exc:
         raise InputError(f"window.{exc.args[0]}: missing") from exc

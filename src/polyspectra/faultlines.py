@@ -199,16 +199,8 @@ def simplex_minima(f, starts, window: GridSpec, maxiter: int) -> list:
         inside = ~(expand | accept | outside)
 
         # the second point: expansion, outside or inside contraction
-        x2 = np.where(
-            expand[:, None],
-            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
-            np.where(
-                outside[:, None],
-                (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
-                (1 - _PSI) * xbar + _PSI * worst,
-            ),
-        )
-        x2 = np.clip(x2, lower, upper)
+        c = np.where(expand, _RHO * _CHI, np.where(outside, _PSI * _RHO, -_PSI))[:, None]
+        x2 = np.clip((1 + c) * xbar - c * worst, lower, upper)
         fx2 = np.full(len(live), np.nan)
         asks = ~accept
         fx2[asks] = f(_complex_points(x2[asks]))

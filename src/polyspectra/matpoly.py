@@ -130,7 +130,12 @@ class EigenReport:
 
 
 def evaluate(P: MatrixPolynomial, lam: complex) -> np.ndarray:
-    """P(lambda) by Horner recurrence."""
+    """P(lambda) by Horner recurrence.
+
+    Kept apart from ``evaluate_many``, which gives the same bits: for one
+    point this loop is faster (``PointEval`` evaluates tens of thousands of
+    single points per trace), and on a grid the in-place array loop is.
+    """
     acc = np.array(P.coeffs[-1], dtype=complex)
     for C in reversed(P.coeffs[:-1]):
         acc = acc * lam + C
@@ -156,11 +161,6 @@ def evaluate_many(P: MatrixPolynomial, lams) -> np.ndarray:
         acc = np.multiply(acc, L, out=acc if acc.size > 1 else None)
         acc += C
     return acc
-
-
-def derivative(P: MatrixPolynomial) -> MatrixPolynomial:
-    """Term-wise derivative, degree max(m-1, 0): the P' kept on P."""
-    return P.derivative
 
 
 def max_norm(P: MatrixPolynomial) -> float:

@@ -173,7 +173,7 @@ def compute_field(
     pts = grid.points()
     if svals is None:
         svals = singular_values_many(P, pts)
-    values = svals[..., -1] / weight_eval(w, np.abs(pts))
+    values = svals[..., -1] / weight_eval(w, np.hypot(pts.real, pts.imag))
     values.setflags(write=False)
     return ScalarField(grid=grid, values=values)
 
@@ -338,9 +338,9 @@ def retraced_curve(
     that distance: their boundaries run opposite ways there.
     """
     g = PointEval(P, w, seed).grad_F(eps)
-    if not g.valid or g.norm == 0.0:
+    if g is None or not g.any():
         return None
-    tangent = complex(-g.dy, g.dx)
+    tangent = complex(-g[1], g[0])
     reach = _RETRACE_FRACTION * _tracer_step(window, step_size)
     for k, curve in enumerate(curves):
         a = curve.points[:-1]
@@ -385,10 +385,10 @@ def trace_boundary(
     if abs(f_seed) > tol:
         raise PreconditionError(f"seed is not on the curve: |F_eps| = {abs(f_seed):.3e}")
     g = here.grad_F(eps)
-    if not g.valid or g.norm <= SADDLE_GRAD_TOL:
+    if g is None or np.hypot(*g) <= SADDLE_GRAD_TOL:
         raise PreconditionError("gradient at seed is invalid or vanishing")
 
-    normal = np.array([g.dx, g.dy]) / g.norm
+    normal = g / np.hypot(*g)
     probe = 2.0 * step_size * complex(*normal)
     interior_curve = bool(np.all(F_eps(P, w, eps, seed + np.array([probe, -probe])) <= 0))
 
@@ -400,10 +400,10 @@ def trace_boundary(
             if abs(f) <= tol:
                 return pe
             gg = pe.grad_F(eps)
-            if not gg.valid or gg.norm == 0.0:
+            if gg is None or not gg.any():
                 return None
-            shift = f / gg.norm**2
-            move = complex(-shift * gg.dx, -shift * gg.dy)
+            shift = f / float(np.hypot(*gg)) ** 2
+            move = complex(-shift * gg[0], -shift * gg[1])
             if abs(move) > 2.0 * step:
                 return None
             lam = lam + move
@@ -419,23 +419,24 @@ def trace_boundary(
 
     for k in range(max_steps):
         g = here.grad_F(eps)
-        if not g.valid:
+        if g is None:
             termination = Termination.gradient_invalid
             detail = "gradient invalid (surface crossing, zero value, or origin)"
             break
-        if g.norm < SADDLE_GRAD_TOL:
+        norm = np.hypot(*g)
+        if norm < SADDLE_GRAD_TOL:
             termination = Termination.gradient_invalid
             detail = "gradient below stationarity threshold"
             break
         if prev_grad is not None:
             # pts[-2] exists and lies >= _MIN_ADVANCE_FRACTION of a step from lam
             dist = abs(lam - pts[-2])
-            hess = np.hypot(g.dx - prev_grad.dx, g.dy - prev_grad.dy) / dist
-            if hess > 0 and g.norm / hess <= _STATIONARY_PROXIMITY * step_size:
+            hess = np.hypot(*(g - prev_grad)) / dist
+            if hess > 0 and norm / hess <= _STATIONARY_PROXIMITY * step_size:
                 termination = Termination.gradient_invalid
                 detail = "stationary point of F_eps within reach (near self-intersection)"
                 break
-        tangent = np.array([-g.dy, g.dx]) / g.norm
+        tangent = np.array([-g[1], g[0]]) / norm
         if prev_tangent is not None:
             c = float(tangent @ prev_tangent)
             if c < _TANGENT_FLIP_COS:

@@ -4,9 +4,10 @@ The smallest singular value s_min(lambda) vanishes exactly on the spectrum,
 and the sublevel sets of s_min(lambda) / w(|lambda|) are the weighted
 pseudospectra.  Where s_min is simple and nonzero its gradient has the closed
 form (Re u* P'(lambda) v, Re u* i P'(lambda) v) in the trailing singular
-vector pair (u, v); the GradientValue carries a validity flag that is lowered
-when the surface gap or the value itself is too small for the formula to be
-trusted.
+vector pair (u, v).  ``PointEval.grad_F`` returns that gradient, less the
+weight term, as an array, or None where the surface gap or the value itself
+is too small for the formula to be trusted, or at the origin under a
+non-constant weight.
 
 A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
 seed rays, the simplex searches, which evaluate every live simplex's
@@ -80,29 +81,6 @@ class SingularTripletSet:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class GradientValue:
-    """A gradient sample together with the evidence for trusting it.
-
-    ``gap`` is s_{n-1} - s_n at the point (infinite for scalar problems).
-    ``valid`` is False when the gap or the value collapses below scale, or,
-    for weighted level gradients, at the origin where the weight term is not
-    differentiable.
-    """
-
-    dx: float
-    dy: float
-    gap: float
-    valid: bool
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dy])
-
-    @property
-    def norm(self) -> float:
-        return float(np.hypot(self.dx, self.dy))
 
 
 def singular_triplets(P: MatrixPolynomial, lam: complex) -> SingularTripletSet:
@@ -190,7 +168,9 @@ class PointEval:
     ``gap`` is s_{n-1} - s_n (infinite for n = 1); ``smooth`` says s_min is
     simple and nonzero, so the closed-form gradient ``s_grad`` holds;
     ``weight_grad``, the gradient of w(|.|), is None at the origin for a
-    non-constant weight.  P'(lambda) is evaluated from the P' kept on P.
+    non-constant weight.  ``grad_F(eps)`` is s_grad - eps * weight_grad, or
+    None unless both hold; ``ratio_grad`` is ``grad_F(ratio) / weight``.
+    P'(lambda) is evaluated from the P' kept on P.
     """
 
     def __init__(self, P: MatrixPolynomial, w: WeightPolynomial, lam: complex):
@@ -217,53 +197,17 @@ class PointEval:
         _require_eps(eps)
         return self.s_min - eps * self.weight
 
-    def grad_F(self, eps: float) -> GradientValue:
-        """Gradient of F; invalid at the origin under a non-constant weight."""
+    def grad_F(self, eps: float) -> np.ndarray | None:
+        """Gradient (d/dx, d/dy) of F; None where the closed form cannot be
+        trusted: s_min not simple and nonzero, or the origin under a
+        non-constant weight."""
         _require_eps(eps)
-        if self.weight_grad is None:
-            dx, dy = self.s_grad
-            return GradientValue(dx=float(dx), dy=float(dy), gap=self.gap, valid=False)
-        dx, dy = self.s_grad - eps * self.weight_grad
-        return GradientValue(dx=float(dx), dy=float(dy), gap=self.gap, valid=self.smooth)
+        if not self.smooth or self.weight_grad is None:
+            return None
+        return self.s_grad - eps * self.weight_grad
 
     @property
     def ratio_grad(self) -> np.ndarray | None:
-        """Gradient of s_min / w; None where the closed form cannot be trusted."""
-        if not self.smooth or self.weight_grad is None:
-            return None
-        return (self.s_grad - self.ratio * self.weight_grad) / self.weight
-
-
-def grad_s_min(P: MatrixPolynomial, lam: complex) -> GradientValue:
-    """Gradient of s_min at lambda = x + iy from the trailing singular pair.
-
-    Uses dP/dx = P'(lambda) and dP/dy = i P'(lambda).  Invalid (not raised)
-    when the smallest singular value is degenerate or numerically zero.
-    """
-    return PointEval(P, WeightPolynomial([1.0]), lam).grad_F(0.0)
-
-
-def grad_F(
-    P: MatrixPolynomial, w: WeightPolynomial, eps: float, lam: complex
-) -> GradientValue:
-    """Gradient of F_eps = s_min - eps * w(|.|).
-
-    At the origin the weight term w(|lambda|) is differentiable only for
-    constant w; with a non-constant weight the result is flagged invalid
-    rather than raising, so tracing code can treat it as a stop condition.
-    """
-    return PointEval(P, w, lam).grad_F(eps)
-
-
-def gap(P: MatrixPolynomial, lam: complex, indices: tuple[int, int] | None = None) -> float:
-    """Gap between the two lowest singular-value surfaces at lambda.
-
-    ``indices`` optionally supplies the canonical (c1, c2) pair, 1-based,
-    from a collapsed surface map; the default is the raw pair (n, n-1).
-    """
-    if P.n < 2:
-        raise PreconditionError("gap needs at least two singular values (n >= 2)")
-    c1, c2 = (P.n, P.n - 1) if indices is None else indices
-    if not (1 <= c2 < c1 <= P.n):
-        raise PreconditionError(f"bad surface indices {indices}")
-    return float(surface_gap(singular_values_many(P, lam), c1, c2))
+        """Gradient of s_min / w, None where ``grad_F`` is."""
+        g = self.grad_F(self.ratio)
+        return None if g is None else g / self.weight

@@ -222,6 +222,15 @@ class TestExitCodes:
         assert main(["components", "--input", str(p)]) == 2
         assert "window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", [40.9, "41", True])
+    def test_window_size_not_an_integer(self, size, tmp_path, capsys):
+        doc = json.loads(Path(UPTRI).read_text())
+        doc["window"]["nx"] = size
+        p = tmp_path / "size_window.json"
+        p.write_text(json.dumps(doc))
+        assert main(["field", "--input", str(p), "--eps", "0.01"]) == 2
+        assert "window.nx: expected an integer" in capsys.readouterr().err
+
 
 class TestOutputs:
     def test_eigs_json(self, tmp_path, capsys):

@@ -7,7 +7,6 @@ from polyspectra import (
     PreconditionError,
     SingularLeadingCoefficientError,
     WeightPolynomial,
-    derivative,
     eigenvalues,
     evaluate,
     evaluate_many,
@@ -101,24 +100,23 @@ class TestEvaluate:
 
 class TestDerivative:
     def test_uptri_coefficients(self, uptri_quadratic):
-        D = derivative(uptri_quadratic)
+        D = uptri_quadratic.derivative
         assert D.m == 1
         assert np.allclose(D.coeffs[0], [[-2, 1], [0, -4]])
         assert np.allclose(D.coeffs[1], [[2, 0], [0, 2]])
 
     def test_constant_gives_zero(self):
-        D = derivative(MatrixPolynomial([np.eye(2)]))
+        D = MatrixPolynomial([np.eye(2)]).derivative
         assert D.m == 0
         assert np.all(D.coeffs[0] == 0)
 
     def test_scalar_double_root(self, scalar_double_root):
-        D = derivative(scalar_double_root)  # 2*lambda - 2
+        D = scalar_double_root.derivative  # 2*lambda - 2
         assert D.coeffs[0][0, 0] == -2.0
         assert D.coeffs[1][0, 0] == 2.0
 
     def test_built_once_per_polynomial(self, damped_system):
-        assert derivative(damped_system) is derivative(damped_system)
-        assert damped_system.derivative is derivative(damped_system)
+        assert damped_system.derivative is damped_system.derivative
 
 
 class TestMaxNorm:

@@ -85,6 +85,18 @@ class TestComputeField:
     def test_nonnegative(self, uptri_field):
         assert np.all(uptri_field.values >= 0)
 
+    @pytest.mark.parametrize(
+        "name", ["uptri_quadratic_2x2", "damped_system_3x3", "scalar_double_root"]
+    )
+    def test_values_are_point_ratios_bit_for_bit(self, name):
+        # |lambda| is rounded as abs() rounds it, at every grid point
+        spec = parse_problem((FIXTURE_FILES[0].parent / f"{name}.json").read_text())
+        P, w = spec.polynomial, spec.weight
+        grid = replace(spec.window, nx=40, ny=50)
+        want = [s_min(P, z) / weight_eval(w, abs(z)) for z in grid.points().flat]
+        values = compute_field(P, w, grid).values
+        assert values.reshape(-1).tobytes() == np.array(want).tobytes()
+
 
 class TestComponents:
     def test_uptri_counts(self, uptri_field, uptri_quadratic):

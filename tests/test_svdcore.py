@@ -16,9 +16,6 @@ from polyspectra import (
     default_probes,
     eigenvalues,
     evaluate,
-    gap,
-    grad_F,
-    grad_s_min,
     s_min,
     singular_triplets,
     svdcore,
@@ -26,11 +23,12 @@ from polyspectra import (
     weight_eval,
 )
 from polyspectra.matpoly import eigenvalue_residual_scale, evaluate_many
-from polyspectra.svdcore import PointEval, singular_values_many
+from polyspectra.svdcore import PointEval, singular_values_many, surface_gap
 
 from conftest import random_polynomial, random_weight
 
 MU = 1.4145
+UNIT = WeightPolynomial([1.0])
 
 
 def fd_gradient(P, lam, h=1e-6):
@@ -165,21 +163,21 @@ class TestGradSMin:
         # gradient equals delta * w'(|mu|) in the radial direction
         delta = s_min(uptri_quadratic, MU) / weight_eval(weight_quadratic, MU)
         expected = delta * weight_deriv_eval(weight_quadratic, MU)
-        g = grad_s_min(uptri_quadratic, MU)
-        assert g.valid
-        assert g.dx == pytest.approx(expected, abs=2e-3)
-        assert g.dy == pytest.approx(0.0, abs=2e-3)
+        g = PointEval(uptri_quadratic, UNIT, MU).grad_F(0.0)
+        assert g is not None
+        assert g[0] == pytest.approx(expected, abs=2e-3)
+        assert g[1] == pytest.approx(0.0, abs=2e-3)
 
     def test_conic_pencil_invalid_at_origin(self, conic_pencil):
-        g = grad_s_min(conic_pencil, 0.0)
-        assert not g.valid
-        assert g.gap == pytest.approx(0.0, abs=1e-12)
+        pe = PointEval(conic_pencil, UNIT, 0.0)
+        assert pe.grad_F(0.0) is None
+        assert pe.gap == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_distance_gradient(self):
         P = MatrixPolynomial([[[-2.0]], [[1.0]]])
-        g = grad_s_min(P, 3.0)
-        assert g.valid
-        assert (g.dx, g.dy) == (pytest.approx(1.0, abs=1e-12), pytest.approx(0.0, abs=1e-12))
+        g = PointEval(P, UNIT, 3.0).grad_F(0.0)
+        assert g is not None
+        assert (g[0], g[1]) == (pytest.approx(1.0, abs=1e-12), pytest.approx(0.0, abs=1e-12))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -187,11 +185,12 @@ class TestGradSMin:
         while checked < 40:
             P = random_polynomial(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
             lam = complex(rng.normal(), rng.normal())
-            g = grad_s_min(P, lam)
-            if not g.valid or g.gap <= 1e-3 or s_min(P, lam) <= 1e-3:
+            pe = PointEval(P, UNIT, lam)
+            g = pe.grad_F(0.0)
+            if g is None or pe.gap <= 1e-3 or s_min(P, lam) <= 1e-3:
                 continue
             fd = fd_gradient(P, lam)
-            assert np.linalg.norm(g.as_array() - fd) <= 1e-5 * max(
+            assert np.linalg.norm(g - fd) <= 1e-5 * max(
                 1.0, np.linalg.norm(fd)
             )
             checked += 1
@@ -200,7 +199,7 @@ class TestGradSMin:
 class TestWeightedGradients:
     @pytest.mark.parametrize("which", ["grad_F", "ratio"])
     def test_matches_finite_differences(self, which):
-        # same loop as for grad_s_min, now with the w'(r) lambda / r term
+        # same loop as for the unweighted gradient, now with the w'(r) lambda / r term
         # of a non-constant weight
         rng = np.random.default_rng(11)
         h = 1e-6
@@ -215,7 +214,7 @@ class TestWeightedGradients:
             if not pe.smooth or pe.gap <= 1e-3 or pe.s_min <= 1e-3:
                 continue
             if which == "grad_F":
-                got = grad_F(P, w, eps, lam).as_array()
+                got = pe.grad_F(eps)
 
                 def f(z):
                     return F_eps(P, w, eps, z)
@@ -235,47 +234,50 @@ class TestWeightedGradients:
 
 class TestGradF:
     def test_vanishes_at_merge_point(self, uptri_quadratic, weight_quadratic):
-        g = grad_F(uptri_quadratic, weight_quadratic, 0.0091, MU)
-        assert g.valid
-        assert abs(g.dx) < 2e-3 and abs(g.dy) < 2e-3
+        g = PointEval(uptri_quadratic, weight_quadratic, MU).grad_F(0.0091)
+        assert g is not None
+        assert abs(g[0]) < 2e-3 and abs(g[1]) < 2e-3
 
     def test_invalid_at_origin_with_nonconstant_weight(
         self, scalar_double_root, weight_linear
     ):
-        g = grad_F(scalar_double_root, weight_linear, 1.0, 0.0)
-        assert not g.valid
+        assert PointEval(scalar_double_root, weight_linear, 0.0).grad_F(1.0) is None
 
     def test_constant_weight_at_origin_keeps_validity(self):
         P = MatrixPolynomial([[[-2.0]], [[1.0]]])
-        g = grad_F(P, WeightPolynomial([1.0]), 0.5, 0.0)
-        assert g.valid
+        assert PointEval(P, UNIT, 0.0).grad_F(0.5) is not None
 
     def test_constant_weight_drops_weight_term(self):
         P = MatrixPolynomial([[[-2.0]], [[1.0]]])
-        g = grad_F(P, WeightPolynomial([1.0]), 0.5, 3.0)
-        assert (g.dx, g.dy) == (pytest.approx(1.0, abs=1e-12), pytest.approx(0.0, abs=1e-12))
+        g = PointEval(P, UNIT, 3.0).grad_F(0.5)
+        assert (g[0], g[1]) == (pytest.approx(1.0, abs=1e-12), pytest.approx(0.0, abs=1e-12))
+
+    def test_none_exactly_where_ratio_grad_is_none(
+        self, conic_pencil, scalar_double_root, weight_linear, uptri_quadratic, weight_quadratic
+    ):
+        untrusted = [
+            PointEval(conic_pencil, UNIT, 0.0),  # s_min is a double value
+            PointEval(scalar_double_root, weight_linear, 0.0),  # the origin
+            PointEval(uptri_quadratic, weight_quadratic, 1.0),  # an eigenvalue
+        ]
+        for pe in untrusted:
+            assert pe.grad_F(0.3) is None and pe.ratio_grad is None
+        pe = PointEval(uptri_quadratic, weight_quadratic, MU)
+        assert pe.grad_F(0.3) is not None and pe.ratio_grad is not None
 
 
 class TestGap:
     def test_conic_pencil_zero(self, conic_pencil):
-        assert gap(conic_pencil, 0.0) == pytest.approx(0.0, abs=1e-12)
+        values = singular_values_many(conic_pencil, 0.0)
+        assert surface_gap(values, 3, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_movable_eigenvalue_critical(self, diag_movable):
-        assert gap(diag_movable, 1.0) == pytest.approx(0.0, abs=1e-12)
+        values = singular_values_many(diag_movable, 1.0)
+        assert surface_gap(values, 2, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_moduli(self):
         P = MatrixPolynomial([np.diag([-1.0, 1.0]), np.eye(2)])
-        assert gap(P, 5.0) == pytest.approx(2.0, rel=1e-12)
-
-    def test_scalar_rejected(self, scalar_double_root):
-        with pytest.raises(PreconditionError):
-            gap(scalar_double_root, 1.0)
-
-    def test_custom_indices(self, conic_pencil):
-        # raw pair versus explicitly supplied canonical pair
-        assert gap(conic_pencil, 0.3 + 0.1j, indices=(3, 2)) == pytest.approx(
-            gap(conic_pencil, 0.3 + 0.1j), rel=1e-14
-        )
+        assert surface_gap(singular_values_many(P, 5.0), 2, 1) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestValuesPath:
@@ -327,7 +329,7 @@ class TestValuesPath:
         smap = build_surface_map(conic_pencil, default_probes(window))
         for lam, row in zip(lams, batched):
             assert s_min(conic_pencil, lam) == row[-1]
-            assert gap(conic_pencil, lam) == row[-2] - row[-1]
+            assert surface_gap(singular_values_many(conic_pencil, lam), 3, 2) == row[-2] - row[-1]
             assert collapsed_gap(conic_pencil, lam, smap) == row[smap.c2 - 1] - row[smap.c1 - 1]
 
 
