@@ -99,18 +99,33 @@ def _require(cond: bool, msg: str) -> None:
         raise InputError(msg)
 
 
+def _number(value, where: str) -> float:
+    """A JSON number, an int or a float but never a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise InputError(f"{where}: {exc}") from exc
+
+
+def _real_matrix(rows, n: int, where: str) -> np.ndarray:
+    _require(
+        isinstance(rows, list)
+        and len(rows) == n
+        and all(isinstance(row, list) and len(row) == n for row in rows),
+        f"{where}: expected {n} rows of {n} numbers",
+    )
+    return np.array([[_number(x, where) for x in row] for row in rows])
+
+
 def _parse_matrix(entry, n: int, where: str) -> np.ndarray:
     _require(isinstance(entry, dict), f"{where}: expected an object with 're'/'im'")
     re = entry.get("re")
     im = entry.get("im")
     _require(re is not None, f"{where}.re: missing")
-    try:
-        re_arr = np.array(re, dtype=float)
-        im_arr = np.zeros((n, n)) if im is None else np.array(im, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: non-numeric matrix entry ({exc})") from exc
-    _require(re_arr.shape == (n, n), f"{where}.re: expected shape {(n, n)}, got {re_arr.shape}")
-    _require(im_arr.shape == (n, n), f"{where}.im: expected shape {(n, n)}, got {im_arr.shape}")
+    re_arr = _real_matrix(re, n, f"{where}.re")
+    im_arr = np.zeros((n, n)) if im is None else _real_matrix(im, n, f"{where}.im")
     _require(
         np.isfinite(re_arr).all() and np.isfinite(im_arr).all(),
         f"{where}: entries must be finite",
@@ -130,9 +145,7 @@ def _build_weight(doc, P: MatrixPolynomial):
     if mode == "unit":
         weight = WeightPolynomial([1.0])
     elif mode == "constant":
-        value = doc.get("value", 1.0)
-        _require(isinstance(value, (int, float)), "weight.value: expected a number")
-        value = float(value)
+        value = _number(doc.get("value", 1.0), "weight.value")
         _require(value > 0, "weight.value: must be positive")
         weight = WeightPolynomial([value])
     elif mode == "coefficient_norms":
@@ -146,10 +159,7 @@ def _build_weight(doc, P: MatrixPolynomial):
             len(vals) <= P.m + 1,
             f"weight.values: {len(vals)} entries exceed m+1 = {P.m + 1}",
         )
-        try:
-            custom = tuple(float(v) for v in vals)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"weight.values: non-numeric entry ({exc})") from exc
+        custom = tuple(_number(v, f"weight.values[{k}]") for k, v in enumerate(vals))
         weight = WeightPolynomial(custom)
     return weight, mode, value, custom
 
@@ -159,18 +169,12 @@ def _parse_window(doc) -> GridSpec:
     sizes = {key: doc.get(key, DEFAULT_GRID) for key in ("nx", "ny")}
     for key, size in sizes.items():  # a JSON integer: not a float, string or bool
         _require(type(size) is int, f"window.{key}: expected an integer, got {size!r}")
+    bounds = {}
+    for key in ("x_min", "x_max", "y_min", "y_max"):
+        _require(key in doc, f"window.{key}: missing")
+        bounds[key] = _number(doc[key], f"window.{key}")
     try:
-        return GridSpec(
-            x_min=float(doc["x_min"]),
-            x_max=float(doc["x_max"]),
-            y_min=float(doc["y_min"]),
-            y_max=float(doc["y_max"]),
-            **sizes,
-        )
-    except KeyError as exc:
-        raise InputError(f"window.{exc.args[0]}: missing") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"window: non-numeric field ({exc})") from exc
+        return GridSpec(**bounds, **sizes)
     except PreconditionError as exc:
         raise InputError(f"window: {exc}") from exc
 
@@ -210,8 +214,8 @@ def parse_problem(text: str) -> ProblemSpec:
     _require(isinstance(doc, dict), "top level: expected an object")
     n = doc.get("n")
     m = doc.get("m")
-    _require(isinstance(n, int) and n >= 1, "n: expected a positive integer")
-    _require(isinstance(m, int) and m >= 0, "m: expected a nonnegative integer")
+    _require(type(n) is int and n >= 1, "n: expected a positive integer")
+    _require(type(m) is int and m >= 0, "m: expected a nonnegative integer")
     coeffs_doc = doc.get("coefficients")
     _require(isinstance(coeffs_doc, list), "coefficients: expected a list")
     _require(
@@ -226,10 +230,7 @@ def parse_problem(text: str) -> ProblemSpec:
     window = _parse_window(doc["window"]) if "window" in doc else None
     eps_doc = doc.get("epsilons", [])
     _require(isinstance(eps_doc, list), "epsilons: expected a list")
-    try:
-        epsilons = tuple(float(e) for e in eps_doc)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"epsilons: non-numeric entry ({exc})") from exc
+    epsilons = tuple(_number(e, f"epsilons[{k}]") for k, e in enumerate(eps_doc))
     _check_values(epsilons, "eps", "epsilons")
     return ProblemSpec(
         polynomial=P,

@@ -13,14 +13,25 @@ A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
 seed rays, the simplex searches, which evaluate every live simplex's
 points in one call per step, gaps, certificate residuals) goes through
 ``singular_values_many``, the one values-only SVD of P(lambda), for a
-single point as for a grid.  A grid larger than one chunk is decomposed
-on every CPU in the process's affinity mask: the calling thread runs the
-Horner evaluation chunk by chunk, a thread pool created for the call runs
-the SVDs, and the 4 MiB budget covers every evaluated chunk in flight.
-Each chunk's values land in their own rows, so results do not depend on
-the core count.  A caller that needs vectors or a gradient reads
-everything from one ``PointEval``, a single SVD with vectors.  LAPACK's
-singular values with and without vectors may differ in the last bits.
+single point as for a grid.  It decomposes every block with ``_svals``,
+which has two kernels.  At n = 2 a closed form does it: a Givens rotation
+reduces each matrix to a real upper triangle, and LAPACK's DLAS2 formula
+(Demmel and Kahan, SISSC 1990) gives that triangle's singular values.  On
+a 401 x 401 grid it takes a fifth of the time of LAPACK's ``gesdd``,
+whose cost at n = 2 is call overhead, and it stays within a few units in
+the last place of s_1; the plain formula from ||A||_F and |det A| does
+not, near s_1 = s_2.  Every other n goes to ``np.linalg.svd`` (the Gram
+matrix would square the condition number).  The calling thread runs the
+Horner evaluation chunk by chunk, and the 4 MiB budget covers every
+evaluated chunk in flight and the closed form's work arrays.  At n = 2 it
+also runs the closed form; otherwise a grid larger than one chunk is
+decomposed on every CPU in the process's affinity mask, by a thread pool
+created for the call.  Each chunk's values land in their own rows, so
+results do not depend on the core count.  A caller that needs vectors or
+a gradient reads everything from one ``PointEval``, a single SVD with
+vectors.  LAPACK's singular values with and without vectors may differ
+in the last bits, and at n = 2 ``PointEval``'s values and the closed
+form's may too.
 """
 
 from __future__ import annotations
@@ -48,9 +59,14 @@ GAP_RTOL = 1e-8
 ZERO_RTOL = 1e-12
 ORIGIN_TOL = 1e-12
 
-# Bytes of evaluated matrices alive at once in a batched SVD, shared by the
-# chunk being evaluated and the chunks being decomposed.
+# Bytes of evaluated matrices alive at once in a batched SVD, with the work
+# arrays of the kernels decomposing them, shared by the chunk being
+# evaluated and the chunks being decomposed.
 _CHUNK_BYTES = 4 << 20
+
+# Bytes of work arrays per matrix in the n = 2 closed form, at their peak
+# (tests measure it); np.linalg.svd works on one matrix at a time.
+_KERNEL_BYTES = 320
 
 
 def _usable_cpus() -> int:
@@ -103,19 +119,29 @@ def singular_values_many(P: MatrixPolynomial, lams) -> np.ndarray:
     """Descending singular values at every point of ``lams``.
 
     Result shape is ``lams.shape + (n,)``, so ``(n,)`` for a scalar point.
-    An input larger than one chunk is evaluated chunk by chunk on the
-    calling thread, and a pool of ``_WORKERS`` threads that lives for this
-    call decomposes at most ``_WORKERS`` chunks at a time; each job writes
-    its own rows, so the result does not depend on the scheduling or on
-    ``_WORKERS``.  Chunks are sized so that ``_WORKERS + 1`` evaluated
-    blocks fit in ``_CHUNK_BYTES``.
+    Every block goes through ``_svals``: the closed form at n = 2, LAPACK
+    otherwise, so a point gets the same bits alone as in any grid.  An
+    input larger than one chunk is evaluated chunk by chunk on the calling
+    thread.  At n = 2 the calling thread also decomposes each chunk: the
+    closed form is some fifty numpy calls per chunk that hold the GIL
+    between short loops, so worker threads only contend for it, and their
+    malloc arenas would keep the work arrays resident.  Otherwise a pool of
+    ``_WORKERS`` threads that lives for this call decomposes at most
+    ``_WORKERS`` chunks at a time; each job writes its own rows, so the
+    result does not depend on the scheduling or on ``_WORKERS``.  Raises
+    ``np.linalg.LinAlgError`` where P(lambda) is not finite.
     """
     L = np.asarray(lams, dtype=complex)
-    chunk = max(1, _CHUNK_BYTES // (16 * P.n * P.n * (_WORKERS + 1)))
-    if L.size <= chunk:  # a single point costs no more than one SVD call
-        return np.linalg.svd(evaluate_many(P, L), compute_uv=False)
+    chunk = _chunk_points(P.n)
+    if L.size <= chunk:  # a single point costs no more than one kernel call
+        return _svals(evaluate_many(P, L))
     flat = L.reshape(-1)
     out = np.empty((flat.size, P.n), dtype=float)
+    if P.n == 2:
+        for start in range(0, flat.size, chunk):
+            rows = slice(start, start + chunk)
+            _decompose(out[rows], evaluate_many(P, flat[rows]))
+        return out.reshape(L.shape + (P.n,))
     # Wait before evaluating, so the calling thread's Horner shares the CPUs
     # with at most _WORKERS - 1 running SVDs.  A block goes straight into
     # submit: only its job refers to it.
@@ -131,8 +157,83 @@ def singular_values_many(P: MatrixPolynomial, lams) -> np.ndarray:
     return out.reshape(L.shape + (P.n,))
 
 
+def _chunk_points(n: int) -> int:
+    """Points per chunk: a block of n x n complex matrices, with the closed
+    form's work arrays at n = 2, takes one share of ``_CHUNK_BYTES`` of
+    ``_WORKERS + 1``, so that the blocks in flight fit.  At n = 2 only one
+    is in flight; a larger chunk would only push its work arrays out of
+    cache (a 401 x 401 grid takes about 8% longer with three times the
+    chunk, on two CPUs)."""
+    per_point = 16 * n * n + (_KERNEL_BYTES if n == 2 else 0)
+    return max(1, _CHUNK_BYTES // (per_point * (_WORKERS + 1)))
+
+
 def _decompose(rows: np.ndarray, block: np.ndarray) -> None:
-    rows[...] = np.linalg.svd(block, compute_uv=False)
+    rows[...] = _svals(block)
+
+
+def _svals(block: np.ndarray) -> np.ndarray:
+    """Descending singular values of each matrix in a (..., n, n) stack."""
+    if block.shape[-1] == 2:
+        return _svals2(block)
+    return np.linalg.svd(block, compute_uv=False)
+
+
+def _svals2(block: np.ndarray) -> np.ndarray:
+    """Singular values of a (..., 2, 2) complex stack in closed form.
+
+    Each matrix is first scaled by the power of two that brings its largest
+    real or imaginary part into [1/2, 1); the scaling is exact, so entries
+    near 1e+-300 neither overflow nor underflow.  A Givens rotation with
+    real cosine |a| / r, r = ||(a, c)||, takes the first column (a, c) to
+    (r e^{i arg a}, 0); a zero first column keeps the identity.  Dropping
+    the phases of the result leaves the real triangle [[r, |x|], [0, |y|]],
+    whose singular values are DLAS2's
+    s_1 = (sqrt((r + |y|)^2 + |x|^2) + sqrt((r - |y|)^2 + |x|^2)) / 2 and
+    s_2 = min(r, |y|) * (max(r, |y|) / s_1).  DLAS2 branches on
+    max(r, |y|) against |x| only to keep the squares in range, which the
+    scaling already does, so one expression covers both branches.  Equal
+    moduli on the diagonal of a triangular matrix give s_2 = s_1 exactly.
+
+    All arithmetic is real and elementwise, so a matrix gets the same bits
+    in any stack (numpy's complex multiply rounds differently in its scalar
+    and vector loops).  A non-finite entry raises ``np.linalg.LinAlgError``,
+    as LAPACK does for NaN.
+    """
+    parts = block.reshape(-1, 4).view(float)  # re, im of a, b, c, d per row
+    top = np.abs(parts).max(axis=1)
+    if not np.isfinite(top).all():
+        raise np.linalg.LinAlgError("non-finite entry in P(lambda)")
+    exp = np.frexp(top)[1]
+    ar, ai, br, bi, cr, ci, dr, di = np.ldexp(parts.T, -exp, order="C")
+    na2 = ar * ar + ai * ai
+    r = np.sqrt(na2 + cr * cr + ci * ci)
+    na = np.sqrt(na2)
+    # p = a / |a|, 1 where a = 0; cs = |a| / r, 1 where r = 0
+    zero_a = na == 0
+    zero_r = r == 0
+    na_ = na + zero_a
+    pr = (ar + zero_a) / na_
+    pi = ai / na_
+    r_ = r + zero_r
+    cs = (na + zero_r) / r_
+    # sn = p conj(c) / r; x = cs b + sn d, y = cs d - conj(sn) b
+    snr = (pr * cr + pi * ci) / r_
+    sni = (pi * cr - pr * ci) / r_
+    xr = cs * br + snr * dr - sni * di
+    xi = cs * bi + snr * di + sni * dr
+    yr = cs * dr - (snr * br + sni * bi)
+    yi = cs * di - (snr * bi - sni * br)
+    g2 = xr * xr + xi * xi
+    h = np.sqrt(yr * yr + yi * yi)
+    s1 = 0.5 * (np.sqrt((r + h) ** 2 + g2) + np.sqrt((r - h) ** 2 + g2))
+    s2 = np.minimum(r, h) * (np.maximum(r, h) / (s1 + (s1 == 0)))
+    values = np.empty((len(exp), 2))
+    np.ldexp(s1, exp, out=values[:, 0])
+    # where s_1 and s_2 nearly coincide, rounding can leave s_2 an ulp above
+    # s_1; the values stay descending and the gap nonnegative
+    np.ldexp(np.minimum(s2, s1), exp, out=values[:, 1])
+    return values.reshape(block.shape[:-1])
 
 
 def on_spectrum(values) -> bool:

@@ -232,6 +232,49 @@ class TestExitCodes:
         assert "window.nx: expected an integer" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("window", "x_min"), "0.2", "window.x_min"),
+            (("window", "x_min"), True, "window.x_min"),
+            (("epsilons", 0), "0.01", "epsilons[0]"),
+            (("epsilons", 0), True, "epsilons[0]"),
+            (("coefficients", 0, "re", 0, 0), "3", "coefficients[0].re"),
+            (("coefficients", 1, "im", 1, 0), False, "coefficients[1].im"),
+            (("weight",), {"mode": "constant", "value": True}, "weight.value"),
+            (("weight",), {"mode": "custom", "values": ["1"]}, "weight.values[0]"),
+            (("window", "y_max"), 10**400, "window.y_max"),
+            (("n",), True, "n"),
+        ],
+        ids=[
+            "bound-string", "bound-bool", "eps-string", "eps-bool", "coefficient-string",
+            "coefficient-bool", "weight-value-bool", "weight-values-string", "bound-beyond-float",
+            "n-bool",
+        ],
+    )
+    def test_numeric_field_not_a_json_number(self, path, value, field, tmp_path, capsys):
+        # a JSON number is an int or a float, never a bool or a string
+        doc = json.loads(Path(UPTRI).read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        p = tmp_path / "not_a_number.json"
+        p.write_text(json.dumps(doc))
+        assert main(["field", "--input", str(p), "--grid", "11", "11", "--eps", "0.01"]) == 2
+        assert f"error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["field", "components", "faults"])
+    def test_overflow_in_a_2x2_grid(self, command, tmp_path, capsys):
+        # finite coefficients, but P(lambda) overflows on the window
+        doc = json.loads(Path(UPTRI).read_text())
+        doc["coefficients"][2]["re"] = [[1e308, 0.0], [0.0, 1e308]]
+        p = tmp_path / "overflow.json"
+        p.write_text(json.dumps(doc))
+        assert main([command, "--input", str(p), "--grid", "21", "21", "--eps", "0.5"]) == 3
+        assert "numerical failure: non-finite entry in P(lambda)" in capsys.readouterr().err
+
+
 class TestOutputs:
     def test_eigs_json(self, tmp_path, capsys):
         out = tmp_path / "e.json"

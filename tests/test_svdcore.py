@@ -1,6 +1,9 @@
+import decimal
 import sys
 import threading
+import tracemalloc
 import weakref
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -350,7 +353,7 @@ class TestPooledPath:
         count = 2 * chunk + chunk // 3 + 1
         assert count % chunk != 0
         lams = rng.normal(size=count) + 1j * rng.normal(size=count)
-        reference = np.linalg.svd(evaluate_many(P, lams), compute_uv=False)
+        reference = svdcore._svals(evaluate_many(P, lams))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
         try:
@@ -410,3 +413,134 @@ class TestPooledPath:
         P = random_polynomial(rng, 16, 2)
         singular_values_many(P, rng.normal(size=10 * self.chunk(16, workers)))
         assert self.chunk(16, workers) * 16 * 16 * 16 <= peak[0] <= svdcore._CHUNK_BYTES
+
+
+class TestClosedForm:
+    """At n = 2 ``_svals`` takes a Givens rotation and DLAS2's formula."""
+
+    EPS = np.finfo(float).eps  # u in the bounds below: the spacing of doubles at 1
+    UNSCALED = ["random", "nearly_singular", "nearly_equal", "zero_first_column", "zero", "rank_one"]
+    SCALES = [1e150, 1e-150, 1e300, 1e-300]
+
+    @staticmethod
+    def stack(kind, k, seed=30):
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+        if kind in ("nearly_singular", "nearly_equal"):
+            S = np.zeros((k, 2, 2))
+            S[:, 0, 0] = 1.0
+            t = rng.random(k)
+            S[:, 1, 1] = 1e-14 * t if kind == "nearly_singular" else 1.0 - 1e-13 * t
+            U = np.linalg.qr(Z)[0]
+            V = np.linalg.qr(rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2)))[0]
+            return U @ S @ V
+        if kind == "zero_first_column":
+            Z[:, :, 0] = 0.0
+        elif kind == "zero":
+            Z[...] = 0.0
+        elif kind == "rank_one":
+            Z = Z[:, :, :1] @ Z[:, :1, :]
+        elif not isinstance(kind, str):
+            Z = Z * kind
+        return Z
+
+    @staticmethod
+    def exact(A):
+        """Singular values of each matrix from 50-digit decimal arithmetic:
+        s_1^2 = (N + sqrt(N^2 - 4 D^2)) / 2 with N = ||A||_F^2, D = |det A|."""
+        out = []
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for M in A:
+                (ar, ai), (br, bi), (cr, ci), (dr, di) = (
+                    (Decimal(z.real), Decimal(z.imag)) for z in M.ravel()
+                )
+                N = ar * ar + ai * ai + br * br + bi * bi + cr * cr + ci * ci + dr * dr + di * di
+                det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
+                det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
+                D = (det_re * det_re + det_im * det_im).sqrt()
+                s1 = ((N + (N * N - 4 * D * D).sqrt()) / 2).sqrt()
+                out.append([float(s1), float(D / s1) if s1 else 0.0])
+        return np.array(out).reshape(A.shape[:-1])
+
+    def assert_within(self, got, ref, ulps):
+        scale = self.EPS * ref[:, :1]
+        assert np.all(np.abs(got - ref) <= ulps * scale)
+
+    @pytest.mark.parametrize("kind", UNSCALED + SCALES)
+    def test_within_4u_of_a_50_digit_reference(self, kind):
+        A = self.stack(kind, 300)
+        got = svdcore._svals(A)
+        assert np.all(np.isfinite(got)) and np.all(got[:, 0] >= got[:, 1])
+        self.assert_within(got, self.exact(A), 4)
+
+    @pytest.mark.parametrize("kind", UNSCALED + SCALES)
+    def test_within_8u_of_gesdd(self, kind):
+        # 4u for the kernel and 4u for gesdd, each against the exact values:
+        # gesdd alone is up to 3.6u off on these stacks (it rescales entries
+        # near 1e+-150 and beyond by factors that are not powers of two), so
+        # the two differ by more than 4u on some matrices
+        A = self.stack(kind, 1000)
+        self.assert_within(svdcore._svals(A), np.linalg.svd(A, compute_uv=False), 8)
+
+    @pytest.mark.parametrize("power", [1000, 500, -500, -1000])
+    def test_power_of_two_scaling_is_exact(self, power):
+        A = self.stack("random", 500)
+        assert np.array_equal(svdcore._svals(A * 2.0**power), svdcore._svals(A) * 2.0**power)
+
+    def test_equal_moduli_on_a_triangle_give_a_zero_gap(self):
+        A = self.stack("random", 500)
+        A[:, 1, 0] = 0.0
+        A[:, 1, 1] = A[:, 0, 0].conj()
+        s = svdcore._svals(A)
+        A[:, 0, 1] = 0.0
+        d = svdcore._svals(A)
+        assert np.array_equal(s[:, 0] > s[:, 1], np.abs(A[:, 0, 0]) > 0)
+        assert np.all(d[:, 0] == d[:, 1])
+
+    def test_a_matrix_gets_the_same_bits_in_any_stack(self):
+        A = self.stack("random", 600).reshape(20, 30, 2, 2)
+        stacked = svdcore._svals(A)
+        assert stacked.shape == (20, 30, 2)
+        for idx in np.ndindex(20, 30):
+            assert svdcore._svals(A[idx]).tobytes() == stacked[idx].tobytes()
+
+    def test_grid_values_equal_each_point_alone(self, uptri_quadratic):
+        grid = GridSpec(x_min=0.2, x_max=2.8, y_min=-1, y_max=1, nx=301, ny=301)
+        assert grid.nx * grid.ny > 8 * svdcore._chunk_points(2)
+        values = singular_values_many(uptri_quadratic, grid.points())
+        for idx in list(np.ndindex(301, 301))[::97]:
+            alone = singular_values_many(uptri_quadratic, grid.points()[idx])
+            assert alone.tobytes() == values[idx].tobytes()
+
+    def test_work_arrays_fit_kernel_bytes(self):
+        A = self.stack("random", svdcore._chunk_points(2))
+        tracemalloc.start()
+        try:
+            values = svdcore._svals(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - values.nbytes <= svdcore._KERNEL_BYTES * len(A)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunks_and_work_arrays_fit_the_budget(self, workers, uptri_quadratic, monkeypatch):
+        monkeypatch.setattr(svdcore, "_WORKERS", workers)
+        rng = np.random.default_rng(31)
+        lams = rng.normal(size=10 * svdcore._chunk_points(2)) + 1j * rng.normal()
+        tracemalloc.start()
+        try:
+            values = singular_values_many(uptri_quadratic, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - values.nbytes <= svdcore._CHUNK_BYTES
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        # as gesdd does for NaN; LAPACK returns NaN values for an infinite entry
+        P = MatrixPolynomial([np.full((2, 2), bad), np.eye(2)])
+        lams = np.linspace(-1, 1, 3 * svdcore._chunk_points(2)) + 0.5j
+        for points in (lams, lams[0]):  # several chunks, and one
+            with pytest.raises(np.linalg.LinAlgError):
+                singular_values_many(P, points)
