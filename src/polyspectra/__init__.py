@@ -67,18 +67,24 @@ from .pseudospectrum import (
     GridSpec,
     ScalarField,
     Termination,
+    TraceStats,
     boundedness_check,
     components,
     compute_field,
     default_window,
     find_boundary_seed,
+    find_boundary_seeds,
     merge_epsilon,
     retraced_curve,
+    trace_boundaries,
     trace_boundary,
+    trace_eigenvalue_rays,
 )
 from .svdcore import (
     F_eps,
+    PointEval,
     SingularTripletSet,
+    point_evals,
     s_min,
     singular_triplets,
     singular_values_many,

@@ -31,6 +31,7 @@ import sys
 import tempfile
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,13 +57,15 @@ from .matpoly import (
 from .perturbations import certify_multiple, distance_to_multiple
 from .pseudospectrum import (
     DEFAULT_GRID,
+    BoundaryCurve,
     GridSpec,
+    Termination,
+    TraceStats,
     components,
     compute_field,
     default_window,
-    find_boundary_seed,
-    retraced_curve,
-    trace_boundary,
+    trace_boundaries,
+    trace_eigenvalue_rays,
 )
 from .svdcore import singular_values_many
 
@@ -88,6 +91,7 @@ class RunReport:
     outputs: list
     wall_time: float
     warnings: list
+    stats: str = ""  # a command's work summary for the stderr line
 
 
 # ---------------------------------------------------------------------------
@@ -503,44 +507,32 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
     window = _resolve_window(spec, args, eigen, eps_for_margin=max(eps_list))
 
     steps = {} if args.max_steps is None else {"max_steps": args.max_steps}
-
-    def trace(eps: float, seed: complex):
-        return trace_boundary(P, w, eps, seed, window, step_size=args.step_size, **steps)
-
+    stats = TraceStats()
     curves = []
-    for eps in eps_list:
-        if args.seed is not None:
-            curves += [(eps, trace(eps, complex(re, im))) for re, im in args.seed]
-            continue
-        level = []  # curve ids of this level
-        for lam in eigen.eigenvalues:
-            # try the four axis rays; skip combinations with no traceable
-            # seed (curve leaves the window, or the seed lands on a corner),
-            # and a seed on a boundary this level already traced
-            curve = None
-            for direction in (1.0, -1.0, 1j, -1j):
-                try:
-                    seed = find_boundary_seed(P, w, eps, lam, direction, window)
-                    k = retraced_curve(
-                        P, w, eps, seed, [curves[c][1] for c in level], window, args.step_size
-                    )
-                    if k is not None:
-                        print(
-                            f"eps={eps:.6g}: eigenvalue {lam:.6g} seeds curve {level[k]} "
-                            "again, skipped"
-                        )
-                        break
-                    curve = trace(eps, seed)
-                    break
-                except (SeedNotFoundError, PreconditionError):
-                    continue
-            else:
+    if args.seed is not None:
+        starts = [(eps, complex(re, im)) for eps in eps_list for re, im in args.seed]
+        traced = trace_boundaries(P, w, starts, window, args.step_size, stats=stats, **steps)
+        for (eps, _), curve in zip(starts, traced):
+            if isinstance(curve, Exception):
+                raise curve
+            curves.append((eps, curve))
+    else:
+        # each eigenvalue tries the four axis rays; combinations with no
+        # traceable seed (curve leaves the window, or the seed lands on a
+        # corner) are skipped, and so is a seed on a boundary its level
+        # already traced
+        search = trace_eigenvalue_rays(
+            P, w, eps_list, eigen.eigenvalues, window, args.step_size, stats=stats, **steps
+        )
+        for eps, lam, found in search:
+            if isinstance(found, BoundaryCurve):
+                curves.append((eps, found))
+            elif found is None:
                 report.warnings.append(
                     f"eps={eps:.6g}: no traceable seed from eigenvalue {lam:.6g}"
                 )
-            if curve is not None:
-                level.append(len(curves))
-                curves.append((eps, curve))
+            else:
+                print(f"eps={eps:.6g}: eigenvalue {lam:.6g} seeds curve {found} again, skipped")
     if not curves:
         raise SeedNotFoundError("no traceable boundary seed for any requested level")
     if args.csv:
@@ -572,6 +564,11 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
         _emit(report, args.json, _json_text(doc))
     for eps, c in curves:
         print(f"eps={eps:.6g}: {len(c.points)} points, termination={c.termination.value}")
+    ends = Counter(c.termination for _, c in curves)
+    report.stats = (
+        "curves " + " ".join(f"{t.value}={ends[t]}" for t in Termination if ends[t])
+        + f" rounds={stats.rounds} points={stats.points}"
+    )
 
 
 def _cmd_faults(spec: ProblemSpec, args, report: RunReport) -> None:
@@ -614,7 +611,7 @@ def _certificate_doc(cert) -> dict:
     q_tilde_poly = cert.q_tilde.polynomial()
     return {
         "constant_weight_substituted": cert.constant_weight_substituted,
-        "criterion": _complex_doc(cert.criterion),
+        "criterion": None if cert.criterion is None else _complex_doc(cert.criterion),
         "defective": cert.defective,
         "delta": cert.delta,
         "delta_norms": [float(x) for x in cert.q_hat.norms()],
@@ -758,6 +755,8 @@ def main(argv=None) -> int:
         f"[polyspectra] {report.command} input={report.input_digest} "
         f"wall={report.wall_time:.2f}s outputs={report.outputs or '[]'}"
     )
+    if report.stats:
+        summary += f" {report.stats}"
     if report.warnings:
         summary += f" warnings={report.warnings}"
     print(summary, file=sys.stderr)

@@ -130,11 +130,10 @@ class EigenReport:
 
 
 def evaluate(P: MatrixPolynomial, lam: complex) -> np.ndarray:
-    """P(lambda) by Horner recurrence.
+    """P(lambda) by Horner recurrence, one point at a time.
 
-    Kept apart from ``evaluate_many``, which gives the same bits: for one
-    point this loop is faster (``PointEval`` evaluates tens of thousands of
-    single points per trace), and on a grid the in-place array loop is.
+    The program evaluates through ``evaluate_many``, which gives the same
+    bits; this plain loop is the reference the tests hold it to.
     """
     acc = np.array(P.coeffs[-1], dtype=complex)
     for C in reversed(P.coeffs[:-1]):
@@ -152,7 +151,12 @@ def evaluate_many(P: MatrixPolynomial, lams) -> np.ndarray:
     L = np.asarray(lams, dtype=complex)[..., None, None]
     if not P.m:
         return np.broadcast_to(P.coeffs[0], L.shape[:-2] + (P.n, P.n)).copy()
-    acc = P.coeffs[-1] * L  # the one allocation; every later step is in place
+    # the leading coefficient takes the axes of L: numpy multiplies
+    # one-element operands with differing numbers of axes (a one-point array
+    # at n = 1) in a scalar loop that rounds differently from the vector loop
+    # every other product runs
+    lead = P.coeffs[-1][(None,) * (L.ndim - 2)]
+    acc = lead * L  # the one allocation; every later step is in place
     acc += P.coeffs[-2]
     for C in reversed(P.coeffs[:-2]):
         # except a product of one element (a point at n = 1): numpy takes it

@@ -41,7 +41,7 @@ from .matpoly import (
     MatrixPolynomial,
     WeightPolynomial,
     eigenvalues,
-    evaluate,
+    evaluate_many,
     leading_s_min,
     weight_eval,
 )
@@ -115,8 +115,11 @@ class MultiplicityCertificate:
 
     ``delta`` is the realizing ball radius s_n(mu)/w(|mu|); ``residual`` is
     the smallest singular value of the perturbed full-rank polynomial at mu
-    (zero in exact arithmetic).  ``defective`` reports the derivative test
-    u* Q'(mu) v when the geometric multiplicity is 1.
+    (zero in exact arithmetic).  ``criterion`` is the derivative test
+    u* Q'(mu) v in the trailing singular pair, and ``defective`` reports it,
+    when the geometric multiplicity is 1.  For k >= 2 the pair is any pair
+    of a k-dimensional subspace, so ``criterion`` is None and ``defective``
+    False.
     """
 
     mu: complex
@@ -127,7 +130,7 @@ class MultiplicityCertificate:
     defective: bool
     residual: float
     residual_tilde: float
-    criterion: complex
+    criterion: complex | None
     constant_weight_substituted: bool
 
 
@@ -264,7 +267,7 @@ def multiple_criterion(P_or_Q: MatrixPolynomial, mu: complex, u, v) -> complex:
     """
     u = np.asarray(u, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
-    Qp = evaluate(P_or_Q.derivative, mu)
+    Qp = evaluate_many(P_or_Q.derivative, mu)
     return complex(u.conj() @ (Qp @ v))
 
 
@@ -275,7 +278,7 @@ def certify_multiple(
 
     Checks the eigenvalue residuals, reads the geometric multiplicity k off
     the singular-value cluster of P(mu), and for k = 1 evaluates the
-    derivative criterion in the trailing singular pair.
+    derivative criterion in the trailing singular pair (None for k >= 2).
     """
     here = _off_spectrum(P, w, mu)
     trip = here.trip
@@ -293,11 +296,12 @@ def certify_multiple(
             f"perturbed polynomial does not annihilate mu={mu:.6g}: residuals "
             f"{res_h:.3e}, {res_t:.3e} exceed {RESIDUAL_RTOL * scale:.3e}"
         )
-    crit = multiple_criterion(Qh, mu, trip.left[:, -1], trip.right[:, -1])
     if k == 1:
-        deriv_scale = max(1.0, float(np.linalg.norm(here.deriv, 2)))
+        crit = multiple_criterion(Qh, mu, trip.left[:, -1], trip.right[:, -1])
+        deriv_scale = max(1.0, float(np.linalg.norm(evaluate_many(P.derivative, mu), 2)))
         defective = abs(crit) < DEFECT_RTOL * deriv_scale
     else:
+        crit = None  # the trailing pair is not determined by the problem
         defective = False  # multiple via geometric multiplicity k >= 2
     w_eff, at_origin = _certificate_weight(w, mu)
     delta = float(trip.values[-1]) / weight_eval(w_eff, abs(mu))

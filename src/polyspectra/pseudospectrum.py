@@ -1,6 +1,11 @@
 """Grid sampling of the s_min/w landscape, sublevel components, boundary
 tracing, and the exact grid level at which components merge.
 
+The tracer is a walker that yields each point it needs and is sent that
+point's evaluation, so that every curve of a command advances in
+lockstep, with one stacked evaluation per round; seed rays advance
+together the same way.
+
 A single ScalarField stores the ratio s_min(lambda) / w(|lambda|) on a
 rectangular grid; the eps-sublevel set of that one field answers membership
 for every eps.  Components are labeled with 8-connectivity so thin diagonal
@@ -19,6 +24,7 @@ from scipy import ndimage
 from .errors import (
     BracketError,
     GridTooCoarseError,
+    PolyspectraError,
     PreconditionError,
     SeedNotFoundError,
 )
@@ -31,7 +37,7 @@ from .matpoly import (
     require_nonsingular_leading,
     weight_eval,
 )
-from .svdcore import F_eps, PointEval, singular_values_many
+from .svdcore import F_eps, PointEval, point_evals, singular_values_many
 
 _LABEL_STRUCTURE = np.ones((3, 3), dtype=int)
 
@@ -252,50 +258,126 @@ def find_boundary_seed(
     lam0 must be strictly inside the sublevel set (F_eps(lam0) < 0, true for
     any eigenvalue).  One F_eps call samples the ray up to the window edge;
     the first sample outside the set brackets a sign change with the one
-    before it, which is then bisected point by point.
+    before it, which is then bisected.  The one-ray case of
+    ``find_boundary_seeds``.
     """
-    direction = complex(direction)
-    if direction == 0:
-        raise PreconditionError("direction must be nonzero")
-    direction /= abs(direction)
-    if not window.contains(lam0):
-        raise PreconditionError(f"starting point {lam0:.6g} lies outside the window")
-    f0 = F_eps(P, w, eps, lam0)
-    if f0 >= 0:
-        raise PreconditionError(
-            f"F_eps(lam0) = {f0:.3e} must be negative at the starting point"
-        )
-    t_max = _ray_exit_parameter(window, lam0, direction)
-    if t_max <= 0:
-        raise SeedNotFoundError("starting point lies on the window edge")
-    ts = np.linspace(0.0, t_max, _SEED_SAMPLES)[1:]
-    outside = F_eps(P, w, eps, lam0 + ts * direction) >= 0
-    k = int(np.argmax(outside))
-    if not outside[k]:
-        raise SeedNotFoundError(
-            "no sign change of F_eps along the ray inside the window; the "
-            "component may be unbounded through the window edge"
-        )
-    lo, hi = (float(ts[k - 1]) if k else 0.0), float(ts[k])
+    (seed,) = find_boundary_seeds(P, w, [(eps, lam0, direction)], window)
+    if isinstance(seed, Exception):
+        raise seed
+    return seed
+
+
+def find_boundary_seeds(P: MatrixPolynomial, w: WeightPolynomial, rays, window: GridSpec) -> list:
+    """``find_boundary_seed`` of every (eps, lam0, direction) of ``rays``, in
+    order: its seed, or the exception it raises.
+
+    The rays advance together: one F_eps call tests every start, one samples
+    every ray, one per bisection round evaluates every ray still bisecting,
+    and one checks every seed.  Each point is computed as for its ray alone,
+    and F_eps gives a point the same bits in any array, so each ray gets the
+    seed it gets alone.  A LinAlgError stays with the ray whose point raised
+    it.
+    """
+    out = [None] * len(rays)
+
+    def levels(group: list, points: list) -> list:
+        """F_eps at each ray's points; None for a ray whose points raise
+        LinAlgError, which becomes its outcome."""
+        values = _levels(P, w, [ray[1] for ray in group], points)
+        for ray, v in zip(group, values):
+            if isinstance(v, Exception):
+                out[ray[0]] = v
+        return [None if isinstance(v, Exception) else v for v in values]
+
+    live = []  # rays (i, eps, lam0, unit direction) past the preconditions
+    for i, (eps, lam0, direction) in enumerate(rays):
+        direction = complex(direction)
+        if direction == 0:
+            out[i] = PreconditionError("direction must be nonzero")
+        elif not window.contains(lam0):
+            out[i] = PreconditionError(f"starting point {lam0:.6g} lies outside the window")
+        elif eps < 0:
+            out[i] = PreconditionError("eps must be nonnegative")
+        else:
+            live.append((i, eps, lam0, direction / abs(direction)))
+    sampled = []  # (ray, samples of t along it)
+    for ray, f0 in zip(live, levels(live, [[ray[2]] for ray in live])):
+        if f0 is None:
+            continue
+        t_max = _ray_exit_parameter(window, ray[2], ray[3])
+        if f0[0] >= 0:
+            out[ray[0]] = PreconditionError(
+                f"F_eps(lam0) = {f0[0]:.3e} must be negative at the starting point"
+            )
+        elif t_max <= 0:
+            out[ray[0]] = SeedNotFoundError("starting point lies on the window edge")
+        else:
+            sampled.append((ray, np.linspace(0.0, t_max, _SEED_SAMPLES)[1:]))
+    brackets = []  # [ray, lo, hi]
+    group = [ray for ray, _ in sampled]
+    values = levels(group, [ray[2] + ts * ray[3] for ray, ts in sampled])
+    for (ray, ts), f in zip(sampled, values):
+        if f is None:
+            continue
+        outside = f >= 0
+        k = int(np.argmax(outside))
+        if outside[k]:
+            brackets.append([ray, (float(ts[k - 1]) if k else 0.0), float(ts[k])])
+        else:
+            out[ray[0]] = SeedNotFoundError(
+                "no sign change of F_eps along the ray inside the window; the "
+                "component may be unbounded through the window edge"
+            )
     # bisect to full floating-point convergence; the final midpoint then
     # sits on the curve well inside the on-curve tolerance
+    active = brackets
     for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        mids = [(b, 0.5 * (b[1] + b[2])) for b in active]
+        mids = [(b, mid) for b, mid in mids if b[1] < mid < b[2]]
+        if not mids:
             break
-        f = F_eps(P, w, eps, lam0 + mid * direction)
-        if f < 0:
-            lo = mid
-        else:
-            hi = mid
-    seed = lam0 + 0.5 * (lo + hi) * direction
-    tol = on_curve_tolerance(P)
-    residual = abs(F_eps(P, w, eps, seed))
-    if residual > tol:
-        raise SeedNotFoundError(
-            f"bisection converged but |F_eps| = {residual:.3e} stays above tolerance {tol:.3e}"
-        )
-    return seed
+        group = [b[0] for b, _ in mids]
+        values = levels(group, [[ray[2] + mid * ray[3]] for ray, (_, mid) in zip(group, mids)])
+        active = []
+        for (b, mid), f in zip(mids, values):
+            if f is not None:
+                b[1 if f[0] < 0 else 2] = mid
+                active.append(b)
+    brackets = [b for b in brackets if out[b[0][0]] is None]
+    if brackets:
+        tol = on_curve_tolerance(P)
+        group = [ray for ray, _, _ in brackets]
+        seeds = [ray[2] + 0.5 * (lo + hi) * ray[3] for ray, lo, hi in brackets]
+        for ray, seed, f in zip(group, seeds, levels(group, [[z] for z in seeds])):
+            if f is None:
+                continue
+            residual = abs(f[0])
+            out[ray[0]] = seed
+            if residual > tol:
+                out[ray[0]] = SeedNotFoundError(
+                    f"bisection converged but |F_eps| = {residual:.3e} stays above "
+                    f"tolerance {tol:.3e}"
+                )
+    return out
+
+
+def _levels(P: MatrixPolynomial, w: WeightPolynomial, eps_list: list, groups: list) -> list:
+    """F_eps of each group of points at its own level, in one call; where that
+    raises LinAlgError, group by group, with the error in place of values."""
+    sizes = [len(z) for z in groups]
+    if not groups:
+        return []
+    try:
+        values = F_eps(P, w, np.repeat(eps_list, sizes), np.concatenate(groups))
+    except np.linalg.LinAlgError:
+        out = []
+        for eps, z in zip(eps_list, groups):
+            try:
+                out.append(F_eps(P, w, eps, z))
+            except np.linalg.LinAlgError as exc:
+                out.append(exc)
+        return out
+    return np.split(values, np.cumsum(sizes)[:-1])
 
 
 # Stationarity threshold shared by the tracer stop test and the saddle
@@ -313,6 +395,19 @@ _MIN_ADVANCE_FRACTION = 0.5
 # A seed within this fraction of a step of an earlier curve, on a segment
 # that runs the way the tracer would leave the seed, repeats that curve.
 _RETRACE_FRACTION = 0.1
+# Rounds between the tests that stop a speculative walker whose seed an
+# earlier walker of its level has passed.
+_PRUNE_ROUNDS = 8
+# The axis rays tried from each eigenvalue, in order.
+_RAY_DIRECTIONS = (1.0, -1.0, 1j, -1j)
+
+
+@dataclass
+class TraceStats:
+    """Work of a lockstep: stacked evaluations (rounds) and their points."""
+
+    rounds: int = 0
+    points: int = 0
 
 
 def _tracer_step(window: GridSpec, step_size: float | None) -> float:
@@ -338,13 +433,19 @@ def retraced_curve(
     that distance: their boundaries run opposite ways there.
     """
     g = PointEval(P, w, seed).grad_F(eps)
-    if g is None or not g.any():
+    reach = _RETRACE_FRACTION * _tracer_step(window, step_size)
+    return _retraced(seed, g, [c.points for c in curves], reach)
+
+
+def _retraced(seed: complex, g, point_lists, reach: float) -> int | None:
+    """First of ``point_lists`` that passes ``seed`` within ``reach`` running
+    along the tangent of the gradient ``g``; None for an invalid or zero g."""
+    if g is None or not (g[0] or g[1]):
         return None
     tangent = complex(-g[1], g[0])
-    reach = _RETRACE_FRACTION * _tracer_step(window, step_size)
-    for k, curve in enumerate(curves):
-        a = curve.points[:-1]
-        d = curve.points[1:] - a
+    for k, points in enumerate(point_lists):
+        a = points[:-1]
+        d = points[1:] - a
         length2 = np.abs(d) ** 2
         t = np.clip(np.real((seed - a) * np.conj(d)) / np.where(length2 > 0, length2, 1.0), 0, 1)
         near = np.abs(a + t * d - seed) <= reach
@@ -376,40 +477,80 @@ def trace_boundary(
     minimum step (corner or cusp on the curve).  A corrected point counts
     only if it advanced at least half the attempted step, so a corrector
     pulled back onto a corner fails at every step and stops the curve there
-    instead of piling points onto the corner.
+    instead of piling points onto the corner.  The one-walker case of
+    ``trace_boundaries``.
     """
-    step_size = _tracer_step(window, step_size)
-    tol = on_curve_tolerance(P)
-    here = PointEval(P, w, seed)
+    (curve,) = trace_boundaries(P, w, [(eps, seed)], window, step_size, max_steps)
+    if isinstance(curve, Exception):
+        raise curve
+    return curve
+
+
+def trace_boundaries(
+    P: MatrixPolynomial,
+    w: WeightPolynomial,
+    starts,
+    window: GridSpec,
+    step_size: float | None = None,
+    max_steps: int = 20000,
+    stats: TraceStats | None = None,
+) -> list:
+    """``trace_boundary`` from every (eps, seed) of ``starts``, in order: its
+    curve, or the exception its tracing raised.  The curves are traced in
+    lockstep, one stacked evaluation per round."""
+    walkers = [_walk(P, w, eps, seed, window, step_size, max_steps) for eps, seed in starts]
+    return _lockstep(P, w, walkers, stats)
+
+
+def _seed_gradient(here: PointEval, eps: float, tol: float) -> tuple:
+    """grad_xy at a seed the tracer can start from; PreconditionError for a
+    seed off the curve or with an invalid or vanishing gradient."""
     f_seed = here.F(eps)
     if abs(f_seed) > tol:
         raise PreconditionError(f"seed is not on the curve: |F_eps| = {abs(f_seed):.3e}")
-    g = here.grad_F(eps)
+    g = here.grad_xy(eps)
     if g is None or np.hypot(*g) <= SADDLE_GRAD_TOL:
         raise PreconditionError("gradient at seed is invalid or vanishing")
+    return g
 
-    normal = g / np.hypot(*g)
-    probe = 2.0 * step_size * complex(*normal)
+
+def _walk(P, w, eps, seed, window, step_size, max_steps, here=None, pts=None):
+    """``trace_boundary`` as a walker: a generator that yields each point it
+    needs, is sent that point's PointEval, and returns the BoundaryCurve.
+
+    ``here`` is the seed's PointEval when the caller already holds it;
+    ``pts``, when given, is the list the walker appends its points to.
+    Gradients are float pairs, and each operation is the one an array
+    operation on them would do, element by element.
+    """
+    step_size = _tracer_step(window, step_size)
+    tol = on_curve_tolerance(P)
+    if here is None:
+        here = yield seed
+    gx, gy = _seed_gradient(here, eps, tol)
+    norm = np.hypot(gx, gy)
+    probe = 2.0 * step_size * complex(gx / norm, gy / norm)
     interior_curve = bool(np.all(F_eps(P, w, eps, seed + np.array([probe, -probe])) <= 0))
 
     def correct(lam: complex, step: float):
         """Newton along grad_F toward F = 0; the converged PointEval, or None."""
         for _ in range(_MAX_CORRECTOR_ITERS):
-            pe = PointEval(P, w, lam)
+            pe = yield lam
             f = pe.F(eps)
             if abs(f) <= tol:
                 return pe
-            gg = pe.grad_F(eps)
-            if gg is None or not gg.any():
+            g = pe.grad_xy(eps)
+            if g is None or not (g[0] or g[1]):
                 return None
-            shift = f / float(np.hypot(*gg)) ** 2
-            move = complex(-shift * gg[0], -shift * gg[1])
+            shift = f / float(np.hypot(*g)) ** 2
+            move = complex(-shift * g[0], -shift * g[1])
             if abs(move) > 2.0 * step:
                 return None
             lam = lam + move
         return None
 
-    pts = [seed]
+    pts = [] if pts is None else pts
+    pts.append(seed)
     lam = seed
     prev_tangent = None
     prev_grad = None
@@ -418,12 +559,13 @@ def trace_boundary(
     min_step = step_size * _MIN_STEP_FRACTION
 
     for k in range(max_steps):
-        g = here.grad_F(eps)
+        g = here.grad_xy(eps)
         if g is None:
             termination = Termination.gradient_invalid
             detail = "gradient invalid (surface crossing, zero value, or origin)"
             break
-        norm = np.hypot(*g)
+        gx, gy = g
+        norm = np.hypot(gx, gy)
         if norm < SADDLE_GRAD_TOL:
             termination = Termination.gradient_invalid
             detail = "gradient below stationarity threshold"
@@ -431,12 +573,13 @@ def trace_boundary(
         if prev_grad is not None:
             # pts[-2] exists and lies >= _MIN_ADVANCE_FRACTION of a step from lam
             dist = abs(lam - pts[-2])
-            hess = np.hypot(*(g - prev_grad)) / dist
+            hess = np.hypot(gx - prev_grad[0], gy - prev_grad[1]) / dist
             if hess > 0 and norm / hess <= _STATIONARY_PROXIMITY * step_size:
                 termination = Termination.gradient_invalid
                 detail = "stationary point of F_eps within reach (near self-intersection)"
                 break
-        tangent = np.array([-g[1], g[0]]) / norm
+        tx, ty = -gy / norm, gx / norm
+        tangent = np.array([tx, ty])
         if prev_tangent is not None:
             c = float(tangent @ prev_tangent)
             if c < _TANGENT_FLIP_COS:
@@ -446,7 +589,7 @@ def trace_boundary(
         step = step_size
         nxt = None
         while step >= min_step:
-            cand = correct(lam + step * complex(*tangent), step)
+            cand = yield from correct(lam + step * complex(tx, ty), step)
             if (
                 cand is not None
                 and _MIN_ADVANCE_FRACTION * step <= abs(cand.lam - lam) <= 2.0 * step_size
@@ -476,6 +619,201 @@ def trace_boundary(
         interior_curve=interior_curve,
         detail=detail,
     )
+
+
+def _rows(P: MatrixPolynomial, w: WeightPolynomial, points, stats: TraceStats | None) -> list:
+    """``point_evals`` of ``points``; where the stack raises LinAlgError,
+    each point's own row or error, so that an error stays with its point."""
+    if stats is not None:
+        stats.rounds += 1
+        stats.points += len(points)
+    try:
+        return point_evals(P, w, points)
+    except np.linalg.LinAlgError:
+        out = []
+        for z in points:
+            try:
+                out.append(point_evals(P, w, [z])[0])
+            except np.linalg.LinAlgError as exc:
+                out.append(exc)
+        return out
+
+
+def _lockstep(P, w, walkers: list, stats: TraceStats | None, prune=None) -> list:
+    """Run walkers (generators as ``_walk`` makes them) together.
+
+    Each round evaluates the points of every live walker in one stacked
+    call and sends each walker its row.  Returns what each walker returned,
+    or the library or LinAlgError exception it raised.  Every
+    _PRUNE_ROUNDS rounds ``prune(live)`` names live walkers to stop; a
+    stopped walker returns None.
+    """
+    results = [None] * len(walkers)
+    pending = {}
+
+    def send(i: int, row) -> None:
+        try:
+            pending[i] = walkers[i].send(row)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except (PolyspectraError, np.linalg.LinAlgError) as exc:
+            results[i] = exc
+
+    for i in range(len(walkers)):
+        send(i, None)
+    rounds = 0
+    while pending:
+        live = list(pending)
+        for i, row in zip(live, _rows(P, w, [pending.pop(i) for i in live], stats)):
+            if isinstance(row, Exception):
+                results[i] = row
+                walkers[i].close()
+            else:
+                send(i, row)
+        rounds += 1
+        if prune is not None and rounds % _PRUNE_ROUNDS == 0:
+            for i in prune(list(pending)):
+                del pending[i]
+                walkers[i].close()
+    return results
+
+
+def trace_eigenvalue_rays(
+    P: MatrixPolynomial,
+    w: WeightPolynomial,
+    levels,
+    eigenvalues,
+    window: GridSpec,
+    step_size: float | None = None,
+    max_steps: int = 20000,
+    stats: TraceStats | None = None,
+):
+    """Trace each level's boundaries from the axis rays of ``eigenvalues``.
+
+    Yields (eps, lam, found) for every level and then every eigenvalue, in
+    order, with the outcome of the sequential search: the axis rays are
+    tried in the order of _RAY_DIRECTIONS; a ray without a seed
+    (SeedNotFoundError or PreconditionError) or whose seed the tracer
+    rejects passes to the next; a seed on a curve this level already has,
+    running the same way (``retraced_curve``), ends the search with that
+    curve's id; otherwise the traced curve is kept.  ``found`` is the
+    BoundaryCurve, the id of the repeated curve (its index among the curves
+    yielded so far), or None when no ray gives a seed.  Another exception
+    is raised where the search meets it, after the outcomes before it.
+
+    The work is done ahead in lockstep.  Waves of rays find the seeds,
+    every eigenvalue's first traceable seed is traced at once, and a
+    walker stops when an earlier walker of its level passes its seed the
+    same way (tested every _PRUNE_ROUNDS rounds).  The sequential search
+    then replays on the results; what it needs that was not done ahead is
+    done then, alone.  So the outcomes are those of the search run point
+    by point.
+    """
+    tol = on_curve_tolerance(P)
+    reach = _RETRACE_FRACTION * _tracer_step(window, step_size)
+    pairs = [(level, eps, lam) for level, eps in enumerate(levels) for lam in eigenvalues]
+    seeds, rows, curves = {}, {}, {}  # by (pair, direction index)
+
+    # waves of rays: each pair's next ray until one gives a traceable seed
+    first = {}  # pair -> direction index of its first traceable seed
+    todo = list(range(len(pairs)))
+    for d, direction in enumerate(_RAY_DIRECTIONS):
+        if not todo:
+            break
+        rays = [(pairs[p][1], pairs[p][2], direction) for p in todo]
+        seeds.update(zip(((p, d) for p in todo), find_boundary_seeds(P, w, rays, window)))
+        ok = [p for p in todo if not isinstance(seeds[p, d], Exception)]
+        if ok:
+            rows.update(zip(((p, d) for p in ok), _rows(P, w, [seeds[p, d] for p in ok], stats)))
+        wave, todo = todo, []
+        for p in wave:
+            seed, row = seeds[p, d], rows.get((p, d))
+            if isinstance(seed, (SeedNotFoundError, PreconditionError)):
+                todo.append(p)
+            elif not isinstance(seed, Exception) and not isinstance(row, Exception):
+                if _traceable(row, pairs[p][1], tol):
+                    first[p] = d
+                else:
+                    todo.append(p)
+            # any other error ends the search of this pair when it is met
+
+    # speculative walkers from every first traceable seed
+    order = sorted(first)
+    starts = [(p, first[p]) for p in order]
+    points = [[] for _ in order]
+    grads = [rows[key].grad_xy(pairs[key[0]][1]) for key in starts]
+    checked = {}  # (walker, earlier walker) -> points of the earlier one tested
+    # a segment passing a seed within reach has an end within reach + 2 steps
+    radius = reach + 2.0 * _tracer_step(window, step_size)
+
+    def prune(live: list) -> list:
+        stop = []
+        for j in live:
+            seed, level = seeds[starts[j]], pairs[order[j]][0]
+            near = []
+            for q in range(j):
+                if pairs[order[q]][0] == level:
+                    fresh = points[q][max(checked.get((j, q), 0) - 1, 0) :]
+                    checked[j, q] = len(points[q])
+                    if len(fresh) > 1 and any(abs(z - seed) <= radius for z in fresh):
+                        near.append(np.array(fresh, dtype=complex))
+            if near and _retraced(seed, grads[j], near, reach) is not None:
+                stop.append(j)
+        return stop
+
+    walkers = [
+        _walk(P, w, pairs[p][1], seeds[p, d], window, step_size, max_steps, rows[p, d], pts)
+        for (p, d), pts in zip(starts, points)
+    ]
+    for key, result in zip(starts, _lockstep(P, w, walkers, stats, prune)):
+        if result is not None:
+            curves[key] = result
+
+    # the sequential search, on the results above
+    kept = []
+    level_ids = {}
+    for p, (level, eps, lam) in enumerate(pairs):
+        ids = level_ids.setdefault(level, [])
+        found = None
+        for d, direction in enumerate(_RAY_DIRECTIONS):
+            key = (p, d)
+            if key not in seeds:
+                (seeds[key],) = find_boundary_seeds(P, w, [(eps, lam, direction)], window)
+            seed = seeds[key]
+            if isinstance(seed, (SeedNotFoundError, PreconditionError)):
+                continue
+            if isinstance(seed, Exception):
+                raise seed
+            if key not in rows:
+                (rows[key],) = _rows(P, w, [seed], stats)
+            row = rows[key]
+            if isinstance(row, Exception):
+                raise row
+            k = _retraced(seed, row.grad_xy(eps), [kept[c].points for c in ids], reach)
+            if k is not None:
+                found = ids[k]
+                break
+            if key not in curves:
+                walker = _walk(P, w, eps, seed, window, step_size, max_steps, row)
+                (curves[key],) = _lockstep(P, w, [walker], stats)
+            curve = curves[key]
+            if isinstance(curve, (SeedNotFoundError, PreconditionError)):
+                continue
+            if isinstance(curve, Exception):
+                raise curve
+            ids.append(len(kept))
+            kept.append(curve)
+            found = curve
+            break
+        yield eps, lam, found
+
+
+def _traceable(row: PointEval, eps: float, tol: float) -> bool:
+    try:
+        _seed_gradient(row, eps, tol)
+    except PreconditionError:
+        return False
+    return True
 
 
 def labels_near(field: ScalarField, eps: float, points) -> list:

@@ -5,9 +5,9 @@ and the sublevel sets of s_min(lambda) / w(|lambda|) are the weighted
 pseudospectra.  Where s_min is simple and nonzero its gradient has the closed
 form (Re u* P'(lambda) v, Re u* i P'(lambda) v) in the trailing singular
 vector pair (u, v).  ``PointEval.grad_F`` returns that gradient, less the
-weight term, as an array, or None where the surface gap or the value itself
-is too small for the formula to be trusted, or at the origin under a
-non-constant weight.
+weight term, as an array (``grad_xy`` as two floats), or None where the
+surface gap or the value itself is too small for the formula to be
+trusted, or at the origin under a non-constant weight.
 
 A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
 seed rays, the simplex searches, which evaluate every live simplex's
@@ -28,10 +28,15 @@ also runs the closed form; otherwise a grid larger than one chunk is
 decomposed on every CPU in the process's affinity mask, by a thread pool
 created for the call.  Each chunk's values land in their own rows, so
 results do not depend on the core count.  A caller that needs vectors or
-a gradient reads everything from one ``PointEval``, a single SVD with
-vectors.  LAPACK's singular values with and without vectors may differ
-in the last bits, and at n = 2 ``PointEval``'s values and the closed
-form's may too.
+a gradient reads everything from a ``PointEval``: a row of
+``point_evals``, which decomposes a stack of points with one stacked SVD
+with vectors (the tracer's lockstep rounds), and ``PointEval(P, w, lam)``
+is the stack of one.  Its derivations are real arithmetic in a fixed
+order, so a row equals the point alone bit for bit.  LAPACK's singular
+values with and without vectors may differ in the last bits, and at n = 2
+``PointEval``'s values and the closed form's may too.  A non-finite
+P(lambda) raises ``np.linalg.LinAlgError`` on every path before LAPACK
+sees it.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .errors import PreconditionError
 from .matpoly import (
     MatrixPolynomial,
     WeightPolynomial,
-    evaluate,
     evaluate_many,
     weight_deriv_eval,
     weight_eval,
@@ -64,6 +68,10 @@ ORIGIN_TOL = 1e-12
 # evaluated and the chunks being decomposed.
 _CHUNK_BYTES = 4 << 20
 
+# Bytes per matrix entry of a stacked evaluation with vectors, at its peak
+# (tests measure it).
+_STACK_ENTRY_BYTES = 128
+
 # Bytes of work arrays per matrix in the n = 2 closed form, at their peak
 # (tests measure it); np.linalg.svd works on one matrix at a time.
 _KERNEL_BYTES = 320
@@ -78,6 +86,9 @@ def _usable_cpus() -> int:
 
 # Threads that decompose chunks: one per CPU the process may run on.
 _WORKERS = _usable_cpus()
+
+# The weight of ``singular_triplets``, which reads no weight term.
+_UNIT_WEIGHT = WeightPolynomial([1.0])
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,10 @@ class SingularTripletSet:
 
 def singular_triplets(P: MatrixPolynomial, lam: complex) -> SingularTripletSet:
     """Full SVD of P(lambda) with deterministic phases."""
-    U, s, Vh = np.linalg.svd(evaluate(P, lam))
+    return PointEval(P, _UNIT_WEIGHT, lam).trip
+
+
+def _phased(U: np.ndarray, s: np.ndarray, Vh: np.ndarray) -> SingularTripletSet:
     V = Vh.conj().T
     # each column's largest-modulus entry of V becomes real and positive; one
     # scalar division per column (an array division differs in the last bit)
@@ -168,6 +182,19 @@ def _chunk_points(n: int) -> int:
     return max(1, _CHUNK_BYTES // (per_point * (_WORKERS + 1)))
 
 
+def _stack_points(n: int) -> int:
+    """Points per stacked evaluation with vectors: P(lambda), P'(lambda),
+    U, Vh and the gradient's work arrays take ``_STACK_ENTRY_BYTES`` per
+    matrix entry, and a chunk of them fits ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // (_STACK_ENTRY_BYTES * n * n))
+
+
+def _require_finite(block: np.ndarray) -> None:
+    # LAPACK raises for NaN only, and returns NaN values for an infinite entry
+    if not np.isfinite(block).all():
+        raise np.linalg.LinAlgError("non-finite entry in P(lambda)")
+
+
 def _decompose(rows: np.ndarray, block: np.ndarray) -> None:
     rows[...] = _svals(block)
 
@@ -176,6 +203,7 @@ def _svals(block: np.ndarray) -> np.ndarray:
     """Descending singular values of each matrix in a (..., n, n) stack."""
     if block.shape[-1] == 2:
         return _svals2(block)
+    _require_finite(block)
     return np.linalg.svd(block, compute_uv=False)
 
 
@@ -251,64 +279,132 @@ def _require_eps(eps: float) -> None:
         raise PreconditionError("eps must be nonnegative")
 
 
-def F_eps(P: MatrixPolynomial, w: WeightPolynomial, eps: float, lam):
+def F_eps(P: MatrixPolynomial, w: WeightPolynomial, eps, lam):
     """Level function s_min(lambda) - eps * w(|lambda|) at a point, or at
-    every point of an array (result shaped like ``lam``).
+    every point of an array (result shaped like ``lam``); ``eps`` may also
+    be an array shaped like ``lam``, one level per point.
 
     Nonpositive exactly on the eps-sublevel set of s_min / w.  |lambda| is
     ``np.hypot`` of the parts, which rounds like ``abs()`` of a complex.
     """
-    _require_eps(eps)
+    _require_eps(np.min(eps))
     L = np.asarray(lam, dtype=complex)
     return singular_values_many(P, L)[..., -1] - eps * weight_eval(w, np.hypot(L.real, L.imag))
 
 
 class PointEval:
-    """One SVD of P(lambda) with vectors, and everything derived from it.
+    """The SVD of P(lambda) with vectors at one point, and what derives from it.
 
-    ``gap`` is s_{n-1} - s_n (infinite for n = 1); ``smooth`` says s_min is
-    simple and nonzero, so the closed-form gradient ``s_grad`` holds;
-    ``weight_grad``, the gradient of w(|.|), is None at the origin for a
-    non-constant weight.  ``grad_F(eps)`` is s_grad - eps * weight_grad, or
-    None unless both hold; ``ratio_grad`` is ``grad_F(ratio) / weight``.
-    P'(lambda) is evaluated from the P' kept on P.
+    Rows are made by ``point_evals``; ``PointEval(P, w, lam)`` is row 0 of a
+    stack of one.  ``gap`` is s_{n-1} - s_n (infinite for n = 1); ``smooth``
+    says s_min is simple and nonzero, so the closed-form gradient ``s_grad``
+    holds; ``weight_grad``, the gradient of w(|.|), is None at the origin for
+    a non-constant weight.  Both are (d/dx, d/dy) pairs of floats.
+    ``grad_xy(eps)`` is the pair s_grad - eps * weight_grad, or None unless
+    both hold, and ``grad_F(eps)`` the same as an array; ``ratio_grad`` is
+    ``grad_F(ratio) / weight``.  ``trip`` is the full SVD with the phases of
+    ``singular_triplets``.
     """
 
-    def __init__(self, P: MatrixPolynomial, w: WeightPolynomial, lam: complex):
-        self.lam = lam
-        self.trip = singular_triplets(P, lam)
-        s = self.trip.values
-        self.s_min = float(s[-1])
-        self.gap = float(s[-2] - s[-1]) if self.trip.n >= 2 else np.inf
-        self.on_spectrum = on_spectrum(s)
-        self.smooth = bool(self.gap > GAP_RTOL * float(s[0]) and not self.on_spectrum)
-        self.deriv = evaluate(P.derivative, lam)
-        core = self.trip.left[:, -1].conj() @ (self.deriv @ self.trip.right[:, -1])
-        self.s_grad = np.array([core.real, (1j * core).real])
-        r = abs(lam)
-        self.weight = weight_eval(w, r)
-        self.ratio = self.s_min / self.weight
-        if r >= ORIGIN_TOL:
-            self.weight_grad = weight_deriv_eval(w, r) * np.array([lam.real, lam.imag]) / r
-        else:
-            self.weight_grad = np.zeros(2) if w.is_constant else None
+    __slots__ = (
+        "lam", "s_min", "gap", "on_spectrum", "smooth", "s_grad",
+        "weight", "ratio", "weight_grad", "_svd",
+    )
+
+    def __new__(cls, P: MatrixPolynomial, w: WeightPolynomial, lam: complex):
+        return point_evals(P, w, [lam])[0]
+
+    @property
+    def trip(self) -> SingularTripletSet:
+        return _phased(*self._svd)
 
     def F(self, eps: float) -> float:
         """s_min - eps * w(|lambda|)."""
         _require_eps(eps)
         return self.s_min - eps * self.weight
 
-    def grad_F(self, eps: float) -> np.ndarray | None:
-        """Gradient (d/dx, d/dy) of F; None where the closed form cannot be
-        trusted: s_min not simple and nonzero, or the origin under a
-        non-constant weight."""
+    def grad_xy(self, eps: float) -> tuple | None:
+        """Gradient (d/dx, d/dy) of F as two floats; None where the closed
+        form cannot be trusted: s_min not simple and nonzero, or the origin
+        under a non-constant weight."""
         _require_eps(eps)
         if not self.smooth or self.weight_grad is None:
             return None
-        return self.s_grad - eps * self.weight_grad
+        (sx, sy), (wx, wy) = self.s_grad, self.weight_grad
+        return sx - eps * wx, sy - eps * wy
+
+    def grad_F(self, eps: float) -> np.ndarray | None:
+        """``grad_xy(eps)`` as an array, or None."""
+        g = self.grad_xy(eps)
+        return None if g is None else np.array(g)
 
     @property
     def ratio_grad(self) -> np.ndarray | None:
         """Gradient of s_min / w, None where ``grad_F`` is."""
         g = self.grad_F(self.ratio)
         return None if g is None else g / self.weight
+
+
+def point_evals(P: MatrixPolynomial, w: WeightPolynomial, lams) -> list:
+    """One ``PointEval`` per point of ``lams``, in order.
+
+    Each chunk of ``_stack_points(n)`` points costs one ``evaluate_many`` of
+    P, one of P', one stacked ``np.linalg.svd`` and a fixed number of array
+    operations; the rest is scalar work per point.  Everything derived from
+    the SVD is real arithmetic in a fixed order, elementwise or per point,
+    so a point gets the same bits alone as in any stack (numpy's complex
+    products round differently in their scalar and vector loops).  Raises
+    ``np.linalg.LinAlgError`` where P(lambda) is not finite.
+    """
+    L = np.asarray(lams, dtype=complex).reshape(-1)
+    chunk = _stack_points(P.n)
+    if L.size > chunk:
+        return [
+            row
+            for start in range(0, L.size, chunk)
+            for row in point_evals(P, w, L[start : start + chunk])
+        ]
+    A = evaluate_many(P, L)
+    _require_finite(A)
+    U, s, Vh = np.linalg.svd(A)
+    D = evaluate_many(P.derivative, L)
+    # s_grad = (Re c, -Im c) for c = u* P'(lambda) v, (u, v) the trailing
+    # pair, on interleaved (re, im) parts.  With h = conj(v) the last row of
+    # Vh, row a of P'(lambda) gives t_a = (P'(lambda) v)_a as
+    # Re t_a = D_a . (Re h_0, Im h_0, ...) and Im t_a = D_a . (-Im h_0, Re h_0, ...);
+    # then Re c = sum Re u_a Re t_a + Im u_a Im t_a and
+    # -Im c = sum Im u_a Re t_a - Re u_a Im t_a
+    k, n = L.size, P.n
+    h = Vh[:, -1].view(float)
+    rotated = np.empty((k, 2, 2 * n))
+    rotated[:, 0] = h
+    np.negative(h[:, 1::2], out=rotated[:, 1, 0::2])
+    rotated[:, 1, 1::2] = h[:, 0::2]
+    t = np.add.reduce(D.view(float)[:, None] * rotated[:, :, None], axis=3)
+    u = U[:, :, -1]
+    pairs = np.empty((k, 2, 2, n))
+    pairs[:, 0, 0] = u.real
+    pairs[:, 0, 1] = pairs[:, 1, 0] = u.imag
+    np.negative(u.real, out=pairs[:, 1, 1])
+    grads = np.add.reduce((pairs * t[:, None]).reshape(k, 2, 2 * n), axis=2)
+    rows = []
+    for i, (lam, values, grad) in enumerate(zip(L.tolist(), s.tolist(), grads.tolist())):
+        row = object.__new__(PointEval)
+        row.lam = lam
+        row.s_min = values[-1]
+        row.gap = values[-2] - values[-1] if n >= 2 else np.inf
+        row.on_spectrum = values[-1] <= ZERO_RTOL * (1.0 + values[0])
+        row.smooth = row.gap > GAP_RTOL * values[0] and not row.on_spectrum
+        row.s_grad = tuple(grad)
+        r = abs(lam)
+        row.weight = weight_eval(w, r)
+        row.ratio = row.s_min / row.weight
+        if r >= ORIGIN_TOL:
+            slope = weight_deriv_eval(w, r)
+            row.weight_grad = (slope * lam.real / r, slope * lam.imag / r)
+        else:
+            row.weight_grad = (0.0, 0.0) if w.is_constant else None
+        # copies, so that a kept row does not keep its whole stack alive
+        row._svd = (U[i].copy(), np.array(values), Vh[i].copy())
+        rows.append(row)
+    return rows

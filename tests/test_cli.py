@@ -616,3 +616,52 @@ class TestDefaults:
         eps = json.loads(out.read_text())["epsilons"]
         assert len(eps) == 7
         assert eps == sorted(eps) and eps[0] > 0
+
+
+class TestNonFiniteValues:
+    """I + 1e308 lambda I overflows to an infinite P(lambda) on [1, 3]: every
+    command that evaluates there exits 3 instead of reading NaN values."""
+
+    @pytest.fixture
+    def problem(self, tmp_path):
+        doc = {
+            "n": 3, "m": 1,
+            "coefficients": [{"re": np.eye(3).tolist()}, {"re": (1e308 * np.eye(3)).tolist()}],
+            "window": {"x_min": 1.0, "x_max": 3.0, "y_min": -1.0, "y_max": 1.0,
+                       "nx": 21, "ny": 21},
+            "epsilons": [0.5],
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field"],
+            ["components", "--eps", "0.5"],
+            ["faults"],
+            ["trace", "--seed", "2", "0"],
+            # the rays from the eigenvalue near 0 run into the overflow
+            ["trace", "--window", "-1", "3", "-1", "1"],
+        ],
+        ids=["field", "components", "faults", "trace-seed", "trace-rays"],
+    )
+    def test_exit_3(self, problem, argv, capfd):
+        assert main([argv[0], "--input", problem, *argv[1:]]) == 3
+        out, err = capfd.readouterr()
+        assert "numerical failure: non-finite entry in P(lambda)" in err
+        assert "illegal value" not in out + err  # LAPACK never sees the entry
+
+
+class TestCertificateCriterion:
+    def test_null_where_the_trailing_pair_is_not_unique(self, tmp_path, capsys):
+        # at mu = 0.4 diag_movable has a double smallest singular value
+        path = FIXTURES / "diag_movable_eigenvalue_2x2.json"
+        out = tmp_path / "p.json"
+        assert main(["perturb", "--input", str(path), "--mu", "0.4", "0", "--json", str(out)]) == 0
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["geometric_multiplicity"] == 2 and cert["criterion"] is None
+        assert main(["perturb", "--input", UPTRI, "--mu", "1.4", "0", "--json", str(out)]) == 0
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["geometric_multiplicity"] == 1 and set(cert["criterion"]) == {"re", "im"}

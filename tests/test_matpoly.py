@@ -305,3 +305,17 @@ class TestGeometricMultiplicity:
             rep = eigenvalues(P)
             for lam, mult in zip(rep.eigenvalues, rep.multiplicities):
                 assert geometric_multiplicity(P, lam) <= mult
+
+
+class TestOnePointArrays:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_point_array_at_n1_rounds_like_a_stack(self, m):
+        # a one-element product whose operands differ in their number of
+        # axes takes numpy's scalar loop; evaluate_many must not form one
+        rng = np.random.default_rng(13)
+        P = random_polynomial(rng, 1, m)
+        lams = rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
+        batch = evaluate_many(P, lams)
+        for k, lam in enumerate(lams):
+            assert evaluate_many(P, lams[k : k + 1])[0].tobytes() == batch[k].tobytes()
+            assert evaluate_many(P, [[lam]])[0, 0].tobytes() == batch[k].tobytes()
