@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -267,6 +268,13 @@ def find_boundary_seed(
     return seed
 
 
+class _Ray(NamedTuple):
+    index: int  # position in the caller's list
+    eps: float
+    lam0: complex
+    direction: complex  # of modulus 1
+
+
 def find_boundary_seeds(P: MatrixPolynomial, w: WeightPolynomial, rays, window: GridSpec) -> list:
     """``find_boundary_seed`` of every (eps, lam0, direction) of ``rays``, in
     order: its seed, or the exception it raises.
@@ -283,13 +291,13 @@ def find_boundary_seeds(P: MatrixPolynomial, w: WeightPolynomial, rays, window: 
     def levels(group: list, points: list) -> list:
         """F_eps at each ray's points; None for a ray whose points raise
         LinAlgError, which becomes its outcome."""
-        values = _levels(P, w, [ray[1] for ray in group], points)
+        values = _each(lambda items: _ray_levels(P, w, items), list(zip(group, points)))
         for ray, v in zip(group, values):
             if isinstance(v, Exception):
-                out[ray[0]] = v
+                out[ray.index] = v
         return [None if isinstance(v, Exception) else v for v in values]
 
-    live = []  # rays (i, eps, lam0, unit direction) past the preconditions
+    live = []  # rays past the preconditions
     for i, (eps, lam0, direction) in enumerate(rays):
         direction = complex(direction)
         if direction == 0:
@@ -299,23 +307,23 @@ def find_boundary_seeds(P: MatrixPolynomial, w: WeightPolynomial, rays, window: 
         elif eps < 0:
             out[i] = PreconditionError("eps must be nonnegative")
         else:
-            live.append((i, eps, lam0, direction / abs(direction)))
+            live.append(_Ray(i, eps, lam0, direction / abs(direction)))
     sampled = []  # (ray, samples of t along it)
-    for ray, f0 in zip(live, levels(live, [[ray[2]] for ray in live])):
+    for ray, f0 in zip(live, levels(live, [[ray.lam0] for ray in live])):
         if f0 is None:
             continue
-        t_max = _ray_exit_parameter(window, ray[2], ray[3])
+        t_max = _ray_exit_parameter(window, ray.lam0, ray.direction)
         if f0[0] >= 0:
-            out[ray[0]] = PreconditionError(
+            out[ray.index] = PreconditionError(
                 f"F_eps(lam0) = {f0[0]:.3e} must be negative at the starting point"
             )
         elif t_max <= 0:
-            out[ray[0]] = SeedNotFoundError("starting point lies on the window edge")
+            out[ray.index] = SeedNotFoundError("starting point lies on the window edge")
         else:
             sampled.append((ray, np.linspace(0.0, t_max, _SEED_SAMPLES)[1:]))
     brackets = []  # [ray, lo, hi]
     group = [ray for ray, _ in sampled]
-    values = levels(group, [ray[2] + ts * ray[3] for ray, ts in sampled])
+    values = levels(group, [ray.lam0 + ts * ray.direction for ray, ts in sampled])
     for (ray, ts), f in zip(sampled, values):
         if f is None:
             continue
@@ -324,7 +332,7 @@ def find_boundary_seeds(P: MatrixPolynomial, w: WeightPolynomial, rays, window: 
         if outside[k]:
             brackets.append([ray, (float(ts[k - 1]) if k else 0.0), float(ts[k])])
         else:
-            out[ray[0]] = SeedNotFoundError(
+            out[ray.index] = SeedNotFoundError(
                 "no sign change of F_eps along the ray inside the window; the "
                 "component may be unbounded through the window edge"
             )
@@ -337,47 +345,55 @@ def find_boundary_seeds(P: MatrixPolynomial, w: WeightPolynomial, rays, window: 
         if not mids:
             break
         group = [b[0] for b, _ in mids]
-        values = levels(group, [[ray[2] + mid * ray[3]] for ray, (_, mid) in zip(group, mids)])
+        values = levels(group, [[b[0].lam0 + mid * b[0].direction] for b, mid in mids])
         active = []
         for (b, mid), f in zip(mids, values):
             if f is not None:
                 b[1 if f[0] < 0 else 2] = mid
                 active.append(b)
-    brackets = [b for b in brackets if out[b[0][0]] is None]
+    brackets = [b for b in brackets if out[b[0].index] is None]
     if brackets:
         tol = on_curve_tolerance(P)
         group = [ray for ray, _, _ in brackets]
-        seeds = [ray[2] + 0.5 * (lo + hi) * ray[3] for ray, lo, hi in brackets]
+        seeds = [ray.lam0 + 0.5 * (lo + hi) * ray.direction for ray, lo, hi in brackets]
         for ray, seed, f in zip(group, seeds, levels(group, [[z] for z in seeds])):
             if f is None:
                 continue
             residual = abs(f[0])
-            out[ray[0]] = seed
+            out[ray.index] = seed
             if residual > tol:
-                out[ray[0]] = SeedNotFoundError(
+                out[ray.index] = SeedNotFoundError(
                     f"bisection converged but |F_eps| = {residual:.3e} stays above "
                     f"tolerance {tol:.3e}"
                 )
     return out
 
 
-def _levels(P: MatrixPolynomial, w: WeightPolynomial, eps_list: list, groups: list) -> list:
-    """F_eps of each group of points at its own level, in one call; where that
-    raises LinAlgError, group by group, with the error in place of values."""
-    sizes = [len(z) for z in groups]
-    if not groups:
+def _ray_levels(P: MatrixPolynomial, w: WeightPolynomial, items: list) -> list:
+    """F_eps at the points of each (ray, points) item, at the ray's level, in
+    one call."""
+    sizes = [len(points) for _, points in items]
+    levels = np.repeat([ray.eps for ray, _ in items], sizes)
+    values = F_eps(P, w, levels, np.concatenate([points for _, points in items]))
+    return np.split(values, np.cumsum(sizes)[:-1])
+
+
+def _each(call, items: list) -> list:
+    """``call(items)``, one result per item; where it raises LinAlgError,
+    ``call`` item by item, with each item's error in place of its result,
+    so that an error stays with the item that raised it."""
+    if not items:
         return []
     try:
-        values = F_eps(P, w, np.repeat(eps_list, sizes), np.concatenate(groups))
+        return call(items)
     except np.linalg.LinAlgError:
         out = []
-        for eps, z in zip(eps_list, groups):
+        for item in items:
             try:
-                out.append(F_eps(P, w, eps, z))
+                out += call([item])
             except np.linalg.LinAlgError as exc:
                 out.append(exc)
         return out
-    return np.split(values, np.cumsum(sizes)[:-1])
 
 
 # Stationarity threshold shared by the tracer stop test and the saddle
@@ -622,21 +638,12 @@ def _walk(P, w, eps, seed, window, step_size, max_steps, here=None, pts=None):
 
 
 def _rows(P: MatrixPolynomial, w: WeightPolynomial, points, stats: TraceStats | None) -> list:
-    """``point_evals`` of ``points``; where the stack raises LinAlgError,
-    each point's own row or error, so that an error stays with its point."""
+    """``point_evals`` of ``points``, with a LinAlgError in place of the row
+    of a point that raises it."""
     if stats is not None:
         stats.rounds += 1
         stats.points += len(points)
-    try:
-        return point_evals(P, w, points)
-    except np.linalg.LinAlgError:
-        out = []
-        for z in points:
-            try:
-                out.append(point_evals(P, w, [z])[0])
-            except np.linalg.LinAlgError as exc:
-                out.append(exc)
-        return out
+    return _each(lambda z: point_evals(P, w, z), list(points))
 
 
 def _lockstep(P, w, walkers: list, stats: TraceStats | None, prune=None) -> list:
@@ -705,14 +712,13 @@ def trace_eigenvalue_rays(
     every eigenvalue's first traceable seed is traced at once, and a
     walker stops when an earlier walker of its level passes its seed the
     same way (tested every _PRUNE_ROUNDS rounds).  The sequential search
-    then replays on the results; what it needs that was not done ahead is
-    done then, alone.  So the outcomes are those of the search run point
-    by point.
+    then replays on the results, and traces alone a stopped walker it
+    needs.  So the outcomes are those of the search run point by point.
     """
     tol = on_curve_tolerance(P)
     reach = _RETRACE_FRACTION * _tracer_step(window, step_size)
     pairs = [(level, eps, lam) for level, eps in enumerate(levels) for lam in eigenvalues]
-    seeds, rows, curves = {}, {}, {}  # by (pair, direction index)
+    seeds, rows = {}, {}  # by (pair, direction index)
 
     # waves of rays: each pair's next ray until one gives a traceable seed
     first = {}  # pair -> direction index of its first traceable seed
@@ -765,9 +771,7 @@ def trace_eigenvalue_rays(
         _walk(P, w, pairs[p][1], seeds[p, d], window, step_size, max_steps, rows[p, d], pts)
         for (p, d), pts in zip(starts, points)
     ]
-    for key, result in zip(starts, _lockstep(P, w, walkers, stats, prune)):
-        if result is not None:
-            curves[key] = result
+    curves = dict(zip(starts, _lockstep(P, w, walkers, stats, prune)))
 
     # the sequential search, on the results above
     kept = []
@@ -775,30 +779,25 @@ def trace_eigenvalue_rays(
     for p, (level, eps, lam) in enumerate(pairs):
         ids = level_ids.setdefault(level, [])
         found = None
-        for d, direction in enumerate(_RAY_DIRECTIONS):
-            key = (p, d)
-            if key not in seeds:
-                (seeds[key],) = find_boundary_seeds(P, w, [(eps, lam, direction)], window)
-            seed = seeds[key]
+        for d in range(len(_RAY_DIRECTIONS)):
+            # the waves stopped at the first traceable seed or an error,
+            # where this loop stops too
+            seed, row = seeds[p, d], rows.get((p, d))
             if isinstance(seed, (SeedNotFoundError, PreconditionError)):
                 continue
-            if isinstance(seed, Exception):
-                raise seed
-            if key not in rows:
-                (rows[key],) = _rows(P, w, [seed], stats)
-            row = rows[key]
-            if isinstance(row, Exception):
-                raise row
+            for result in (seed, row):
+                if isinstance(result, Exception):
+                    raise result
             k = _retraced(seed, row.grad_xy(eps), [kept[c].points for c in ids], reach)
             if k is not None:
                 found = ids[k]
                 break
-            if key not in curves:
-                walker = _walk(P, w, eps, seed, window, step_size, max_steps, row)
-                (curves[key],) = _lockstep(P, w, [walker], stats)
-            curve = curves[key]
-            if isinstance(curve, (SeedNotFoundError, PreconditionError)):
+            if not _traceable(row, eps, tol):
                 continue
+            curve = curves.get((p, d))
+            if curve is None:  # stopped ahead; the search needs it
+                walker = _walk(P, w, eps, seed, window, step_size, max_steps, row)
+                (curve,) = _lockstep(P, w, [walker], stats)
             if isinstance(curve, Exception):
                 raise curve
             ids.append(len(kept))
