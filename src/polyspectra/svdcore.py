@@ -393,7 +393,7 @@ def point_evals(P: MatrixPolynomial, w: WeightPolynomial, lams) -> list:
         row.lam = lam
         row.s_min = values[-1]
         row.gap = values[-2] - values[-1] if n >= 2 else np.inf
-        row.on_spectrum = values[-1] <= ZERO_RTOL * (1.0 + values[0])
+        row.on_spectrum = on_spectrum(values)
         row.smooth = row.gap > GAP_RTOL * values[0] and not row.on_spectrum
         row.s_grad = tuple(grad)
         r = abs(lam)
