@@ -73,7 +73,6 @@ from .pseudospectrum import (
     compute_field,
     default_window,
     find_boundary_seed,
-    find_boundary_seeds,
     merge_epsilon,
     retraced_curve,
     trace_boundaries,

@@ -72,14 +72,10 @@ from .svdcore import singular_values_many
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Parsed problem: polynomial, weight choice, optional window and
-    level list."""
+    """Parsed problem: polynomial, weight, optional window and level list."""
 
     polynomial: MatrixPolynomial
     weight: WeightPolynomial
-    weight_mode: str
-    weight_value: float | None
-    custom_weights: tuple | None
     window: GridSpec | None
     epsilons: tuple
 
@@ -95,7 +91,7 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# parsing / serialization
+# parsing
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -137,35 +133,30 @@ def _parse_matrix(entry, n: int, where: str) -> np.ndarray:
     return re_arr + 1j * im_arr
 
 
-def _build_weight(doc, P: MatrixPolynomial):
+def _build_weight(doc, P: MatrixPolynomial) -> WeightPolynomial:
     _require(isinstance(doc, dict), "weight: expected an object")
     mode = doc.get("mode")
     _require(
         mode in ("constant", "unit", "coefficient_norms", "custom"),
         f"weight.mode: expected one of constant|unit|coefficient_norms|custom, got {mode!r}",
     )
-    value = None
-    custom = None
     if mode == "unit":
-        weight = WeightPolynomial([1.0])
-    elif mode == "constant":
+        return WeightPolynomial([1.0])
+    if mode == "constant":
         value = _number(doc.get("value", 1.0), "weight.value")
         _require(value > 0, "weight.value: must be positive")
-        weight = WeightPolynomial([value])
-    elif mode == "coefficient_norms":
+        return WeightPolynomial([value])
+    if mode == "coefficient_norms":
         norms = [float(np.linalg.norm(C, 2)) for C in P.coeffs]
         _require(norms[0] > 0, "weight.mode coefficient_norms: ||P_0|| is zero, w_0 would vanish")
-        weight = WeightPolynomial(norms)
-    else:
-        vals = doc.get("values")
-        _require(isinstance(vals, list) and vals, "weight.values: expected a nonempty list")
-        _require(
-            len(vals) <= P.m + 1,
-            f"weight.values: {len(vals)} entries exceed m+1 = {P.m + 1}",
-        )
-        custom = tuple(_number(v, f"weight.values[{k}]") for k, v in enumerate(vals))
-        weight = WeightPolynomial(custom)
-    return weight, mode, value, custom
+        return WeightPolynomial(norms)
+    vals = doc.get("values")
+    _require(isinstance(vals, list) and vals, "weight.values: expected a nonempty list")
+    _require(
+        len(vals) <= P.m + 1,
+        f"weight.values: {len(vals)} entries exceed m+1 = {P.m + 1}",
+    )
+    return WeightPolynomial([_number(v, f"weight.values[{k}]") for k, v in enumerate(vals)])
 
 
 def _parse_window(doc) -> GridSpec:
@@ -230,55 +221,13 @@ def parse_problem(text: str) -> ProblemSpec:
         _parse_matrix(entry, n, f"coefficients[{j}]") for j, entry in enumerate(coeffs_doc)
     ]
     P = MatrixPolynomial(coeffs)
-    weight, mode, value, custom = _build_weight(doc.get("weight", {"mode": "unit"}), P)
+    weight = _build_weight(doc.get("weight", {"mode": "unit"}), P)
     window = _parse_window(doc["window"]) if "window" in doc else None
     eps_doc = doc.get("epsilons", [])
     _require(isinstance(eps_doc, list), "epsilons: expected a list")
     epsilons = tuple(_number(e, f"epsilons[{k}]") for k, e in enumerate(eps_doc))
     _check_values(epsilons, "eps", "epsilons")
-    return ProblemSpec(
-        polynomial=P,
-        weight=weight,
-        weight_mode=mode,
-        weight_value=value,
-        custom_weights=custom,
-        window=window,
-        epsilons=epsilons,
-    )
-
-
-def _matrix_doc(M: np.ndarray) -> dict:
-    return {
-        "im": [[float(x) for x in row] for row in M.imag],
-        "re": [[float(x) for x in row] for row in M.real],
-    }
-
-
-def serialize_problem(spec: ProblemSpec) -> str:
-    """Canonical JSON for a problem; parse -> serialize round-trips
-    byte-identically on canonical inputs."""
-    doc = {
-        "n": spec.polynomial.n,
-        "m": spec.polynomial.m,
-        "coefficients": [_matrix_doc(C) for C in spec.polynomial.coeffs],
-        "weight": {"mode": spec.weight_mode},
-    }
-    if spec.weight_mode == "constant":
-        doc["weight"]["value"] = spec.weight_value
-    if spec.weight_mode == "custom":
-        doc["weight"]["values"] = list(spec.custom_weights)
-    if spec.window is not None:
-        doc["window"] = {
-            "x_min": spec.window.x_min,
-            "x_max": spec.window.x_max,
-            "y_min": spec.window.y_min,
-            "y_max": spec.window.y_max,
-            "nx": spec.window.nx,
-            "ny": spec.window.ny,
-        }
-    if spec.epsilons:
-        doc["epsilons"] = list(spec.epsilons)
-    return _json_text(doc)
+    return ProblemSpec(polynomial=P, weight=weight, window=window, epsilons=epsilons)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +248,13 @@ def _emit(report: RunReport, path: str, text: str) -> None:
             os.unlink(tmp)
         raise
     report.outputs.append(path)
+
+
+def _matrix_doc(M: np.ndarray) -> dict:
+    return {
+        "im": [[float(x) for x in row] for row in M.imag],
+        "re": [[float(x) for x in row] for row in M.real],
+    }
 
 
 def _json_text(doc) -> str:

@@ -83,7 +83,8 @@ class WeightPolynomial:
     """Real polynomial w(x) = sum_j w_j x**j with w_j >= 0 and w_0 > 0.
 
     The weights scale the admissible perturbation of each coefficient;
-    ``w_j = 0`` forbids perturbing P_j entirely.
+    ``w_j = 0`` forbids perturbing P_j entirely.  The coefficients of the
+    derivative w' are computed on first use and kept.
     """
 
     weights: tuple
@@ -99,6 +100,12 @@ class WeightPolynomial:
         if any(x < 0 for x in ws):
             raise InputError("weights must be nonnegative")
         object.__setattr__(self, "weights", ws)
+
+    @cached_property
+    def derivative_weights(self) -> tuple:
+        """Coefficients j * w_j (j >= 1) of w', empty for a constant; computed
+        on first use and kept."""
+        return tuple(j * c for j, c in enumerate(self.weights))[1:]
 
     def coefficient(self, j: int) -> float:
         """w_j, treating missing high-order terms as zero."""
@@ -196,7 +203,7 @@ def weight_eval(w: WeightPolynomial, r):
 
 def weight_deriv_eval(w: WeightPolynomial, r):
     """w'(r) for r >= 0."""
-    return _horner([j * c for j, c in enumerate(w.weights)][1:], r)
+    return _horner(w.derivative_weights, r)
 
 
 def singular_tolerance(P: MatrixPolynomial) -> float:

@@ -1,10 +1,11 @@
 """Grid sampling of the s_min/w landscape, sublevel components, boundary
 tracing, and the exact grid level at which components merge.
 
-The tracer is a walker that yields each point it needs and is sent that
-point's evaluation, so that every curve of a command advances in
-lockstep, with one stacked evaluation per round; seed rays advance
-together the same way.
+The boundary tracer and the seed ray search are walkers: generators that
+yield each point whose evaluation they need, or each level and points
+whose F_eps values they need, and are sent the answer.  One driver,
+``_lockstep``, advances every walker of a command together and answers a
+round with one stacked evaluation of each kind.
 
 A single ScalarField stores the ratio s_min(lambda) / w(|lambda|) on a
 rectangular grid; the eps-sublevel set of that one field answers membership
@@ -17,7 +18,6 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -259,131 +259,66 @@ def find_boundary_seed(
     lam0 must be strictly inside the sublevel set (F_eps(lam0) < 0, true for
     any eigenvalue).  One F_eps call samples the ray up to the window edge;
     the first sample outside the set brackets a sign change with the one
-    before it, which is then bisected.  The one-ray case of
-    ``find_boundary_seeds``.
+    before it, which is then bisected.  Runs the walker ``_seed_ray`` alone.
     """
-    (seed,) = find_boundary_seeds(P, w, [(eps, lam0, direction)], window)
+    walker = _seed_ray(eps, lam0, direction, window, on_curve_tolerance(P))
+    (seed,) = _lockstep(P, w, [walker], None)
     if isinstance(seed, Exception):
         raise seed
     return seed
 
 
-class _Ray(NamedTuple):
-    index: int  # position in the caller's list
-    eps: float
-    lam0: complex
-    direction: complex  # of modulus 1
-
-
-def find_boundary_seeds(P: MatrixPolynomial, w: WeightPolynomial, rays, window: GridSpec) -> list:
-    """``find_boundary_seed`` of every (eps, lam0, direction) of ``rays``, in
-    order: its seed, or the exception it raises.
-
-    The rays advance together: one F_eps call tests every start, one samples
-    every ray, one per bisection round evaluates every ray still bisecting,
-    and one checks every seed.  Each point is computed as for its ray alone,
-    and F_eps gives a point the same bits in any array, so each ray gets the
-    seed it gets alone.  A LinAlgError stays with the ray whose point raised
-    it.
-    """
-    out = [None] * len(rays)
-
-    def levels(group: list, points: list) -> list:
-        """F_eps at each ray's points; None for a ray whose points raise
-        LinAlgError, which becomes its outcome."""
-        values = _each(lambda items: _ray_levels(P, w, items), list(zip(group, points)))
-        for ray, v in zip(group, values):
-            if isinstance(v, Exception):
-                out[ray.index] = v
-        return [None if isinstance(v, Exception) else v for v in values]
-
-    live = []  # rays past the preconditions
-    for i, (eps, lam0, direction) in enumerate(rays):
-        direction = complex(direction)
-        if direction == 0:
-            out[i] = PreconditionError("direction must be nonzero")
-        elif not window.contains(lam0):
-            out[i] = PreconditionError(f"starting point {lam0:.6g} lies outside the window")
-        elif eps < 0:
-            out[i] = PreconditionError("eps must be nonnegative")
-        else:
-            live.append(_Ray(i, eps, lam0, direction / abs(direction)))
-    sampled = []  # (ray, samples of t along it)
-    for ray, f0 in zip(live, levels(live, [[ray.lam0] for ray in live])):
-        if f0 is None:
-            continue
-        t_max = _ray_exit_parameter(window, ray.lam0, ray.direction)
-        if f0[0] >= 0:
-            out[ray.index] = PreconditionError(
-                f"F_eps(lam0) = {f0[0]:.3e} must be negative at the starting point"
-            )
-        elif t_max <= 0:
-            out[ray.index] = SeedNotFoundError("starting point lies on the window edge")
-        else:
-            sampled.append((ray, np.linspace(0.0, t_max, _SEED_SAMPLES)[1:]))
-    brackets = []  # [ray, lo, hi]
-    group = [ray for ray, _ in sampled]
-    values = levels(group, [ray.lam0 + ts * ray.direction for ray, ts in sampled])
-    for (ray, ts), f in zip(sampled, values):
-        if f is None:
-            continue
-        outside = f >= 0
-        k = int(np.argmax(outside))
-        if outside[k]:
-            brackets.append([ray, (float(ts[k - 1]) if k else 0.0), float(ts[k])])
-        else:
-            out[ray.index] = SeedNotFoundError(
-                "no sign change of F_eps along the ray inside the window; the "
-                "component may be unbounded through the window edge"
-            )
+def _seed_ray(eps: float, lam0: complex, direction: complex, window: GridSpec, tol: float):
+    """``find_boundary_seed`` as a walker: a generator that yields each
+    (level, points) pair it needs, is sent the F_eps values of those points,
+    and returns the seed.  ``tol`` is ``on_curve_tolerance(P)``."""
+    direction = complex(direction)
+    if direction == 0:
+        raise PreconditionError("direction must be nonzero")
+    if not window.contains(lam0):
+        raise PreconditionError(f"starting point {lam0:.6g} lies outside the window")
+    if eps < 0:
+        raise PreconditionError("eps must be nonnegative")
+    direction /= abs(direction)
+    (f0,) = yield eps, [lam0]
+    if f0 >= 0:
+        raise PreconditionError(f"F_eps(lam0) = {f0:.3e} must be negative at the starting point")
+    t_max = _ray_exit_parameter(window, lam0, direction)
+    if t_max <= 0:
+        raise SeedNotFoundError("starting point lies on the window edge")
+    ts = np.linspace(0.0, t_max, _SEED_SAMPLES)[1:]
+    outside = (yield eps, lam0 + ts * direction) >= 0
+    k = int(np.argmax(outside))
+    if not outside[k]:
+        raise SeedNotFoundError(
+            "no sign change of F_eps along the ray inside the window; the "
+            "component may be unbounded through the window edge"
+        )
+    lo, hi = (float(ts[k - 1]) if k else 0.0), float(ts[k])
     # bisect to full floating-point convergence; the final midpoint then
     # sits on the curve well inside the on-curve tolerance
-    active = brackets
     for _ in range(120):
-        mids = [(b, 0.5 * (b[1] + b[2])) for b in active]
-        mids = [(b, mid) for b, mid in mids if b[1] < mid < b[2]]
-        if not mids:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
-        group = [b[0] for b, _ in mids]
-        values = levels(group, [[b[0].lam0 + mid * b[0].direction] for b, mid in mids])
-        active = []
-        for (b, mid), f in zip(mids, values):
-            if f is not None:
-                b[1 if f[0] < 0 else 2] = mid
-                active.append(b)
-    brackets = [b for b in brackets if out[b[0].index] is None]
-    if brackets:
-        tol = on_curve_tolerance(P)
-        group = [ray for ray, _, _ in brackets]
-        seeds = [ray.lam0 + 0.5 * (lo + hi) * ray.direction for ray, lo, hi in brackets]
-        for ray, seed, f in zip(group, seeds, levels(group, [[z] for z in seeds])):
-            if f is None:
-                continue
-            residual = abs(f[0])
-            out[ray.index] = seed
-            if residual > tol:
-                out[ray.index] = SeedNotFoundError(
-                    f"bisection converged but |F_eps| = {residual:.3e} stays above "
-                    f"tolerance {tol:.3e}"
-                )
-    return out
-
-
-def _ray_levels(P: MatrixPolynomial, w: WeightPolynomial, items: list) -> list:
-    """F_eps at the points of each (ray, points) item, at the ray's level, in
-    one call."""
-    sizes = [len(points) for _, points in items]
-    levels = np.repeat([ray.eps for ray, _ in items], sizes)
-    values = F_eps(P, w, levels, np.concatenate([points for _, points in items]))
-    return np.split(values, np.cumsum(sizes)[:-1])
+        (f,) = yield eps, [lam0 + mid * direction]
+        if f < 0:
+            lo = mid
+        else:
+            hi = mid
+    seed = lam0 + 0.5 * (lo + hi) * direction
+    (f,) = yield eps, [seed]
+    if abs(f) > tol:
+        raise SeedNotFoundError(
+            f"bisection converged but |F_eps| = {abs(f):.3e} stays above tolerance {tol:.3e}"
+        )
+    return seed
 
 
 def _each(call, items: list) -> list:
     """``call(items)``, one result per item; where it raises LinAlgError,
     ``call`` item by item, with each item's error in place of its result,
     so that an error stays with the item that raised it."""
-    if not items:
-        return []
     try:
         return call(items)
     except np.linalg.LinAlgError:
@@ -420,7 +355,8 @@ _RAY_DIRECTIONS = (1.0, -1.0, 1j, -1j)
 
 @dataclass
 class TraceStats:
-    """Work of a lockstep: stacked evaluations (rounds) and their points."""
+    """Work of a lockstep: the rounds with a stacked ``point_evals`` call, and
+    the points those calls evaluate."""
 
     rounds: int = 0
     points: int = 0
@@ -637,50 +573,66 @@ def _walk(P, w, eps, seed, window, step_size, max_steps, here=None, pts=None):
     )
 
 
-def _rows(P: MatrixPolynomial, w: WeightPolynomial, points, stats: TraceStats | None) -> list:
-    """``point_evals`` of ``points``, with a LinAlgError in place of the row
-    of a point that raises it."""
-    if stats is not None:
-        stats.rounds += 1
-        stats.points += len(points)
-    return _each(lambda z: point_evals(P, w, z), list(points))
-
-
 def _lockstep(P, w, walkers: list, stats: TraceStats | None, prune=None) -> list:
-    """Run walkers (generators as ``_walk`` makes them) together.
+    """Run walkers (generators as ``_walk`` and ``_seed_ray`` make them)
+    together.
 
-    Each round evaluates the points of every live walker in one stacked
-    call and sends each walker its row.  Returns what each walker returned,
-    or the library or LinAlgError exception it raised.  Every
-    _PRUNE_ROUNDS rounds ``prune(live)`` names live walkers to stop; a
-    stopped walker returns None.
+    A walker asks for a point's PointEval by yielding the point, and for
+    F_eps values by yielding a (level, points) pair.  Each round answers
+    the pairs of every live walker with one F_eps call and the points with
+    one stacked ``point_evals`` call, and sends each walker its answer.
+    Both give a point the same bits in any stack, so each walker gets the
+    answers it gets alone.  Returns what each walker returned, or the library or LinAlgError
+    exception it raised; ``_each`` keeps a LinAlgError with the walker whose
+    request raised it.  Every _PRUNE_ROUNDS rounds ``prune(live)`` names
+    live walkers to stop; a stopped walker returns None.
     """
     results = [None] * len(walkers)
-    pending = {}
+    asks = ({}, {})  # the requests by walker: points, and (level, points) pairs
+    points, values = asks
 
-    def send(i: int, row) -> None:
+    def send(i: int, answer) -> None:
         try:
-            pending[i] = walkers[i].send(row)
+            ask = walkers[i].send(answer)
         except StopIteration as stop:
             results[i] = stop.value
         except (PolyspectraError, np.linalg.LinAlgError) as exc:
             results[i] = exc
+        else:
+            asks[type(ask) is tuple][i] = ask
+
+    def levels(items: list) -> list:
+        sizes = [len(z) for _, z in items]
+        eps = np.repeat([level for level, _ in items], sizes)
+        f = F_eps(P, w, eps, np.concatenate([z for _, z in items]))
+        return np.split(f, np.cumsum(sizes)[:-1])
 
     for i in range(len(walkers)):
         send(i, None)
     rounds = 0
-    while pending:
-        live = list(pending)
-        for i, row in zip(live, _rows(P, w, [pending.pop(i) for i in live], stats)):
-            if isinstance(row, Exception):
-                results[i] = row
+    while points or values:
+        answers = []
+        if points:
+            live = list(points)
+            if stats is not None:
+                stats.rounds += 1
+                stats.points += len(live)
+            rows = _each(lambda z: point_evals(P, w, z), [points.pop(i) for i in live])
+            answers += zip(live, rows)
+        if values:
+            live = list(values)
+            answers += zip(live, _each(levels, [values.pop(i) for i in live]))
+        for i, answer in answers:
+            if isinstance(answer, Exception):
+                results[i] = answer
                 walkers[i].close()
             else:
-                send(i, row)
+                send(i, answer)
         rounds += 1
         if prune is not None and rounds % _PRUNE_ROUNDS == 0:
-            for i in prune(list(pending)):
-                del pending[i]
+            for i in prune([*points, *values]):
+                points.pop(i, None)
+                values.pop(i, None)
                 walkers[i].close()
     return results
 
@@ -708,103 +660,102 @@ def trace_eigenvalue_rays(
     yielded so far), or None when no ray gives a seed.  Another exception
     is raised where the search meets it, after the outcomes before it.
 
-    The work is done ahead in lockstep.  Waves of rays find the seeds,
-    every eigenvalue's first traceable seed is traced at once, and a
-    walker stops when an earlier walker of its level passes its seed the
-    same way (tested every _PRUNE_ROUNDS rounds).  The sequential search
-    then replays on the results, and traces alone a stopped walker it
-    needs.  So the outcomes are those of the search run point by point.
+    The work is done ahead in one lockstep, with one walker (``_search``)
+    per level and eigenvalue: it tries the rays in order, records each
+    seed with its PointEval, and traces from its first traceable seed.  A
+    tracing walker stops when an earlier walker of its level passes its
+    seed the same way (``_prune_passed``).  The sequential search then
+    replays on what the walkers recorded, and traces alone a stopped walker
+    it needs.  So the outcomes are those of the search run point by point.
     """
     tol = on_curve_tolerance(P)
-    reach = _RETRACE_FRACTION * _tracer_step(window, step_size)
+    step = _tracer_step(window, step_size)
+    reach = _RETRACE_FRACTION * step
     pairs = [(level, eps, lam) for level, eps in enumerate(levels) for lam in eigenvalues]
-    seeds, rows = {}, {}  # by (pair, direction index)
-
-    # waves of rays: each pair's next ray until one gives a traceable seed
-    first = {}  # pair -> direction index of its first traceable seed
-    todo = list(range(len(pairs)))
-    for d, direction in enumerate(_RAY_DIRECTIONS):
-        if not todo:
-            break
-        rays = [(pairs[p][1], pairs[p][2], direction) for p in todo]
-        seeds.update(zip(((p, d) for p in todo), find_boundary_seeds(P, w, rays, window)))
-        ok = [p for p in todo if not isinstance(seeds[p, d], Exception)]
-        if ok:
-            rows.update(zip(((p, d) for p in ok), _rows(P, w, [seeds[p, d] for p in ok], stats)))
-        wave, todo = todo, []
-        for p in wave:
-            seed, row = seeds[p, d], rows.get((p, d))
-            if isinstance(seed, (SeedNotFoundError, PreconditionError)):
-                todo.append(p)
-            elif not isinstance(seed, Exception) and not isinstance(row, Exception):
-                if _traceable(row, pairs[p][1], tol):
-                    first[p] = d
-                else:
-                    todo.append(p)
-            # any other error ends the search of this pair when it is met
-
-    # speculative walkers from every first traceable seed
-    order = sorted(first)
-    starts = [(p, first[p]) for p in order]
-    points = [[] for _ in order]
-    grads = [rows[key].grad_xy(pairs[key[0]][1]) for key in starts]
-    checked = {}  # (walker, earlier walker) -> points of the earlier one tested
-    # a segment passing a seed within reach has an end within reach + 2 steps
-    radius = reach + 2.0 * _tracer_step(window, step_size)
-
-    def prune(live: list) -> list:
-        stop = []
-        for j in live:
-            seed, level = seeds[starts[j]], pairs[order[j]][0]
-            near = []
-            for q in range(j):
-                if pairs[order[q]][0] == level:
-                    fresh = points[q][max(checked.get((j, q), 0) - 1, 0) :]
-                    checked[j, q] = len(points[q])
-                    if len(fresh) > 1 and any(abs(z - seed) <= radius for z in fresh):
-                        near.append(np.array(fresh, dtype=complex))
-            if near and _retraced(seed, grads[j], near, reach) is not None:
-                stop.append(j)
-        return stop
-
+    tried = [[] for _ in pairs]  # (seed, PointEval) of each ray with a seed
+    points = [[] for _ in pairs]  # of the curve each walker traces
     walkers = [
-        _walk(P, w, pairs[p][1], seeds[p, d], window, step_size, max_steps, rows[p, d], pts)
-        for (p, d), pts in zip(starts, points)
+        _search(P, w, eps, lam, window, step_size, max_steps, tol, seeds, pts)
+        for (_, eps, lam), seeds, pts in zip(pairs, tried, points)
     ]
-    curves = dict(zip(starts, _lockstep(P, w, walkers, stats, prune)))
+    prune = _prune_passed(pairs, tried, points, reach, step)
+    results = _lockstep(P, w, walkers, stats, prune)
 
-    # the sequential search, on the results above
+    # the sequential search, on what the walkers recorded
     kept = []
     level_ids = {}
-    for p, (level, eps, lam) in enumerate(pairs):
+    for (level, eps, lam), seeds, result in zip(pairs, tried, results):
         ids = level_ids.setdefault(level, [])
         found = None
-        for d in range(len(_RAY_DIRECTIONS)):
-            # the waves stopped at the first traceable seed or an error,
-            # where this loop stops too
-            seed, row = seeds[p, d], rows.get((p, d))
-            if isinstance(seed, (SeedNotFoundError, PreconditionError)):
-                continue
-            for result in (seed, row):
-                if isinstance(result, Exception):
-                    raise result
+        for seed, row in seeds:
             k = _retraced(seed, row.grad_xy(eps), [kept[c].points for c in ids], reach)
             if k is not None:
                 found = ids[k]
                 break
             if not _traceable(row, eps, tol):
                 continue
-            curve = curves.get((p, d))
-            if curve is None:  # stopped ahead; the search needs it
+            # a traceable seed is the walker's last: it traced from it
+            if result is None:  # stopped ahead; the search needs it
                 walker = _walk(P, w, eps, seed, window, step_size, max_steps, row)
-                (curve,) = _lockstep(P, w, [walker], stats)
-            if isinstance(curve, Exception):
-                raise curve
+                (result,) = _lockstep(P, w, [walker], stats)
+            if isinstance(result, Exception):
+                raise result
             ids.append(len(kept))
-            kept.append(curve)
-            found = curve
+            kept.append(result)
+            found = result
             break
+        else:
+            if isinstance(result, Exception):  # met after the recorded rays
+                raise result
         yield eps, lam, found
+
+
+def _search(P, w, eps, lam, window, step_size, max_steps, tol, tried: list, pts: list):
+    """The rays from one eigenvalue as a walker: tries the rays of
+    _RAY_DIRECTIONS in order, appends each seed and its PointEval to
+    ``tried``, and traces from the first seed the tracer accepts, into
+    ``pts``.  Returns that curve, or None when no ray gives one."""
+    for direction in _RAY_DIRECTIONS:
+        try:
+            seed = yield from _seed_ray(eps, lam, direction, window, tol)
+        except (SeedNotFoundError, PreconditionError):
+            continue
+        row = yield seed
+        tried.append((seed, row))
+        if _traceable(row, eps, tol):
+            return (yield from _walk(P, w, eps, seed, window, step_size, max_steps, row, pts))
+    return None
+
+
+def _prune_passed(pairs: list, tried: list, points: list, reach: float, step: float):
+    """The prune of ``trace_eigenvalue_rays``: ``prune(live)`` names the live
+    walkers that are tracing and whose seed an earlier walker of their level
+    has passed the same way.  A walker still trying rays has no seed yet,
+    and is never named."""
+    checked = {}  # (walker, earlier walker) -> points of the earlier one tested
+    # a segment passing a seed within reach has an end within reach + 2 steps
+    radius = reach + 2.0 * step
+
+    def prune(live: list) -> list:
+        stop = []
+        for j in live:
+            if not points[j]:
+                continue
+            seed, level = points[j][0], pairs[j][0]
+            near = []
+            for q in range(j):
+                if pairs[q][0] == level:
+                    fresh = points[q][max(checked.get((j, q), 0) - 1, 0) :]
+                    checked[j, q] = len(points[q])
+                    if len(fresh) > 1 and any(abs(z - seed) <= radius for z in fresh):
+                        near.append(np.array(fresh, dtype=complex))
+            if near:
+                g = tried[j][-1][1].grad_xy(pairs[j][1])
+                if _retraced(seed, g, near, reach) is not None:
+                    stop.append(j)
+        return stop
+
+    return prune
 
 
 def _traceable(row: PointEval, eps: float, tol: float) -> bool:

@@ -1,9 +1,10 @@
 """Lockstep evaluation and tracing give what one point and one walker give.
 
 A stacked ``point_evals`` row must equal ``PointEval`` at the same point bit
-for bit, and the ``trace`` command, which traces every curve of a command
-together and replays the sequential seed search on the results, must print
-and write what the point-by-point loop below does.
+for bit; seed rays and tracers run in one lockstep must return what each
+returns alone; and the ``trace`` command, which runs every seed ray and
+curve of a command together and replays the sequential seed search on the
+results, must print and write what the point-by-point loop below does.
 """
 
 import json
@@ -259,3 +260,128 @@ class TestLockstepTrace:
         assert main(["trace", "--input", str(CONIC)]) == 3
         assert fired == [first]
         assert "numerical failure: planted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_walkers_stopped_ahead_are_traced_alone(self, path, tmp_path, capsys, monkeypatch):
+        """The prune stops every tracing walker at its first test, so the
+        replay traces alone every curve that takes more than one prune
+        interval."""
+        stopped = []
+
+        def stop_every_tracing_walker(pairs, tried, points, reach, step):
+            def prune(live):
+                stop = [j for j in live if points[j]]
+                stopped.extend(stop)
+                return stop
+
+            return prune
+
+        monkeypatch.setattr(pseudospectrum, "_prune_passed", stop_every_tracing_walker)
+        spec = parse_problem(path.read_text())
+        curves, stdout, warnings = reference_trace(spec)
+        code, out, err, csv, js = run_trace(path, tmp_path, capsys)
+        assert stopped
+        assert code == 0
+        assert out == stdout
+        assert (csv, js) == expected_files(curves)
+        if warnings:
+            assert f"warnings={warnings}" in err
+        else:
+            assert "warnings=" not in err
+
+    def test_error_in_a_ray_fails_the_command(self, tmp_path, capsys, monkeypatch):
+        """A LinAlgError raised by the samples of the first ray the search
+        tries exits 3."""
+        spec = parse_problem(CONIC.read_text())
+        window = spec.window
+        lam = eigenvalues(spec.polynomial).eigenvalues[0]
+        t_max = pseudospectrum._ray_exit_parameter(window, lam, 1.0)
+        samples = set((lam + np.linspace(0.0, t_max, 512)[1:]).tolist())
+        f_eps = pseudospectrum.F_eps
+        fired = []
+
+        def planted(P, w, eps, points):
+            if samples <= set(np.ravel(points).tolist()):
+                fired.append(len(np.ravel(points)))
+                raise np.linalg.LinAlgError("planted")
+            return f_eps(P, w, eps, points)
+
+        monkeypatch.setattr(pseudospectrum, "F_eps", planted)
+        capsys.readouterr()
+        assert main(["trace", "--input", str(CONIC)]) == 3
+        err = capsys.readouterr().err
+        assert fired
+        assert "numerical failure: planted" in err
+        assert "Traceback" not in err
+
+
+def logged(walker, log: list):
+    """``walker``, with an "S" in ``log`` whenever it is sent an answer."""
+    answer = None
+    while True:
+        try:
+            ask = walker.send(answer)
+        except StopIteration as stop:
+            return stop.value
+        answer = yield ask
+        log.append("S")
+
+
+class TestMixedRounds:
+    def test_seed_rays_and_tracers_in_one_lockstep(self, monkeypatch):
+        """Seed rays ask for values while tracers ask for points, in the same
+        rounds; each walker returns what it returns alone."""
+        spec = parse_problem(CONIC.read_text())
+        P, w, window = spec.polynomial, spec.weight, spec.window
+        tol = pseudospectrum.on_curve_tolerance(P)
+        lams = eigenvalues(P).eigenvalues
+        seeds = []
+        for eps in spec.epsilons:
+            for lam in lams:
+                try:
+                    seeds.append((eps, find_boundary_seed(P, w, eps, lam, 1.0, window)))
+                except (SeedNotFoundError, PreconditionError):
+                    pass
+        assert seeds
+
+        def walkers() -> list:
+            rays = [
+                pseudospectrum._seed_ray(eps, lam, direction, window, tol)
+                for eps in spec.epsilons
+                for lam in lams
+                for direction in (1.0, -1.0, 1j, -1j)
+            ]
+            walks = [
+                pseudospectrum._walk(P, w, eps, seed, window, None, 20000) for eps, seed in seeds
+            ]
+            return rays + walks
+
+        alone = [pseudospectrum._lockstep(P, w, [x], None)[0] for x in walkers()]
+        log = []
+        point_evals, f_eps = pseudospectrum.point_evals, pseudospectrum.F_eps
+
+        def logged_point_evals(P, w, lams):
+            log.append("P")
+            return point_evals(P, w, lams)
+
+        def logged_f_eps(P, w, eps, lam):
+            if np.ndim(eps):  # a round's values, not a tracer's own probe
+                log.append("F")
+            return f_eps(P, w, eps, lam)
+
+        monkeypatch.setattr(pseudospectrum, "point_evals", logged_point_evals)
+        monkeypatch.setattr(pseudospectrum, "F_eps", logged_f_eps)
+        together = pseudospectrum._lockstep(P, w, [logged(x, log) for x in walkers()], None)
+        assert "PF" in "".join(log)  # a round answered points and values
+        assert len(together) == len(alone)
+        for got, want in zip(together, alone):
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want))
+            elif isinstance(want, pseudospectrum.BoundaryCurve):
+                assert got.points.tobytes() == want.points.tobytes()
+                assert (got.termination, got.interior_curve, got.detail) == (
+                    want.termination, want.interior_curve, want.detail
+                )
+            else:
+                assert _bits(got) == _bits(want)
+        assert sum(isinstance(x, pseudospectrum.BoundaryCurve) for x in alone) == len(seeds)
