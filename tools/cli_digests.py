@@ -14,15 +14,18 @@ distance, with the ``--eps-max`` and ``--mu`` values of the benchmark.
 ``<command>+nowindow`` on the ``NO_WINDOW`` fixtures with ``window`` removed
 from the document, so they take the default window and grid.
 ``trace+seed`` traces the ``SEEDED`` fixture at one level from an explicit
-``--seed``, the benchmark's explicit-seed operation, so ``trace_boundary``
-also runs from a seed no eigenvalue ray supplies.  ``faults+grid401`` runs
+``--seed``, the benchmark's explicit-seed operation, so the explicit-seed
+path of ``trace`` is digested too.  ``faults+grid401`` runs
 ``faults --grid 401 401`` on the ``GRID401`` fixtures, whose fault sets are
 curves, so that every candidate cell of the largest refinement batches
-(hundreds per fixture) is digested.  Run it in two checkouts
-and diff the output to show that a change keeps the CLI outputs
-byte-identical:
+(hundreds per fixture) is digested.
 
-    python tools/cli_digests.py > digests.txt
+``tools/cli_digests.txt`` holds the lines of the current program, made with
+``OPENBLAS_NUM_THREADS=2``; ``tests/test_cli_digests.py`` compares them with
+a fresh run and names every moved line.  A change that moves an output
+regenerates the file in the same commit:
+
+    OPENBLAS_NUM_THREADS=2 python tools/cli_digests.py > tools/cli_digests.txt
     python tools/cli_digests.py --keep out/    # also keep the output files
 
 The package is imported from the ``src/`` next to this script, so each
