@@ -33,6 +33,7 @@ from .faultlines import (
     fault_scan,
     is_fault_point,
 )
+from .contours import BoundaryTrace, boundary_curves, marching_squares, nearest_curve
 from .matpoly import (
     EigenReport,
     MatrixPolynomial,
@@ -67,23 +68,19 @@ from .pseudospectrum import (
     GridSpec,
     ScalarField,
     Termination,
-    TraceStats,
     boundedness_check,
     components,
     compute_field,
     default_window,
-    find_boundary_seed,
     merge_epsilon,
-    retraced_curve,
-    trace_boundaries,
-    trace_boundary,
-    trace_eigenvalue_rays,
+    on_curve_tolerance,
 )
 from .svdcore import (
     F_eps,
     PointEval,
+    PointStack,
     SingularTripletSet,
-    point_evals,
+    point_stack,
     s_min,
     singular_triplets,
     singular_values_many,

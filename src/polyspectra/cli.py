@@ -8,8 +8,7 @@ machine-readable reports:
     eigs        [--json PATH]
     field       [--eps EPS ...] [--grid NX NY] [--window W] [--json/--csv/--svg PATH]
     components  [--eps EPS ...] [--grid NX NY] [--window W] [--json PATH]
-    trace       [--eps EPS ...] [--window W] [--seed RE IM]... [--step-size H]
-                [--max-steps N] [--json/--csv/--svg PATH]
+    trace       [--eps EPS ...] [--window W] [--seed RE IM]... [--json/--csv/--svg PATH]
     faults      [--eps EPS ...] [--grid NX NY] [--window W] [--json/--svg PATH]
     distance    [--eps-max LIMIT] [--grid NX NY] [--window W] [--json PATH]
     perturb     --mu RE IM [--json PATH]
@@ -37,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .contours import marching_squares
+from .contours import boundary_curves, marching_squares, nearest_curve
 from .errors import (
     InputError,
     NumericalError,
@@ -57,17 +56,14 @@ from .matpoly import (
 from .perturbations import certify_multiple, distance_to_multiple
 from .pseudospectrum import (
     DEFAULT_GRID,
-    BoundaryCurve,
     GridSpec,
     Termination,
-    TraceStats,
     components,
     compute_field,
     default_window,
-    trace_boundaries,
-    trace_eigenvalue_rays,
+    on_curve_tolerance,
 )
-from .svdcore import singular_values_many
+from .svdcore import F_eps, singular_values_many
 
 
 @dataclass(frozen=True)
@@ -179,9 +175,7 @@ _POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and positive")
 # Numeric flags: the test every value must pass, and its description.
 _FLAG_CHECKS = {
     "eps": _POSITIVE,
-    "step_size": _POSITIVE,
     "eps_max": _POSITIVE,
-    "max_steps": (lambda v: v >= 1, "at least 1"),
     "mu": (np.isfinite, "finite"),
     "seed": (np.isfinite, "finite"),
 }
@@ -462,35 +456,26 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
     eigen = eigenvalues(P)
     window = _resolve_window(spec, args, eigen, eps_for_margin=max(eps_list))
 
-    steps = {} if args.max_steps is None else {"max_steps": args.max_steps}
-    stats = TraceStats()
-    curves = []
-    if args.seed is not None:
-        starts = [(eps, complex(re, im)) for eps in eps_list for re, im in args.seed]
-        traced = trace_boundaries(P, w, starts, window, args.step_size, stats=stats, **steps)
-        for (eps, _), curve in zip(starts, traced):
-            if isinstance(curve, Exception):
-                raise curve
-            curves.append((eps, curve))
-    else:
-        # each eigenvalue tries the four axis rays; combinations with no
-        # traceable seed (curve leaves the window, or the seed lands on a
-        # corner) are skipped, and so is a seed on a boundary its level
-        # already traced
-        search = trace_eigenvalue_rays(
-            P, w, eps_list, eigen.eigenvalues, window, args.step_size, stats=stats, **steps
-        )
-        for eps, lam, found in search:
-            if isinstance(found, BoundaryCurve):
-                curves.append((eps, found))
-            elif found is None:
-                report.warnings.append(
-                    f"eps={eps:.6g}: no traceable seed from eigenvalue {lam:.6g}"
+    seeds = [complex(re, im) for re, im in args.seed or ()]
+    tol = on_curve_tolerance(P)
+    for eps in eps_list:
+        for seed in seeds:
+            f = float(F_eps(P, w, eps, seed))
+            if abs(f) > tol:
+                raise PreconditionError(
+                    f"seed {seed:.6g} is not on the eps={eps:.6g} curve: |F_eps| = {abs(f):.3e}"
                 )
-            else:
-                print(f"eps={eps:.6g}: eigenvalue {lam:.6g} seeds curve {found} again, skipped")
+    traced = boundary_curves(P, w, compute_field(P, w, window), eps_list)
+    curves = []
+    for eps, level in zip(eps_list, traced.curves):
+        if not level:
+            report.warnings.append(f"eps={eps:.6g}: no boundary curve in the window")
+        elif seeds:
+            curves += [(eps, level[nearest_curve(level, seed)]) for seed in seeds]
+        else:
+            curves += [(eps, c) for c in level]
     if not curves:
-        raise SeedNotFoundError("no traceable boundary seed for any requested level")
+        raise SeedNotFoundError("no boundary curve in the window for any requested level")
     if args.csv:
         rows = (
             f"{cid},{z.real:.17g},{z.imag:.17g}"
@@ -510,7 +495,6 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
                 {
                     "closed": c.closed,
                     "epsilon": eps,
-                    "interior_curve": c.interior_curve,
                     "points": len(c.points),
                     "termination": c.termination.value,
                 }
@@ -523,7 +507,7 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
     ends = Counter(c.termination for _, c in curves)
     report.stats = (
         "curves " + " ".join(f"{t.value}={ends[t]}" for t in Termination if ends[t])
-        + f" rounds={stats.rounds} points={stats.points}"
+        + f" rounds={traced.rounds} points={traced.points} frozen={traced.frozen}"
     )
 
 
@@ -627,7 +611,7 @@ _COMMANDS = {
     "eigs": (_cmd_eigs, "json"),
     "field": (_cmd_field, "eps grid window json csv svg"),
     "components": (_cmd_components, "eps grid window json"),
-    "trace": (_cmd_trace, "eps window seed step-size max-steps json csv svg"),
+    "trace": (_cmd_trace, "eps window seed json csv svg"),
     "faults": (_cmd_faults, "eps grid window json svg"),
     "distance": (_cmd_distance, "eps-max grid window json"),
     "perturb": (_cmd_perturb, "mu json"),
@@ -639,10 +623,8 @@ _FLAGS = {
     "window": dict(type=float, nargs=4, metavar=("XMIN", "XMAX", "YMIN", "YMAX")),
     "seed": dict(
         type=float, nargs=2, action="append", metavar=("RE", "IM"),
-        help="explicit on-curve seed (repeatable); default seeds from eigenvalues",
+        help="on-curve point (repeatable) selecting the nearest curve of each level",
     ),
-    "step-size": dict(type=float),
-    "max-steps": dict(type=int),
     "eps-max": dict(type=float),
     "mu": dict(type=float, nargs=2, metavar=("RE", "IM")),
     "json": dict(help="write a JSON report here"),
@@ -661,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("eigs", "eigenvalues with algebraic and geometric multiplicities"),
         ("field", "sample the s_min/w landscape; CSV / contour SVG"),
         ("components", "sublevel component counts and eigenvalue assignment"),
-        ("trace", "predictor-corrector boundary curves"),
+        ("trace", "boundary curves: field contours polished onto the level curve"),
         ("faults", "surface-crossing (fault) point scan"),
         ("distance", "distance to the nearest polynomial with a multiple eigenvalue"),
         ("perturb", "explicit boundary perturbations at a chosen point"),

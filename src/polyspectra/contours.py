@@ -1,19 +1,51 @@
-"""Marching-squares extraction of level curves from a sampled field.
+"""Marching-squares extraction of level curves from a sampled field, and
+the boundary curves of the pseudospectra polished from them.
 
-Produces polylines (chains of linearly interpolated edge crossings) for a
-given level of an (nx, ny) sample array.  numpy classifies every cell,
-resolves the ambiguous saddle cells by their center value and interpolates
-every crossed edge; only the chaining of segments into polylines runs in
-Python, once per segment.  Endpoints are keyed by grid edge, so segments
-from neighboring cells share exact coordinates and chain into polylines
-deterministically.
+``marching_squares`` produces polylines (chains of linearly interpolated
+edge crossings) for a given level of an (nx, ny) sample array.  numpy
+classifies every cell, resolves the ambiguous saddle cells by their center
+value and interpolates every crossed edge; only the chaining of segments
+into polylines runs in Python, once per segment.  Endpoints are keyed by
+grid edge, so segments from neighboring cells share exact coordinates and
+chain into polylines deterministically.
+
+``boundary_curves`` draws the boundary of each eps-pseudospectrum, the
+level curve F_eps(lambda) = s_min(lambda) - eps * w(|lambda|) = 0.  It runs
+marching squares on the s_min/w field at every level, then moves every
+contour vertex of every level onto F_eps = 0 by Newton steps
+z <- z - F grad F / |grad F|^2, batched: each round is one ``point_stack``
+call on the vertices not yet on the curve.  A vertex is frozen where the
+closed-form gradient cannot be trusted (a multiple s_min, such as a corner
+where two singular-value surfaces cross), or where its step is not finite
+or longer than ``_STEP_GUARD`` cell diagonals; a frozen vertex is never
+emitted, and the polyline is split there.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .pseudospectrum import GridSpec
+from .matpoly import MatrixPolynomial, WeightPolynomial
+from .pseudospectrum import (
+    BoundaryCurve,
+    GridSpec,
+    ScalarField,
+    Termination,
+    on_curve_tolerance,
+)
+from .svdcore import point_stack
+
+# Newton rounds of the boundary polish; a vertex still off the curve after
+# them is frozen.
+_MAX_CORRECTOR_ITERS = 20
+# Longest Newton step of a polished vertex, in cell diagonals; a longer one
+# freezes the vertex.
+_STEP_GUARD = 1.0
+# Distance in cell diagonals within which a curve point repeats the one
+# before it and is dropped.
+_REPEAT = 1e-9
 
 # Edges of cell (i, j): bottom and top are the x-edges at ys[j] and ys[j+1],
 # left and right the y-edges at xs[i] and xs[i+1].
@@ -137,3 +169,142 @@ def marching_squares(grid: GridSpec, values: np.ndarray, level: float):
             polylines.append(walk(ea))
 
     return polylines
+
+
+@dataclass(frozen=True)
+class BoundaryTrace:
+    """The polished boundary pieces of each level, in the order of the
+    levels, and the polish's work: its Newton ``rounds``, the ``points``
+    they evaluate, and the ``frozen`` vertices it dropped."""
+
+    curves: list
+    rounds: int
+    points: int
+    frozen: int
+
+
+def boundary_curves(
+    P: MatrixPolynomial, w: WeightPolynomial, field: ScalarField, levels
+) -> BoundaryTrace:
+    """The boundary of each eps-pseudospectrum of ``levels`` inside the
+    field's window, as polished pieces of its contours.
+
+    Every vertex of every level's ``marching_squares`` polylines is polished
+    onto F_eps = 0 together (see the module docstring), so every emitted
+    point has |F_eps| <= ``on_curve_tolerance(P)`` and neighbouring points
+    lie about one cell apart.  A polyline is split at its frozen vertices
+    (a closed loop cut at k separate vertices gives k open pieces), and a
+    piece of fewer than two points is dropped.  Each piece is oriented with
+    the sublevel set on its left, by the gradients the polish computed at
+    its points.
+    """
+    lines, xy, eps = [], [], []
+    size = 0
+    for k, level in enumerate(levels):
+        for line in marching_squares(field.grid, field.values, level):
+            closed = len(line) > 2 and bool((line[0] == line[-1]).all())
+            pts = line[:-1] if closed else line
+            lines.append((k, np.arange(size, size + len(pts)), closed))
+            size += len(pts)
+            xy.append(pts)
+            eps.append(np.full(len(pts), float(level)))
+    xy = np.concatenate(xy) if xy else np.zeros((0, 2))
+    eps = np.concatenate(eps) if eps else np.zeros(0)
+    guard = _STEP_GUARD * field.grid.cell_diagonal
+    xy, on, tangent, rounds, points = _polish(P, w, xy, eps, on_curve_tolerance(P), guard)
+    z = xy[:, 0] + 1j * xy[:, 1]
+    curves = _curves(lines, len(levels), z, on, tangent, _REPEAT * field.grid.cell_diagonal)
+    return BoundaryTrace(curves, rounds, points, int(np.count_nonzero(~on)))
+
+
+def _polish(P, w, xy: np.ndarray, eps: np.ndarray, tol: float, guard: float) -> tuple:
+    """Batched Newton on F_eps, one level per vertex, from the vertices
+    ``xy`` (k, 2): the moved vertices, which of them are on the curve, the
+    unit tangents (k, 2) there (the gradient turned +90 degrees, NaN where
+    it cannot be trusted), the rounds and the points evaluated.  All
+    arithmetic is real and elementwise, so a vertex moves as it would alone.
+    """
+    xy = xy.copy()
+    on = np.zeros(len(xy), dtype=bool)
+    live = np.ones(len(xy), dtype=bool)
+    tangent = np.full((len(xy), 2), np.nan)
+    rounds = points = 0
+    for _ in range(_MAX_CORRECTOR_ITERS):
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            break
+        stack = point_stack(P, w, xy[idx, 0] + 1j * xy[idx, 1])
+        rounds += 1
+        points += idx.size
+        f = stack.F(eps[idx])
+        g = stack.grad_F(eps[idx])
+        norm = np.hypot(g[:, 0], g[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tangent[idx, 0] = -g[:, 1] / norm
+            tangent[idx, 1] = g[:, 0] / norm
+            move = -(f / (norm * norm))[:, None] * g
+        done = np.abs(f) <= tol
+        step = ~done & (np.hypot(move[:, 0], move[:, 1]) <= guard)  # False for NaN
+        on[idx[done]] = True
+        xy[idx[step]] += move[step]
+        live[idx[~step]] = False
+    return xy, on, tangent, rounds, points
+
+
+def _curves(lines: list, levels: int, z, on, tangent, repeat: float) -> list:
+    """The BoundaryCurves of each level from the polished vertices ``z``:
+    every piece of every (level, vertex indices, closed) line, oriented,
+    less each point within ``repeat`` of the one before it (the vertices
+    of the edges that meet at a grid node polish to one point where the
+    curve passes through the node)."""
+    curves = [[] for _ in range(levels)]
+    for k, idx, closed in lines:
+        for piece, termination in _pieces(idx, on[idx], closed):
+            keep = np.append(True, np.abs(np.diff(z[piece])) > repeat)
+            if termination is Termination.closed:  # keep the first point last
+                keep[-2:] = keep[-2] & keep[-1], True
+            piece = piece[keep]
+            curves[k].append(BoundaryCurve(_oriented(z[piece], tangent[piece]), termination))
+    return curves
+
+
+def _pieces(idx: np.ndarray, good: np.ndarray, closed: bool):
+    """(indices, termination) of each run of two or more ``good`` vertices
+    of one polyline; a closed polyline with every vertex good is one closed
+    run that ends on its first vertex."""
+    if closed and good.all():
+        yield np.append(idx, idx[0]), Termination.closed
+        return
+    if closed:  # start at a frozen vertex, so no run wraps around
+        first = int(np.argmin(good))
+        idx, good = np.roll(idx, -first), np.roll(good, -first)
+    bad = np.flatnonzero(~good)
+    starts = np.concatenate([[0], bad + 1])
+    stops = np.concatenate([bad, [len(idx)]])
+    for a, b in zip(starts.tolist(), stops.tolist()):
+        if b - a < 2:
+            continue
+        frozen_end = closed or a > 0 or b < len(idx)
+        yield idx[a:b], Termination.gradient_invalid if frozen_end else Termination.left_window
+
+
+def _oriented(points: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+    """``points``, reversed when they run against the unit ``tangent``s
+    (k, 2) at them, so that the sublevel set lies on their left."""
+    d = np.diff(points)
+    t = tangent[:-1] + tangent[1:]
+    along = np.nansum(d.real * t[:, 0] + d.imag * t[:, 1])
+    return points[::-1] if along < 0 else points
+
+
+def nearest_curve(curves, z: complex) -> int:
+    """Index of the curve of ``curves`` that passes nearest the point ``z``."""
+    return int(np.argmin([_distance(c.points, z) for c in curves]))
+
+
+def _distance(points: np.ndarray, z: complex) -> float:
+    """Distance from ``z`` to the polyline through ``points``."""
+    a, d = points[:-1], np.diff(points)
+    length2 = np.abs(d) ** 2
+    t = np.clip(np.real((z - a) * np.conj(d)) / np.where(length2 > 0, length2, 1.0), 0.0, 1.0)
+    return float(np.min(np.abs(a + t * d - z)))

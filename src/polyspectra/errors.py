@@ -32,8 +32,8 @@ class GridTooCoarseError(NumericalError):
 
 
 class SeedNotFoundError(NumericalError):
-    """No sign change of the level function along the search ray inside the
-    window (the component may be unbounded through the window edge)."""
+    """No boundary curve to report: no requested level has a curve inside
+    the window."""
 
 
 class BracketError(PreconditionError):

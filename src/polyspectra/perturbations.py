@@ -47,7 +47,6 @@ from .matpoly import (
 )
 from .pseudospectrum import (
     DEFAULT_GRID,
-    SADDLE_GRAD_TOL,
     GridSpec,
     boundedness_check,
     compute_field,
@@ -63,6 +62,9 @@ from .svdcore import (
     singular_values_many,
 )
 
+# Gradient norm of s_min / w, times w, below which find_saddle stops at a
+# stationary point.
+SADDLE_GRAD_TOL = 1e-7
 # Multiplicity cluster width for the smallest singular value, relative to s_1.
 MULTIPLICITY_RTOL = 1e-8
 # |u* Q'(mu) v| below this scale certifies the derivative criterion.

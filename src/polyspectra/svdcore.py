@@ -10,7 +10,7 @@ surface gap or the value itself is too small for the formula to be
 trusted, or at the origin under a non-constant weight.
 
 A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
-seed rays, the simplex searches, which evaluate every live simplex's
+the simplex searches, which evaluate every live simplex's
 points in one call per step, gaps, certificate residuals) goes through
 ``singular_values_many``, the one values-only SVD of P(lambda), for a
 single point as for a grid.  It decomposes every block with ``_svals``,
@@ -28,13 +28,14 @@ also runs the closed form; otherwise a grid larger than one chunk is
 decomposed on every CPU in the process's affinity mask, by a thread pool
 created for the call.  Each chunk's values land in their own rows, so
 results do not depend on the core count.  A caller that needs vectors or
-a gradient reads everything from a ``PointEval``: a row of
-``point_evals``, which decomposes a stack of points with one stacked SVD
-with vectors (the tracer's lockstep rounds), and ``PointEval(P, w, lam)``
-is the stack of one.  Its derivations are real arithmetic in a fixed
-order, so a row equals the point alone bit for bit.  LAPACK's singular
+a gradient reads them from ``point_stack``, which decomposes a stack of
+points with one stacked SVD with vectors and derives every point's
+closed-form gradient in array operations (the boundary polish of
+``contours`` calls it once per round); ``PointEval(P, w, lam)`` is its row
+for a stack of one.  Its derivations are real arithmetic in a fixed order,
+so a point gets the same bits alone as in any stack.  LAPACK's singular
 values with and without vectors may differ in the last bits, and at n = 2
-``PointEval``'s values and the closed form's may too.  A non-finite
+``point_stack``'s values and the closed form's may too.  A non-finite
 P(lambda) raises ``np.linalg.LinAlgError`` on every path before LAPACK
 sees it.
 """
@@ -292,18 +293,120 @@ def F_eps(P: MatrixPolynomial, w: WeightPolynomial, eps, lam):
     return singular_values_many(P, L)[..., -1] - eps * weight_eval(w, np.hypot(L.real, L.imag))
 
 
+@dataclass(frozen=True)
+class PointStack:
+    """The SVD with vectors of P(lambda) at k points, and what derives from
+    it, one row per point.
+
+    ``U``, ``s`` and ``Vh`` are LAPACK's stacked SVD, values descending.
+    ``s_grad`` (k, 2) is the closed-form gradient (d/dx, d/dy) of s_min in
+    the trailing pair; ``smooth`` says s_min is simple and nonzero, so that
+    it holds.  ``gap`` is s_{n-1} - s_n (infinite for n = 1), ``weight`` is
+    w(|lambda|) and ``weight_grad`` (k, 2) the gradient of w(|.|), NaN at
+    the origin under a non-constant weight.
+    """
+
+    lam: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+    s_grad: np.ndarray
+    gap: np.ndarray
+    on_spectrum: np.ndarray
+    smooth: np.ndarray
+    weight: np.ndarray
+    weight_grad: np.ndarray
+
+    def F(self, eps) -> np.ndarray:
+        """s_min - eps * w(|lambda|); ``eps`` is a level or one per row."""
+        _require_eps(np.min(eps))
+        return self.s[:, -1] - eps * self.weight
+
+    def grad_F(self, eps) -> np.ndarray:
+        """(k, 2) gradient of ``F(eps)``, NaN in the rows where the closed
+        form cannot be trusted (see ``PointEval.grad_xy``)."""
+        _require_eps(np.min(eps))
+        g = self.s_grad - np.asarray(eps, dtype=float)[..., None] * self.weight_grad
+        g[~self.smooth] = np.nan
+        return g
+
+
+def point_stack(P: MatrixPolynomial, w: WeightPolynomial, lams) -> PointStack:
+    """The ``PointStack`` of the points of ``lams``, in order.
+
+    Each chunk of ``_stack_points(n)`` points costs one ``evaluate_many`` of
+    P, one of P', one stacked ``np.linalg.svd`` and a fixed number of array
+    operations.  Everything derived from the SVD is real arithmetic in a
+    fixed order, elementwise, so a point gets the same bits alone as in any
+    stack (numpy's complex products round differently in their scalar and
+    vector loops).  Raises ``np.linalg.LinAlgError`` where P(lambda) is not
+    finite.
+    """
+    L = np.asarray(lams, dtype=complex).reshape(-1)
+    k, n = L.size, P.n
+    U = np.empty((k, n, n), dtype=complex)
+    s = np.empty((k, n))
+    Vh = np.empty((k, n, n), dtype=complex)
+    s_grad = np.empty((k, 2))
+    chunk = _stack_points(n)
+    for start in range(0, k, chunk):
+        rows = slice(start, start + chunk)
+        U[rows], s[rows], Vh[rows], s_grad[rows] = _svd_grad(P, L[rows])
+    gap = s[:, -2] - s[:, -1] if n >= 2 else np.full(k, np.inf)
+    on_spec = s[:, -1] <= ZERO_RTOL * (1.0 + s[:, 0])
+    r = np.hypot(L.real, L.imag)
+    away = r >= ORIGIN_TOL
+    slope = weight_deriv_eval(w, r)
+    safe = np.where(away, r, 1.0)
+    weight_grad = np.column_stack([slope * L.real / safe, slope * L.imag / safe])
+    weight_grad[~away] = 0.0 if w.is_constant else np.nan
+    return PointStack(
+        lam=L, U=U, s=s, Vh=Vh, s_grad=s_grad, gap=gap, on_spectrum=on_spec,
+        smooth=(gap > GAP_RTOL * s[:, 0]) & ~on_spec,
+        weight=weight_eval(w, r), weight_grad=weight_grad,
+    )
+
+
+def _svd_grad(P: MatrixPolynomial, L: np.ndarray) -> tuple:
+    """U, s, Vh of P(lambda) and the closed-form gradient of s_min, (k, 2),
+    at the points of one chunk."""
+    A = evaluate_many(P, L)
+    _require_finite(A)
+    U, s, Vh = np.linalg.svd(A)
+    D = evaluate_many(P.derivative, L)
+    # s_grad = (Re c, -Im c) for c = u* P'(lambda) v, (u, v) the trailing
+    # pair, on interleaved (re, im) parts.  With h = conj(v) the last row of
+    # Vh, row a of P'(lambda) gives t_a = (P'(lambda) v)_a as
+    # Re t_a = D_a . (Re h_0, Im h_0, ...) and Im t_a = D_a . (-Im h_0, Re h_0, ...);
+    # then Re c = sum Re u_a Re t_a + Im u_a Im t_a and
+    # -Im c = sum Im u_a Re t_a - Re u_a Im t_a
+    k, n = L.size, P.n
+    h = Vh[:, -1].view(float)
+    rotated = np.empty((k, 2, 2 * n))
+    rotated[:, 0] = h
+    np.negative(h[:, 1::2], out=rotated[:, 1, 0::2])
+    rotated[:, 1, 1::2] = h[:, 0::2]
+    t = np.add.reduce(D.view(float)[:, None] * rotated[:, :, None], axis=3)
+    u = U[:, :, -1]
+    pairs = np.empty((k, 2, 2, n))
+    pairs[:, 0, 0] = u.real
+    pairs[:, 0, 1] = pairs[:, 1, 0] = u.imag
+    np.negative(u.real, out=pairs[:, 1, 1])
+    return U, s, Vh, np.add.reduce((pairs * t[:, None]).reshape(k, 2, 2 * n), axis=2)
+
+
 class PointEval:
     """The SVD of P(lambda) with vectors at one point, and what derives from it.
 
-    Rows are made by ``point_evals``; ``PointEval(P, w, lam)`` is row 0 of a
-    stack of one.  ``gap`` is s_{n-1} - s_n (infinite for n = 1); ``smooth``
-    says s_min is simple and nonzero, so the closed-form gradient ``s_grad``
-    holds; ``weight_grad``, the gradient of w(|.|), is None at the origin for
-    a non-constant weight.  Both are (d/dx, d/dy) pairs of floats.
-    ``grad_xy(eps)`` is the pair s_grad - eps * weight_grad, or None unless
-    both hold, and ``grad_F(eps)`` the same as an array; ``ratio_grad`` is
-    ``grad_F(ratio) / weight``.  ``trip`` is the full SVD with the phases of
-    ``singular_triplets``.
+    ``PointEval(P, w, lam)`` is row 0 of the ``point_stack`` of one point,
+    in Python floats.  ``gap`` is s_{n-1} - s_n (infinite for n = 1);
+    ``smooth`` says s_min is simple and nonzero, so the closed-form gradient
+    ``s_grad`` holds; ``weight_grad``, the gradient of w(|.|), is None at the
+    origin for a non-constant weight.  Both are (d/dx, d/dy) pairs of
+    floats.  ``grad_xy(eps)`` is the pair s_grad - eps * weight_grad, or
+    None unless both hold, and ``grad_F(eps)`` the same as an array;
+    ``ratio_grad`` is ``grad_F(ratio) / weight``.  ``trip`` is the full SVD
+    with the phases of ``singular_triplets``.
     """
 
     __slots__ = (
@@ -312,7 +415,21 @@ class PointEval:
     )
 
     def __new__(cls, P: MatrixPolynomial, w: WeightPolynomial, lam: complex):
-        return point_evals(P, w, [lam])[0]
+        stack = point_stack(P, w, [lam])
+        row = object.__new__(cls)
+        (row.lam,) = stack.lam.tolist()
+        (values,) = stack.s.tolist()
+        row.s_min = values[-1]
+        row.gap = float(stack.gap[0])
+        row.on_spectrum = bool(stack.on_spectrum[0])
+        row.smooth = bool(stack.smooth[0])
+        row.s_grad = tuple(stack.s_grad[0].tolist())
+        row.weight = float(stack.weight[0])
+        row.ratio = row.s_min / row.weight
+        weight_grad = tuple(stack.weight_grad[0].tolist())
+        row.weight_grad = None if np.isnan(weight_grad[0]) else weight_grad
+        row._svd = (stack.U[0], stack.s[0], stack.Vh[0])
+        return row
 
     @property
     def trip(self) -> SingularTripletSet:
@@ -343,68 +460,3 @@ class PointEval:
         """Gradient of s_min / w, None where ``grad_F`` is."""
         g = self.grad_F(self.ratio)
         return None if g is None else g / self.weight
-
-
-def point_evals(P: MatrixPolynomial, w: WeightPolynomial, lams) -> list:
-    """One ``PointEval`` per point of ``lams``, in order.
-
-    Each chunk of ``_stack_points(n)`` points costs one ``evaluate_many`` of
-    P, one of P', one stacked ``np.linalg.svd`` and a fixed number of array
-    operations; the rest is scalar work per point.  Everything derived from
-    the SVD is real arithmetic in a fixed order, elementwise or per point,
-    so a point gets the same bits alone as in any stack (numpy's complex
-    products round differently in their scalar and vector loops).  Raises
-    ``np.linalg.LinAlgError`` where P(lambda) is not finite.
-    """
-    L = np.asarray(lams, dtype=complex).reshape(-1)
-    chunk = _stack_points(P.n)
-    if L.size > chunk:
-        return [
-            row
-            for start in range(0, L.size, chunk)
-            for row in point_evals(P, w, L[start : start + chunk])
-        ]
-    A = evaluate_many(P, L)
-    _require_finite(A)
-    U, s, Vh = np.linalg.svd(A)
-    D = evaluate_many(P.derivative, L)
-    # s_grad = (Re c, -Im c) for c = u* P'(lambda) v, (u, v) the trailing
-    # pair, on interleaved (re, im) parts.  With h = conj(v) the last row of
-    # Vh, row a of P'(lambda) gives t_a = (P'(lambda) v)_a as
-    # Re t_a = D_a . (Re h_0, Im h_0, ...) and Im t_a = D_a . (-Im h_0, Re h_0, ...);
-    # then Re c = sum Re u_a Re t_a + Im u_a Im t_a and
-    # -Im c = sum Im u_a Re t_a - Re u_a Im t_a
-    k, n = L.size, P.n
-    h = Vh[:, -1].view(float)
-    rotated = np.empty((k, 2, 2 * n))
-    rotated[:, 0] = h
-    np.negative(h[:, 1::2], out=rotated[:, 1, 0::2])
-    rotated[:, 1, 1::2] = h[:, 0::2]
-    t = np.add.reduce(D.view(float)[:, None] * rotated[:, :, None], axis=3)
-    u = U[:, :, -1]
-    pairs = np.empty((k, 2, 2, n))
-    pairs[:, 0, 0] = u.real
-    pairs[:, 0, 1] = pairs[:, 1, 0] = u.imag
-    np.negative(u.real, out=pairs[:, 1, 1])
-    grads = np.add.reduce((pairs * t[:, None]).reshape(k, 2, 2 * n), axis=2)
-    rows = []
-    for i, (lam, values, grad) in enumerate(zip(L.tolist(), s.tolist(), grads.tolist())):
-        row = object.__new__(PointEval)
-        row.lam = lam
-        row.s_min = values[-1]
-        row.gap = values[-2] - values[-1] if n >= 2 else np.inf
-        row.on_spectrum = on_spectrum(values)
-        row.smooth = row.gap > GAP_RTOL * values[0] and not row.on_spectrum
-        row.s_grad = tuple(grad)
-        r = abs(lam)
-        row.weight = weight_eval(w, r)
-        row.ratio = row.s_min / row.weight
-        if r >= ORIGIN_TOL:
-            slope = weight_deriv_eval(w, r)
-            row.weight_grad = (slope * lam.real / r, slope * lam.imag / r)
-        else:
-            row.weight_grad = (0.0, 0.0) if w.is_constant else None
-        # copies, so that a kept row does not keep its whole stack alive
-        row._svd = (U[i].copy(), np.array(values), Vh[i].copy())
-        rows.append(row)
-    return rows

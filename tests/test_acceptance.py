@@ -14,6 +14,7 @@ from polyspectra import (
     MatrixPolynomial,
     Termination,
     WeightPolynomial,
+    boundary_curves,
     build_qhat,
     build_qtilde,
     build_surface_map,
@@ -26,14 +27,12 @@ from polyspectra import (
     eigenvalues,
     evaluate,
     fault_scan,
-    find_boundary_seed,
     find_saddle,
     is_fault_point,
     merge_epsilon,
     multiple_criterion,
     s_min,
     singular_triplets,
-    trace_boundary,
 )
 from polyspectra.pseudospectrum import label_sublevel
 from polyspectra.svdcore import PointEval
@@ -376,8 +375,7 @@ def test_criterion_8_trivial_geometry(disc_pair, unit_weight):
     w = WeightPolynomial([1.0])
     win = GridSpec(x_min=-0.8, x_max=1.6, y_min=-1.2, y_max=1.2, nx=11, ny=11)
     eps = 0.7
-    seed = find_boundary_seed(P, w, eps, 0.4, 1.0, win)
-    curve = trace_boundary(P, w, eps, seed, win)
+    [[curve]] = boundary_curves(P, w, compute_field(P, w, win), [eps]).curves
     deviation = np.max(np.abs(np.abs(curve.points - 0.4) - eps))
     circle_ok = curve.termination is Termination.closed and deviation < 1e-6
 

@@ -177,9 +177,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flag, argv",
         [
+            # trace has no step flags: they exit 2 as unknown flags
             ("--step-size", ["trace", "--eps", "0.01", "--step-size", "nan"]),
-            ("--step-size", ["trace", "--eps", "0.01", "--step-size", "0"]),
-            ("--max-steps", ["trace", "--eps", "0.01", "--max-steps", "-5"]),
+            ("--step-size", ["trace", "--eps", "0.01", "--step-size", "0.01"]),
+            ("--max-steps", ["trace", "--eps", "0.01", "--max-steps", "100"]),
             ("--seed", ["trace", "--eps", "0.01", "--seed", "nan", "0"]),
             ("--eps-max", ["distance", "--eps-max", "0"]),
             ("--eps-max", ["distance", "--eps-max", "inf"]),
@@ -187,6 +188,12 @@ class TestExitCodes:
         ],
     )
     def test_numeric_flags_are_checked(self, flag, argv, capsys):
+        if flag in ("--step-size", "--max-steps"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--input", UPTRI])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            return
         assert main([*argv, "--input", UPTRI]) == 2
         assert flag in capsys.readouterr().err
 
@@ -374,16 +381,31 @@ class TestOutputs:
         assert lines[0] == "curve_id,x,y"
         assert len(lines) > 10
 
+    def test_trace_sweep_draws_every_level(self, tmp_path, capsys):
+        # no axis ray from the double root meets the eps = 1 boundary inside
+        # the window, and the field's contours draw it all the same: every
+        # level has curves, and none is warned about
+        out, js = tmp_path / "t.csv", tmp_path / "t.json"
+        assert main(["trace", "--input", SCALAR, "--csv", str(out), "--json", str(js)]) == 0
+        assert "warnings=" not in capsys.readouterr().err
+        levels = {c["epsilon"] for c in json.loads(js.read_text())["curves"]}
+        assert levels == {0.5, 1.0, 1.5}
+
     def test_trace_sweep_skips_unseedable_levels(self, tmp_path, capsys):
-        # at one level of this fixture every axis ray either exits the
-        # window or seeds exactly on the corner; the sweep warns and still
-        # traces the other levels
-        out = tmp_path / "t.csv"
-        assert main(["trace", "--input", SCALAR, "--csv", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert "no traceable seed" in err
-        curve_ids = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
-        assert len(curve_ids) == 2
+        # lambda with a unit weight: the disc of radius eps around 0 crosses
+        # this window at eps = 0.5 and lies outside it at eps = 0.001, so the
+        # sweep warns of that level and traces the other; with no level
+        # left, the command fails
+        problem = tmp_path / "disc.json"
+        problem.write_text(json.dumps({"n": 1, "m": 1, "coefficients": [{"re": [[0.0]]}, {"re": [[1.0]]}]}))
+        out = tmp_path / "t.json"
+        argv = ["trace", "--input", str(problem), "--eps", "0.5", "0.001",
+                "--window", "0.4", "0.8", "-0.2", "0.2", "--json", str(out)]
+        assert main(argv) == 0
+        assert "warnings=['eps=0.001: no boundary curve in the window']" in capsys.readouterr().err
+        assert [c["epsilon"] for c in _curves(out)] == [0.5]
+        assert main([*argv[:4], "0.001", *argv[6:]]) == 3
+        assert "no boundary curve in the window for any requested level" in capsys.readouterr().err
 
     def test_faults_json(self, tmp_path, capsys):
         out = tmp_path / "faults.json"
@@ -447,43 +469,45 @@ def _curves(path) -> list:
 
 class TestTraceCurves:
     def test_corner_stall_ends_the_curve(self, tmp_path, capsys):
-        # at eps = 1 the corrector from this seed is pulled onto a corner at
-        # 1.3165+0.2887i; the curve must end there, not fill the step budget
-        out = tmp_path / "t.json"
+        # at eps = 1 the curve through this seed meets corners on the fault
+        # line Re l = 1/2, where the polish freezes the vertices; the curve
+        # the seed selects ends there
+        out, csv = tmp_path / "t.json", tmp_path / "t.csv"
         argv = ["trace", "--input", DIAG_PAIR, "--eps", "1",
-                "--seed", "2.414213562373095", "0", "--json", str(out)]
+                "--seed", "2.414213562373095", "0", "--json", str(out), "--csv", str(csv)]
         assert main(argv) == 0
         [curve] = _curves(out)
         assert curve["termination"] == "gradient_invalid"
-        assert curve["points"] < 200
+        rows = csv.read_text().splitlines()[1:]
+        cell = parse_problem(Path(DIAG_PAIR).read_text()).window.cell_diagonal
+        for row in (rows[0], rows[-1]):
+            assert abs(float(row.split(",")[1]) - 0.5) <= cell
 
     @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
     def test_fixture_levels_end_before_the_step_limit(self, path, tmp_path, capsys):
+        # the polish has no step budget: a curve ends closed, on the window
+        # edge or next to a frozen vertex, and says which
         out = tmp_path / "t.json"
         assert main(["trace", "--input", str(path), "--json", str(out)]) == 0
-        assert all(c["termination"] != "step_limit" for c in _curves(out))
+        for c in _curves(out):
+            assert c["termination"] in ("closed", "left_window", "gradient_invalid")
+            assert c["closed"] == (c["termination"] == "closed")
 
     def test_one_curve_per_boundary(self, tmp_path, capsys):
         # all three eigenvalues of the conic pencil share one component at
-        # these levels, so its boundary is traced once
+        # these levels, so each level has one closed curve
         out = tmp_path / "t.json"
         argv = ["trace", "--input", CONIC, "--eps", "0.5590169943749475",
                 "0.7071067811865476", "--json", str(out)]
         assert main(argv) == 0
-        assert [c["epsilon"] for c in _curves(out)] == [0.5590169943749475, 0.7071067811865476]
-        # each skipped eigenvalue is named with the level and the curve it repeats
-        skipped = [line for line in capsys.readouterr().out.splitlines() if "skipped" in line]
-        assert skipped == [
-            "eps=0.559017: eigenvalue 0.75-0j seeds curve 0 again, skipped",
-            "eps=0.559017: eigenvalue 1.25-0j seeds curve 0 again, skipped",
-            "eps=0.707107: eigenvalue 0.75-0j seeds curve 1 again, skipped",
-            "eps=0.707107: eigenvalue 1.25-0j seeds curve 1 again, skipped",
-        ]
+        curves = _curves(out)
+        assert [c["epsilon"] for c in curves] == [0.5590169943749475, 0.7071067811865476]
+        assert all(c["closed"] for c in curves)
 
     def test_facing_boundaries_across_a_neck_are_both_traced(self, tmp_path, capsys):
-        # diag(l - 1, l + 1) at eps = 0.9996: the two discs face each other
-        # across a 0.0008 neck, closer than a tenth of a step, and the ray
-        # from 1 seeds at the neck; the boundaries run opposite ways there
+        # diag(l - 1, l + 1) at eps = 0.98: the two discs face each other
+        # across a 0.04 neck, a few cells wide, and each gets its closed
+        # curve.  A neck narrower than a cell joins the discs on the grid.
         doc = {
             "n": 2, "m": 1,
             "coefficients": [{"re": [[-1.0, 0.0], [0.0, 1.0]]},
@@ -491,19 +515,34 @@ class TestTraceCurves:
         }
         problem = tmp_path / "discs.json"
         problem.write_text(json.dumps(doc))
-        out = tmp_path / "t.json"
-        argv = ["trace", "--input", str(problem), "--eps", "0.9996",
-                "--window", "-2.5", "1.9", "-1.5", "1.5", "--json", str(out)]
+        out, csv = tmp_path / "t.json", tmp_path / "t.csv"
+        argv = ["trace", "--input", str(problem), "--eps", "0.98",
+                "--window", "-2.5", "2.5", "-1.5", "1.5", "--json", str(out), "--csv", str(csv)]
         assert main(argv) == 0
-        assert len(_curves(out)) == 2
-        assert "skipped" not in capsys.readouterr().out
+        assert [c["closed"] for c in _curves(out)] == [True, True]
+        rows = np.array([row.split(",") for row in csv.read_text().splitlines()[1:]], dtype=float)
+        for cid, centre in ((0, -1.0), (1, 1.0)):
+            z = rows[rows[:, 0] == cid, 1] + 1j * rows[rows[:, 0] == cid, 2]
+            assert np.abs(np.abs(z - centre) - 0.98).max() < 1e-8
 
     def test_explicit_seeds_are_always_traced(self, tmp_path, capsys):
-        out = tmp_path / "t.json"
+        out, csv = tmp_path / "t.json", tmp_path / "t.csv"
         seed = ["--seed", "2.414213562373095", "0"]
-        argv = ["trace", "--input", DIAG_PAIR, "--eps", "1", *seed, *seed, "--json", str(out)]
+        argv = ["trace", "--input", DIAG_PAIR, "--eps", "1", *seed, *seed,
+                "--json", str(out), "--csv", str(csv)]
         assert main(argv) == 0
-        assert len(_curves(out)) == 2
+        # two identical seeds select the same curve twice
+        first, second = _curves(out)
+        assert first == second
+        rows = [row.split(",", 1) for row in csv.read_text().splitlines()[1:]]
+        assert [xy for cid, xy in rows if cid == "0"] == [xy for cid, xy in rows if cid == "1"]
+
+    def test_off_curve_seed_exits_4(self, tmp_path, capsys):
+        argv = ["trace", "--input", DIAG_PAIR, "--eps", "1", "--seed", "2.4", "0",
+                "--json", str(tmp_path / "t.json")]
+        assert main(argv) == 4
+        assert "is not on the eps=1 curve" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestDeterminism:

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from polyspectra import GridSpec
-from polyspectra.contours import _edge_points, marching_squares
+from polyspectra import F_eps, GridSpec, boundary_curves, compute_field
+from polyspectra.cli import parse_problem
+from polyspectra.contours import _edge_points, _pieces, marching_squares
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 
 
 def radial_field(grid):
@@ -220,3 +225,51 @@ class TestMatchesReference:
         assert_bitwise_equal(
             marching_squares(grid, values, 0.6), reference_marching_squares(grid, values, 0.6)
         )
+
+
+class TestPieces:
+    """How a polished polyline splits at its frozen vertices."""
+
+    @staticmethod
+    def pieces(good, closed):
+        return [
+            (idx.tolist(), termination.value)
+            for idx, termination in _pieces(np.arange(len(good)), np.array(good), closed)
+        ]
+
+    def test_open_line_without_frozen_vertices_ends_on_the_window_edge(self):
+        assert self.pieces([True] * 4, False) == [([0, 1, 2, 3], "left_window")]
+
+    def test_open_line_splits_at_frozen_vertices(self):
+        got = self.pieces([True, True, False, True, True, True, False, True], False)
+        # a piece of one point is dropped
+        assert got == [([0, 1], "gradient_invalid"), ([3, 4, 5], "gradient_invalid")]
+
+    def test_closed_loop_cut_at_k_vertices_gives_k_pieces(self):
+        assert self.pieces([True] * 5, True) == [([0, 1, 2, 3, 4, 0], "closed")]
+        got = self.pieces([True, False, True, True, True, False, True, True], True)
+        assert got == [([2, 3, 4], "gradient_invalid"), ([6, 7, 0], "gradient_invalid")]
+
+
+def fixture_curves(path):
+    spec = parse_problem(path.read_text())
+    P, w, window = spec.polynomial, spec.weight, spec.window
+    return spec, boundary_curves(P, w, compute_field(P, w, window), spec.epsilons)
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_sublevel_set_lies_left_of_every_curve(path):
+    # F_eps a quarter cell left of each segment's midpoint is negative, and
+    # a quarter cell right of it positive, but near a corner
+    spec, trace = fixture_curves(path)
+    P, w, h = spec.polynomial, spec.weight, 0.25 * spec.window.cell_diagonal
+    left, right = [], []
+    for eps, curves in zip(spec.epsilons, trace.curves):
+        for curve in curves:
+            d = np.diff(curve.points)
+            assert np.all(np.abs(d) > 0)
+            mid, normal = curve.points[:-1] + 0.5 * d, 1j * d / np.abs(d)
+            left.append(F_eps(P, w, eps, mid + h * normal) < 0)
+            right.append(F_eps(P, w, eps, mid - h * normal) > 0)
+    assert np.mean(np.concatenate(left)) > 0.98
+    assert np.mean(np.concatenate(right)) > 0.98

@@ -1,10 +1,10 @@
-"""Lockstep evaluation and tracing give what one point and one walker give.
+"""Batched evaluation and the batched polish give what one point gives.
 
-A stacked ``point_evals`` row must equal ``PointEval`` at the same point bit
-for bit; seed rays and tracers run in one lockstep must return what each
-returns alone; and the ``trace`` command, which runs every seed ray and
-curve of a command together and replays the sequential seed search on the
-results, must print and write what the point-by-point loop below does.
+A ``point_stack`` row must equal ``PointEval`` at the same point bit for
+bit; and the ``trace`` command, which polishes every contour vertex of
+every level together with one ``point_stack`` call per Newton round, must
+print and write what the sequential search below gives, which runs the
+Newton steps of each vertex alone, one ``PointEval`` at a time.
 """
 
 import json
@@ -14,25 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyspectra import (
-    MatrixPolynomial,
-    PreconditionError,
-    SeedNotFoundError,
-    WeightPolynomial,
-    eigenvalues,
-    find_boundary_seed,
-    retraced_curve,
-    trace_boundary,
-)
-from polyspectra import pseudospectrum, svdcore
+from polyspectra import MatrixPolynomial, WeightPolynomial, compute_field, eigenvalues
+from polyspectra import contours, svdcore
 from polyspectra.cli import _csv_text, _json_text, main, parse_problem
-from polyspectra.svdcore import PointEval, point_evals
+from polyspectra.contours import marching_squares
+from polyspectra.pseudospectrum import on_curve_tolerance
+from polyspectra.svdcore import PointEval, point_stack
 
 from conftest import random_polynomial
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 CONIC = next(p for p in FIXTURES if p.stem == "conic_pencil_3x3")
-SCALAR = next(p for p in FIXTURES if p.stem == "scalar_double_root")
 
 
 def _bits(x) -> bytes:
@@ -51,10 +43,20 @@ def state(pe: PointEval, eps: float) -> tuple:
 
 
 def assert_rows_equal_points(P, w, lams, eps=0.25):
-    rows = point_evals(P, w, lams)
-    assert len(rows) == len(lams)
-    for lam, row in zip(lams, rows):
-        assert state(row, eps) == state(PointEval(P, w, lam), eps)
+    stack = point_stack(P, w, lams)
+    assert len(stack.s) == len(lams)
+    f, g = stack.F(eps), stack.grad_F(eps)
+    for i, lam in enumerate(lams):
+        pe = PointEval(P, w, lam)
+        assert _bits(stack.U[i]) + _bits(stack.s[i]) + _bits(stack.Vh[i]) == _bits(
+            pe._svd[0]
+        ) + _bits(pe._svd[1]) + _bits(pe._svd[2])
+        assert _bits(f[i]) == _bits(pe.F(eps))
+        want = pe.grad_xy(eps)
+        assert np.isnan(g[i]).all() if want is None else _bits(g[i]) == _bits(want)
+        # a stack of one, and so PointEval, gives the point the bits it has
+        # in any stack
+        assert state(pe, eps) == state(PointEval(P, w, complex(stack.lam[i])), eps)
 
 
 class TestStackedRows:
@@ -74,7 +76,9 @@ class TestStackedRows:
     def test_origin_under_a_linear_weight(self, scalar_double_root, weight_linear):
         lams = [0.0, 1.0, 0.5 + 0.5j, 0.0, -0.25j]
         assert_rows_equal_points(scalar_double_root, weight_linear, lams)
-        row = point_evals(scalar_double_root, weight_linear, lams)[0]
+        stack = point_stack(scalar_double_root, weight_linear, lams)
+        assert np.isnan(stack.weight_grad[0]).all() and np.isnan(stack.grad_F(1.0)[0]).all()
+        row = PointEval(scalar_double_root, weight_linear, 0.0)
         assert row.weight_grad is None and row.grad_F(1.0) is None
 
     def test_complex_scalar_polynomial(self):
@@ -98,54 +102,74 @@ class TestStackedRows:
         w = WeightPolynomial([1.0, 0.5])
         chunk = svdcore._stack_points(16)
         lams = rng.normal(size=2 * chunk + 1) + 1j * rng.normal(size=2 * chunk + 1)
-        point_evals(P, w, lams[:2])  # P' and the LAPACK routines, made once
+        point_stack(P, w, lams[:2])  # P' and the LAPACK routines, made once
         tracemalloc.start()
         try:
-            rows = point_evals(P, w, lams)
+            stack = point_stack(P, w, lams)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(rows) == len(lams)
+        assert len(stack.s) == len(lams)
         assert peak - kept <= svdcore._STACK_ENTRY_BYTES * 16 * 16 * chunk <= svdcore._CHUNK_BYTES
 
     def test_non_finite_entries_raise(self):
         P = MatrixPolynomial([np.eye(3), 1e308 * np.eye(3)])
         w = WeightPolynomial([1.0])
-        point_evals(P, w, [1e-309, 0.5])  # finite
+        point_stack(P, w, [1e-309, 0.5])  # finite
         for lams in ([2.0], [0.5, 2.0]):
             with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-                point_evals(P, w, lams)
+                point_stack(P, w, lams)
+
+
+def polish_alone(P, w, eps: float, x: float, y: float, tol: float, guard: float):
+    """Newton steps of one vertex, one ``PointEval`` per step: the point,
+    whether it reached the curve, and the unit tangent there."""
+    lam = complex(x, y)
+    for _ in range(contours._MAX_CORRECTOR_ITERS):
+        pe = PointEval(P, w, lam)
+        f = pe.F(eps)
+        g = pe.grad_xy(eps)
+        gx, gy = (np.nan, np.nan) if g is None else g
+        norm = np.hypot(gx, gy)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tangent = (-gy / norm, gx / norm)
+            shift = f / (norm * norm)
+        if abs(f) <= tol:
+            return lam, True, tangent
+        mx, my = -shift * gx, -shift * gy
+        if not np.hypot(mx, my) <= guard:
+            break
+        lam = complex(lam.real + mx, lam.imag + my)
+    return lam, False, tangent
 
 
 def reference_trace(spec):
-    """The sequential search of ``trace``, one seed and one walker at a time:
-    (curves, stdout lines, warnings)."""
+    """``trace`` without ``--seed``, one vertex at a time: (curves, stdout
+    lines, warnings)."""
     P, w, window = spec.polynomial, spec.weight, spec.window
-    curves, stdout, warnings = [], [], []
-    for eps in spec.epsilons:
-        level = []
-        for lam in eigenvalues(P).eigenvalues:
-            curve = None
-            for direction in (1.0, -1.0, 1j, -1j):
-                try:
-                    seed = find_boundary_seed(P, w, eps, lam, direction, window)
-                    k = retraced_curve(P, w, eps, seed, [curves[c][1] for c in level], window)
-                    if k is not None:
-                        stdout.append(
-                            f"eps={eps:.6g}: eigenvalue {lam:.6g} seeds curve {level[k]} "
-                            "again, skipped"
-                        )
-                        break
-                    curve = trace_boundary(P, w, eps, seed, window)
-                    break
-                except (SeedNotFoundError, PreconditionError):
-                    continue
-            else:
-                warnings.append(f"eps={eps:.6g}: no traceable seed from eigenvalue {lam:.6g}")
-            if curve is not None:
-                level.append(len(curves))
-                curves.append((eps, curve))
-    stdout += [
+    field = compute_field(P, w, window)
+    tol, guard = on_curve_tolerance(P), contours._STEP_GUARD * window.cell_diagonal
+    lines, z, on, tangent = [], [], [], []
+    for k, eps in enumerate(spec.epsilons):
+        for line in marching_squares(window, field.values, eps):
+            closed = len(line) > 2 and bool((line[0] == line[-1]).all())
+            for x, y in (line[:-1] if closed else line).tolist():
+                lam, reached, t = polish_alone(P, w, eps, x, y, tol, guard)
+                z.append(lam)
+                on.append(reached)
+                tangent.append(t)
+            lines.append((k, np.arange(len(z) - len(line) + closed, len(z)), closed))
+    levels = contours._curves(
+        lines, len(spec.epsilons), np.array(z, dtype=complex), np.array(on, dtype=bool),
+        np.array(tangent).reshape(-1, 2), contours._REPEAT * window.cell_diagonal,
+    )
+    curves = [(eps, c) for eps, level in zip(spec.epsilons, levels) for c in level]
+    warnings = [
+        f"eps={eps:.6g}: no boundary curve in the window"
+        for eps, level in zip(spec.epsilons, levels)
+        if not level
+    ]
+    stdout = [
         f"eps={eps:.6g}: {len(c.points)} points, termination={c.termination.value}"
         for eps, c in curves
     ]
@@ -171,7 +195,6 @@ def expected_files(curves) -> tuple:
             {
                 "closed": c.closed,
                 "epsilon": eps,
-                "interior_curve": c.interior_curve,
                 "points": len(c.points),
                 "termination": c.termination.value,
             }
@@ -194,10 +217,6 @@ class TestLockstepTrace:
             assert f"warnings={warnings}" in err
         else:
             assert "warnings=" not in err
-        if path == CONIC:
-            assert sum("skipped" in line for line in out) == 5
-        if path == SCALAR:
-            assert "eps=1: no traceable seed from eigenvalue 1+0j" in warnings
 
     def test_summary_line_counts_the_work(self, tmp_path, capsys):
         code, out, err, _, js = run_trace(CONIC, tmp_path, capsys)
@@ -207,181 +226,20 @@ class TestLockstepTrace:
         assert f"curves closed={ends.count('closed')} " in line
         rounds = int(line.split(" rounds=")[1].split()[0])
         points = int(line.split(" points=")[1].split()[0])
-        assert 0 < rounds < points
+        frozen = int(line.split(" frozen=")[1].split()[0])
+        # the first round evaluates every vertex once, and a closed curve
+        # repeats its first point
+        vertices = sum(c["points"] for c in json.loads(js)["curves"]) - ends.count("closed")
+        assert 0 < rounds <= contours._MAX_CORRECTOR_ITERS
+        assert vertices + frozen <= points <= rounds * (vertices + frozen)
 
-    @staticmethod
-    def plant(monkeypatch, targets) -> list:
-        """Make the walker from every seed in ``targets`` raise LinAlgError
-        after its first evaluation; returns the seeds it fired on."""
-        walk = pseudospectrum._walk
-        fired = []
+    def test_error_in_a_polish_round_fails_the_command(self, tmp_path, capsys, monkeypatch):
+        def planted(P, w, lams):
+            raise np.linalg.LinAlgError("planted")
 
-        def planted(P, w, eps, seed, *args):
-            if complex(seed) in targets:
-                fired.append(complex(seed))
-                yield seed
-                raise np.linalg.LinAlgError("planted")
-            return (yield from walk(P, w, eps, seed, *args))
-
-        monkeypatch.setattr(pseudospectrum, "_walk", planted)
-        return fired
-
-    @staticmethod
-    def skipped_seeds(spec) -> set:
-        """Seeds of the rays the sequential search skips as repeats, less
-        those that also start a kept curve (rays of several eigenvalues can
-        meet the boundary at one point)."""
-        P, w, window = spec.polynomial, spec.weight, spec.window
-        curves, stdout, _ = reference_trace(spec)
-        seeds = set()
-        for eps in spec.epsilons:
-            for lam in eigenvalues(P).eigenvalues:
-                if f"eps={eps:.6g}: eigenvalue {lam:.6g} seeds curve" in "\n".join(stdout):
-                    seeds.add(complex(find_boundary_seed(P, w, eps, lam, 1.0, window)))
-        return seeds - {complex(c.points[0]) for _, c in curves}
-
-    def test_error_in_a_walker_the_search_skips_is_dropped(self, tmp_path, capsys, monkeypatch):
-        spec = parse_problem(CONIC.read_text())
-        curves, stdout, _ = reference_trace(spec)
-        fired = self.plant(monkeypatch, self.skipped_seeds(spec))
-        code, out, _, csv, js = run_trace(CONIC, tmp_path, capsys)
-        assert fired  # the planted walkers ran
-        assert code == 0
-        assert out == stdout
-        assert (csv, js) == expected_files(curves)
-
-    def test_error_in_a_kept_walker_fails_the_command(self, tmp_path, capsys, monkeypatch):
-        spec = parse_problem(CONIC.read_text())
-        P, w, window = spec.polynomial, spec.weight, spec.window
-        lam = eigenvalues(P).eigenvalues[0]
-        first = complex(find_boundary_seed(P, w, spec.epsilons[0], lam, 1.0, window))
-        fired = self.plant(monkeypatch, {first})
-        capsys.readouterr()
-        assert main(["trace", "--input", str(CONIC)]) == 3
-        assert fired == [first]
-        assert "numerical failure: planted" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
-    def test_walkers_stopped_ahead_are_traced_alone(self, path, tmp_path, capsys, monkeypatch):
-        """The prune stops every tracing walker at its first test, so the
-        replay traces alone every curve that takes more than one prune
-        interval."""
-        stopped = []
-
-        def stop_every_tracing_walker(pairs, tried, points, reach, step):
-            def prune(live):
-                stop = [j for j in live if points[j]]
-                stopped.extend(stop)
-                return stop
-
-            return prune
-
-        monkeypatch.setattr(pseudospectrum, "_prune_passed", stop_every_tracing_walker)
-        spec = parse_problem(path.read_text())
-        curves, stdout, warnings = reference_trace(spec)
-        code, out, err, csv, js = run_trace(path, tmp_path, capsys)
-        assert stopped
-        assert code == 0
-        assert out == stdout
-        assert (csv, js) == expected_files(curves)
-        if warnings:
-            assert f"warnings={warnings}" in err
-        else:
-            assert "warnings=" not in err
-
-    def test_error_in_a_ray_fails_the_command(self, tmp_path, capsys, monkeypatch):
-        """A LinAlgError raised by the samples of the first ray the search
-        tries exits 3."""
-        spec = parse_problem(CONIC.read_text())
-        window = spec.window
-        lam = eigenvalues(spec.polynomial).eigenvalues[0]
-        t_max = pseudospectrum._ray_exit_parameter(window, lam, 1.0)
-        samples = set((lam + np.linspace(0.0, t_max, 512)[1:]).tolist())
-        f_eps = pseudospectrum.F_eps
-        fired = []
-
-        def planted(P, w, eps, points):
-            if samples <= set(np.ravel(points).tolist()):
-                fired.append(len(np.ravel(points)))
-                raise np.linalg.LinAlgError("planted")
-            return f_eps(P, w, eps, points)
-
-        monkeypatch.setattr(pseudospectrum, "F_eps", planted)
+        monkeypatch.setattr(contours, "point_stack", planted)
         capsys.readouterr()
         assert main(["trace", "--input", str(CONIC)]) == 3
         err = capsys.readouterr().err
-        assert fired
         assert "numerical failure: planted" in err
         assert "Traceback" not in err
-
-
-def logged(walker, log: list):
-    """``walker``, with an "S" in ``log`` whenever it is sent an answer."""
-    answer = None
-    while True:
-        try:
-            ask = walker.send(answer)
-        except StopIteration as stop:
-            return stop.value
-        answer = yield ask
-        log.append("S")
-
-
-class TestMixedRounds:
-    def test_seed_rays_and_tracers_in_one_lockstep(self, monkeypatch):
-        """Seed rays ask for values while tracers ask for points, in the same
-        rounds; each walker returns what it returns alone."""
-        spec = parse_problem(CONIC.read_text())
-        P, w, window = spec.polynomial, spec.weight, spec.window
-        tol = pseudospectrum.on_curve_tolerance(P)
-        lams = eigenvalues(P).eigenvalues
-        seeds = []
-        for eps in spec.epsilons:
-            for lam in lams:
-                try:
-                    seeds.append((eps, find_boundary_seed(P, w, eps, lam, 1.0, window)))
-                except (SeedNotFoundError, PreconditionError):
-                    pass
-        assert seeds
-
-        def walkers() -> list:
-            rays = [
-                pseudospectrum._seed_ray(eps, lam, direction, window, tol)
-                for eps in spec.epsilons
-                for lam in lams
-                for direction in (1.0, -1.0, 1j, -1j)
-            ]
-            walks = [
-                pseudospectrum._walk(P, w, eps, seed, window, None, 20000) for eps, seed in seeds
-            ]
-            return rays + walks
-
-        alone = [pseudospectrum._lockstep(P, w, [x], None)[0] for x in walkers()]
-        log = []
-        point_evals, f_eps = pseudospectrum.point_evals, pseudospectrum.F_eps
-
-        def logged_point_evals(P, w, lams):
-            log.append("P")
-            return point_evals(P, w, lams)
-
-        def logged_f_eps(P, w, eps, lam):
-            if np.ndim(eps):  # a round's values, not a tracer's own probe
-                log.append("F")
-            return f_eps(P, w, eps, lam)
-
-        monkeypatch.setattr(pseudospectrum, "point_evals", logged_point_evals)
-        monkeypatch.setattr(pseudospectrum, "F_eps", logged_f_eps)
-        together = pseudospectrum._lockstep(P, w, [logged(x, log) for x in walkers()], None)
-        assert "PF" in "".join(log)  # a round answered points and values
-        assert len(together) == len(alone)
-        for got, want in zip(together, alone):
-            if isinstance(want, Exception):
-                assert (type(got), str(got)) == (type(want), str(want))
-            elif isinstance(want, pseudospectrum.BoundaryCurve):
-                assert got.points.tobytes() == want.points.tobytes()
-                assert (got.termination, got.interior_curve, got.detail) == (
-                    want.termination, want.interior_curve, want.detail
-                )
-            else:
-                assert _bits(got) == _bits(want)
-        assert sum(isinstance(x, pseudospectrum.BoundaryCurve) for x in alone) == len(seeds)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,24 +12,20 @@ from polyspectra import (
     MatrixPolynomial,
     PreconditionError,
     ScalarField,
-    SeedNotFoundError,
     Termination,
     WeightPolynomial,
+    boundary_curves,
     boundedness_check,
     components,
     compute_field,
     default_window,
     eigenvalues,
-    find_boundary_seed,
-    find_saddle,
     merge_epsilon,
-    retraced_curve,
     s_min,
-    trace_boundary,
     weight_eval,
 )
 from polyspectra import pseudospectrum
-from polyspectra.cli import parse_problem
+from polyspectra.cli import main, parse_problem
 from polyspectra.pseudospectrum import MAX_GRID_POINTS, label_sublevel, on_curve_tolerance
 from polyspectra.svdcore import F_eps
 
@@ -167,190 +164,103 @@ class TestComponents:
                     )
 
 
-class TestBoundarySeed:
-    def test_scalar_disc(self):
-        P = MatrixPolynomial([[[-0.7]], [[1.0]]])  # lambda - 0.7
-        win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=11, ny=11)
-        seed = find_boundary_seed(P, WeightPolynomial([1.0]), 0.5, 0.7, 1.0, win)
-        assert seed == pytest.approx(1.2, abs=1e-10)
-
-    def test_diag_disc_negative_direction(self, disc_pair, unit_weight):
-        win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=11, ny=11)
-        seed = find_boundary_seed(disc_pair, unit_weight, 0.25, -1.0, -1.0, win)
-        assert seed == pytest.approx(-1.25, abs=1e-10)
-
-    def test_uptri_seed_lies_on_curve(self, uptri_quadratic, weight_quadratic, uptri_window):
-        seed = find_boundary_seed(
-            uptri_quadratic, weight_quadratic, 0.005, 1.0, 1.0, uptri_window
-        )
-        assert 1.0 < seed.real < 1.5
-        f = F_eps(uptri_quadratic, weight_quadratic, 0.005, seed)
-        assert abs(f) <= on_curve_tolerance(uptri_quadratic)
-
-    def test_no_crossing_raises(self, scalar_double_root, weight_linear):
-        # level 1 set extends past this window's right edge along +1
-        win = GridSpec(x_min=-1.5, x_max=3.5, y_min=-2.5, y_max=2.5, nx=11, ny=11)
-        with pytest.raises(SeedNotFoundError, match="unbounded"):
-            find_boundary_seed(scalar_double_root, weight_linear, 1.0, 1.0, 1.0, win)
-
-    def test_positive_start_rejected(self, disc_pair, unit_weight):
-        win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=11, ny=11)
-        with pytest.raises(PreconditionError):
-            find_boundary_seed(disc_pair, unit_weight, 0.25, 5.0, 1.0, win)
+def fixture_trace(path, levels=None):
+    """The polished boundary of a fixture at its own levels, on its own grid."""
+    spec = parse_problem(path.read_text())
+    P, w, window = spec.polynomial, spec.weight, spec.window
+    levels = spec.epsilons if levels is None else levels
+    return spec, boundary_curves(P, w, compute_field(P, w, window), levels)
 
 
-def reference_seed(P, w, eps, lam0, direction, window):
-    """Reference: march the ray one point at a time, then bisect."""
-
-    def level(z):
-        return s_min(P, z) - eps * weight_eval(w, abs(z))
-
-    direction = complex(direction)
-    direction /= abs(direction)
-    if not window.contains(lam0):
-        raise PreconditionError("outside the window")
-    if level(lam0) >= 0:
-        raise PreconditionError("not inside the sublevel set")
-    t_max = pseudospectrum._ray_exit_parameter(window, lam0, direction)
-    if t_max <= 0:
-        raise SeedNotFoundError("on the window edge")
-    lo, hi = 0.0, None
-    for t in np.linspace(0.0, t_max, pseudospectrum._SEED_SAMPLES)[1:]:
-        if level(lam0 + t * direction) >= 0:
-            hi = t
-            break
-        lo = t
-    if hi is None:
-        raise SeedNotFoundError("no sign change")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if level(lam0 + mid * direction) < 0:
-            lo = mid
-        else:
-            hi = mid
-    seed = lam0 + 0.5 * (lo + hi) * direction
-    if abs(level(seed)) > on_curve_tolerance(P):
-        raise SeedNotFoundError("off the curve")
-    return seed
-
-
-class TestSeedRay:
-    """One F_eps call samples the ray; the seed is that of the point march."""
-
-    @pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.stem)
-    def test_matches_point_march_bitwise(self, path):
-        spec = parse_problem(path.read_text())
-        P, w, window = spec.polynomial, spec.weight, spec.window
-        outcomes = []
-        for eps in spec.epsilons:
-            for lam in eigenvalues(P).eigenvalues:
-                for direction in (1.0, -1.0, 1j, -1j):
-                    try:
-                        want = reference_seed(P, w, eps, lam, direction, window)
-                    except (PreconditionError, SeedNotFoundError) as exc:
-                        with pytest.raises(type(exc)):
-                            find_boundary_seed(P, w, eps, lam, direction, window)
-                        outcomes.append(type(exc))
-                        continue
-                    got = find_boundary_seed(P, w, eps, lam, direction, window)
-                    assert complex(got) == complex(want)
-                    outcomes.append(complex)
-        assert complex in outcomes
-
-    def test_one_call_samples_the_ray(
-        self, uptri_quadratic, weight_quadratic, uptri_window, monkeypatch
-    ):
-        sizes = []
-
-        def counting(P, w, eps, lam):
-            sizes.append(np.size(lam))
-            return F_eps(P, w, eps, lam)
-
-        monkeypatch.setattr(pseudospectrum, "F_eps", counting)
-        find_boundary_seed(uptri_quadratic, weight_quadratic, 0.005, 1.0, 1.0, uptri_window)
-        assert [k for k in sizes if k > 1] == [pseudospectrum._SEED_SAMPLES - 1]
-        assert sizes[0] == 1 and sizes[1] > 1  # lam0, then the ray
-        assert sizes.count(1) <= 122  # lam0, at most 120 bisection steps, the seed
+def direct_F(spec, eps: float, z: np.ndarray) -> np.ndarray:
+    """F_eps at the points z by one direct SVD of sum_j P_j z**j each, with
+    explicit powers."""
+    P, w = spec.polynomial, spec.weight
+    A = sum(C * z[:, None, None] ** j for j, C in enumerate(P.coeffs))
+    smallest = np.linalg.svd(A, compute_uv=False)[:, -1]
+    r = np.abs(z)
+    return smallest - eps * sum(c * r**j for j, c in enumerate(w.weights))
 
 
 class TestTraceBoundary:
     def test_scalar_circle(self):
         P = MatrixPolynomial([[[-0.2]], [[1.0]]])  # lambda - 0.2, disc of radius eps
         w = WeightPolynomial([1.0])
-        win = GridSpec(x_min=-1.0, x_max=1.4, y_min=-1.2, y_max=1.2, nx=11, ny=11)
-        seed = find_boundary_seed(P, w, 0.5, 0.2, 1.0, win)
-        curve = trace_boundary(P, w, 0.5, seed, win)
+        win = GridSpec(x_min=-1.0, x_max=1.4, y_min=-1.2, y_max=1.2, nx=41, ny=41)
+        trace = boundary_curves(P, w, compute_field(P, w, win), [0.5])
+        [[curve]] = trace.curves
         assert curve.termination is Termination.closed
-        assert curve.closed
+        assert curve.closed and curve.points[0] == curve.points[-1]
         radii = np.abs(curve.points - 0.2)
-        assert np.max(np.abs(radii - 0.5)) < 1e-6
+        assert np.max(np.abs(radii - 0.5)) < 1e-9
         assert all(
             abs(F_eps(P, w, 0.5, z)) <= on_curve_tolerance(P) for z in curve.points
         )
-        steps = np.abs(np.diff(curve.points))
-        assert np.max(steps) <= 2 * win.diagonal / 500 + 1e-12
+        # points lie about one cell apart
+        assert np.max(np.abs(np.diff(curve.points))) <= win.cell_diagonal
         # interior kept on the left means counterclockwise around the disc
         z = curve.points
         signed_area = 0.5 * np.sum(
             z.real[:-1] * z.imag[1:] - z.real[1:] * z.imag[:-1]
         )
-        assert signed_area > 0
-        assert not curve.interior_curve
+        assert signed_area == pytest.approx(np.pi * 0.25, rel=1e-2)
+        assert trace.frozen == 0
 
-    def test_corner_stops_tracing(self, scalar_double_root, weight_linear):
-        # level-1 boundary of (l-1)^2 against 2|l|+1 has a corner at 0
-        win = GridSpec(x_min=-1.5, x_max=3.5, y_min=-2.5, y_max=2.5, nx=11, ny=11)
-        x = -0.05
-        y = np.sqrt(2 + 2 * x - x * x - 2 * np.sqrt(2 * x + 1))
-        seed = find_boundary_seed(
-            scalar_double_root, weight_linear, 1.0, 1.0, complex(x, y) - 1.0, win
-        )
-        curve = trace_boundary(
-            scalar_double_root, weight_linear, 1.0, seed, win, step_size=0.01
-        )
-        assert curve.termination is Termination.gradient_invalid
-        assert abs(curve.points[-1]) < 0.05
+    def test_corner_stops_tracing(self):
+        # at eps = 1 the boundary of diag(l^2 - 1, l^2 - 2l) has corners on
+        # the fault line Re l = 1/2, where s_min is double: the polish
+        # freezes the vertices there, and the curves end next to them
+        path = next(p for p in FIXTURE_FILES if p.stem == "diag_quadratic_pair_2x2")
+        spec, trace = fixture_trace(path, [1.0])
+        win = spec.window
+        open_curves = [c for c in trace.curves[0] if not c.closed]
+        assert open_curves and trace.frozen > 0
+        for curve in open_curves:
+            assert curve.termination is Termination.gradient_invalid
+            for end in (curve.points[0], curve.points[-1]):
+                assert abs(end.real - 0.5) <= win.cell_diagonal
 
-    def test_near_merge_level_stops_at_crossing(
-        self, uptri_quadratic, weight_quadratic, uptri_window
-    ):
-        sad = find_saddle(uptri_quadratic, weight_quadratic, 1.3, uptri_window)
-        seed = find_boundary_seed(
-            uptri_quadratic, weight_quadratic, sad.delta, 1.0, 1.0, uptri_window
-        )
-        curve = trace_boundary(uptri_quadratic, weight_quadratic, sad.delta, seed, uptri_window)
-        assert curve.termination is Termination.gradient_invalid
-        assert abs(curve.points[-1] - sad.mu) < 3 * uptri_window.diagonal / 500
-
-    def test_off_curve_seed_rejected(self, disc_pair, unit_weight):
-        win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=11, ny=11)
-        with pytest.raises(PreconditionError):
-            trace_boundary(disc_pair, unit_weight, 0.5, 0.9, win)
+    def test_off_curve_seed_rejected(self, disc_pair, tmp_path, capsys):
+        doc = {
+            "n": 2, "m": 1,
+            "coefficients": [{"re": C.real.tolist()} for C in disc_pair.coeffs],
+            "window": {"x_min": -2.0, "x_max": 2.0, "y_min": -2.0, "y_max": 2.0,
+                       "nx": 11, "ny": 11},
+        }
+        problem = tmp_path / "discs.json"
+        problem.write_text(json.dumps(doc))
+        argv = ["trace", "--input", str(problem), "--eps", "0.5"]
+        assert main([*argv, "--seed", "0.9", "0"]) == 4
+        assert "not on the eps=0.5 curve" in capsys.readouterr().err
+        assert main([*argv, "--seed", "1.5", "0"]) == 0
 
     def test_left_window(self):
         P = MatrixPolynomial([[[-0.0]], [[1.0]]])  # lambda; disc around 0
         w = WeightPolynomial([1.0])
         win = GridSpec(x_min=-0.3, x_max=0.6, y_min=-0.3, y_max=0.6, nx=11, ny=11)
-        seed = find_boundary_seed(P, w, 0.5, 0.0, 1.0, win)
-        curve = trace_boundary(P, w, 0.5, seed, win)
+        [[curve]] = boundary_curves(P, w, compute_field(P, w, win), [0.5]).curves
         assert curve.termination is Termination.left_window
+        # counterclockwise from the bottom edge to the left one, polished
+        # onto the circle from the edge crossings
+        start, end = curve.points[0], curve.points[-1]
+        assert start == pytest.approx(0.4 - 0.3j, abs=0.1 * win.cell_diagonal)
+        assert end == pytest.approx(-0.3 + 0.4j, abs=0.1 * win.cell_diagonal)
 
+    def test_unreached_boundary_gets_a_curve(self):
+        # at eps = 1 no axis ray from the double root 1 meets the boundary
+        # inside the window, which the field's contours still find
+        path = next(p for p in FIXTURE_FILES if p.stem == "scalar_double_root")
+        spec, trace = fixture_trace(path)
+        assert all(trace.curves)
+        assert trace.curves[spec.epsilons.index(1.0)]
 
-class TestRetracedCurve:
-    def test_seed_on_a_curve_running_the_same_way(self, disc_pair, unit_weight):
-        win = GridSpec(x_min=-2.5, x_max=2.5, y_min=-1.5, y_max=1.5, nx=11, ny=11)
-        seed = find_boundary_seed(disc_pair, unit_weight, 0.5, 1.0, 1.0, win)
-        curve = trace_boundary(disc_pair, unit_weight, 0.5, seed, win)
-        other = find_boundary_seed(disc_pair, unit_weight, 0.5, 1.0, 1j, win)
-        assert retraced_curve(disc_pair, unit_weight, 0.5, other, [curve], win) == 0
-        # the same points traversed backwards run against the tangent
-        backwards = replace(curve, points=curve.points[::-1])
-        assert retraced_curve(disc_pair, unit_weight, 0.5, other, [backwards], win) is None
-        # a seed on the other disc is not on the curve
-        far = find_boundary_seed(disc_pair, unit_weight, 0.5, -1.0, 1.0, win)
-        assert retraced_curve(disc_pair, unit_weight, 0.5, far, [curve], win) is None
+    @pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.stem)
+    def test_every_point_is_on_the_curve(self, path):
+        spec, trace = fixture_trace(path)
+        tol = on_curve_tolerance(spec.polynomial)
+        for eps, curves in zip(spec.epsilons, trace.curves):
+            for curve in curves:
+                assert np.max(np.abs(direct_F(spec, eps, curve.points))) <= tol
 
 
 class TestTraceCost:
@@ -364,28 +274,30 @@ class TestTraceCost:
         ids=["uptri", "damped", "conic"],
     )
     def test_svds_per_traced_point(self, request, monkeypatch, poly, weight, eps, window):
-        # each corrector iterate reads F_eps and its gradient from one SVD,
-        # so a point costs about two SVDs (predicted point, converged point)
+        # a vertex costs one SVD with vectors per Newton round, and most
+        # reach the curve in two or three
         P = request.getfixturevalue(poly)
         w = request.getfixturevalue(weight)
         if window is None:
             win = GridSpec(x_min=-2.0, x_max=2.5, y_min=-2.0, y_max=2.0, nx=241, ny=241)
         else:
             win = request.getfixturevalue(window)
-        lam = eigenvalues(P).eigenvalues[0]
-        seed = find_boundary_seed(P, w, eps, lam, 1.0, win)
-        calls = []
+        field = compute_field(P, w, win)
+        decomposed = []
         svd = np.linalg.svd
 
-        def counting_svd(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
+        def counting_svd(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True):
+                decomposed.append(len(a))
+            return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        curve = trace_boundary(P, w, eps, seed, win)
+        trace = boundary_curves(P, w, field, [eps])
         monkeypatch.undo()
-        assert curve.closed
-        assert len(calls) / len(curve.points) < 3.5
+        points = sum(len(c.points) for c in trace.curves[0])
+        assert all(c.closed for c in trace.curves[0])
+        assert sum(decomposed) == trace.points
+        assert trace.points / points < 3.5
 
 
 def scan_merge_level(field, points, eps_lo):
