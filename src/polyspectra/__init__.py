@@ -33,7 +33,7 @@ from .faultlines import (
     fault_scan,
     is_fault_point,
 )
-from .contours import BoundaryTrace, boundary_curves, marching_squares, nearest_curve
+from .contours import boundary_curves
 from .matpoly import (
     EigenReport,
     MatrixPolynomial,
@@ -78,9 +78,7 @@ from .pseudospectrum import (
 from .svdcore import (
     F_eps,
     PointEval,
-    PointStack,
     SingularTripletSet,
-    point_stack,
     s_min,
     singular_triplets,
     singular_values_many,

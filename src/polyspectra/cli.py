@@ -470,10 +470,17 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
     for eps, level in zip(eps_list, traced.curves):
         if not level:
             report.warnings.append(f"eps={eps:.6g}: no boundary curve in the window")
-        elif seeds:
-            curves += [(eps, level[nearest_curve(level, seed)]) for seed in seeds]
-        else:
+        if not seeds:
             curves += [(eps, c) for c in level]
+        for seed in seeds:
+            k, gap = nearest_curve(level, seed)
+            if gap > window.cell_diagonal:
+                raise PreconditionError(
+                    f"seed {seed:.6g} is on the eps={eps:.6g} curve, but no traced piece"
+                    f" passes within a cell of it (nearest {gap:.3e}); a finer grid or"
+                    " a window around the seed may reach it"
+                )
+            curves.append((eps, level[k]))
     if not curves:
         raise SeedNotFoundError("no boundary curve in the window for any requested level")
     if args.csv:

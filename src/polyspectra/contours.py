@@ -13,12 +13,19 @@ chain into polylines deterministically.
 level curve F_eps(lambda) = s_min(lambda) - eps * w(|lambda|) = 0.  It runs
 marching squares on the s_min/w field at every level, then moves every
 contour vertex of every level onto F_eps = 0 by Newton steps
-z <- z - F grad F / |grad F|^2, batched: each round is one ``point_stack``
-call on the vertices not yet on the curve.  A vertex is frozen where the
-closed-form gradient cannot be trusted (a multiple s_min, such as a corner
-where two singular-value surfaces cross), or where its step is not finite
-or longer than ``_STEP_GUARD`` cell diagonals; a frozen vertex is never
-emitted, and the polyline is split there.
+z <- z - F grad F / |grad F|^2, batched: each round evaluates the vertices
+not yet on the curve with ``point_stack``, a chunk of them at a time.  A
+vertex is frozen where the closed-form gradient cannot be trusted (a
+multiple s_min, such as a corner where two singular-value surfaces cross),
+or where its step is not finite or longer than ``_STEP_GUARD`` cell
+diagonals; a frozen vertex is never emitted, and the polyline is split
+there.  The polyline is also split at a jump, a segment whose midpoint
+lies outside the set by more than ``_JUMP_SAG`` of its length: its ends
+were polished onto the two sides of a corner, where s_min is multiple.
+Where the grid joined two parts of the boundary across a neck narrower
+than a cell, the polyline jumps the neck twice; the exterior joins the two
+jumps, and they are swapped for the arcs that face each other across the
+neck, so each part gets its own curve.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .pseudospectrum import (
     Termination,
     on_curve_tolerance,
 )
-from .svdcore import point_stack
+from .svdcore import F_eps, _stack_points, point_stack
 
 # Newton rounds of the boundary polish; a vertex still off the curve after
 # them is frozen.
@@ -46,6 +53,11 @@ _STEP_GUARD = 1.0
 # Distance in cell diagonals within which a curve point repeats the one
 # before it and is dropped.
 _REPEAT = 1e-9
+# Share of its length by which the midpoint of a segment between two
+# polished vertices may lie outside the set before the segment counts as a
+# jump.  An arc of curvature k sags by length^2 * k / 8 below its chord, so
+# a jump would be a curve turning by more than a radian within one segment.
+_JUMP_SAG = 0.125
 
 # Edges of cell (i, j): bottom and top are the x-edges at ys[j] and ys[j+1],
 # left and right the y-edges at xs[i] and xs[i+1].
@@ -175,7 +187,7 @@ def marching_squares(grid: GridSpec, values: np.ndarray, level: float):
 class BoundaryTrace:
     """The polished boundary pieces of each level, in the order of the
     levels, and the polish's work: its Newton ``rounds``, the ``points``
-    they evaluate, and the ``frozen`` vertices it dropped."""
+    they evaluate, and the ``frozen`` contour vertices it dropped."""
 
     curves: list
     rounds: int
@@ -192,11 +204,9 @@ def boundary_curves(
     Every vertex of every level's ``marching_squares`` polylines is polished
     onto F_eps = 0 together (see the module docstring), so every emitted
     point has |F_eps| <= ``on_curve_tolerance(P)`` and neighbouring points
-    lie about one cell apart.  A polyline is split at its frozen vertices
-    (a closed loop cut at k separate vertices gives k open pieces), and a
-    piece of fewer than two points is dropped.  Each piece is oriented with
-    the sublevel set on its left, by the gradients the polish computed at
-    its points.
+    lie about one cell apart.  ``_curves`` splits the polished polylines at
+    frozen vertices and jumps, and orients each piece with the sublevel set
+    on its left.
     """
     lines, xy, eps = [], [], []
     size = 0
@@ -210,82 +220,188 @@ def boundary_curves(
             eps.append(np.full(len(pts), float(level)))
     xy = np.concatenate(xy) if xy else np.zeros((0, 2))
     eps = np.concatenate(eps) if eps else np.zeros(0)
-    guard = _STEP_GUARD * field.grid.cell_diagonal
-    xy, on, tangent, rounds, points = _polish(P, w, xy, eps, on_curve_tolerance(P), guard)
+    h = field.grid.cell_diagonal
+    xy, on, grad, rounds, points = _polish(P, w, xy, eps, on_curve_tolerance(P), _STEP_GUARD * h)
     z = xy[:, 0] + 1j * xy[:, 1]
-    curves = _curves(lines, len(levels), z, on, tangent, _REPEAT * field.grid.cell_diagonal)
-    return BoundaryTrace(curves, rounds, points, int(np.count_nonzero(~on)))
+    curves, fill_rounds, fill_points = _curves(P, w, lines, len(levels), z, eps, on, grad, h)
+    frozen = int(np.count_nonzero(~on))
+    return BoundaryTrace(curves, rounds + fill_rounds, points + fill_points, frozen)
 
 
 def _polish(P, w, xy: np.ndarray, eps: np.ndarray, tol: float, guard: float) -> tuple:
     """Batched Newton on F_eps, one level per vertex, from the vertices
     ``xy`` (k, 2): the moved vertices, which of them are on the curve, the
-    unit tangents (k, 2) there (the gradient turned +90 degrees, NaN where
-    it cannot be trusted), the rounds and the points evaluated.  All
-    arithmetic is real and elementwise, so a vertex moves as it would alone.
+    gradients (k, 2) of F_eps there (NaN where they cannot be trusted), the
+    rounds and the points evaluated.  A round evaluates its vertices in
+    chunks of ``_stack_points(n)`` and keeps only F and its gradient, so the
+    singular vectors alive at once fit the chunk budget.  All arithmetic is
+    real and elementwise, so a vertex moves as it would alone.
     """
     xy = xy.copy()
     on = np.zeros(len(xy), dtype=bool)
     live = np.ones(len(xy), dtype=bool)
-    tangent = np.full((len(xy), 2), np.nan)
+    grad = np.full((len(xy), 2), np.nan)
+    chunk = _stack_points(P.n)
     rounds = points = 0
     for _ in range(_MAX_CORRECTOR_ITERS):
         idx = np.flatnonzero(live)
         if not idx.size:
             break
-        stack = point_stack(P, w, xy[idx, 0] + 1j * xy[idx, 1])
+        f = np.empty(idx.size)
+        for start in range(0, idx.size, chunk):
+            part = idx[start : start + chunk]
+            stack = point_stack(P, w, xy[part, 0] + 1j * xy[part, 1])
+            f[start : start + chunk] = stack.F(eps[part])
+            grad[part] = stack.grad_F(eps[part])
         rounds += 1
         points += idx.size
-        f = stack.F(eps[idx])
-        g = stack.grad_F(eps[idx])
+        g = grad[idx]
         norm = np.hypot(g[:, 0], g[:, 1])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tangent[idx, 0] = -g[:, 1] / norm
-            tangent[idx, 1] = g[:, 0] / norm
             move = -(f / (norm * norm))[:, None] * g
         done = np.abs(f) <= tol
         step = ~done & (np.hypot(move[:, 0], move[:, 1]) <= guard)  # False for NaN
         on[idx[done]] = True
         xy[idx[step]] += move[step]
         live[idx[~step]] = False
-    return xy, on, tangent, rounds, points
+    return xy, on, grad, rounds, points
 
 
-def _curves(lines: list, levels: int, z, on, tangent, repeat: float) -> list:
-    """The BoundaryCurves of each level from the polished vertices ``z``:
-    every piece of every (level, vertex indices, closed) line, oriented,
-    less each point within ``repeat`` of the one before it (the vertices
-    of the edges that meet at a grid node polish to one point where the
-    curve passes through the node)."""
-    curves = [[] for _ in range(levels)]
-    for k, idx, closed in lines:
-        for piece, termination in _pieces(idx, on[idx], closed):
-            keep = np.append(True, np.abs(np.diff(z[piece])) > repeat)
-            if termination is Termination.closed:  # keep the first point last
-                keep[-2:] = keep[-2] & keep[-1], True
-            piece = piece[keep]
-            curves[k].append(BoundaryCurve(_oriented(z[piece], tangent[piece]), termination))
-    return curves
+def _curves(P, w, lines: list, levels: int, z, eps, on, grad, h: float) -> tuple:
+    """The BoundaryCurves of each level from the polished vertices ``z``
+    (levels ``eps``, on the curve where ``on``, gradients ``grad``) of the
+    (level, vertex indices, closed) ``lines`` of a grid of cell diagonal
+    ``h``, and the rounds and points of the polish of the neck fills.
 
+    A segment between two vertices on the curve is a jump when its midpoint
+    lies outside the set (``_jumps``): it cuts a corner, where s_min is
+    multiple, or crosses a neck narrower than a cell, which the grid joined.
+    Two jumps of one line that the exterior joins (``_neck``) are swapped
+    for the chords from each jump's start to the other's end, filled with
+    points a cell apart polished onto the curve, when every one of them
+    gets there; the line splits in two, one for each side of the neck.
+    Every other jump cuts its line, as a frozen vertex does.  Each piece
+    loses every point within ``_REPEAT`` cell diagonals of the one before
+    it (the vertices of the edges that meet at a grid node polish to one
+    point where the curve passes through the node), is dropped when no
+    segment remains, and is oriented with the sublevel set on its left.
+    """
+    tol = on_curve_tolerance(P)
+    nxt = np.full(len(z), -1)
+    line_of = np.zeros(len(z), dtype=np.intp)
+    for n, (_, idx, closed) in enumerate(lines):
+        nxt[idx] = np.roll(idx, -1) if closed else np.append(idx[1:], -1)
+        line_of[idx] = n
+    a = np.flatnonzero((nxt >= 0) & on)
+    a = a[on[nxt[a]]]
+    free = a[_jumps(P, w, z[a], z[nxt[a]], eps[a], grad[a], grad[nxt[a]], tol)].tolist()
+    pairs, cut = [], []
+    while free:
+        j = free.pop(0)
+        mid = 0.5 * (z[j] + z[nxt[j]])
+        mates = [i for i in free if line_of[i] == line_of[j]]
+        for i in sorted(mates, key=lambda i: abs(0.5 * (z[i] + z[nxt[i]]) - mid)):
+            if _neck(P, w, eps[j], mid, 0.5 * (z[i] + z[nxt[i]]), h, tol):
+                pairs.append((j, i))
+                free.remove(i)
+                break
+        else:
+            cut.append(j)
 
-def _pieces(idx: np.ndarray, good: np.ndarray, closed: bool):
-    """(indices, termination) of each run of two or more ``good`` vertices
-    of one polyline; a closed polyline with every vertex good is one closed
-    run that ends on its first vertex."""
-    if closed and good.all():
-        yield np.append(idx, idx[0]), Termination.closed
-        return
-    if closed:  # start at a frozen vertex, so no run wraps around
-        first = int(np.argmin(good))
-        idx, good = np.roll(idx, -first), np.roll(good, -first)
-    bad = np.flatnonzero(~good)
-    starts = np.concatenate([[0], bad + 1])
-    stops = np.concatenate([bad, [len(idx)]])
-    for a, b in zip(starts.tolist(), stops.tolist()):
-        if b - a < 2:
+    chords = [(j, nxt[i]) for j, i in pairs] + [(i, nxt[j]) for j, i in pairs]
+    fill = [_chord(z[u], z[v], h) for u, v in chords]
+    sizes = [len(f) for f in fill]
+    level = np.repeat([eps[u] for u, _ in chords], sizes)
+    fill = np.concatenate([np.zeros(0, dtype=complex), *fill])
+    xy, reached, g, rounds, points = _polish(
+        P, w, np.column_stack([fill.real, fill.imag]), level, tol, _STEP_GUARD * h
+    )
+    ids = np.split(np.arange(len(z), len(z) + len(fill)), np.cumsum(sizes, dtype=np.intp)[:-1])
+    z = np.append(z, xy[:, 0] + 1j * xy[:, 1])
+    on, grad = np.append(on, reached), np.vstack([grad, g])
+    nxt = np.append(nxt, np.full(len(fill), -1))
+    for n, (j, i) in enumerate(pairs):
+        both = (n, n + len(pairs))
+        if not all(on[ids[c]].all() for c in both):
+            cut += [j, i]
             continue
-        frozen_end = closed or a > 0 or b < len(idx)
-        yield idx[a:b], Termination.gradient_invalid if frozen_end else Termination.left_window
+        for c in both:
+            chain = [chords[c][0], *ids[c].tolist(), chords[c][1]]
+            nxt[chain[:-1]] = chain[1:]
+    nxt[cut] = -1  # the jumps left cut their lines, as frozen vertices do
+    nxt[~on] = -1
+    nxt[(nxt >= 0) & ~on[nxt]] = -1
+
+    curves = [[] for _ in range(levels)]
+    for k, piece, termination in _walks(lines, nxt.tolist(), on):
+        keep = np.append(True, np.abs(np.diff(z[piece])) > _REPEAT * h)
+        if termination is Termination.closed:  # keep the first point last
+            keep[-2:] = keep[-2] & keep[-1], True
+        piece = piece[keep]
+        if len(piece) < (3 if termination is Termination.closed else 2):
+            continue
+        g = grad[piece]
+        norm = np.hypot(g[:, 0], g[:, 1])
+        tangent = np.column_stack([-g[:, 1] / norm, g[:, 0] / norm])
+        curves[k].append(BoundaryCurve(_oriented(z[piece], tangent), termination))
+    return curves, rounds, points
+
+
+def _jumps(P, w, za, zb, eps, ga, gb, tol: float) -> np.ndarray:
+    """Which segments from ``za`` to ``zb``, points of the level-``eps``
+    curves with gradients ``ga`` and ``gb``, are jumps: F_eps at the
+    midpoint exceeds ``tol`` and ``_JUMP_SAG`` times the segment's length
+    times the smaller gradient norm, so the midpoint lies farther outside
+    the set than an arc of the curve between the two points sags."""
+    if not len(za):
+        return np.zeros(0, dtype=bool)
+    f = F_eps(P, w, eps, 0.5 * (za + zb))
+    slope = np.fmin(np.hypot(ga[:, 0], ga[:, 1]), np.hypot(gb[:, 0], gb[:, 1]))
+    return f > np.fmax(tol, _JUMP_SAG * np.abs(zb - za) * slope)
+
+
+def _neck(P, w, eps: float, m1: complex, m2: complex, h: float, tol: float) -> bool:
+    """Whether the exterior of the eps-pseudospectrum joins the points
+    ``m1`` and ``m2``: F_eps > ``tol`` at points at most ``h`` apart on the
+    segment between them."""
+    count = int(np.ceil(abs(m2 - m1) / h)) + 1
+    return bool((F_eps(P, w, eps, np.linspace(m1, m2, count)) > tol).all())
+
+
+def _chord(za: complex, zb: complex, h: float) -> np.ndarray:
+    """Points strictly between ``za`` and ``zb``, evenly spaced and at most
+    ``h`` apart."""
+    count = int(np.ceil(abs(zb - za) / h)) - 1
+    return za + (zb - za) * np.arange(1, count + 1) / (count + 1)
+
+
+def _walks(lines: list, nxt: list, on: np.ndarray):
+    """(level, vertex indices, termination) of each chain of successors
+    ``nxt`` (-1 for none) through the vertices ``on`` the curve, line by
+    line: first each chain from a vertex no successor link enters, in line
+    order, then each closed loop, from its first vertex in line order,
+    which it repeats at its end.  A chain from the first vertex of an open
+    line to its last ends on the window edge both ways; any other ends next
+    to a frozen vertex or a cut jump."""
+    entered = np.zeros(len(nxt), dtype=bool)
+    entered[[v for v in nxt if v >= 0]] = True
+    seen = ~on
+    for k, idx, closed in lines:
+        order = idx.tolist()
+        for v in [u for u in order if not entered[u]] + order:
+            if seen[v]:
+                continue
+            chain, u = [v], nxt[v]
+            while u not in (-1, v):
+                chain.append(u)
+                u = nxt[u]
+            seen[chain] = True
+            if u == v:
+                yield k, np.array(chain + [v]), Termination.closed
+            elif not closed and (chain[0], chain[-1]) == (order[0], order[-1]):
+                yield k, np.array(chain), Termination.left_window
+            else:
+                yield k, np.array(chain), Termination.gradient_invalid
 
 
 def _oriented(points: np.ndarray, tangent: np.ndarray) -> np.ndarray:
@@ -297,9 +413,14 @@ def _oriented(points: np.ndarray, tangent: np.ndarray) -> np.ndarray:
     return points[::-1] if along < 0 else points
 
 
-def nearest_curve(curves, z: complex) -> int:
-    """Index of the curve of ``curves`` that passes nearest the point ``z``."""
-    return int(np.argmin([_distance(c.points, z) for c in curves]))
+def nearest_curve(curves, z: complex) -> tuple:
+    """Index of the curve of ``curves`` that passes nearest the point ``z``,
+    and its distance from ``z``; (-1, inf) when there is no curve."""
+    distances = [_distance(c.points, z) for c in curves]
+    if not distances:
+        return -1, np.inf
+    k = int(np.argmin(distances))
+    return k, distances[k]
 
 
 def _distance(points: np.ndarray, z: complex) -> float:

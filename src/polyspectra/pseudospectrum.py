@@ -148,7 +148,8 @@ class BoundaryCurve:
 
     ``termination`` says how the piece ends: ``closed`` (its last point is
     its first), ``left_window`` (both ends on the window edge) or
-    ``gradient_invalid`` (an end next to a vertex the polish froze).
+    ``gradient_invalid`` (an end next to a vertex the polish froze, or to
+    a jump across a corner where s_min is multiple).
     """
 
     points: np.ndarray

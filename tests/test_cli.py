@@ -469,19 +469,22 @@ def _curves(path) -> list:
 
 class TestTraceCurves:
     def test_corner_stall_ends_the_curve(self, tmp_path, capsys):
-        # at eps = 1 the curve through this seed meets corners on the fault
-        # line Re l = 1/2, where the polish freezes the vertices; the curve
-        # the seed selects ends there
+        # at eps = 1 the curve through this seed turns corners at
+        # 1.3165 +- 0.2887i, where s_min is double; the segment across
+        # each is a jump, and the piece the seed selects ends at both
         out, csv = tmp_path / "t.json", tmp_path / "t.csv"
         argv = ["trace", "--input", DIAG_PAIR, "--eps", "1",
                 "--seed", "2.414213562373095", "0", "--json", str(out), "--csv", str(csv)]
         assert main(argv) == 0
         [curve] = _curves(out)
         assert curve["termination"] == "gradient_invalid"
+        assert curve["points"] < 200
         rows = csv.read_text().splitlines()[1:]
         cell = parse_problem(Path(DIAG_PAIR).read_text()).window.cell_diagonal
-        for row in (rows[0], rows[-1]):
-            assert abs(float(row.split(",")[1]) - 0.5) <= cell
+        ends = [complex(*map(float, row.split(",")[1:])) for row in (rows[0], rows[-1])]
+        assert sorted(round(z.imag, 1) for z in ends) == [-0.3, 0.3]
+        for z in ends:
+            assert abs(z - complex(1.3165, np.copysign(0.2887, z.imag))) <= cell
 
     @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
     def test_fixture_levels_end_before_the_step_limit(self, path, tmp_path, capsys):
@@ -505,9 +508,29 @@ class TestTraceCurves:
         assert all(c["closed"] for c in curves)
 
     def test_facing_boundaries_across_a_neck_are_both_traced(self, tmp_path, capsys):
-        # diag(l - 1, l + 1) at eps = 0.98: the two discs face each other
-        # across a 0.04 neck, a few cells wide, and each gets its closed
-        # curve.  A neck narrower than a cell joins the discs on the grid.
+        # diag(l - 1, l + 1) at eps = 0.9996: the two discs face each other
+        # across a 0.0008 neck, a tenth of a cell, which the grid joins
+        # into one contour; the boundaries run opposite ways there
+        doc = {
+            "n": 2, "m": 1,
+            "coefficients": [{"re": [[-1.0, 0.0], [0.0, 1.0]]},
+                             {"re": [[1.0, 0.0], [0.0, 1.0]]}],
+        }
+        problem = tmp_path / "discs.json"
+        problem.write_text(json.dumps(doc))
+        out = tmp_path / "t.json"
+        argv = ["trace", "--input", str(problem), "--eps", "0.9996",
+                "--window", "-2.5", "1.9", "-1.5", "1.5", "--json", str(out)]
+        assert main(argv) == 0
+        assert len(_curves(out)) == 2
+        assert "skipped" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps", [0.98, 0.9996])
+    def test_each_disc_across_a_neck_gets_its_own_circle(self, tmp_path, eps):
+        # the contour the grid draws round both discs jumps the neck twice;
+        # the two jumps are swapped for the arcs facing each other there,
+        # filled with points a cell apart.  The disc about -1 gets a closed
+        # circle, the one about 1 an arc that leaves the window at Re 1.9
         doc = {
             "n": 2, "m": 1,
             "coefficients": [{"re": [[-1.0, 0.0], [0.0, 1.0]]},
@@ -516,14 +539,18 @@ class TestTraceCurves:
         problem = tmp_path / "discs.json"
         problem.write_text(json.dumps(doc))
         out, csv = tmp_path / "t.json", tmp_path / "t.csv"
-        argv = ["trace", "--input", str(problem), "--eps", "0.98",
-                "--window", "-2.5", "2.5", "-1.5", "1.5", "--json", str(out), "--csv", str(csv)]
+        window = ["-2.5", "1.9", "-1.5", "1.5"]
+        argv = ["trace", "--input", str(problem), "--eps", str(eps),
+                "--window", *window, "--json", str(out), "--csv", str(csv)]
         assert main(argv) == 0
-        assert [c["closed"] for c in _curves(out)] == [True, True]
+        assert sorted(c["termination"] for c in _curves(out)) == ["closed", "left_window"]
+        cell = np.hypot(4.4, 3.0) / 400
         rows = np.array([row.split(",") for row in csv.read_text().splitlines()[1:]], dtype=float)
-        for cid, centre in ((0, -1.0), (1, 1.0)):
+        for cid in (0, 1):
             z = rows[rows[:, 0] == cid, 1] + 1j * rows[rows[:, 0] == cid, 2]
-            assert np.abs(np.abs(z - centre) - 0.98).max() < 1e-8
+            centre = -1.0 if z.real.min() < -1.0 else 1.0
+            assert np.abs(np.abs(z - centre) - eps).max() < 1e-8
+            assert np.abs(np.diff(z)).max() <= cell
 
     def test_explicit_seeds_are_always_traced(self, tmp_path, capsys):
         out, csv = tmp_path / "t.json", tmp_path / "t.csv"
@@ -543,6 +570,18 @@ class TestTraceCurves:
         assert main(argv) == 4
         assert "is not on the eps=1 curve" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
+
+    def test_seed_no_piece_reaches_exits_4(self, tmp_path, capsys):
+        # lambda - 0.2 at eps 0.5: the seed 0.7 is on the circle, but the
+        # window ends at Re 0.5, so the nearest piece passes 0.2 away
+        problem = tmp_path / "disc.json"
+        doc = {"n": 1, "m": 1, "coefficients": [{"re": [[-0.2]]}, {"re": [[1.0]]}]}
+        problem.write_text(json.dumps(doc))
+        argv = ["trace", "--input", str(problem), "--eps", "0.5",
+                "--window", "-1", "0.5", "-1", "1", "--json", str(tmp_path / "t.json")]
+        assert main([*argv, "--seed", "0.2", "0.5"]) == 0
+        assert main([*argv, "--seed", "0.7", "0"]) == 4
+        assert "no traced piece passes within a cell of it" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -3,9 +3,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyspectra import F_eps, GridSpec, boundary_curves, compute_field
+from polyspectra import (
+    F_eps,
+    GridSpec,
+    MatrixPolynomial,
+    WeightPolynomial,
+    boundary_curves,
+    compute_field,
+)
+from polyspectra import contours
 from polyspectra.cli import parse_problem
-from polyspectra.contours import _edge_points, _pieces, marching_squares
+from polyspectra.contours import _edge_points, _walks, marching_squares
+from polyspectra.svdcore import point_stack
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 
@@ -228,13 +237,20 @@ class TestMatchesReference:
 
 
 class TestPieces:
-    """How a polished polyline splits at its frozen vertices."""
+    """How the polished vertices of one line split into pieces at frozen
+    vertices and cut segments."""
 
     @staticmethod
-    def pieces(good, closed):
+    def pieces(good, closed, cut=()):
+        idx = np.arange(len(good))
+        nxt = np.roll(idx, -1) if closed else np.append(idx[1:], -1)
+        good = np.array(good)
+        nxt[list(cut)] = -1
+        nxt[~good | ~good[nxt]] = -1
         return [
-            (idx.tolist(), termination.value)
-            for idx, termination in _pieces(np.arange(len(good)), np.array(good), closed)
+            (chain.tolist(), termination.value)
+            for _, chain, termination in _walks([(0, idx, closed)], nxt.tolist(), good)
+            if len(chain) > 1
         ]
 
     def test_open_line_without_frozen_vertices_ends_on_the_window_edge(self):
@@ -249,6 +265,49 @@ class TestPieces:
         assert self.pieces([True] * 5, True) == [([0, 1, 2, 3, 4, 0], "closed")]
         got = self.pieces([True, False, True, True, True, False, True, True], True)
         assert got == [([2, 3, 4], "gradient_invalid"), ([6, 7, 0], "gradient_invalid")]
+
+    def test_a_cut_segment_splits_the_line_and_keeps_both_ends(self):
+        got = self.pieces([True] * 5, False, [1])
+        assert got == [([0, 1], "gradient_invalid"), ([2, 3, 4], "gradient_invalid")]
+        # a closed loop cut at one segment gives one open piece
+        assert self.pieces([True] * 4, True, [2]) == [([3, 0, 1, 2], "gradient_invalid")]
+
+
+class TestPolishedPieces:
+    """What ``_curves`` emits from vertices already on the curve."""
+
+    @staticmethod
+    def curves(P, eps, z, closed):
+        w = WeightPolynomial([1.0])
+        z = np.asarray(z, dtype=complex)
+        level = np.full(len(z), eps)
+        grad = point_stack(P, w, z).grad_F(level)
+        lines = [(0, np.arange(len(z)), closed)]
+        on = np.ones(len(z), dtype=bool)
+        [curves], _, _ = contours._curves(P, w, lines, 1, z, level, on, grad, 0.1)
+        return curves
+
+    def test_a_piece_whose_points_coincide_is_dropped(self):
+        # lambda - 0.2 at eps 0.5.  The vertices of the edges meeting at a
+        # grid node polish to one point: a piece left with one point, and
+        # no segment, is not emitted
+        P = MatrixPolynomial([[[-0.2]], [[1.0]]])
+        assert self.curves(P, 0.5, [0.7, 0.7], False) == []
+        assert self.curves(P, 0.5, [0.7, 0.7, 0.7], True) == []
+        [curve] = self.curves(P, 0.5, [0.7, 0.7, 0.2 + 0.5j], False)
+        assert curve.points.tolist() == [0.7, 0.2 + 0.5j]
+
+    def test_a_segment_through_the_exterior_cuts_the_line(self):
+        # diag(lambda + 1, lambda - 1) at eps 1.02: the discs overlap, and
+        # the boundary of their union turns a corner at 0.2i.  A line along
+        # the left circle to 0.3 rad, then along the right one, jumps the
+        # corner through the exterior, and splits there
+        P = MatrixPolynomial([np.diag([1.0, -1.0]), np.eye(2)])
+        left = [-1 + 1.02 * np.exp(1j * t) for t in (0.5, 0.4, 0.3)]
+        right = [1 - np.conj(z + 1) for z in left[::-1]]
+        pieces = self.curves(P, 1.02, left + right, False)
+        assert [c.termination.value for c in pieces] == ["gradient_invalid"] * 2
+        assert sorted(np.round(c.points.real.min(), 6) < 0 for c in pieces) == [False, True]
 
 
 def fixture_curves(path):

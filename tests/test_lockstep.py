@@ -2,7 +2,7 @@
 
 A ``point_stack`` row must equal ``PointEval`` at the same point bit for
 bit; and the ``trace`` command, which polishes every contour vertex of
-every level together with one ``point_stack`` call per Newton round, must
+every level together, a chunk of ``point_stack`` rows at a time, must
 print and write what the sequential search below gives, which runs the
 Newton steps of each vertex alone, one ``PointEval`` at a time.
 """
@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyspectra import MatrixPolynomial, WeightPolynomial, compute_field, eigenvalues
+from polyspectra import (
+    GridSpec,
+    MatrixPolynomial,
+    WeightPolynomial,
+    compute_field,
+    eigenvalues,
+)
 from polyspectra import contours, svdcore
 from polyspectra.cli import _csv_text, _json_text, main, parse_problem
 from polyspectra.contours import marching_squares
@@ -112,6 +118,27 @@ class TestStackedRows:
         assert len(stack.s) == len(lams)
         assert peak - kept <= svdcore._STACK_ENTRY_BYTES * 16 * 16 * chunk <= svdcore._CHUNK_BYTES
 
+    def test_the_polish_holds_one_chunk_of_vectors(self):
+        # n = 16 with some 800 contour vertices: the singular vectors of all
+        # of them would take 6.7 MB, on top of a chunk's work arrays; a
+        # round keeps one chunk's at a time
+        rng = np.random.default_rng(7)
+        P = random_polynomial(rng, 16, 1)
+        w = WeightPolynomial([1.0])
+        r = 1.2 * np.abs(eigenvalues(P).eigenvalues).max()
+        field = compute_field(P, w, GridSpec(-r, r, -r, r, 240, 240))
+        level = float(np.median(field.values))
+        contours.boundary_curves(P, w, field, [level])  # LAPACK and P', made once
+        tracemalloc.start()
+        try:
+            trace = contours.boundary_curves(P, w, field, [level])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vertices = sum(len(c.points) for c in trace.curves[0])
+        assert 2 * 16 * 16 * 16 * vertices > 1.5 * svdcore._CHUNK_BYTES
+        assert peak <= 2 * svdcore._CHUNK_BYTES
+
     def test_non_finite_entries_raise(self):
         P = MatrixPolynomial([np.eye(3), 1e308 * np.eye(3)])
         w = WeightPolynomial([1.0])
@@ -123,7 +150,7 @@ class TestStackedRows:
 
 def polish_alone(P, w, eps: float, x: float, y: float, tol: float, guard: float):
     """Newton steps of one vertex, one ``PointEval`` per step: the point,
-    whether it reached the curve, and the unit tangent there."""
+    whether it reached the curve, and the gradient of F_eps there."""
     lam = complex(x, y)
     for _ in range(contours._MAX_CORRECTOR_ITERS):
         pe = PointEval(P, w, lam)
@@ -132,15 +159,14 @@ def polish_alone(P, w, eps: float, x: float, y: float, tol: float, guard: float)
         gx, gy = (np.nan, np.nan) if g is None else g
         norm = np.hypot(gx, gy)
         with np.errstate(divide="ignore", invalid="ignore"):
-            tangent = (-gy / norm, gx / norm)
             shift = f / (norm * norm)
         if abs(f) <= tol:
-            return lam, True, tangent
+            return lam, True, (gx, gy)
         mx, my = -shift * gx, -shift * gy
         if not np.hypot(mx, my) <= guard:
             break
         lam = complex(lam.real + mx, lam.imag + my)
-    return lam, False, tangent
+    return lam, False, (gx, gy)
 
 
 def reference_trace(spec):
@@ -148,20 +174,22 @@ def reference_trace(spec):
     lines, warnings)."""
     P, w, window = spec.polynomial, spec.weight, spec.window
     field = compute_field(P, w, window)
-    tol, guard = on_curve_tolerance(P), contours._STEP_GUARD * window.cell_diagonal
-    lines, z, on, tangent = [], [], [], []
-    for k, eps in enumerate(spec.epsilons):
-        for line in marching_squares(window, field.values, eps):
+    h = window.cell_diagonal
+    tol, guard = on_curve_tolerance(P), contours._STEP_GUARD * h
+    lines, z, eps, on, grad = [], [], [], [], []
+    for k, level in enumerate(spec.epsilons):
+        for line in marching_squares(window, field.values, level):
             closed = len(line) > 2 and bool((line[0] == line[-1]).all())
             for x, y in (line[:-1] if closed else line).tolist():
-                lam, reached, t = polish_alone(P, w, eps, x, y, tol, guard)
+                lam, reached, g = polish_alone(P, w, level, x, y, tol, guard)
                 z.append(lam)
+                eps.append(level)
                 on.append(reached)
-                tangent.append(t)
+                grad.append(g)
             lines.append((k, np.arange(len(z) - len(line) + closed, len(z)), closed))
-    levels = contours._curves(
-        lines, len(spec.epsilons), np.array(z, dtype=complex), np.array(on, dtype=bool),
-        np.array(tangent).reshape(-1, 2), contours._REPEAT * window.cell_diagonal,
+    levels, _, _ = contours._curves(
+        P, w, lines, len(spec.epsilons), np.array(z, dtype=complex), np.array(eps),
+        np.array(on, dtype=bool), np.array(grad).reshape(-1, 2), h,
     )
     curves = [(eps, c) for eps, level in zip(spec.epsilons, levels) for c in level]
     warnings = [

@@ -27,7 +27,7 @@ from polyspectra import (
 from polyspectra import pseudospectrum
 from polyspectra.cli import main, parse_problem
 from polyspectra.pseudospectrum import MAX_GRID_POINTS, label_sublevel, on_curve_tolerance
-from polyspectra.svdcore import F_eps
+from polyspectra.svdcore import F_eps, singular_values_many
 
 from conftest import random_polynomial, random_weight
 
@@ -207,18 +207,24 @@ class TestTraceBoundary:
         assert trace.frozen == 0
 
     def test_corner_stops_tracing(self):
-        # at eps = 1 the boundary of diag(l^2 - 1, l^2 - 2l) has corners on
-        # the fault line Re l = 1/2, where s_min is double: the polish
-        # freezes the vertices there, and the curves end next to them
+        # at eps = 1 the boundary of diag(l^2 - 1, l^2 - 2l) turns corners
+        # where |l^2 - 1| = |l^2 - 2l| = 1 and s_min is double: on the fault
+        # line Re l = 1/2, where the polish freezes the vertices, and at
+        # 1.31 +- 0.29i and -0.31 +- 0.29i, where the segment between the
+        # two sides is a jump.  Every piece ends next to a corner: there the
+        # larger singular value is near eps too.
         path = next(p for p in FIXTURE_FILES if p.stem == "diag_quadratic_pair_2x2")
         spec, trace = fixture_trace(path, [1.0])
-        win = spec.window
-        open_curves = [c for c in trace.curves[0] if not c.closed]
-        assert open_curves and trace.frozen > 0
-        for curve in open_curves:
+        h = spec.window.cell_diagonal
+        assert trace.frozen > 0
+        assert len(trace.curves[0]) == 6
+        for curve in trace.curves[0]:
             assert curve.termination is Termination.gradient_invalid
-            for end in (curve.points[0], curve.points[-1]):
-                assert abs(end.real - 0.5) <= win.cell_diagonal
+            ends = np.array([curve.points[0], curve.points[-1]])
+            larger = singular_values_many(spec.polynomial, ends)[:, 0]
+            assert np.all(larger - 1.0 <= 3 * h)
+        ends = [c.points[k] for c in trace.curves[0] for k in (0, -1)]
+        assert sum(abs(z.real - 0.5) <= h for z in ends) == 4
 
     def test_off_curve_seed_rejected(self, disc_pair, tmp_path, capsys):
         doc = {
