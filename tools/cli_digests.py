@@ -18,7 +18,11 @@ from the document, so they take the default window and grid.
 path of ``trace`` is digested too.  ``faults+grid401`` runs
 ``faults --grid 401 401`` on the ``GRID401`` fixtures, whose fault sets are
 curves, so that every candidate cell of the largest refinement batches
-(hundreds per fixture) is digested.
+(hundreds per fixture) is digested.  ``components`` and ``distance`` also
+run as ``<command>+grid31`` and ``<command>+grid101`` at ``--grid 31 31``
+and ``--grid 101 101``: coarse grids, where some of them exit 3, so their
+error messages are digested too.  Every run digests its stderr without the
+``[polyspectra]`` summary line, which holds the wall time.
 
 ``tools/cli_digests.txt`` holds the lines of the current program, made with
 ``OPENBLAS_NUM_THREADS=2``; ``tests/test_cli_digests.py`` compares them with
@@ -88,6 +92,10 @@ OUTPUTS = {
     "distance+nowindow": ("json",),
     "trace+seed": ("csv", "svg", "json"),
     "faults+grid401": ("json", "svg"),
+    "components+grid31": ("json",),
+    "components+grid101": ("json",),
+    "distance+grid31": ("json",),
+    "distance+grid101": ("json",),
 }
 
 
@@ -99,8 +107,14 @@ def _extra_args(run: str, path: Path) -> list | None:
     if variant == "seed":
         fixture, eps, seed = SEEDED
         return ["--eps", repr(eps), "--seed", *map(repr, seed)] if name == fixture else None
-    if variant == "grid401":
-        return ["--grid", "401", "401"] if name in GRID401 else None
+    if variant.startswith("grid"):
+        if command == "faults" and name not in GRID401:
+            return None
+        size = variant[len("grid"):]
+        grid = ["--grid", size, size]
+        if command == "distance":
+            return None if name not in REFERENCES else grid + ["--eps-max", repr(REFERENCES[name][0])]
+        return grid
     if variant == "eps":
         return ["--eps", *(repr(e) for e in json.loads(path.read_text())["epsilons"])]
     if command in ("distance", "perturb"):
@@ -136,11 +150,16 @@ def run(keep: Path | None) -> None:
                 argv = [command.split("+")[0], "--input", str(source), *extra]
                 for kind, out in files.items():
                     argv += [f"--{kind}", str(out)]
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                     code = main(argv)
+                errors = "".join(
+                    line for line in stderr.getvalue().splitlines(keepends=True)
+                    if not line.startswith("[polyspectra]")
+                )
                 print(f"{command} {name} exit {code}", flush=True)
                 print(f"{command} {name} stdout {_sha(stdout.getvalue().encode())}", flush=True)
+                print(f"{command} {name} stderr {_sha(errors.encode())}", flush=True)
                 for kind, out in files.items():
                     digest = _sha(out.read_bytes()) if out.exists() else "missing"
                     print(f"{command} {name} {kind} {digest}", flush=True)
