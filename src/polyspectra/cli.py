@@ -57,6 +57,7 @@ from .perturbations import certify_multiple, distance_to_multiple
 from .pseudospectrum import (
     DEFAULT_GRID,
     GridSpec,
+    Levels,
     Termination,
     components,
     compute_field,
@@ -256,16 +257,18 @@ def _json_text(doc) -> str:
 
 
 def _csv_text(header: str, rows) -> str:
-    """The ``header`` line and the row strings ``rows`` as one file's text."""
+    """The ``header`` line and the strings ``rows``, each one or more lines,
+    as one file's text."""
     return "\n".join([header, *rows]) + "\n"
 
 
 def _field_rows(window: GridSpec, values: np.ndarray):
-    """``x,y,value`` rows of a sampled field, x-major, each x and y
-    formatted once; values are converted one row of the grid at a time."""
+    """``x,y,value`` rows of a sampled field, x-major, one string per grid
+    row: a ``%`` template built once from the y strings takes the row's x
+    and then its values (``%.17g`` formats as ``f"{v:.17g}"`` does)."""
     xs = [f"{x:.17g}," for x in window.xs().tolist()]
-    ys = [f"{y:.17g}," for y in window.ys().tolist()]
-    return (f"{x}{y}{v:.17g}" for x, row in zip(xs, values) for y, v in zip(ys, row.tolist()))
+    template = "\n".join(f"\0{y:.17g},%.17g" for y in window.ys().tolist())
+    return (template.replace("\0", x) % tuple(row.tolist()) for x, row in zip(xs, values))
 
 
 def _complex_doc(z: complex) -> dict:
@@ -419,7 +422,10 @@ def _cmd_components(spec: ProblemSpec, args, report: RunReport) -> None:
     eps_list = _resolve_epsilons(spec, args)
     eigen = eigenvalues(P)
     window = _resolve_window(spec, args, eigen, eps_for_margin=max(eps_list))
-    field = compute_field(P, w, window)
+    # the counts depend only on the nodes' sides of each level
+    levels = Levels(spans=tuple((eps, eps) for eps in eps_list), exact=tuple(eigen.eigenvalues))
+    field = compute_field(P, w, window, levels)
+    report.stats = f"points={field.decomposed}/{field.values.size}"
     docs = []
     for eps in eps_list:
         rep = components(field, eps, eigen)
@@ -485,9 +491,9 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
         raise SeedNotFoundError("no boundary curve in the window for any requested level")
     if args.csv:
         rows = (
-            f"{cid},{z.real:.17g},{z.imag:.17g}"
+            "\n".join([f"{cid},%.17g,%.17g"] * len(curve.points))
+            % tuple(np.column_stack((curve.points.real, curve.points.imag)).ravel().tolist())
             for cid, (_, curve) in enumerate(curves)
-            for z in curve.points.tolist()
         )
         _emit(report, args.csv, _csv_text("curve_id,x,y", rows))
     if args.svg:
@@ -543,7 +549,7 @@ def _cmd_faults(spec: ProblemSpec, args, report: RunReport) -> None:
     if args.svg:
         layers = []
         if contoured:
-            field = compute_field(P, spec.weight, window, svals)
+            field = compute_field(P, spec.weight, window, svals=svals)
             layers = _contour_layers(window, field, args.eps)
         svg = _svg_document(window, layers, eigen.eigenvalues, rep.refined_points)
         _emit(report, args.svg, svg)
@@ -584,6 +590,7 @@ def _cmd_distance(spec: ProblemSpec, args, report: RunReport) -> None:
         f"r = {result.r:.6g} at mu = {cert.mu.real:.6g}{cert.mu.imag:+.6g}i "
         f"(geometric multiplicity {cert.geometric_mult}, defective={cert.defective})"
     )
+    report.stats = "points={}/{}".format(*result.points)
     if cert.constant_weight_substituted:
         report.warnings.append("constant weight substituted at mu = 0")
     if args.json:

@@ -28,8 +28,8 @@ class MatrixPolynomial:
 
     ``coeffs[j]`` multiplies lambda**j.  Coefficient arrays are copied and
     frozen at construction, so instances are safe to share between threads;
-    the singular values of P_m and the derivative P' are computed on first
-    use and kept.
+    the singular values of P_m, the coefficient norms and the derivative P'
+    are computed on first use and kept.
     """
 
     coeffs: tuple
@@ -66,6 +66,12 @@ class MatrixPolynomial:
         values = np.linalg.svd(self.coeffs[-1], compute_uv=False)
         values.setflags(write=False)
         return values
+
+    @cached_property
+    def coefficient_norms(self) -> tuple:
+        """Spectral norms ||P_0|| ... ||P_m||, ||P_m|| from ``leading_values``."""
+        return (*(float(np.linalg.norm(C, 2)) for C in self.coeffs[:-1]),
+                float(self.leading_values[0]))
 
     @cached_property
     def derivative(self) -> MatrixPolynomial:

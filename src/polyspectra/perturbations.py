@@ -48,11 +48,13 @@ from .matpoly import (
 from .pseudospectrum import (
     DEFAULT_GRID,
     GridSpec,
+    Levels,
     boundedness_check,
     compute_field,
     default_window,
     grid_merge_level,
     labels_near,
+    node_values,
 )
 from .svdcore import (
     ORIGIN_TOL,
@@ -146,13 +148,17 @@ class SaddleResult:
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """Distance to the nearest polynomial with a multiple eigenvalue."""
+    """Distance to the nearest polynomial with a multiple eigenvalue.
+
+    ``points`` counts the grid nodes whose singular values were computed,
+    and all nodes of the grid."""
 
     r: float
     certificate: MultiplicityCertificate
     saddle: SaddleResult
     bracket: tuple
     origin_case: bool
+    points: tuple = (0, 0)  # (decomposed, total) nodes of the sampled field
 
 
 def _trailing_cluster_size(values: np.ndarray) -> int:
@@ -463,19 +469,39 @@ def distance_to_multiple(
             f"{len(eigen.eigenvalues)} distinct eigenvalue in the window; "
             "two components can meet only between two distinct eigenvalues"
         )
-    field = compute_field(P, w, window)
     eigs = [complex(z) for z in eigen.eigenvalues]
 
     # the floor level must put every eigenvalue inside a labeled cell
-    eig_cell_values = [field.value_near(lam) for lam in eigen.eigenvalues]
-    eps_floor = max(2.0 * max(eig_cell_values), 1e-14)
+    eps_floor = max(2.0 * max(node_values(P, w, window, eigs)), 1e-14)
     if eps_floor >= eps_eff:
         raise GridTooCoarseError(
             f"grid floor level {eps_floor:.3e} exceeds the budget {eps_eff:.3e}; refine the grid"
         )
+    # every level the search tests lies in [eps_floor, eps_eff]
+    field = compute_field(P, w, window, Levels(spans=((eps_floor, eps_eff),), exact=tuple(eigs)))
+    lo, hi, pair = merge_bracket(field, eigs, eps_floor, eps_eff)
 
-    # above eps_floor every eigenvalue cell is labeled and the sublevel sets
-    # are nested, so this predicate is monotone in eps
+    saddle = find_saddle(P, w, 0.5 * (pair[0] + pair[1]), window)
+    certificate = certify_multiple(P, w, saddle.mu)
+    return DistanceResult(
+        r=float(saddle.delta),
+        certificate=certificate,
+        saddle=saddle,
+        bracket=(float(lo), float(hi)),
+        origin_case=certificate.constant_weight_substituted,
+        points=(field.decomposed, field.values.size),
+    )
+
+
+def merge_bracket(field, eigs: list, eps_floor: float, eps_eff: float) -> tuple:
+    """(lo, hi, pair): the grid level ``hi`` in (eps_floor, eps_eff] at which
+    the first two of the eigenvalues ``eigs`` share a component, the field
+    level ``lo`` just below it, and that pair (a, b, label).
+
+    Above eps_floor every eigenvalue cell is labeled and the sublevel sets
+    are nested, so the search's predicate is monotone in eps.
+    """
+
     def shared(eps: float) -> bool:
         return len(set(labels_near(field, eps, eigs))) < len(eigs)
 
@@ -497,13 +523,4 @@ def distance_to_multiple(
         ((a, b, la) for (a, la), (b, lb) in combinations(zip(eigs, at_hi), 2) if la == lb),
         key=lambda p: (abs(p[0] - p[1]), p[2]),
     )
-
-    saddle = find_saddle(P, w, 0.5 * (pair[0] + pair[1]), window)
-    certificate = certify_multiple(P, w, saddle.mu)
-    return DistanceResult(
-        r=float(saddle.delta),
-        certificate=certificate,
-        saddle=saddle,
-        bracket=(float(lo), float(hi)),
-        origin_case=certificate.constant_weight_substituted,
-    )
+    return lo, hi, pair

@@ -41,6 +41,21 @@ _LABEL_STRUCTURE = np.ones((3, 3), dtype=int)
 # Largest grid a GridSpec accepts: 4096 x 4096, whose complex points take 256 MiB.
 MAX_GRID_POINTS = 1 << 24
 
+# Rounding margin m of the Weyl enclosure of a levelled field, relative to
+# (n + m + 1) sum_j ||P_j|| rho^j / w, with rho the window's largest |lambda|
+# and w its smallest weight: it covers the Horner and SVD rounding of s_min
+# at a node and at the node its enclosure comes from, and of the enclosure
+# itself, each some tens of units in the last place of that scale.
+WEYL_MARGIN_RTOL = 1e-13
+
+# Steps, in grid cells, of the lattices a levelled field decomposes before
+# its last call: the first lattice is decomposed whole, every later one only
+# where enclosures still meet a span.
+_LATTICE_STEPS = (8, 2)
+
+# Bytes of one band of rows of the enclosure's work arrays.
+_BAND_BYTES = 64 << 10
+
 # Points per axis of every window whose size no input sets: the default
 # window, a --window without --grid, and a document window without nx/ny.
 DEFAULT_GRID = 401
@@ -107,14 +122,49 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
+class Levels:
+    """The levels a field must answer: closed ``spans`` [a, b] of levels (a
+    single level is [eps, eps]), and ``exact`` points, in or out of the
+    window, whose nearest in-window nodes must hold exact values."""
+
+    spans: tuple
+    exact: tuple = ()
+
+
+@dataclass(frozen=True)
 class ScalarField:
-    """Samples of s_min(lambda) / w(|lambda|) over a grid."""
+    """Samples of s_min(lambda) / w(|lambda|) over a grid.
+
+    ``levels`` is None when every value is exact.  Otherwise the field
+    answers only the levels in ``levels.spans``: ``exact`` marks the nodes
+    whose value is s_min / w itself, and every other node holds an end of
+    a Weyl enclosure that meets no span, which compares with every level
+    in the spans as the exact value does.  Labeling at a level outside the
+    spans, and reading a value that is not exact, raise.
+    """
 
     grid: GridSpec
     values: np.ndarray
+    levels: Levels | None = None
+    exact: np.ndarray | None = None
+
+    @property
+    def decomposed(self) -> int:
+        """Nodes whose singular values were computed."""
+        return self.values.size if self.exact is None else int(np.count_nonzero(self.exact))
+
+    def check_levels(self, lo: float, hi: float | None = None) -> None:
+        """Raise unless one span holds every level of [lo, hi]."""
+        hi = lo if hi is None else hi
+        if self.levels is not None and not any(a <= lo and hi <= b for a, b in self.levels.spans):
+            raise PreconditionError(
+                f"levels [{lo:.6g}, {hi:.6g}] lie outside the spans the field was built for"
+            )
 
     def value_near(self, lam: complex) -> float:
         i, j = self.grid.nearest_index(lam)
+        if self.exact is not None and not self.exact[i, j]:
+            raise PreconditionError(f"the field holds no exact value at the node nearest {lam:.6g}")
         return float(self.values[i, j])
 
 
@@ -161,24 +211,140 @@ class BoundaryCurve:
 
 
 def compute_field(
-    P: MatrixPolynomial, w: WeightPolynomial, grid: GridSpec, svals: np.ndarray | None = None
+    P: MatrixPolynomial,
+    w: WeightPolynomial,
+    grid: GridSpec,
+    levels: Levels | None = None,
+    *,
+    svals: np.ndarray | None = None,
 ) -> ScalarField:
     """Sample s_min / w on the grid.
 
     Each point is an independent evaluation; the batched SVD keeps the loop
-    in LAPACK.  One field serves every eps.  A caller that already holds
-    ``singular_values_many(P, grid.points())`` passes it as ``svals``.
+    in LAPACK.  Without ``levels`` every node is decomposed and one field
+    serves every eps; a caller that already holds
+    ``singular_values_many(P, grid.points())`` passes it as ``svals``.  With
+    ``levels`` only the nodes those levels depend on are decomposed
+    (``_levelled_values``).
     """
     pts = grid.points()
-    if svals is None:
-        svals = singular_values_many(P, pts)
-    values = svals[..., -1] / weight_eval(w, np.hypot(pts.real, pts.imag))
+    radius = np.hypot(pts.real, pts.imag)
+    weight = weight_eval(w, radius)
+    if levels is None:
+        if svals is None:
+            svals = singular_values_many(P, pts)
+        values = svals[..., -1] / weight
+        exact = None
+    else:
+        values, exact = _levelled_values(P, grid, pts, radius, weight, levels)
+        exact.setflags(write=False)
     values.setflags(write=False)
-    return ScalarField(grid=grid, values=values)
+    return ScalarField(grid=grid, values=values, levels=levels, exact=exact)
+
+
+def node_values(
+    P: MatrixPolynomial, w: WeightPolynomial, grid: GridSpec, points
+) -> list:
+    """Exact s_min / w at the nodes nearest ``points``, bit for bit the
+    values ``compute_field`` gives those nodes."""
+    nodes = np.array([grid.nearest_index(z) for z in points]).reshape(-1, 2)
+    pts = grid.points()[nodes[:, 0], nodes[:, 1]]
+    values = singular_values_many(P, pts)[:, -1] / weight_eval(w, np.hypot(pts.real, pts.imag))
+    return values.tolist()
+
+
+def _lattice(size: int, step: int) -> tuple:
+    """The nearest node of the lattice of every ``step``-th node, as its
+    lattice index, of each of ``size`` nodes along an axis, and the number
+    of nodes each lattice node is nearest to."""
+    near = np.minimum((np.arange(size) + step // 2) // step, (size - 1) // step)
+    return near, np.bincount(near)
+
+
+def _meets(lo: np.ndarray, hi: np.ndarray, spans) -> np.ndarray:
+    """Where [lo, hi] meets some span."""
+    hit = np.zeros(lo.shape, dtype=bool)
+    for a, b in spans:
+        hit |= (lo <= b) & (hi >= a)
+    return hit
+
+
+def _levelled_values(P, grid, pts, radius, weight, levels: Levels) -> tuple:
+    """Field values and exact mask of a field that answers ``levels``.
+
+    Weyl's inequality bounds s_min at a node lambda by s_min at a node c:
+    |s_min(lambda) - s_min(c)| <= sum_j ||P_j|| |lambda^j - c^j|
+    <= d q'(rho), where d = |lambda - c|, q(x) = sum_j ||P_j|| x^j and
+    rho = |lambda| + R >= max(|lambda|, |c|) for R, the largest lattice
+    step in cell diagonals.  The enclosure of the node's value is s_min(c)
+    / w(|lambda|) widened by d q'(rho) / w(|lambda|) and by the rounding
+    margin m, ``WEYL_MARGIN_RTOL * (n + m + 1)`` times q and over w at the
+    window's largest |lambda| + R and smallest w.  Each lattice of
+    ``_LATTICE_STEPS`` (every step-th node along each axis) decomposes, in
+    one batched call, its nodes whose enclosure still meets a span (all of
+    the first), and narrows every node's enclosure by its nearest lattice
+    node.  One last call decomposes every node whose enclosure still meets
+    a span, and the nodes of ``levels.exact``.  Every other node stores the
+    upper end of its enclosure, which lies on the same side of every level
+    in the spans as the node's value.
+    """
+    norms = P.coefficient_norms
+    reach = max(_LATTICE_STEPS) * grid.cell_diagonal  # R, beyond every |lambda - c|
+    # the rounding margin over w, as one bound for every node
+    rho = max(abs(grid.x_min), abs(grid.x_max)) + max(abs(grid.y_min), abs(grid.y_max)) + reach
+    q = sum(c * rho**k for k, c in enumerate(norms))
+    margin = WEYL_MARGIN_RTOL * (P.n + P.m + 1) * q / float(weight.min())
+    xs, ys = grid.xs(), grid.ys()
+    s_min = np.full(pts.shape, np.nan)  # NaN until decomposed
+    flat_s, flat_pts = s_min.reshape(-1), pts.reshape(-1)
+    lo = np.full(pts.shape, -np.inf)
+    hi = np.full(pts.shape, np.inf)
+    band = max(1, _BAND_BYTES // (8 * grid.ny))
+
+    def decompose(nodes: np.ndarray) -> None:
+        flat_s[nodes] = singular_values_many(P, flat_pts[nodes])[:, -1]
+
+    for step in _LATTICE_STEPS:
+        (nx, cx), (ny, cy) = _lattice(grid.nx, step), _lattice(grid.ny, step)
+        lattice = np.s_[::step, ::step]
+        i, j = np.nonzero(np.isnan(s_min[lattice]) & _meets(lo[lattice], hi[lattice], levels.spans))
+        decompose((i * grid.ny + j) * step)
+        # s_min at the nearest lattice node, NaN where it is not decomposed,
+        # which fmax and fmin pass over; rows of nodes a band at a time
+        nearest = s_min[lattice][nx]
+        dx2, dy2 = (xs - xs[::step][nx]) ** 2, (ys - ys[::step][ny]) ** 2
+        for rows in (slice(r, r + band) for r in range(0, grid.nx, band)):
+            near = np.repeat(nearest[rows], cy, axis=1)
+            near /= weight[rows]
+            rho = radius[rows] + reach
+            slope = np.full(rho.shape, float(P.m * norms[-1]))  # q'(rho)
+            for k in range(P.m - 1, 0, -1):
+                slope *= rho
+                slope += k * norms[k]
+            bound = np.add.outer(dx2[rows], dy2)
+            np.sqrt(bound, out=bound)
+            bound *= slope
+            bound /= weight[rows]
+            bound += margin
+            np.fmin(hi[rows], near + bound, out=hi[rows])
+            np.fmax(lo[rows], np.subtract(near, bound, out=near), out=lo[rows])
+
+    todo = np.isnan(s_min)
+    todo &= _meets(lo, hi, levels.spans)
+    for z in levels.exact:
+        if grid.contains(z):
+            todo[grid.nearest_index(z)] = True
+    todo &= np.isnan(s_min)
+    decompose(np.flatnonzero(todo))
+    exact = ~np.isnan(s_min)
+    nodes = np.flatnonzero(exact)
+    hi.reshape(-1)[nodes] = flat_s[nodes] / weight.reshape(-1)[nodes]
+    return hi, exact
 
 
 def label_sublevel(field: ScalarField, eps: float) -> tuple[np.ndarray, int]:
     """8-connected labeling of {value <= eps}."""
+    field.check_levels(eps)
     labels, count = ndimage.label(field.values <= eps, structure=_LABEL_STRUCTURE)
     return labels, int(count)
 
@@ -203,7 +369,7 @@ def components(field: ScalarField, eps: float, eigen: EigenReport) -> ComponentR
         if lab == 0:
             raise GridTooCoarseError(
                 f"eigenvalue {lam:.6g} falls on a grid point with value "
-                f"{field.values[i, j]:.3e} > eps={eps:.3e}; refine the grid "
+                f"{field.value_near(lam):.3e} > eps={eps:.3e}; refine the grid "
                 f"(nx={field.grid.nx}, ny={field.grid.ny}) or enlarge eps"
             )
         assignment[lab].append((complex(lam), int(mult)))
@@ -240,6 +406,7 @@ def grid_merge_level(field: ScalarField, lo: float, hi: float, merged) -> tuple[
     called once per level tested, never at lo or hi.  Returns the level just
     below the merge (lo when there is none) and the merge level itself.
     """
+    field.check_levels(lo, hi)
     v = field.values
     levels = np.append(np.unique(v[(v > lo) & (v < hi)]), hi)
     k = bisect.bisect_left(

@@ -361,6 +361,17 @@ class TestOutputs:
                 lines.append(f"{xs[i]:.17g},{ys[j]:.17g},{values[i, j]:.17g}")
         assert out.read_text() == "\n".join(lines) + "\n"
 
+    def test_field_rows_format_every_double_as_the_f_string(self):
+        from polyspectra.cli import _field_rows
+
+        window = GridSpec(x_min=-1e-300, x_max=3.0, y_min=-0.1, y_max=1e17, nx=3, ny=4)
+        values = np.array([[0.0, -0.0, 5e-324, np.nan],
+                           [np.inf, 1.7976931348623157e308, 0.1, 1 / 3],
+                           [2.5e-8, 123456789.125, -np.inf, 1e-310]])
+        want = [f"{x:.17g},{y:.17g},{v:.17g}"
+                for x, row in zip(window.xs(), values) for y, v in zip(window.ys(), row)]
+        assert "\n".join(_field_rows(window, values)) == "\n".join(want)
+
     def test_field_svg(self, tmp_path, capsys):
         out = tmp_path / "f.svg"
         assert (
