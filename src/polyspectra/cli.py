@@ -229,14 +229,15 @@ def parse_problem(text: str) -> ProblemSpec:
 # output helpers
 
 
-def _emit(report: RunReport, path: str, text: str) -> None:
+def _emit(report: RunReport, path: str, text) -> None:
     """Write one output file atomically and record it for the final
-    missing-or-empty check."""
+    missing-or-empty check.  ``text`` is a string or an iterable of strings,
+    written one at a time."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".polyspectra-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -256,10 +257,13 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: str, rows) -> str:
+def _csv_lines(header: str, rows):
     """The ``header`` line and the strings ``rows``, each one or more lines,
-    as one file's text."""
-    return "\n".join([header, *rows]) + "\n"
+    as the pieces of one file's text, so that a writer holds one row string
+    at a time."""
+    yield header + "\n"
+    for row in rows:
+        yield row + "\n"
 
 
 def _field_rows(window: GridSpec, values: np.ndarray):
@@ -397,7 +401,7 @@ def _cmd_field(spec: ProblemSpec, args, report: RunReport) -> None:
     window = _resolve_window(spec, args, eigen, eps_for_margin=max(eps_list))
     field = compute_field(P, w, window)
     if args.csv:
-        _emit(report, args.csv, _csv_text("x,y,value", _field_rows(window, field.values)))
+        _emit(report, args.csv, _csv_lines("x,y,value", _field_rows(window, field.values)))
     if args.svg:
         layers = _contour_layers(window, field, eps_list)
         _emit(report, args.svg, _svg_document(window, layers, eigen.eigenvalues))
@@ -495,7 +499,7 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
             % tuple(np.column_stack((curve.points.real, curve.points.imag)).ravel().tolist())
             for cid, (_, curve) in enumerate(curves)
         )
-        _emit(report, args.csv, _csv_text("curve_id,x,y", rows))
+        _emit(report, args.csv, _csv_lines("curve_id,x,y", rows))
     if args.svg:
         layers = [
             (eps, [np.column_stack([c.points.real, c.points.imag]) for e, c in curves if e == eps])

@@ -22,7 +22,7 @@ from polyspectra import (
     eigenvalues,
 )
 from polyspectra import contours, svdcore
-from polyspectra.cli import _csv_text, _json_text, main, parse_problem
+from polyspectra.cli import _csv_lines, _json_text, main, parse_problem
 from polyspectra.contours import marching_squares
 from polyspectra.pseudospectrum import on_curve_tolerance
 from polyspectra.svdcore import PointEval, point_stack
@@ -229,7 +229,7 @@ def expected_files(curves) -> tuple:
             for eps, c in curves
         ]
     }
-    return _csv_text("curve_id,x,y", rows), _json_text(doc)
+    return "".join(_csv_lines("curve_id,x,y", rows)), _json_text(doc)
 
 
 class TestLockstepTrace:
