@@ -66,6 +66,7 @@ from .pseudospectrum import (
     BoundaryCurve,
     ComponentReport,
     GridSpec,
+    Levels,
     ScalarField,
     Termination,
     boundedness_check,

@@ -144,7 +144,7 @@ def _build_weight(doc, P: MatrixPolynomial) -> WeightPolynomial:
         _require(value > 0, "weight.value: must be positive")
         return WeightPolynomial([value])
     if mode == "coefficient_norms":
-        norms = [float(np.linalg.norm(C, 2)) for C in P.coeffs]
+        norms = P.coefficient_norms
         _require(norms[0] > 0, "weight.mode coefficient_norms: ||P_0|| is zero, w_0 would vanish")
         return WeightPolynomial(norms)
     vals = doc.get("values")

@@ -182,7 +182,7 @@ def evaluate_many(P: MatrixPolynomial, lams) -> np.ndarray:
 
 def max_norm(P: MatrixPolynomial) -> float:
     """max_j of the spectral norm of P_j."""
-    return max(float(np.linalg.norm(C, 2)) for C in P.coeffs)
+    return max(P.coefficient_norms)
 
 
 def _horner(coeffs, r):

@@ -6,6 +6,20 @@ rectangular grid; the eps-sublevel set of that one field answers membership
 for every eps.  Components are labeled with 8-connectivity so thin diagonal
 necks are not split spuriously.
 
+Component counts and the grid merge level depend only on which nodes lie
+at or below the levels asked about, so ``components`` and ``distance``
+build a field for those levels alone (``Levels``: single levels, or the
+band [eps_floor, eps_max] that every level of the merge search lies in).
+Weyl's inequality, |s_min(P(lambda)) - s_min(P(c))| <= sum_j ||P_j||
+|lambda^j - c^j|, bounds a node's value from a nearby decomposed node c;
+such a field decomposes a lattice of every 8th node, then the nodes of a
+lattice of every 2nd node, then every node whose enclosure, widened by
+the rounding margin ``WEYL_MARGIN_RTOL``, still meets a level, and the
+nodes nearest the eigenvalues.  Every other node lies on the same side of
+every level as its value, so labels, counts and the values the merge
+search bisects over are the full field's, and a level outside the field's
+spans raises.
+
 The boundary of the eps-pseudospectrum is the level curve
 F_eps(lambda) = s_min(lambda) - eps * w(|lambda|) = 0, and it is drawn from
 the same field: ``contours.boundary_curves`` runs marching squares on the
@@ -52,9 +66,6 @@ WEYL_MARGIN_RTOL = 1e-13
 # its last call: the first lattice is decomposed whole, every later one only
 # where enclosures still meet a span.
 _LATTICE_STEPS = (8, 2)
-
-# Bytes of one band of rows of the enclosure's work arrays.
-_BAND_BYTES = 64 << 10
 
 # Points per axis of every window whose size no input sets: the default
 # window, a --window without --grid, and a document window without nx/ny.
@@ -278,8 +289,8 @@ def _levelled_values(P, grid, pts, radius, weight, levels: Levels) -> tuple:
     rho = |lambda| + R >= max(|lambda|, |c|) for R, the largest lattice
     step in cell diagonals.  The enclosure of the node's value is s_min(c)
     / w(|lambda|) widened by d q'(rho) / w(|lambda|) and by the rounding
-    margin m, ``WEYL_MARGIN_RTOL * (n + m + 1)`` times q and over w at the
-    window's largest |lambda| + R and smallest w.  Each lattice of
+    margin, ``WEYL_MARGIN_RTOL * (n + deg P + 1)`` times q / w at the
+    window's largest |lambda| + R and its smallest w.  Each lattice of
     ``_LATTICE_STEPS`` (every step-th node along each axis) decomposes, in
     one batched call, its nodes whose enclosure still meets a span (all of
     the first), and narrows every node's enclosure by its nearest lattice
@@ -294,12 +305,17 @@ def _levelled_values(P, grid, pts, radius, weight, levels: Levels) -> tuple:
     rho = max(abs(grid.x_min), abs(grid.x_max)) + max(abs(grid.y_min), abs(grid.y_max)) + reach
     q = sum(c * rho**k for k, c in enumerate(norms))
     margin = WEYL_MARGIN_RTOL * (P.n + P.m + 1) * q / float(weight.min())
+    # q'(|lambda| + R) / w(|lambda|), the bound's growth with |lambda - c|
+    slope = np.full(pts.shape, float(P.m * norms[-1]))
+    for k in range(P.m - 1, 0, -1):
+        slope *= radius + reach
+        slope += k * norms[k]
+    slope /= weight
     xs, ys = grid.xs(), grid.ys()
     s_min = np.full(pts.shape, np.nan)  # NaN until decomposed
     flat_s, flat_pts = s_min.reshape(-1), pts.reshape(-1)
     lo = np.full(pts.shape, -np.inf)
     hi = np.full(pts.shape, np.inf)
-    band = max(1, _BAND_BYTES // (8 * grid.ny))
 
     def decompose(nodes: np.ndarray) -> None:
         flat_s[nodes] = singular_values_many(P, flat_pts[nodes])[:, -1]
@@ -309,25 +325,14 @@ def _levelled_values(P, grid, pts, radius, weight, levels: Levels) -> tuple:
         lattice = np.s_[::step, ::step]
         i, j = np.nonzero(np.isnan(s_min[lattice]) & _meets(lo[lattice], hi[lattice], levels.spans))
         decompose((i * grid.ny + j) * step)
-        # s_min at the nearest lattice node, NaN where it is not decomposed,
-        # which fmax and fmin pass over; rows of nodes a band at a time
-        nearest = s_min[lattice][nx]
-        dx2, dy2 = (xs - xs[::step][nx]) ** 2, (ys - ys[::step][ny]) ** 2
-        for rows in (slice(r, r + band) for r in range(0, grid.nx, band)):
-            near = np.repeat(nearest[rows], cy, axis=1)
-            near /= weight[rows]
-            rho = radius[rows] + reach
-            slope = np.full(rho.shape, float(P.m * norms[-1]))  # q'(rho)
-            for k in range(P.m - 1, 0, -1):
-                slope *= rho
-                slope += k * norms[k]
-            bound = np.add.outer(dx2[rows], dy2)
-            np.sqrt(bound, out=bound)
-            bound *= slope
-            bound /= weight[rows]
-            bound += margin
-            np.fmin(hi[rows], near + bound, out=hi[rows])
-            np.fmax(lo[rows], np.subtract(near, bound, out=near), out=lo[rows])
+        # s_min at the nearest lattice node over w, NaN where the lattice
+        # node is not decomposed, which fmax and fmin pass over
+        near = np.repeat(s_min[lattice][nx], cy, axis=1) / weight
+        bound = np.sqrt(np.add.outer((xs - xs[::step][nx]) ** 2, (ys - ys[::step][ny]) ** 2))
+        bound *= slope
+        bound += margin
+        np.fmin(hi, near + bound, out=hi)
+        np.fmax(lo, near - bound, out=lo)
 
     todo = np.isnan(s_min)
     todo &= _meets(lo, hi, levels.spans)
