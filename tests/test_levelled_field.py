@@ -162,3 +162,19 @@ def test_components_and_distance_report_the_decomposed_nodes(tmp_path):
             assert main([*argv, "--input", path, "--grid", "201", "201"]) == 0
         done, total = err.getvalue().split(" points=")[1].split()[0].split("/")
         assert int(total) == 201 * 201 and 0 < int(done) < 0.5 * int(total)
+
+
+def test_a_node_where_p_overflows_still_exits_3(tmp_path):
+    # P(lambda) = 1 + 1e154 lambda^2 overflows only near the window's far
+    # corner, which no lattice of every 8th node holds; the margin, as large
+    # as the coefficient norms, then covers every level, so that node is
+    # decomposed and the command fails as on the full field
+    doc = {"n": 1, "m": 2, "coefficients": [{"re": [[1.0]]}, {"re": [[0.0]]}, {"re": [[1e154]]}],
+           "window": {"x_min": -1e76, "x_max": 1.3e77, "y_min": -1e76, "y_max": 1.3e77,
+                      "nx": 15, "ny": 15}}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["components", "--input", str(path), "--eps", "0.5"])
+    assert code == 3 and "non-finite" in err.getvalue()
