@@ -78,7 +78,6 @@ from .pseudospectrum import (
 )
 from .svdcore import (
     F_eps,
-    PointEval,
     SingularTripletSet,
     s_min,
     singular_triplets,

@@ -14,7 +14,7 @@ level curve F_eps(lambda) = s_min(lambda) - eps * w(|lambda|) = 0.  It runs
 marching squares on the s_min/w field at every level, then moves every
 contour vertex of every level onto F_eps = 0 by Newton steps
 z <- z - F grad F / |grad F|^2, batched: each round evaluates the vertices
-not yet on the curve with ``point_stack``, a chunk of them at a time.  A
+not yet on the curve with one ``point_stack`` call.  A
 vertex is frozen where the closed-form gradient cannot be trusted (a
 multiple s_min, such as a corner where two singular-value surfaces cross),
 or where its step is not finite or longer than ``_STEP_GUARD`` cell
@@ -42,7 +42,7 @@ from .pseudospectrum import (
     Termination,
     on_curve_tolerance,
 )
-from .svdcore import F_eps, _stack_points, point_stack
+from .svdcore import F_eps, point_stack
 
 # Newton rounds of the boundary polish; a vertex still off the curve after
 # them is frozen.
@@ -232,27 +232,23 @@ def _polish(P, w, xy: np.ndarray, eps: np.ndarray, tol: float, guard: float) -> 
     """Batched Newton on F_eps, one level per vertex, from the vertices
     ``xy`` (k, 2): the moved vertices, which of them are on the curve, the
     gradients (k, 2) of F_eps there (NaN where they cannot be trusted), the
-    rounds and the points evaluated.  A round evaluates its vertices in
-    chunks of ``_stack_points(n)`` and keeps only F and its gradient, so the
-    singular vectors alive at once fit the chunk budget.  All arithmetic is
-    real and elementwise, so a vertex moves as it would alone.
+    rounds and the points evaluated.  A round evaluates its vertices with
+    one ``point_stack``, which holds O(n) floats per point and decomposes
+    them a chunk at a time.  All arithmetic is real and elementwise, so a
+    vertex moves as it would alone.
     """
     xy = xy.copy()
     on = np.zeros(len(xy), dtype=bool)
     live = np.ones(len(xy), dtype=bool)
     grad = np.full((len(xy), 2), np.nan)
-    chunk = _stack_points(P.n)
     rounds = points = 0
     for _ in range(_MAX_CORRECTOR_ITERS):
         idx = np.flatnonzero(live)
         if not idx.size:
             break
-        f = np.empty(idx.size)
-        for start in range(0, idx.size, chunk):
-            part = idx[start : start + chunk]
-            stack = point_stack(P, w, xy[part, 0] + 1j * xy[part, 1])
-            f[start : start + chunk] = stack.F(eps[part])
-            grad[part] = stack.grad_F(eps[part])
+        stack = point_stack(P, w, xy[idx, 0] + 1j * xy[idx, 1])
+        f = stack.F(eps[idx])
+        grad[idx] = stack.grad_F(eps[idx])
         rounds += 1
         points += idx.size
         g = grad[idx]

@@ -58,9 +58,11 @@ from .pseudospectrum import (
 )
 from .svdcore import (
     ORIGIN_TOL,
-    PointEval,
+    SingularTripletSet,
     on_spectrum,
+    point_stack,
     s_min,
+    singular_triplets,
     singular_values_many,
 )
 
@@ -168,14 +170,23 @@ def _trailing_cluster_size(values: np.ndarray) -> int:
     return int(np.count_nonzero(values - sn <= tol))
 
 
-def _off_spectrum(P: MatrixPolynomial, w: WeightPolynomial, mu: complex) -> PointEval:
-    here = PointEval(P, w, mu)
-    if here.on_spectrum:
+def _off_spectrum(P: MatrixPolynomial, mu: complex) -> SingularTripletSet:
+    trip = singular_triplets(P, mu)
+    if on_spectrum(trip.values):
         raise PreconditionError(
-            f"mu={mu:.6g} is numerically an eigenvalue (s_min={here.s_min:.3e}); "
+            f"mu={mu:.6g} is numerically an eigenvalue (s_min={trip.values[-1]:.3e}); "
             "the construction degenerates there"
         )
-    return here
+    return trip
+
+
+def _ratio_stack(P: MatrixPolynomial, w: WeightPolynomial, lams) -> tuple:
+    """The ``point_stack`` of ``lams``, s_min / w at its rows and the
+    gradient (k, 2) of s_min / w, ``grad_F(ratio) / weight``: NaN where
+    ``PointStack.grad_F`` is."""
+    stack = point_stack(P, w, lams)
+    ratio = stack.s[:, -1] / stack.weight
+    return stack, ratio, stack.grad_F(ratio) / stack.weight[:, None]
 
 
 def _certificate_weight(w: WeightPolynomial, mu: complex) -> tuple:
@@ -215,13 +226,13 @@ def build_qhat(P: MatrixPolynomial, w: WeightPolynomial, mu: complex) -> Perturb
     spectral norm w_j * s_n(mu) / w(|mu|), and the perturbations sum to
     -s_n(mu) Z at mu, annihilating the trailing singular directions.
     """
-    return _build_perturbation(P, w, mu, _off_spectrum(P, w, mu).trip, low_rank=False)
+    return _build_perturbation(P, w, mu, _off_spectrum(P, mu), low_rank=False)
 
 
 def build_qtilde(P: MatrixPolynomial, w: WeightPolynomial, mu: complex) -> PerturbationSet:
     """Rank-k variant of build_qhat built from the trailing k singular
     vector pairs only."""
-    return _build_perturbation(P, w, mu, _off_spectrum(P, w, mu).trip, low_rank=True)
+    return _build_perturbation(P, w, mu, _off_spectrum(P, mu), low_rank=True)
 
 
 def ball_membership(delta_set: PerturbationSet, w: WeightPolynomial, eps: float) -> BallMembership:
@@ -288,8 +299,7 @@ def certify_multiple(
     the singular-value cluster of P(mu), and for k = 1 evaluates the
     derivative criterion in the trailing singular pair (None for k >= 2).
     """
-    here = _off_spectrum(P, w, mu)
-    trip = here.trip
+    trip = _off_spectrum(P, mu)
     k = _trailing_cluster_size(trip.values)
     q_hat = _build_perturbation(P, w, mu, trip, low_rank=False)
     q_tilde = _build_perturbation(P, w, mu, trip, low_rank=True)
@@ -345,32 +355,24 @@ def find_saddle(
     if not window.contains(lam):
         raise SaddleOutsideWindowError(f"start {lam:.6g} outside window")
 
-    here = PointEval(P, w, lam)
-    if here.on_spectrum:
+    here, (ratio,), (grad,) = _ratio_stack(P, w, [lam])
+    if here.on_spectrum[0]:
         raise SaddleAtEigenvalueError("start is numerically on the spectrum")
 
     h_base = 1e-6
-    grad = here.ratio_grad
-    stalled = grad is None
+    stalled = bool(np.isnan(grad).any())
     iters = 0
     if not stalled:
         for iters in range(1, _SADDLE_MAX_ITER + 1):
             ng = float(np.linalg.norm(grad))
-            if ng * here.weight < SADDLE_GRAD_TOL:
-                return SaddleResult(mu=lam, delta=here.ratio, on_fault=False, iterations=iters)
+            if ng * here.weight[0] < SADDLE_GRAD_TOL:
+                return SaddleResult(mu=lam, delta=float(ratio), on_fault=False, iterations=iters)
             h = h_base * (1.0 + abs(lam))
-            J = np.empty((2, 2))
-            ok = True
-            for col, dz in enumerate((h, 1j * h)):
-                gp = PointEval(P, w, lam + dz).ratio_grad
-                gm = PointEval(P, w, lam - dz).ratio_grad
-                if gp is None or gm is None:
-                    ok = False
-                    break
-                J[:, col] = (gp - gm) / (2 * h)
-            if not ok:
+            _, _, g = _ratio_stack(P, w, [lam + h, lam - h, lam + 1j * h, lam - 1j * h])
+            if np.isnan(g).any():
                 stalled = True
                 break
+            J = ((g[0::2] - g[1::2]) / (2 * h)).T
             try:
                 step = np.linalg.solve(J, -grad)
             except np.linalg.LinAlgError:
@@ -379,14 +381,14 @@ def find_saddle(
             alpha, accepted = 1.0, False
             for _ in range(25):
                 cand = lam + alpha * complex(step[0], step[1])
-                trial = PointEval(P, w, cand)
-                if trial.on_spectrum:
+                trial, (ratio_c,), (grad_c,) = _ratio_stack(P, w, [cand])
+                if trial.on_spectrum[0]:
                     raise SaddleAtEigenvalueError(
                         f"iterates converged to the spectrum near {cand:.6g}"
                     )
-                grad_c = trial.ratio_grad
-                if grad_c is not None and np.linalg.norm(grad_c) < ng * (1 - 1e-4 * alpha):
-                    lam, here, grad = cand, trial, grad_c
+                # False where the gradient is NaN
+                if np.linalg.norm(grad_c) < ng * (1 - 1e-4 * alpha):
+                    lam, here, ratio, grad = cand, trial, ratio_c, grad_c
                     accepted = True
                     break
                 alpha *= 0.5

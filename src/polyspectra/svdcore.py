@@ -4,8 +4,8 @@ The smallest singular value s_min(lambda) vanishes exactly on the spectrum,
 and the sublevel sets of s_min(lambda) / w(|lambda|) are the weighted
 pseudospectra.  Where s_min is simple and nonzero its gradient has the closed
 form (Re u* P'(lambda) v, Re u* i P'(lambda) v) in the trailing singular
-vector pair (u, v).  ``PointEval.grad_F`` returns that gradient, less the
-weight term, as an array (``grad_xy`` as two floats), or None where the
+vector pair (u, v).  ``PointStack.grad_F`` is the one place that forms
+it, less the weight term, for a stack of points: a row is NaN where the
 surface gap or the value itself is too small for the formula to be
 trusted, or at the origin under a non-constant weight.
 
@@ -27,17 +27,19 @@ evaluated chunk in flight and the closed form's work arrays.  At n = 2 it
 also runs the closed form; otherwise a grid larger than one chunk is
 decomposed on every CPU in the process's affinity mask, by a thread pool
 created for the call.  Each chunk's values land in their own rows, so
-results do not depend on the core count.  A caller that needs vectors or
-a gradient reads them from ``point_stack``, which decomposes a stack of
-points with one stacked SVD with vectors and derives every point's
-closed-form gradient in array operations (the boundary polish of
-``contours`` calls it once per round); ``PointEval(P, w, lam)`` is its row
-for a stack of one.  Its derivations are real arithmetic in a fixed order,
-so a point gets the same bits alone as in any stack.  LAPACK's singular
-values with and without vectors may differ in the last bits, and at n = 2
-``point_stack``'s values and the closed form's may too.  A non-finite
-P(lambda) raises ``np.linalg.LinAlgError`` on every path before LAPACK
-sees it.
+results do not depend on the core count.  A caller that needs a gradient
+reads it from ``point_stack``, which decomposes a stack of points with one
+stacked SVD with vectors, a chunk at a time, derives every point's
+closed-form gradient in array operations and keeps O(n) floats per point
+(the boundary polish of ``contours`` and each Newton step of the saddle
+search call it once).  Its derivations are real arithmetic in a fixed
+order, so a point gets the same bits alone as in any stack.  A caller that
+needs the singular vectors themselves (the certificate's perturbations)
+reads ``singular_triplets``, whose SVD is ``point_stack``'s: its values are
+the point's row bit for bit.  LAPACK's singular values with and without
+vectors may differ in the last bits, and at n = 2 ``point_stack``'s values
+and the closed form's may too.  A non-finite P(lambda) raises
+``np.linalg.LinAlgError`` on every path before LAPACK sees it.
 """
 
 from __future__ import annotations
@@ -88,9 +90,6 @@ def _usable_cpus() -> int:
 # Threads that decompose chunks: one per CPU the process may run on.
 _WORKERS = _usable_cpus()
 
-# The weight of ``singular_triplets``, which reads no weight term.
-_UNIT_WEIGHT = WeightPolynomial([1.0])
-
 
 @dataclass(frozen=True)
 class SingularTripletSet:
@@ -106,14 +105,12 @@ class SingularTripletSet:
     left: np.ndarray
     right: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
 
 def singular_triplets(P: MatrixPolynomial, lam: complex) -> SingularTripletSet:
-    """Full SVD of P(lambda) with deterministic phases."""
-    return PointEval(P, _UNIT_WEIGHT, lam).trip
+    """Full SVD of P(lambda) with deterministic phases; its values are the
+    ``point_stack`` row of ``lam`` bit for bit."""
+    U, s, Vh = _svd(P, np.asarray([lam], dtype=complex))
+    return _phased(U[0], s[0], Vh[0])
 
 
 def _phased(U: np.ndarray, s: np.ndarray, Vh: np.ndarray) -> SingularTripletSet:
@@ -265,9 +262,10 @@ def _svals2(block: np.ndarray) -> np.ndarray:
     return values.reshape(block.shape[:-1])
 
 
-def on_spectrum(values) -> bool:
-    """True when the least of the descending singular values is numerically zero."""
-    return bool(values[-1] <= ZERO_RTOL * (1.0 + float(values[0])))
+def on_spectrum(values):
+    """Whether the least of the descending singular values is numerically
+    zero, from one row or a stack of rows of values."""
+    return values[..., -1] <= ZERO_RTOL * (1.0 + values[..., 0])
 
 
 def surface_gap(values, c1: int, c2: int):
@@ -295,21 +293,19 @@ def F_eps(P: MatrixPolynomial, w: WeightPolynomial, eps, lam):
 
 @dataclass(frozen=True)
 class PointStack:
-    """The SVD with vectors of P(lambda) at k points, and what derives from
-    it, one row per point.
+    """What derives from the SVD with vectors of P(lambda) at k points, one
+    row per point.
 
-    ``U``, ``s`` and ``Vh`` are LAPACK's stacked SVD, values descending.
-    ``s_grad`` (k, 2) is the closed-form gradient (d/dx, d/dy) of s_min in
-    the trailing pair; ``smooth`` says s_min is simple and nonzero, so that
-    it holds.  ``gap`` is s_{n-1} - s_n (infinite for n = 1), ``weight`` is
+    ``s`` (k, n) holds LAPACK's singular values, descending.  ``s_grad``
+    (k, 2) is the closed-form gradient (d/dx, d/dy) of s_min in the
+    trailing pair; ``smooth`` says s_min is simple and nonzero, so that it
+    holds.  ``gap`` is s_{n-1} - s_n (infinite for n = 1), ``weight`` is
     w(|lambda|) and ``weight_grad`` (k, 2) the gradient of w(|.|), NaN at
     the origin under a non-constant weight.
     """
 
     lam: np.ndarray
-    U: np.ndarray
     s: np.ndarray
-    Vh: np.ndarray
     s_grad: np.ndarray
     gap: np.ndarray
     on_spectrum: np.ndarray
@@ -323,8 +319,10 @@ class PointStack:
         return self.s[:, -1] - eps * self.weight
 
     def grad_F(self, eps) -> np.ndarray:
-        """(k, 2) gradient of ``F(eps)``, NaN in the rows where the closed
-        form cannot be trusted (see ``PointEval.grad_xy``)."""
+        """(k, 2) gradient (d/dx, d/dy) of ``F(eps)``, the one closed form
+        of it.  A row is NaN where the form cannot be trusted: s_min is not
+        simple and nonzero, or the point is the origin under a non-constant
+        weight."""
         _require_eps(np.min(eps))
         g = self.s_grad - np.asarray(eps, dtype=float)[..., None] * self.weight_grad
         g[~self.smooth] = np.nan
@@ -344,16 +342,14 @@ def point_stack(P: MatrixPolynomial, w: WeightPolynomial, lams) -> PointStack:
     """
     L = np.asarray(lams, dtype=complex).reshape(-1)
     k, n = L.size, P.n
-    U = np.empty((k, n, n), dtype=complex)
     s = np.empty((k, n))
-    Vh = np.empty((k, n, n), dtype=complex)
     s_grad = np.empty((k, 2))
     chunk = _stack_points(n)
     for start in range(0, k, chunk):
         rows = slice(start, start + chunk)
-        U[rows], s[rows], Vh[rows], s_grad[rows] = _svd_grad(P, L[rows])
+        s[rows], s_grad[rows] = _svd_grad(P, L[rows])
     gap = s[:, -2] - s[:, -1] if n >= 2 else np.full(k, np.inf)
-    on_spec = s[:, -1] <= ZERO_RTOL * (1.0 + s[:, 0])
+    on_spec = on_spectrum(s)
     r = np.hypot(L.real, L.imag)
     away = r >= ORIGIN_TOL
     slope = weight_deriv_eval(w, r)
@@ -361,18 +357,23 @@ def point_stack(P: MatrixPolynomial, w: WeightPolynomial, lams) -> PointStack:
     weight_grad = np.column_stack([slope * L.real / safe, slope * L.imag / safe])
     weight_grad[~away] = 0.0 if w.is_constant else np.nan
     return PointStack(
-        lam=L, U=U, s=s, Vh=Vh, s_grad=s_grad, gap=gap, on_spectrum=on_spec,
+        lam=L, s=s, s_grad=s_grad, gap=gap, on_spectrum=on_spec,
         smooth=(gap > GAP_RTOL * s[:, 0]) & ~on_spec,
         weight=weight_eval(w, r), weight_grad=weight_grad,
     )
 
 
-def _svd_grad(P: MatrixPolynomial, L: np.ndarray) -> tuple:
-    """U, s, Vh of P(lambda) and the closed-form gradient of s_min, (k, 2),
-    at the points of one chunk."""
+def _svd(P: MatrixPolynomial, L: np.ndarray) -> tuple:
+    """LAPACK's U, s, Vh of P(lambda) at the points of the (k,) array ``L``."""
     A = evaluate_many(P, L)
     _require_finite(A)
-    U, s, Vh = np.linalg.svd(A)
+    return np.linalg.svd(A)
+
+
+def _svd_grad(P: MatrixPolynomial, L: np.ndarray) -> tuple:
+    """The singular values of P(lambda) and the closed-form gradient of
+    s_min, (k, 2), at the points of one chunk."""
+    U, s, Vh = _svd(P, L)
     D = evaluate_many(P.derivative, L)
     # s_grad = (Re c, -Im c) for c = u* P'(lambda) v, (u, v) the trailing
     # pair, on interleaved (re, im) parts.  With h = conj(v) the last row of
@@ -392,71 +393,4 @@ def _svd_grad(P: MatrixPolynomial, L: np.ndarray) -> tuple:
     pairs[:, 0, 0] = u.real
     pairs[:, 0, 1] = pairs[:, 1, 0] = u.imag
     np.negative(u.real, out=pairs[:, 1, 1])
-    return U, s, Vh, np.add.reduce((pairs * t[:, None]).reshape(k, 2, 2 * n), axis=2)
-
-
-class PointEval:
-    """The SVD of P(lambda) with vectors at one point, and what derives from it.
-
-    ``PointEval(P, w, lam)`` is row 0 of the ``point_stack`` of one point,
-    in Python floats.  ``gap`` is s_{n-1} - s_n (infinite for n = 1);
-    ``smooth`` says s_min is simple and nonzero, so the closed-form gradient
-    ``s_grad`` holds; ``weight_grad``, the gradient of w(|.|), is None at the
-    origin for a non-constant weight.  Both are (d/dx, d/dy) pairs of
-    floats.  ``grad_xy(eps)`` is the pair s_grad - eps * weight_grad, or
-    None unless both hold, and ``grad_F(eps)`` the same as an array;
-    ``ratio_grad`` is ``grad_F(ratio) / weight``.  ``trip`` is the full SVD
-    with the phases of ``singular_triplets``.
-    """
-
-    __slots__ = (
-        "lam", "s_min", "gap", "on_spectrum", "smooth", "s_grad",
-        "weight", "ratio", "weight_grad", "_svd",
-    )
-
-    def __new__(cls, P: MatrixPolynomial, w: WeightPolynomial, lam: complex):
-        stack = point_stack(P, w, [lam])
-        row = object.__new__(cls)
-        (row.lam,) = stack.lam.tolist()
-        (values,) = stack.s.tolist()
-        row.s_min = values[-1]
-        row.gap = float(stack.gap[0])
-        row.on_spectrum = bool(stack.on_spectrum[0])
-        row.smooth = bool(stack.smooth[0])
-        row.s_grad = tuple(stack.s_grad[0].tolist())
-        row.weight = float(stack.weight[0])
-        row.ratio = row.s_min / row.weight
-        weight_grad = tuple(stack.weight_grad[0].tolist())
-        row.weight_grad = None if np.isnan(weight_grad[0]) else weight_grad
-        row._svd = (stack.U[0], stack.s[0], stack.Vh[0])
-        return row
-
-    @property
-    def trip(self) -> SingularTripletSet:
-        return _phased(*self._svd)
-
-    def F(self, eps: float) -> float:
-        """s_min - eps * w(|lambda|)."""
-        _require_eps(eps)
-        return self.s_min - eps * self.weight
-
-    def grad_xy(self, eps: float) -> tuple | None:
-        """Gradient (d/dx, d/dy) of F as two floats; None where the closed
-        form cannot be trusted: s_min not simple and nonzero, or the origin
-        under a non-constant weight."""
-        _require_eps(eps)
-        if not self.smooth or self.weight_grad is None:
-            return None
-        (sx, sy), (wx, wy) = self.s_grad, self.weight_grad
-        return sx - eps * wx, sy - eps * wy
-
-    def grad_F(self, eps: float) -> np.ndarray | None:
-        """``grad_xy(eps)`` as an array, or None."""
-        g = self.grad_xy(eps)
-        return None if g is None else np.array(g)
-
-    @property
-    def ratio_grad(self) -> np.ndarray | None:
-        """Gradient of s_min / w, None where ``grad_F`` is."""
-        g = self.grad_F(self.ratio)
-        return None if g is None else g / self.weight
+    return s, np.add.reduce((pairs * t[:, None]).reshape(k, 2, 2 * n), axis=2)

@@ -744,8 +744,10 @@ class TestNonFiniteValues:
             ["trace", "--seed", "2", "0"],
             # the rays from the eigenvalue near 0 run into the overflow
             ["trace", "--window", "-1", "3", "-1", "1"],
+            # the certificate's SVD of P(mu) with vectors
+            ["perturb", "--mu", "2", "0"],
         ],
-        ids=["field", "components", "faults", "trace-seed", "trace-rays"],
+        ids=["field", "components", "faults", "trace-seed", "trace-rays", "perturb"],
     )
     def test_exit_3(self, problem, argv, capfd):
         assert main([argv[0], "--input", problem, *argv[1:]]) == 3

@@ -1,10 +1,11 @@
 """Batched evaluation and the batched polish give what one point gives.
 
-A ``point_stack`` row must equal ``PointEval`` at the same point bit for
-bit; and the ``trace`` command, which polishes every contour vertex of
-every level together, a chunk of ``point_stack`` rows at a time, must
-print and write what the sequential search below gives, which runs the
-Newton steps of each vertex alone, one ``PointEval`` at a time.
+A ``point_stack`` row must equal the ``point_stack`` of its point alone
+bit for bit, and ``singular_triplets`` must give the point the singular
+values of that row; and the ``trace`` command, which polishes every
+contour vertex of every level together, one ``point_stack`` per round,
+must print and write what the sequential search below gives, which moves
+one vertex at a time, one single-point ``point_stack`` per Newton step.
 """
 
 import json
@@ -24,8 +25,9 @@ from polyspectra import (
 from polyspectra import contours, svdcore
 from polyspectra.cli import _csv_lines, _json_text, main, parse_problem
 from polyspectra.contours import marching_squares
+from polyspectra.perturbations import _ratio_stack
 from polyspectra.pseudospectrum import on_curve_tolerance
-from polyspectra.svdcore import PointEval, point_stack
+from polyspectra.svdcore import point_stack, singular_triplets
 
 from conftest import random_polynomial
 
@@ -34,35 +36,29 @@ CONIC = next(p for p in FIXTURES if p.stem == "conic_pencil_3x3")
 
 
 def _bits(x) -> bytes:
-    return b"None" if x is None else np.asarray(x).tobytes()
+    return np.asarray(x).tobytes()
 
 
-def state(pe: PointEval, eps: float) -> tuple:
-    """Everything a row carries, as bytes."""
-    trip = pe.trip
-    return (
-        _bits(pe.lam), _bits(pe.s_min), _bits(pe.gap), pe.on_spectrum, pe.smooth,
-        _bits(pe.weight), _bits(pe.ratio), _bits(pe.s_grad), _bits(pe.weight_grad),
-        _bits(pe.grad_F(eps)), _bits(pe.grad_xy(eps)), _bits(pe.ratio_grad),
-        _bits(trip.values), _bits(trip.left), _bits(trip.right),
+def state(rows: tuple, i: int, eps: float) -> tuple:
+    """Everything row ``i`` of a ``_ratio_stack`` carries, as bytes."""
+    stack, ratio, grad_ratio = rows
+    return tuple(
+        _bits(a[i])
+        for a in (
+            stack.lam, stack.s, stack.gap, stack.on_spectrum, stack.smooth, stack.weight,
+            stack.s_grad, stack.weight_grad, stack.F(eps), stack.grad_F(eps), ratio, grad_ratio,
+        )
     )
 
 
 def assert_rows_equal_points(P, w, lams, eps=0.25):
-    stack = point_stack(P, w, lams)
-    assert len(stack.s) == len(lams)
-    f, g = stack.F(eps), stack.grad_F(eps)
+    rows = _ratio_stack(P, w, lams)
+    assert len(rows[0].s) == len(lams)
     for i, lam in enumerate(lams):
-        pe = PointEval(P, w, lam)
-        assert _bits(stack.U[i]) + _bits(stack.s[i]) + _bits(stack.Vh[i]) == _bits(
-            pe._svd[0]
-        ) + _bits(pe._svd[1]) + _bits(pe._svd[2])
-        assert _bits(f[i]) == _bits(pe.F(eps))
-        want = pe.grad_xy(eps)
-        assert np.isnan(g[i]).all() if want is None else _bits(g[i]) == _bits(want)
-        # a stack of one, and so PointEval, gives the point the bits it has
-        # in any stack
-        assert state(pe, eps) == state(PointEval(P, w, complex(stack.lam[i])), eps)
+        alone = state(_ratio_stack(P, w, [lam]), 0, eps)
+        assert state(rows, i, eps) == alone
+        # a stack of one gives the point the bits it has in any stack
+        assert alone == state(_ratio_stack(P, w, [complex(rows[0].lam[i])]), 0, eps)
 
 
 class TestStackedRows:
@@ -79,13 +75,25 @@ class TestStackedRows:
             lams[rng.integers(size)] = eig[rng.integers(len(eig))]  # an eigenvalue
             assert_rows_equal_points(P, w, lams)
 
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_triplet_values_are_the_rows(self, path):
+        # the certificate's delta reads the first, find_saddle's ratio the second
+        spec = parse_problem(path.read_text())
+        P, w, win = spec.polynomial, spec.weight, spec.window
+        rng = np.random.default_rng(44)
+        lams = win.x_min + (win.x_max - win.x_min) * rng.random(16)
+        lams = lams + 1j * (win.y_min + (win.y_max - win.y_min) * rng.random(16))
+        for lam in [*lams.tolist(), *eigenvalues(P).eigenvalues.tolist()]:
+            values = singular_triplets(P, lam).values
+            assert _bits(values) == _bits(point_stack(P, w, [lam]).s[0])
+
     def test_origin_under_a_linear_weight(self, scalar_double_root, weight_linear):
         lams = [0.0, 1.0, 0.5 + 0.5j, 0.0, -0.25j]
         assert_rows_equal_points(scalar_double_root, weight_linear, lams)
         stack = point_stack(scalar_double_root, weight_linear, lams)
         assert np.isnan(stack.weight_grad[0]).all() and np.isnan(stack.grad_F(1.0)[0]).all()
-        row = PointEval(scalar_double_root, weight_linear, 0.0)
-        assert row.weight_grad is None and row.grad_F(1.0) is None
+        _, _, grad_ratio = _ratio_stack(scalar_double_root, weight_linear, [0.0])
+        assert np.isnan(grad_ratio).all()
 
     def test_complex_scalar_polynomial(self):
         rng = np.random.default_rng(43)
@@ -149,14 +157,14 @@ class TestStackedRows:
 
 
 def polish_alone(P, w, eps: float, x: float, y: float, tol: float, guard: float):
-    """Newton steps of one vertex, one ``PointEval`` per step: the point,
-    whether it reached the curve, and the gradient of F_eps there."""
+    """Newton steps of one vertex, one single-point ``point_stack`` per
+    step: the point, whether it reached the curve, and the gradient of F_eps
+    there (NaN where it cannot be trusted)."""
     lam = complex(x, y)
     for _ in range(contours._MAX_CORRECTOR_ITERS):
-        pe = PointEval(P, w, lam)
-        f = pe.F(eps)
-        g = pe.grad_xy(eps)
-        gx, gy = (np.nan, np.nan) if g is None else g
+        pe = point_stack(P, w, [lam])
+        (f,) = pe.F(eps).tolist()
+        ((gx, gy),) = pe.grad_F(eps).tolist()
         norm = np.hypot(gx, gy)
         with np.errstate(divide="ignore", invalid="ignore"):
             shift = f / (norm * norm)

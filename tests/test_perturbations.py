@@ -427,13 +427,14 @@ class TestSingleRules:
 
     def test_origin_rule_is_the_certificates(self, disc_pair, monkeypatch):
         from polyspectra import SaddleResult, perturbations
-        from polyspectra.svdcore import PointEval
+        from polyspectra.svdcore import point_stack
 
         # |mu| = 1e-10 is off the origin (ORIGIN_TOL = 1e-12), where the
         # phase of mu is defined and the certificate keeps w itself
         w = WeightPolynomial([1.0, 1.0])
         mu = 1e-10 + 0j
-        fake = SaddleResult(mu=mu, delta=PointEval(disc_pair, w, mu).ratio, on_fault=True,
+        here = point_stack(disc_pair, w, [mu])
+        fake = SaddleResult(mu=mu, delta=float(here.s[0, -1] / here.weight[0]), on_fault=True,
                             iterations=0)
         monkeypatch.setattr(perturbations, "find_saddle", lambda *args: fake)
         win = GridSpec(x_min=-3.0, x_max=3.0, y_min=-3.0, y_max=3.0, nx=61, ny=61)

@@ -26,7 +26,8 @@ from polyspectra import (
     weight_eval,
 )
 from polyspectra.matpoly import eigenvalue_residual_scale, evaluate_many
-from polyspectra.svdcore import PointEval, singular_values_many, surface_gap
+from polyspectra.perturbations import _ratio_stack
+from polyspectra.svdcore import point_stack, singular_values_many, surface_gap
 
 from conftest import random_polynomial, random_weight
 
@@ -166,20 +167,20 @@ class TestGradSMin:
         # gradient equals delta * w'(|mu|) in the radial direction
         delta = s_min(uptri_quadratic, MU) / weight_eval(weight_quadratic, MU)
         expected = delta * weight_deriv_eval(weight_quadratic, MU)
-        g = PointEval(uptri_quadratic, UNIT, MU).grad_F(0.0)
-        assert g is not None
+        (g,) = point_stack(uptri_quadratic, UNIT, [MU]).grad_F(0.0)
+        assert not np.isnan(g).any()
         assert g[0] == pytest.approx(expected, abs=2e-3)
         assert g[1] == pytest.approx(0.0, abs=2e-3)
 
     def test_conic_pencil_invalid_at_origin(self, conic_pencil):
-        pe = PointEval(conic_pencil, UNIT, 0.0)
-        assert pe.grad_F(0.0) is None
-        assert pe.gap == pytest.approx(0.0, abs=1e-12)
+        pe = point_stack(conic_pencil, UNIT, [0.0])
+        assert np.isnan(pe.grad_F(0.0)).all()
+        assert pe.gap[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_distance_gradient(self):
         P = MatrixPolynomial([[[-2.0]], [[1.0]]])
-        g = PointEval(P, UNIT, 3.0).grad_F(0.0)
-        assert g is not None
+        (g,) = point_stack(P, UNIT, [3.0]).grad_F(0.0)
+        assert not np.isnan(g).any()
         assert (g[0], g[1]) == (pytest.approx(1.0, abs=1e-12), pytest.approx(0.0, abs=1e-12))
 
     def test_matches_finite_differences(self):
@@ -188,9 +189,9 @@ class TestGradSMin:
         while checked < 40:
             P = random_polynomial(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
             lam = complex(rng.normal(), rng.normal())
-            pe = PointEval(P, UNIT, lam)
-            g = pe.grad_F(0.0)
-            if g is None or pe.gap <= 1e-3 or s_min(P, lam) <= 1e-3:
+            pe = point_stack(P, UNIT, [lam])
+            (g,) = pe.grad_F(0.0)
+            if np.isnan(g).any() or pe.gap[0] <= 1e-3 or s_min(P, lam) <= 1e-3:
                 continue
             fd = fd_gradient(P, lam)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(
@@ -213,17 +214,17 @@ class TestWeightedGradients:
             w = random_weight(rng, m)
             eps = float(rng.uniform(0.1, 1.0))
             lam = complex(rng.normal(), rng.normal())
-            pe = PointEval(P, w, lam)
-            if not pe.smooth or pe.gap <= 1e-3 or pe.s_min <= 1e-3:
+            pe, _, grad_ratio = _ratio_stack(P, w, [lam])
+            if not pe.smooth[0] or pe.gap[0] <= 1e-3 or pe.s[0, -1] <= 1e-3:
                 continue
             if which == "grad_F":
-                got = pe.grad_F(eps)
+                got = pe.grad_F(eps)[0]
 
                 def f(z):
                     return F_eps(P, w, eps, z)
 
             else:
-                got = pe.ratio_grad
+                got = grad_ratio[0]
 
                 def f(z):
                     return s_min(P, z) / weight_eval(w, abs(z))
@@ -237,36 +238,36 @@ class TestWeightedGradients:
 
 class TestGradF:
     def test_vanishes_at_merge_point(self, uptri_quadratic, weight_quadratic):
-        g = PointEval(uptri_quadratic, weight_quadratic, MU).grad_F(0.0091)
-        assert g is not None
+        (g,) = point_stack(uptri_quadratic, weight_quadratic, [MU]).grad_F(0.0091)
+        assert not np.isnan(g).any()
         assert abs(g[0]) < 2e-3 and abs(g[1]) < 2e-3
 
     def test_invalid_at_origin_with_nonconstant_weight(
         self, scalar_double_root, weight_linear
     ):
-        assert PointEval(scalar_double_root, weight_linear, 0.0).grad_F(1.0) is None
+        assert np.isnan(point_stack(scalar_double_root, weight_linear, [0.0]).grad_F(1.0)).all()
 
     def test_constant_weight_at_origin_keeps_validity(self):
         P = MatrixPolynomial([[[-2.0]], [[1.0]]])
-        assert PointEval(P, UNIT, 0.0).grad_F(0.5) is not None
+        assert not np.isnan(point_stack(P, UNIT, [0.0]).grad_F(0.5)).any()
 
     def test_constant_weight_drops_weight_term(self):
         P = MatrixPolynomial([[[-2.0]], [[1.0]]])
-        g = PointEval(P, UNIT, 3.0).grad_F(0.5)
+        (g,) = point_stack(P, UNIT, [3.0]).grad_F(0.5)
         assert (g[0], g[1]) == (pytest.approx(1.0, abs=1e-12), pytest.approx(0.0, abs=1e-12))
 
-    def test_none_exactly_where_ratio_grad_is_none(
+    def test_nan_exactly_where_the_gradient_of_the_ratio_is_nan(
         self, conic_pencil, scalar_double_root, weight_linear, uptri_quadratic, weight_quadratic
     ):
         untrusted = [
-            PointEval(conic_pencil, UNIT, 0.0),  # s_min is a double value
-            PointEval(scalar_double_root, weight_linear, 0.0),  # the origin
-            PointEval(uptri_quadratic, weight_quadratic, 1.0),  # an eigenvalue
+            _ratio_stack(conic_pencil, UNIT, [0.0]),  # s_min is a double value
+            _ratio_stack(scalar_double_root, weight_linear, [0.0]),  # the origin
+            _ratio_stack(uptri_quadratic, weight_quadratic, [1.0]),  # an eigenvalue
         ]
-        for pe in untrusted:
-            assert pe.grad_F(0.3) is None and pe.ratio_grad is None
-        pe = PointEval(uptri_quadratic, weight_quadratic, MU)
-        assert pe.grad_F(0.3) is not None and pe.ratio_grad is not None
+        for pe, _, grad_ratio in untrusted:
+            assert np.isnan(pe.grad_F(0.3)).all() and np.isnan(grad_ratio).all()
+        pe, _, grad_ratio = _ratio_stack(uptri_quadratic, weight_quadratic, [MU])
+        assert not np.isnan(pe.grad_F(0.3)).any() and not np.isnan(grad_ratio).any()
 
 
 class TestGap:
