@@ -14,20 +14,27 @@ the simplex searches, which evaluate every live simplex's
 points in one call per step, gaps, certificate residuals) goes through
 ``singular_values_many``, the one values-only SVD of P(lambda), for a
 single point as for a grid.  It decomposes every block with ``_svals``,
-which has two kernels.  At n = 2 a closed form does it: a Givens rotation
-reduces each matrix to a real upper triangle, and LAPACK's DLAS2 formula
-(Demmel and Kahan, SISSC 1990) gives that triangle's singular values.  On
-a 401 x 401 grid it takes a fifth of the time of LAPACK's ``gesdd``,
-whose cost at n = 2 is call overhead, and it stays within a few units in
-the last place of s_1; the plain formula from ||A||_F and |det A| does
-not, near s_1 = s_2.  Every other n goes to ``np.linalg.svd`` (the Gram
-matrix would square the condition number).  The calling thread runs the
-Horner evaluation chunk by chunk, and the 4 MiB budget covers every
-evaluated chunk in flight and the closed form's work arrays.  At n = 2 it
-also runs the closed form; otherwise a grid larger than one chunk is
-decomposed on every CPU in the process's affinity mask, by a thread pool
-created for the call.  Each chunk's values land in their own rows, so
-results do not depend on the core count.  A caller that needs a gradient
+which has two numpy kernels, written in real arithmetic on one array per
+quantity with every matrix of the block at once.  At n = 2 a closed form
+does it: a Givens rotation reduces each matrix to a real upper triangle,
+and LAPACK's DLAS2 formula (Demmel and Kahan, SISSC 1990) gives that
+triangle's singular values.  On a 401 x 401 grid it takes a fifth of the
+time of LAPACK's ``gesdd``, whose cost at n = 2 is call overhead, and it
+stays within a few units in the last place of s_1; the plain formula from
+||A||_F and |det A| does not, near s_1 = s_2.  At n = 3 four Givens
+rotations reduce each matrix to a real upper bidiagonal, five arrays
+(d1, e1, d2, e2, d3), and implicit-shift Golub-Kahan QR sweeps on those
+arrays (LAPACK's DBDSQR, from the same paper) run until e1 or e2 is
+negligible; DLAS2 then takes the 2 x 2 block that remains.  On a 401 x 401
+grid it takes about 40% of the time of the pooled ``gesdd`` and stays
+within 8 units in the last place of s_1.  Every other n goes to
+``np.linalg.svd`` (the Gram matrix would square the condition number).
+The calling thread runs the Horner evaluation chunk by chunk, and the
+4 MiB budget covers every evaluated chunk in flight and the kernels' work
+arrays.  At n = 2 and 3 it also runs the kernel; otherwise a grid larger
+than one chunk is decomposed on every CPU in the process's affinity mask,
+by a thread pool created for the call.  Each chunk's values land in their
+own rows, so results do not depend on the core count.  A caller that needs a gradient
 reads it from ``point_stack``, which decomposes a stack of points with one
 stacked SVD with vectors, a chunk at a time, derives every point's
 closed-form gradient in array operations and keeps O(n) floats per point
@@ -37,8 +44,8 @@ order, so a point gets the same bits alone as in any stack.  A caller that
 needs the singular vectors themselves (the certificate's perturbations)
 reads ``singular_triplets``, whose SVD is ``point_stack``'s: its values are
 the point's row bit for bit.  LAPACK's singular values with and without
-vectors may differ in the last bits, and at n = 2 ``point_stack``'s values
-and the closed form's may too.  A non-finite P(lambda) raises
+vectors may differ in the last bits, and at n = 2 and 3 ``point_stack``'s
+values and the kernels' may too.  A non-finite P(lambda) raises
 ``np.linalg.LinAlgError`` on every path before LAPACK sees it.
 """
 
@@ -75,9 +82,22 @@ _CHUNK_BYTES = 4 << 20
 # (tests measure it).
 _STACK_ENTRY_BYTES = 128
 
-# Bytes of work arrays per matrix in the n = 2 closed form, at their peak
+# Bytes of work arrays per matrix in the numpy kernels, by n, at their peak
 # (tests measure it); np.linalg.svd works on one matrix at a time.
-_KERNEL_BYTES = 320
+_KERNEL_BYTES = {2: 320, 3: 384}
+
+# The n = 3 kernel works on each matrix scaled by a power of two into
+# [1/2, 1), so s_1 >= 1/2.  An off-diagonal entry of its bidiagonal at or
+# below this size is dropped (the bidiagonal deflates) and a diagonal entry
+# at or below it is chased out; either moves no singular value by more than
+# u s_1 / 2 (Weyl; u = 2^-52).
+_DEFLATE_TOL = 2.0**-54
+
+# Golub-Kahan sweeps after which the n = 3 kernel gives up on a matrix, as
+# LAPACK does, with np.linalg.LinAlgError: five times the most that the
+# fixtures' 401 x 401 grids and 300,000 random, graded and rank-deficient
+# matrices needed (6).
+_MAX_SWEEPS = 30
 
 
 def _usable_cpus() -> int:
@@ -131,16 +151,17 @@ def singular_values_many(P: MatrixPolynomial, lams) -> np.ndarray:
     """Descending singular values at every point of ``lams``.
 
     Result shape is ``lams.shape + (n,)``, so ``(n,)`` for a scalar point.
-    Every block goes through ``_svals``: the closed form at n = 2, LAPACK
-    otherwise, so a point gets the same bits alone as in any grid.  An
-    input larger than one chunk is evaluated chunk by chunk on the calling
-    thread.  At n = 2 the calling thread also decomposes each chunk: the
-    closed form is some fifty numpy calls per chunk that hold the GIL
-    between short loops, so worker threads only contend for it, and their
-    malloc arenas would keep the work arrays resident.  Otherwise a pool of
-    ``_WORKERS`` threads that lives for this call decomposes at most
-    ``_WORKERS`` chunks at a time; each job writes its own rows, so the
-    result does not depend on the scheduling or on ``_WORKERS``.  Raises
+    Every block goes through ``_svals``: the numpy kernels at n = 2 and 3,
+    LAPACK otherwise, so a point gets the same bits alone as in any grid.
+    An input larger than one chunk is evaluated chunk by chunk on the
+    calling thread.  At n = 2 and 3 the calling thread also decomposes each
+    chunk: the kernels are some fifty and some six hundred numpy calls per
+    chunk that hold the GIL between short loops, so worker threads only
+    contend for it, and their malloc arenas would keep the work arrays
+    resident.  Otherwise a pool of ``_WORKERS`` threads that lives for this
+    call decomposes at most ``_WORKERS`` chunks at a time; each job writes
+    its own rows, so the result does not depend on the scheduling or on
+    ``_WORKERS``.  Raises
     ``np.linalg.LinAlgError`` where P(lambda) is not finite.
     """
     L = np.asarray(lams, dtype=complex)
@@ -149,7 +170,7 @@ def singular_values_many(P: MatrixPolynomial, lams) -> np.ndarray:
         return _svals(evaluate_many(P, L))
     flat = L.reshape(-1)
     out = np.empty((flat.size, P.n), dtype=float)
-    if P.n == 2:
+    if P.n in _KERNEL_BYTES:
         for start in range(0, flat.size, chunk):
             rows = slice(start, start + chunk)
             _decompose(out[rows], evaluate_many(P, flat[rows]))
@@ -170,14 +191,20 @@ def singular_values_many(P: MatrixPolynomial, lams) -> np.ndarray:
 
 
 def _chunk_points(n: int) -> int:
-    """Points per chunk: a block of n x n complex matrices, with the closed
-    form's work arrays at n = 2, takes one share of ``_CHUNK_BYTES`` of
-    ``_WORKERS + 1``, so that the blocks in flight fit.  At n = 2 only one
-    is in flight; a larger chunk would only push its work arrays out of
-    cache (a 401 x 401 grid takes about 8% longer with three times the
-    chunk, on two CPUs)."""
-    per_point = 16 * n * n + (_KERNEL_BYTES if n == 2 else 0)
-    return max(1, _CHUNK_BYTES // (per_point * (_WORKERS + 1)))
+    """Points per chunk: a block of n x n complex matrices, with the
+    kernel's work arrays at n = 2 and 3 (``_KERNEL_BYTES``), takes one
+    share of ``_CHUNK_BYTES`` of ``_WORKERS + 1``, so that the blocks in
+    flight fit.  At n = 2 and 3 only one is in flight.  At n = 2 a larger
+    chunk would only push its work arrays out of cache (a 401 x 401 grid
+    takes about 8% longer with three times the chunk, on two CPUs).  At
+    n = 3 the one chunk takes the whole budget: the kernel costs some six
+    hundred numpy calls per chunk whatever its size.  With chunks of 3149
+    and 1222 points instead of 6394, a 401 x 401 grid took 1.2 and 1.5
+    times as long, and the benchmark's peak RSS read up to 7 and 11 MB
+    higher: the heap kept more of the many short-lived work arrays."""
+    per_point = 16 * n * n + _KERNEL_BYTES.get(n, 0)
+    shares = 1 if n == 3 else _WORKERS + 1
+    return max(1, _CHUNK_BYTES // (per_point * shares))
 
 
 def _stack_points(n: int) -> int:
@@ -199,10 +226,37 @@ def _decompose(rows: np.ndarray, block: np.ndarray) -> None:
 
 def _svals(block: np.ndarray) -> np.ndarray:
     """Descending singular values of each matrix in a (..., n, n) stack."""
-    if block.shape[-1] == 2:
+    n = block.shape[-1]
+    if n == 2:
         return _svals2(block)
+    if n == 3:
+        return _svals3(block)
     _require_finite(block)
     return np.linalg.svd(block, compute_uv=False)
+
+
+def _scaled_parts(block: np.ndarray) -> tuple:
+    """The real and imaginary parts of the n x n matrices of ``block``, one
+    row per part and one column per matrix, each matrix scaled by the power
+    of two 2^-e that brings its largest part into [1/2, 1), and the
+    exponents e.  Raises ``np.linalg.LinAlgError`` on a non-finite entry."""
+    n = block.shape[-1]
+    parts = block.reshape(-1, n * n).view(float)
+    top = np.maximum(parts.max(axis=1), -parts.min(axis=1))
+    if not np.isfinite(top).all():
+        raise np.linalg.LinAlgError("non-finite entry in P(lambda)")
+    exp = np.frexp(top)[1]
+    return np.ldexp(parts.T, -exp, order="C"), exp
+
+
+def _dlas2(f, g2, h) -> tuple:
+    """DLAS2's singular values s_1 >= s_2 of the real triangle
+    [[f, g], [0, h]], f, h >= 0, from f, g^2 and h."""
+    s1 = 0.5 * (np.sqrt((f + h) ** 2 + g2) + np.sqrt((f - h) ** 2 + g2))
+    s2 = np.minimum(f, h) * (np.maximum(f, h) / (s1 + (s1 == 0)))
+    # where s_1 and s_2 nearly coincide, rounding can leave s_2 an ulp above
+    # s_1; the values stay descending and the gap nonnegative
+    return s1, np.minimum(s2, s1)
 
 
 def _svals2(block: np.ndarray) -> np.ndarray:
@@ -214,7 +268,7 @@ def _svals2(block: np.ndarray) -> np.ndarray:
     real cosine |a| / r, r = ||(a, c)||, takes the first column (a, c) to
     (r e^{i arg a}, 0); a zero first column keeps the identity.  Dropping
     the phases of the result leaves the real triangle [[r, |x|], [0, |y|]],
-    whose singular values are DLAS2's
+    whose singular values are DLAS2's (``_dlas2``):
     s_1 = (sqrt((r + |y|)^2 + |x|^2) + sqrt((r - |y|)^2 + |x|^2)) / 2 and
     s_2 = min(r, |y|) * (max(r, |y|) / s_1).  DLAS2 branches on
     max(r, |y|) against |x| only to keep the squares in range, which the
@@ -226,12 +280,7 @@ def _svals2(block: np.ndarray) -> np.ndarray:
     and vector loops).  A non-finite entry raises ``np.linalg.LinAlgError``,
     as LAPACK does for NaN.
     """
-    parts = block.reshape(-1, 4).view(float)  # re, im of a, b, c, d per row
-    top = np.abs(parts).max(axis=1)
-    if not np.isfinite(top).all():
-        raise np.linalg.LinAlgError("non-finite entry in P(lambda)")
-    exp = np.frexp(top)[1]
-    ar, ai, br, bi, cr, ci, dr, di = np.ldexp(parts.T, -exp, order="C")
+    (ar, ai, br, bi, cr, ci, dr, di), exp = _scaled_parts(block)
     na2 = ar * ar + ai * ai
     r = np.sqrt(na2 + cr * cr + ci * ci)
     na = np.sqrt(na2)
@@ -250,16 +299,186 @@ def _svals2(block: np.ndarray) -> np.ndarray:
     xi = cs * bi + snr * di + sni * dr
     yr = cs * dr - (snr * br + sni * bi)
     yi = cs * di - (snr * bi - sni * br)
-    g2 = xr * xr + xi * xi
-    h = np.sqrt(yr * yr + yi * yi)
-    s1 = 0.5 * (np.sqrt((r + h) ** 2 + g2) + np.sqrt((r - h) ** 2 + g2))
-    s2 = np.minimum(r, h) * (np.maximum(r, h) / (s1 + (s1 == 0)))
+    s1, s2 = _dlas2(r, xr * xr + xi * xi, np.sqrt(yr * yr + yi * yi))
     values = np.empty((len(exp), 2))
     np.ldexp(s1, exp, out=values[:, 0])
-    # where s_1 and s_2 nearly coincide, rounding can leave s_2 an ulp above
-    # s_1; the values stay descending and the gap nonnegative
-    np.ldexp(np.minimum(s2, s1), exp, out=values[:, 1])
+    np.ldexp(s2, exp, out=values[:, 1])
     return values.reshape(block.shape[:-1])
+
+
+def _unit_pair(x, y) -> tuple:
+    """(g, h) = (x, y) / r and r = ||(x, y)|| for complex x and y given as
+    (re, im) pairs of arrays, with (g, h) = (1, 0) where r = 0.  The unitary
+    [[conj g, conj h], [-h, g]] takes (x, y) to (r, 0)."""
+    (xr, xi), (yr, yi) = x, y
+    r = np.sqrt(xr * xr + xi * xi + (yr * yr + yi * yi))
+    zero = r == 0
+    r_ = r + zero
+    return (xr + zero) / r_, xi / r_, yr / r_, yi / r_, r
+
+
+def _rotate(pair, x, y) -> tuple:
+    """(conj g x + conj h y, g y - h x) for the (g, h) of ``_unit_pair``
+    and complex x, y given as (..., 2, k) arrays of (re, im) parts."""
+    gr, gi, hr, hi, _ = pair
+    (xr, xi), (yr, yi) = np.moveaxis(x, -2, 0), np.moveaxis(y, -2, 0)
+    top = (gr * xr + gi * xi + (hr * yr + hi * yi), gr * xi - gi * xr + (hr * yi - hi * yr))
+    bottom = (gr * yr - gi * yi - (hr * xr - hi * xi), gr * yi + gi * yr - (hr * xi + hi * xr))
+    return np.stack(top, axis=-2), np.stack(bottom, axis=-2)
+
+
+def _svals3(block: np.ndarray) -> np.ndarray:
+    """Singular values of a (..., 3, 3) complex stack.
+
+    Each matrix is scaled as in ``_svals2`` and reduced to a real upper
+    bidiagonal (``_bidiagonalize``), whose singular values come from
+    implicit-shift Golub-Kahan sweeps (``_bidiagonal_svals``).  All
+    arithmetic is real and elementwise, and a matrix leaves the sweeps
+    once its own bidiagonal deflates, so it gets the same bits in any
+    stack.  A non-finite entry raises ``np.linalg.LinAlgError``, as does a
+    bidiagonal still undeflated after ``_MAX_SWEEPS`` sweeps.
+    """
+    B, exp = _bidiagonalize(block)
+    values = np.ldexp(_bidiagonal_svals(B), exp[:, None])
+    return values.reshape(block.shape[:-1])
+
+
+def _bidiagonalize(block: np.ndarray) -> tuple:
+    """(d1, e1, d2, e2, d3) of a real upper bidiagonal with the singular
+    values of each scaled matrix, as the rows of a (5, k) array, and the
+    scaling exponents.  Four Givens rotations take the matrix to a complex
+    bidiagonal with d1, e1 and d2 real and nonnegative: two from the left
+    on column 0, one from the right on row 0 and one from the left on
+    column 1.  Unitary diagonal scalings, which keep the singular values,
+    then take e2 and d3 to their moduli."""
+    a, exp = _scaled_parts(block)
+    a = a.reshape(3, 3, 2, -1)  # a[i, j] = (re, im) of entry (i, j)
+    # column 0 to (d1, 0, 0): rows 1 and 2, then rows 0 and 1
+    pair = _unit_pair(a[1, 0], a[2, 0])
+    a[1, 1:], a[2, 1:] = _rotate(pair, a[1, 1:], a[2, 1:])
+    pair = _unit_pair(a[0, 0], (pair[-1], 0.0))
+    a[0, 1:], a[1, 1:] = _rotate(pair, a[0, 1:], a[1, 1:])
+    d1 = pair[-1]
+    # row 0 to (d1, e1, 0): columns 1 and 2, from the right
+    pair = _unit_pair(a[0, 1], a[0, 2])
+    a[1:, 1], a[1:, 2] = _rotate(pair, a[1:, 1], a[1:, 2])
+    e1 = pair[-1]
+    # column 1 to (e1, d2, 0): rows 1 and 2; the phases of (1, 2) and (2, 2)
+    # drop out with the moduli
+    pair = _unit_pair(a[1, 1], a[2, 1])
+    (xr, xi), (yr, yi) = _rotate(pair, a[1, 2], a[2, 2])
+    return np.stack((d1, e1, pair[-1], np.sqrt(xr * xr + xi * xi), np.sqrt(yr * yr + yi * yi))), exp
+
+
+def _givens(f, g) -> tuple:
+    """(c, s, r) of the real rotation [[c, s], [-s, c]] that takes (f, g)
+    to (r, 0); (f, g) is never (0, 0) where it is used."""
+    r = np.sqrt(f * f + g * g)
+    return f / r, g / r, r
+
+
+def _sweep(B: np.ndarray) -> np.ndarray:
+    """One implicit-shift Golub-Kahan QR sweep on the upper bidiagonals
+    (d1, e1, d2, e2, d3) of B's columns, DBDSQR's chase from the top with
+    the smaller singular value of the trailing 2 x 2 block, by DLAS2, as
+    the shift.  Every d1 it sees is above ``_DEFLATE_TOL``, so the first
+    rotation is well defined."""
+    d1, e1, d2, e2, d3 = B
+    _, shift = _dlas2(np.abs(d2), e2 * e2, np.abs(d3))
+    c, s, _ = _givens((d1 - shift) * (1.0 + shift / d1), e1)
+    f = c * d1 + s * e1
+    e1 = c * e1 - s * d1
+    g = s * d2
+    d2 = c * d2
+    c, s, d1 = _givens(f, g)
+    f = c * e1 + s * d2
+    d2 = c * d2 - s * e1
+    g = s * e2
+    e2 = c * e2
+    c, s, e1 = _givens(f, g)
+    f = c * d2 + s * e2
+    e2 = c * e2 - s * d2
+    g = s * d3
+    d3 = c * d3
+    c, s, d2 = _givens(f, g)
+    return np.stack((d1, e1, d2, c * e2 + s * d3, c * d3 - s * e2))
+
+
+def _chase_zeros(B: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """Deflate the bidiagonals whose diagonal entry, flagged in the (3, k)
+    ``small``, is negligible: it is taken as zero and the fixed rotations
+    that chase it out zero e1 (d1) or e2 (d2, d3).  A shifted sweep would
+    make no progress on such a bidiagonal.  Returns the columns changed."""
+    z1, z2, z3 = small
+    z2 = z2 & ~z1
+    z3 = z3 & ~(z1 | z2)
+    idx = np.flatnonzero(z1)
+    if idx.size:  # rows 1, 2 zero e1, then rows 1, 3 the fill at (1, 3)
+        _, e1, d2, e2, d3 = np.abs(B[:, idx])
+        c, s, r = _givens(d2, e1)
+        B[:, idx] = 0.0
+        B[2:, idx] = r, c * e2, np.sqrt((s * e2) ** 2 + d3 * d3)
+    idx = np.flatnonzero(z2)
+    if idx.size:  # rows 2, 3 zero e2
+        d1, e1, _, e2, d3 = np.abs(B[:, idx])
+        B[2:4, idx] = 0.0
+        B[4, idx] = np.sqrt(e2 * e2 + d3 * d3)
+    idx = np.flatnonzero(z3)
+    if idx.size:  # columns 2, 3 zero e2, then columns 1, 3 the fill at (1, 3)
+        d1, e1, d2, e2, _ = np.abs(B[:, idx])
+        c, s, r = _givens(d2, e2)
+        B[:3, idx] = np.sqrt(d1 * d1 + (s * e1) ** 2), c * e1, r
+        B[3:, idx] = 0.0
+    return z1 | z2 | z3
+
+
+def _bidiagonal_svals(B: np.ndarray) -> np.ndarray:
+    """Descending singular values (k, 3) of the upper bidiagonals whose
+    (d1, e1, d2, e2, d3) are the columns of the (5, k) array B.
+
+    Each round first retires the bidiagonals with e1 or e2 at most
+    ``_DEFLATE_TOL`` and those with a negligible diagonal entry, which
+    ``_chase_zeros`` deflates, and then sweeps the rest.  DLAS2 takes the
+    2 x 2 block that a deflated bidiagonal leaves, and a sorting network
+    places the third value.
+    """
+    k = B.shape[1]
+    # B and its reversal (d3, e2, d2, e1, d1) have the same singular values;
+    # chasing from the larger end of the diagonal keeps a small d1 from
+    # stalling the sweeps (DBDSQR picks its direction the same way)
+    flip = B[0] < B[4]
+    B[:, flip] = B[::-1, flip]
+    done = np.empty_like(B)
+    lanes = np.arange(k)
+    for sweep in range(_MAX_SWEEPS + 1):
+        if sweep:
+            B = _sweep(B)
+        deflated = (np.abs(B[1]) <= _DEFLATE_TOL) | (np.abs(B[3]) <= _DEFLATE_TOL)
+        small = np.abs(B[::2]) <= _DEFLATE_TOL
+        small &= ~deflated
+        if small.any():
+            deflated |= _chase_zeros(B, small)
+        if deflated.any():
+            idx = np.flatnonzero(deflated)
+            done[:, lanes[idx]] = B[:, idx]
+            keep = np.flatnonzero(~deflated)
+            B = B[:, keep]
+            lanes = lanes[keep]
+        if not lanes.size:
+            break
+    else:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    # a bidiagonal deflated at e1 alone, reversed, is deflated at e2
+    np.abs(done, out=done)
+    upper = done[3] > _DEFLATE_TOL
+    done[:, upper] = done[::-1, upper]
+    d1, e1, d2, _, d3 = done
+    s1, s2 = _dlas2(d1, e1 * e1, d2)
+    values = np.empty((k, 3))
+    np.maximum(s1, d3, out=values[:, 0])
+    np.maximum(s2, np.minimum(s1, d3), out=values[:, 1])
+    np.minimum(s2, d3, out=values[:, 2])
+    return values
 
 
 def on_spectrum(values):
