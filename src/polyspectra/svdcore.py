@@ -317,14 +317,17 @@ def _unit_pair(x, y) -> tuple:
     return (xr + zero) / r_, xi / r_, yr / r_, yi / r_, r
 
 
-def _rotate(pair, x, y) -> tuple:
-    """(conj g x + conj h y, g y - h x) for the (g, h) of ``_unit_pair``
-    and complex x, y given as (..., 2, k) arrays of (re, im) parts."""
+def _rotate(pair, x, y) -> None:
+    """x, y <- conj g x + conj h y, g y - h x, in place, for the (g, h) of
+    ``_unit_pair`` and complex x, y given as (..., 2, k) arrays of (re, im)
+    parts."""
     gr, gi, hr, hi, _ = pair
-    (xr, xi), (yr, yi) = np.moveaxis(x, -2, 0), np.moveaxis(y, -2, 0)
+    xr, xi, yr, yi = x[..., 0, :], x[..., 1, :], y[..., 0, :], y[..., 1, :]
     top = (gr * xr + gi * xi + (hr * yr + hi * yi), gr * xi - gi * xr + (hr * yi - hi * yr))
-    bottom = (gr * yr - gi * yi - (hr * xr - hi * xi), gr * yi + gi * yr - (hr * xi + hi * xr))
-    return np.stack(top, axis=-2), np.stack(bottom, axis=-2)
+    y[..., 0, :], y[..., 1, :] = (
+        gr * yr - gi * yi - (hr * xr - hi * xi), gr * yi + gi * yr - (hr * xi + hi * xr)
+    )
+    x[..., 0, :], x[..., 1, :] = top
 
 
 def _svals3(block: np.ndarray) -> np.ndarray:
@@ -355,19 +358,21 @@ def _bidiagonalize(block: np.ndarray) -> tuple:
     a = a.reshape(3, 3, 2, -1)  # a[i, j] = (re, im) of entry (i, j)
     # column 0 to (d1, 0, 0): rows 1 and 2, then rows 0 and 1
     pair = _unit_pair(a[1, 0], a[2, 0])
-    a[1, 1:], a[2, 1:] = _rotate(pair, a[1, 1:], a[2, 1:])
+    _rotate(pair, a[1, 1:], a[2, 1:])
     pair = _unit_pair(a[0, 0], (pair[-1], 0.0))
-    a[0, 1:], a[1, 1:] = _rotate(pair, a[0, 1:], a[1, 1:])
+    _rotate(pair, a[0, 1:], a[1, 1:])
     d1 = pair[-1]
     # row 0 to (d1, e1, 0): columns 1 and 2, from the right
     pair = _unit_pair(a[0, 1], a[0, 2])
-    a[1:, 1], a[1:, 2] = _rotate(pair, a[1:, 1], a[1:, 2])
+    _rotate(pair, a[1:, 1], a[1:, 2])
     e1 = pair[-1]
     # column 1 to (e1, d2, 0): rows 1 and 2; the phases of (1, 2) and (2, 2)
     # drop out with the moduli
     pair = _unit_pair(a[1, 1], a[2, 1])
-    (xr, xi), (yr, yi) = _rotate(pair, a[1, 2], a[2, 2])
-    return np.stack((d1, e1, pair[-1], np.sqrt(xr * xr + xi * xi), np.sqrt(yr * yr + yi * yi))), exp
+    _rotate(pair, a[1, 2], a[2, 2])
+    (xr, xi), (yr, yi) = a[1, 2], a[2, 2]
+    e2, d3 = np.sqrt(xr * xr + xi * xi), np.sqrt(yr * yr + yi * yi)
+    return np.stack((d1, e1, pair[-1], e2, d3)), exp
 
 
 def _givens(f, g) -> tuple:
