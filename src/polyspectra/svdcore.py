@@ -26,7 +26,7 @@ rotations reduce each matrix to a real upper bidiagonal, five arrays
 (d1, e1, d2, e2, d3), and implicit-shift Golub-Kahan QR sweeps on those
 arrays (LAPACK's DBDSQR, from the same paper) run until e1 or e2 is
 negligible; DLAS2 then takes the 2 x 2 block that remains.  On a 401 x 401
-grid it takes about 40% of the time of the pooled ``gesdd`` and stays
+grid it takes half the time of the pooled ``gesdd`` or less, and it stays
 within 8 units in the last place of s_1.  Every other n goes to
 ``np.linalg.svd`` (the Gram matrix would square the condition number).
 The calling thread runs the Horner evaluation chunk by chunk, and the
