@@ -425,7 +425,7 @@ def _chase_zeros(B: np.ndarray, small: np.ndarray) -> np.ndarray:
         B[2:, idx] = r, c * e2, np.sqrt((s * e2) ** 2 + d3 * d3)
     idx = np.flatnonzero(z2)
     if idx.size:  # rows 2, 3 zero e2
-        d1, e1, _, e2, d3 = np.abs(B[:, idx])
+        e2, d3 = B[3:, idx]
         B[2:4, idx] = 0.0
         B[4, idx] = np.sqrt(e2 * e2 + d3 * d3)
     idx = np.flatnonzero(z3)

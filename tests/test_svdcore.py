@@ -616,6 +616,16 @@ class TestBidiagonalSweeps(KernelChecks):
             A = self.stack(kind, 300)
             self.assert_within(svdcore._svals(A), self.exact(A), 4)
 
+    @pytest.mark.parametrize("zeros", [(0,), (1,), (2,), (0, 2)])
+    def test_a_zero_on_the_bidiagonal_is_chased_out_without_a_sweep(self, zeros, monkeypatch):
+        # d1, d2, d3 or both ends zero; a zero d1 alone is reversed to the end
+        monkeypatch.setattr(svdcore, "_MAX_SWEEPS", 0)
+        B = np.random.default_rng(33).uniform(0.5, 1.0, size=(5, 100))
+        B[[2 * i for i in zeros]] = 0.0
+        dense = np.zeros((100, 3, 3))
+        dense[:, [0, 0, 1, 1, 2], [0, 1, 1, 2, 2]] = B.T
+        self.assert_within(svdcore._bidiagonal_svals(B), self.exact(dense), 4)
+
     @pytest.mark.parametrize("several_chunks", [False, True])
     def test_exceeding_the_sweep_cap_raises(self, several_chunks, monkeypatch):
         monkeypatch.setattr(svdcore, "_MAX_SWEEPS", 1)
