@@ -486,6 +486,9 @@ class KernelChecks:
         for idx in np.ndindex(20, 30):
             assert svdcore._svals(A[idx]).tobytes() == stacked[idx].tobytes()
 
+    def test_an_empty_stack_gives_no_rows(self):
+        assert svdcore._svals(np.zeros((0, self.N, self.N), dtype=complex)).shape == (0, self.N)
+
     def test_grid_values_equal_each_point_alone(self, request):
         P = request.getfixturevalue(self.POLYNOMIAL)
         assert self.GRID.nx * self.GRID.ny > 8 * svdcore._chunk_points(self.N)
