@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import PreconditionError
 from .matpoly import MatrixPolynomial
@@ -227,6 +226,14 @@ def simplex_minima(f, starts, window: GridSpec, maxiter: int) -> list:
     ]
 
 
+def _filter3(op, a: np.ndarray) -> np.ndarray:
+    """``op`` (np.maximum or np.minimum) over each node's 3 x 3 block, the
+    array extended by its edge values."""
+    a = np.pad(a, 1, mode="edge")
+    a = op(op(a[:-2], a[1:-1]), a[2:])
+    return op(op(a[:, :-2], a[:, 1:-1]), a[:, 2:])
+
+
 def fault_scan(
     P: MatrixPolynomial,
     grid: GridSpec,
@@ -259,9 +266,9 @@ def fault_scan(
     xs, ys = grid.xs(), grid.ys()
     gx, gy = np.gradient(g, xs, ys)
     slope = np.maximum(np.hypot(gx, gy), np.finfo(float).tiny)
-    tau_cell = 10.0 * grid.cell_diagonal * ndimage.maximum_filter(slope, size=3, mode="nearest")
+    tau_cell = 10.0 * grid.cell_diagonal * _filter3(np.maximum, slope)
 
-    is_min = g <= ndimage.minimum_filter(g, size=3, mode="nearest")
+    is_min = g <= _filter3(np.minimum, g)
     is_min[[0, -1], :] = False
     is_min[:, [0, -1]] = False
     # argwhere lists the cells in row-major, i.e. sorted, order

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, PreconditionError, SingularLeadingCoefficientError
 
@@ -247,20 +246,52 @@ def companion_matrix(P: MatrixPolynomial) -> np.ndarray:
     return C
 
 
+def connected_components(k: int, u, v) -> tuple[int, np.ndarray]:
+    """Connected components of the graph on nodes 0..k-1 with edges (u, v).
+
+    Returns the count and each node's group, numbered 0, 1, ... in the
+    order of each group's lowest node.  A disjoint-set union (Tarjan, J.
+    ACM 1975), all edges at once: each round compresses every path to its
+    root, then hooks every root that an edge joins to a smaller root onto
+    the smallest such root.  A root is therefore its group's lowest node.
+    Self-loops and duplicate edges are allowed.
+    """
+    parent = np.arange(k)
+    u = np.asarray(u, dtype=np.intp)
+    v = np.asarray(v, dtype=np.intp)
+    while True:
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        u, v = parent[u], parent[v]
+        live = u != v
+        if not live.any():
+            break
+        u, v = u[live], v[live]
+        smaller, larger = np.minimum(u, v), np.maximum(u, v)
+        # the last of repeated writes lands, so the smallest root goes last
+        order = np.argsort(smaller, kind="stable")[::-1]
+        parent[larger[order]] = smaller[order]
+    roots = parent == np.arange(k)
+    return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1)[parent]
+
+
 def _cluster_points(points: np.ndarray, radius: float):
     """Merge points whose mutual distance is at most 2*radius.
 
     The groups are the connected components of the graph joining points
-    within 2*radius, taken in the order of their lowest member (the order
-    ``connected_components`` numbers them in).  Representatives are
-    re-clustered until they are pairwise separated by more than 2*radius,
-    so chained near-coincidences collapse into one value.
+    within 2*radius, taken in the order of their lowest member.
+    Representatives are re-clustered until they are pairwise separated by
+    more than 2*radius, so chained near-coincidences collapse into one
+    value.
     """
     vals = np.asarray(points, dtype=complex)
     counts = np.ones(len(vals), dtype=int)
     while True:
         k, labels = connected_components(
-            np.abs(vals[:, None] - vals[None, :]) <= 2 * radius, directed=False
+            len(vals), *np.nonzero(np.abs(vals[:, None] - vals[None, :]) <= 2 * radius)
         )
         if k == len(vals):
             break

@@ -4,7 +4,13 @@ boundary curve type, and the exact grid level at which components merge.
 A single ScalarField stores the ratio s_min(lambda) / w(|lambda|) on a
 rectangular grid; the eps-sublevel set of that one field answers membership
 for every eps.  Components are labeled with 8-connectivity so thin diagonal
-necks are not split spuriously.
+necks are not split spuriously: ``label_mask`` cuts the set into row runs,
+joins each run to the runs of the next row that overlap it or touch it at a
+corner, merges the joined runs with the union-find
+``matpoly.connected_components`` and numbers the components by their first
+node in raster order, as ``scipy.ndimage.label`` does.  The corner-only
+joins are the diagonal-only contacts (saddle cells), the one place a
+different connectivity rule would change.
 
 Component counts and the grid merge level depend only on which nodes lie
 at or below the levels asked about, so ``components`` and ``distance``
@@ -36,21 +42,19 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import BracketError, GridTooCoarseError, PreconditionError
 from .matpoly import (
     EigenReport,
     MatrixPolynomial,
     WeightPolynomial,
+    connected_components,
     leading_s_min,
     max_norm,
     require_nonsingular_leading,
     weight_eval,
 )
 from .svdcore import singular_values_many
-
-_LABEL_STRUCTURE = np.ones((3, 3), dtype=int)
 
 # Largest grid a GridSpec accepts: 4096 x 4096, whose complex points take 256 MiB.
 MAX_GRID_POINTS = 1 << 24
@@ -348,10 +352,45 @@ def _levelled_values(P, grid, pts, radius, weight, levels: Levels) -> tuple:
 
 
 def label_sublevel(field: ScalarField, eps: float) -> tuple[np.ndarray, int]:
-    """8-connected labeling of {value <= eps}."""
+    """8-connected labeling of {value <= eps}: int32 labels numbered in
+    raster order and the count (``label_mask``)."""
     field.check_levels(eps)
-    labels, count = ndimage.label(field.values <= eps, structure=_LABEL_STRUCTURE)
-    return labels, int(count)
+    return label_mask(field.values <= eps)
+
+
+def label_mask(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """8-connected components of a 2-D boolean mask: int32 labels, 0
+    outside the mask and 1..count inside, and the count.
+
+    The mask is cut into runs, maximal stretches of one row.  A run is
+    joined to every run of the next row that overlaps it or touches it at
+    a corner, and ``connected_components`` merges the joined runs.  The
+    corner contacts are the diagonal-only edges, where two cells share no
+    side: a saddle-cell rule (ROADMAP item 3) would decide them here.
+    Components are numbered by their first cell in raster order, as
+    ``scipy.ndimage.label`` numbers them, and one cumulative sum over a
+    +label mark at each run's start and a -label mark after its end
+    writes the labels.
+    """
+    rows, cols = mask.shape
+    width = cols + 1  # a column outside the mask ends every row's last run
+    flat = np.zeros(rows * width + 1, dtype=bool)
+    flat[1:].reshape(rows, width)[:, :cols] = mask
+    # cell p is flat[p + 1]; a run starts and stops where the row changes
+    changes = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, stops = changes[0::2], changes[1::2]
+    # a run's links in the next row: from the run touching the corner
+    # before its first cell to the one touching the corner after its last
+    first = np.searchsorted(stops, starts + width, side="left")
+    links = np.searchsorted(starts, stops + width, side="right") - first
+    below = np.arange(links.sum()) + np.repeat(first - (np.cumsum(links) - links), links)
+    above = np.repeat(np.arange(len(starts)), links)
+    count, run_labels = connected_components(len(starts), above, below)
+    marks = np.zeros(rows * width, dtype=np.int32)
+    marks[starts] = run_labels + 1
+    marks[stops] = -(run_labels + 1)
+    labels = np.cumsum(marks, dtype=np.int32).reshape(rows, width)[:, :cols]
+    return np.ascontiguousarray(labels), count
 
 
 def components(field: ScalarField, eps: float, eigen: EigenReport) -> ComponentReport:
