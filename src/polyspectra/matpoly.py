@@ -271,7 +271,9 @@ def connected_components(k: int, u, v) -> tuple[int, np.ndarray]:
             break
         u, v = u[live], v[live]
         smaller, larger = np.minimum(u, v), np.maximum(u, v)
-        # the last of repeated writes lands, so the smallest root goes last
+        # any of repeated writes hooks a root correctly, and numpy lands the
+        # last, so the smallest root goes last: in edge order, a comb of k
+        # teeth on one bar would take k rounds
         order = np.argsort(smaller, kind="stable")[::-1]
         parent[larger[order]] = smaller[order]
     roots = parent == np.arange(k)
