@@ -538,6 +538,10 @@ def _cmd_faults(spec: ProblemSpec, args, report: RunReport) -> None:
     svals = singular_values_many(P, window.points()) if contoured else None
     rep = fault_scan(P, window, smap, svals=svals)
     print(f"fault scan: {len(rep.refined_points)} refined point(s), empty={rep.empty}")
+    report.stats = (
+        f"cells={len(rep.cells)} steps={rep.steps} dropped={rep.dropped}"
+        f" left_window={rep.left_window}"
+    )
     if args.json:
         doc = {
             "c1": smap.c1,

@@ -3,11 +3,16 @@
 Surfaces that coincide identically (repeated structure in the polynomial)
 are first collapsed through a probe-based index map; the fault set is then
 the zero set of the gap between the two lowest surviving surfaces.  The gap
-is nonnegative and typically conic at its zeros, so refinement uses a
-derivative-free simplex search.  ``simplex_minima`` is the one Nelder-Mead
-of the package: it takes scipy's steps bit for bit, but advances the
-simplices of all its starts together, so that each step is one batched
-singular-value call however many candidates are refined.  Fault detection
+is nonnegative and typically conic at its zeros, but the crossing equations
+are smooth: the right singular vectors W = [v_{c2}, v_{c1}] span a subspace
+that varies analytically while the pair stays apart from the other surfaces
+(Kato), and the surfaces meet where the Hermitian 2 x 2 matrix W* P* P W has
+a double eigenvalue.  ``crossing_points`` refines every candidate by batched
+Gauss-Newton steps on those equations, one stacked SVD with vectors per
+step.  ``simplex_minima`` is the one Nelder-Mead of the package, for the
+saddle search's crossing search: it takes scipy's steps bit for bit, but
+advances the simplices of all its starts together, so that each step is one
+batched singular-value call however many starts it has.  Fault detection
 never involves the weight polynomial: the operation signatures admit no
 weight input.
 """
@@ -21,7 +26,7 @@ import numpy as np
 from .errors import PreconditionError
 from .matpoly import MatrixPolynomial
 from .pseudospectrum import GridSpec
-from .svdcore import singular_values_many, surface_gap
+from .svdcore import singular_values_many, surface_gap, vector_derivatives
 
 # Probe agreement threshold for "identical surfaces".  Agreement at every
 # generic probe is strong (not certified) evidence of global identity,
@@ -34,8 +39,15 @@ REFINED_GAP_RTOL = 1e-8
 PROBE_COUNT = 24
 PROBE_SEED = 20240
 
-# Nelder-Mead iteration budget per candidate cell.
-REFINE_MAXITER = 200
+# Gauss-Newton steps per candidate cell; a start still failing the fault
+# test after them is dropped.  The fixtures' starts need at most 3.
+CROSSING_MAX_STEPS = 8
+
+# A Gauss-Newton step leaves out the directions whose singular value of the
+# crossing Jacobian is at most this share of its largest: a fault curve
+# gives a rank-one Jacobian, so the step moves a start to its foot point on
+# the curve.  The Gram matrix resolves ratios down to about 1e-8.
+CROSSING_RANK_RTOL = 1e-6
 
 # Nelder-Mead in the plane: scipy's reflection, expansion, contraction and
 # shrink coefficients, initial simplex steps and stopping tolerances.
@@ -67,12 +79,16 @@ class SurfaceIndexMap:
 
 @dataclass(frozen=True)
 class FaultReport:
-    """Grid cells flagged by the scan and their refined fault points."""
+    """Grid cells flagged by the scan, their refined fault points, and what
+    the refinement of the cells did."""
 
     cells: tuple
     refined_points: np.ndarray
     refined_gaps: np.ndarray
     empty: bool
+    steps: int = 0  # batched Gauss-Newton steps taken
+    dropped: int = 0  # starts failing the fault test within the step budget
+    left_window: int = 0  # starts whose step left the window
 
 
 def default_probes(window: GridSpec) -> np.ndarray:
@@ -135,6 +151,84 @@ def _complex_points(xy: np.ndarray) -> np.ndarray:
     """(m, 2) coordinates as m complex points; a view keeps the sign of a
     zero part, which ``x + 1j * y`` would not."""
     return np.ascontiguousarray(xy, dtype=float).view(complex)[:, 0]
+
+
+def _crossing_steps(P: MatrixPolynomial, smap: SurfaceIndexMap, lams: np.ndarray) -> tuple:
+    """One Gauss-Newton step (dx, dy) toward the crossing of surfaces c2 and
+    c1 from each point.
+
+    With W = [v_{c2}, v_{c1}] at the point, M = W* P* P W is
+    diag(s_{c2}^2, s_{c1}^2) there, so the residual
+    r = (M_11 - M_22, 2 Re M_12, 2 Im M_12), whose norm is the gap of M's
+    eigenvalues, is (s_{c2}^2 - s_{c1}^2, 0, 0).  G = W* P* P' W has entries
+    G_ab = s_a u_a* P' v_b, and d/dx M = G + G*, d/dy M = i (G - G*) give
+    the 3 x 2 Jacobian J of r.  r and J are halved and divided by s_1, which
+    keeps the step and the squares in range.  The step solves J step = -r in
+    the least-squares sense through the Gram matrix J^T J, without the
+    directions whose singular value of J is at most ``CROSSING_RANK_RTOL``
+    times the largest: by its inverse at rank 2, by its dominant spectral
+    projector over the larger eigenvalue at rank 1, and no step at rank 0.
+    """
+    a, b = smap.c2 - 1, smap.c1 - 1
+    s, c = vector_derivatives(P, lams, (a, b))
+    qa, qb = s[:, a] / s[:, 0], s[:, b] / s[:, 0]  # s_1 > 0 off the fault set
+    (xaa, yaa), (xab, yab), (xba, yba), (xbb, ybb) = c.reshape(-1, 4, 2).transpose(1, 2, 0)
+    # the rows of J: the residual's three parts, (d/dx, d/dy) each
+    (j0x, j0y), (j1x, j1y), (j2x, j2y) = (
+        (qa * xaa - qb * xbb, qa * yaa - qb * ybb),
+        (qa * xab + qb * xba, qa * yab + qb * yba),
+        (qb * yba - qa * yab, qa * xab - qb * xba),
+    )
+    r = 0.5 * (qa * s[:, a] - qb * s[:, b])
+    gx, gy = r * j0x, r * j0y  # J^T r
+    xx = j0x * j0x + j1x * j1x + j2x * j2x
+    xy = j0x * j0y + j1x * j1y + j2x * j2y
+    yy = j0y * j0y + j1y * j1y + j2y * j2y
+    half, skew = 0.5 * (xx + yy), 0.5 * (xx - yy)
+    rad = np.sqrt(skew * skew + xy * xy)
+    big, small = half + rad, half - rad  # the eigenvalues of J^T J
+    # step = -A g / den: the adjugate over the determinant at rank 2, and
+    # (J^T J - small I) / (big - small) over big at rank 1
+    full = small > CROSSING_RANK_RTOL**2 * big
+    axx, ayy, axy = np.where(full, (yy, xx, -xy), (xx - small, yy - small, xy))
+    den = np.where(full, big * small, np.where(big > 0, 2.0 * rad * big, np.inf))
+    return -(axx * gx + axy * gy) / den, -(axy * gx + ayy * gy) / den
+
+
+def crossing_points(P: MatrixPolynomial, smap: SurfaceIndexMap, starts, window: GridSpec) -> tuple:
+    """Each start refined onto the crossing of surfaces c2 and c1.
+
+    Every live start is tested with the fault rule (``_fault_rows``, the
+    rule of ``is_fault_point``); while it fails and ``CROSSING_MAX_STEPS``
+    lasts, it takes one Gauss-Newton step (``_crossing_steps``).  All live
+    starts share one stacked SVD with vectors and one singular-value call
+    per step, and all arithmetic is elementwise, so a start gets the same
+    bits alone as in any stack.  Returns ``(points, gaps, steps,
+    left_window)``: each start's refined point and collapsed gap, NaN where
+    it failed the test within the budget or a step took it out of the
+    window (``left_window`` counts those), and the number of steps taken.
+    """
+    lams = np.asarray(starts, dtype=complex).reshape(-1)
+    points = np.full(lams.size, np.nan, dtype=complex)
+    gaps = np.full(lams.size, np.nan)
+    live = np.arange(lams.size)
+    steps = left = 0
+    while live.size:
+        s = singular_values_many(P, lams)
+        ok = _fault_rows(s, smap)
+        points[live[ok]], gaps[live[ok]] = lams[ok], surface_gap(s[ok], smap.c1, smap.c2)
+        live, lams = live[~ok], lams[~ok]
+        if not live.size or steps == CROSSING_MAX_STEPS:
+            break
+        dx, dy = _crossing_steps(P, smap, lams)
+        x, y = lams.real + dx, lams.imag + dy
+        # a non-finite step fails every comparison
+        inside = (window.x_min <= x) & (x <= window.x_max)
+        inside &= (window.y_min <= y) & (y <= window.y_max)
+        steps += 1
+        left += int(np.count_nonzero(~inside))
+        live, lams = live[inside], _complex_points(np.column_stack((x, y))[inside])
+    return points, gaps, steps, left
 
 
 def simplex_minima(f, starts, window: GridSpec, maxiter: int) -> list:
@@ -245,9 +339,9 @@ def fault_scan(
     The collapsed gap is sampled on the grid; 8-neighbor local minima whose
     value is below 10 * cell diagonal * local slope estimate are candidate
     cells (the margin keeps curve crossings between nodes from being
-    missed).  All candidates are refined together by ``simplex_minima`` on
-    the gap, one batched SVD per simplex step, and the refined points are
-    kept where the ``is_fault_point`` rule holds, tested in one more call.
+    missed).  All candidates are refined together by ``crossing_points``,
+    and each keeps its refined point where the ``is_fault_point`` rule
+    holds within the step budget.
     An empty report is a valid outcome; with fewer than two distinct
     surfaces (scalar problems, fully repeated structure) the fault set is
     vacuously empty.  A caller that already holds
@@ -274,16 +368,10 @@ def fault_scan(
     # argwhere lists the cells in row-major, i.e. sorted, order
     cells = tuple((int(i), int(j)) for i, j in np.argwhere(is_min & (g <= tau_cell)))
 
-    def gaps(z: np.ndarray) -> np.ndarray:
-        return surface_gap(singular_values_many(P, z), smap.c1, smap.c2)
-
     starts = [complex(xs[i], ys[j]) for i, j in cells]
-    minima = simplex_minima(gaps, starts, grid, REFINE_MAXITER)
-    refined = []
-    if minima:
-        lams = np.array([lam for lam, _, _ in minima])
-        fault = _fault_rows(singular_values_many(P, lams), smap)
-        refined = [(lam, gval) for (lam, gval, _), ok in zip(minima, fault) if ok]
+    points, gaps, steps, left = crossing_points(P, smap, starts, grid)
+    found = ~np.isnan(gaps)
+    refined = list(zip(points[found].tolist(), gaps[found].tolist()))
 
     # near-duplicate refinements from neighboring cells collapse to one point
     dedupe_radius = 0.5 * grid.cell_diagonal
@@ -299,4 +387,7 @@ def fault_scan(
         refined_points=points,
         refined_gaps=gaps,
         empty=len(points) == 0,
+        steps=steps,
+        dropped=len(cells) - len(refined) - left,
+        left_window=left,
     )

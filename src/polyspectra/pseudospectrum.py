@@ -307,7 +307,10 @@ def _levelled_values(P, grid, pts, radius, weight, levels: Levels) -> tuple:
     reach = max(_LATTICE_STEPS) * grid.cell_diagonal  # R, beyond every |lambda - c|
     # the rounding margin over w, as one bound for every node
     rho = max(abs(grid.x_min), abs(grid.x_max)) + max(abs(grid.y_min), abs(grid.y_max)) + reach
-    q = sum(c * rho**k for k, c in enumerate(norms))
+    # a numpy power overflows to inf, which makes the margin infinite and
+    # decomposes every node; a zero norm's term is left out, not inf * 0
+    with np.errstate(over="ignore"):
+        q = sum(c * np.float64(rho) ** k for k, c in enumerate(norms) if c)
     margin = WEYL_MARGIN_RTOL * (P.n + P.m + 1) * q / float(weight.min())
     # q'(|lambda| + R) / w(|lambda|), the bound's growth with |lambda - c|
     slope = np.full(pts.shape, float(P.m * norms[-1]))

@@ -10,8 +10,8 @@ surface gap or the value itself is too small for the formula to be
 trusted, or at the origin under a non-constant weight.
 
 A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
-the simplex searches, which evaluate every live simplex's
-points in one call per step, gaps, certificate residuals) goes through
+the simplex search, which evaluates every live simplex's points in one
+call per step, the fault tests, gaps, certificate residuals) goes through
 ``singular_values_many``, the one values-only SVD of P(lambda), for a
 single point as for a grid.  It decomposes every block with ``_svals``,
 which has two numpy kernels, written in real arithmetic on one array per
@@ -39,7 +39,10 @@ reads it from ``point_stack``, which decomposes a stack of points with one
 stacked SVD with vectors, a chunk at a time, derives every point's
 closed-form gradient in array operations and keeps O(n) floats per point
 (the boundary polish of ``contours`` and each Newton step of the saddle
-search call it once).  Its derivations are real arithmetic in a fixed
+search call it once).  Its products u_a* P'(lambda) v_b come from
+``vector_derivatives``, which forms them for any pair of singular vectors
+(the Gauss-Newton steps of the fault refinement use the two lowest
+distinct surfaces' pairs).  Its derivations are real arithmetic in a fixed
 order, so a point gets the same bits alone as in any stack.  A caller that
 needs the singular vectors themselves (the certificate's perturbations)
 reads ``singular_triplets``, whose SVD is ``point_stack``'s: its values are
@@ -566,12 +569,8 @@ def point_stack(P: MatrixPolynomial, w: WeightPolynomial, lams) -> PointStack:
     """
     L = np.asarray(lams, dtype=complex).reshape(-1)
     k, n = L.size, P.n
-    s = np.empty((k, n))
-    s_grad = np.empty((k, 2))
-    chunk = _stack_points(n)
-    for start in range(0, k, chunk):
-        rows = slice(start, start + chunk)
-        s[rows], s_grad[rows] = _svd_grad(P, L[rows])
+    s, c = vector_derivatives(P, L, (n - 1,))
+    s_grad = c[:, 0, 0]
     gap = s[:, -2] - s[:, -1] if n >= 2 else np.full(k, np.inf)
     on_spec = on_spectrum(s)
     r = np.hypot(L.real, L.imag)
@@ -594,27 +593,53 @@ def _svd(P: MatrixPolynomial, L: np.ndarray) -> tuple:
     return np.linalg.svd(A)
 
 
-def _svd_grad(P: MatrixPolynomial, L: np.ndarray) -> tuple:
-    """The singular values of P(lambda) and the closed-form gradient of
-    s_min, (k, 2), at the points of one chunk."""
-    U, s, Vh = _svd(P, L)
-    D = evaluate_many(P.derivative, L)
-    # s_grad = (Re c, -Im c) for c = u* P'(lambda) v, (u, v) the trailing
-    # pair, on interleaved (re, im) parts.  With h = conj(v) the last row of
-    # Vh, row a of P'(lambda) gives t_a = (P'(lambda) v)_a as
-    # Re t_a = D_a . (Re h_0, Im h_0, ...) and Im t_a = D_a . (-Im h_0, Re h_0, ...);
-    # then Re c = sum Re u_a Re t_a + Im u_a Im t_a and
-    # -Im c = sum Im u_a Re t_a - Re u_a Im t_a
-    k, n = L.size, P.n
-    h = Vh[:, -1].view(float)
-    rotated = np.empty((k, 2, 2 * n))
-    rotated[:, 0] = h
-    np.negative(h[:, 1::2], out=rotated[:, 1, 0::2])
-    rotated[:, 1, 1::2] = h[:, 0::2]
-    t = np.add.reduce(D.view(float)[:, None] * rotated[:, :, None], axis=3)
-    u = U[:, :, -1]
-    pairs = np.empty((k, 2, 2, n))
-    pairs[:, 0, 0] = u.real
-    pairs[:, 0, 1] = pairs[:, 1, 0] = u.imag
-    np.negative(u.real, out=pairs[:, 1, 1])
-    return s, np.add.reduce((pairs * t[:, None]).reshape(k, 2, 2 * n), axis=2)
+def vector_derivatives(P: MatrixPolynomial, lams, idx) -> tuple:
+    """LAPACK's singular values (k, n) of P(lambda) at the points of
+    ``lams`` and, for the 0-based indices a, b of ``idx``, the parts
+    (Re c, -Im c) of c = u_a* P'(lambda) v_b as a (k, len(idx), len(idx), 2)
+    array indexed [point, a, b].  For a = b that is the closed-form gradient
+    (d/dx, d/dy) of s_a, where s_a is simple and nonzero.
+
+    Each chunk of ``_stack_points(n)`` points costs one stacked SVD with
+    vectors, one ``evaluate_many`` of P' and a fixed number of array
+    operations per index, in real arithmetic in a fixed order, so a point
+    gets the same bits alone as in any stack.
+    """
+    L = np.asarray(lams, dtype=complex).reshape(-1)
+    k, n, m = L.size, P.n, len(idx)
+    s = np.empty((k, n))
+    c = np.empty((k, m, m, 2))
+    chunk = _stack_points(n)
+    for start in range(0, k, chunk):
+        rows = slice(start, start + chunk)
+        U, s[rows], Vh = _svd(P, L[rows])
+        c[rows] = _derivative_products(U, Vh, evaluate_many(P.derivative, L[rows]), idx)
+    return s, c
+
+
+def _derivative_products(U: np.ndarray, Vh: np.ndarray, D: np.ndarray, idx) -> np.ndarray:
+    """(Re c, -Im c) of c = u_a* D v_b for a, b in ``idx``, from one chunk's
+    SVD and D = P'(lambda), on interleaved (re, im) parts.
+
+    With h = conj(v_b) the row b of Vh, row a of D gives t_a = (D v_b)_a as
+    Re t_a = D_a . (Re h_0, Im h_0, ...) and Im t_a = D_a . (-Im h_0, Re h_0, ...);
+    then Re c = sum Re u_a Re t_a + Im u_a Im t_a and
+    -Im c = sum Im u_a Re t_a - Re u_a Im t_a.
+    """
+    k, n, m = len(D), D.shape[-1], len(idx)
+    u = U[:, :, idx]
+    pairs = np.empty((k, m, 2, 2, n))
+    pairs[:, :, 0, 0] = u.real.transpose(0, 2, 1)
+    pairs[:, :, 0, 1] = pairs[:, :, 1, 0] = u.imag.transpose(0, 2, 1)
+    np.negative(pairs[:, :, 0, 0], out=pairs[:, :, 1, 1])
+    rows = D.view(float)[:, None]
+    out = np.empty((k, m, m, 2))
+    for j, b in enumerate(idx):
+        h = Vh[:, b].view(float)
+        rotated = np.empty((k, 2, 2 * n))
+        rotated[:, 0] = h
+        np.negative(h[:, 1::2], out=rotated[:, 1, 0::2])
+        rotated[:, 1, 1::2] = h[:, 0::2]
+        t = np.add.reduce(rows * rotated[:, :, None], axis=3)
+        out[:, :, j] = np.add.reduce((pairs * t[:, None, None]).reshape(k, m, 2, 2 * n), axis=3)
+    return out

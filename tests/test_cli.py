@@ -293,6 +293,20 @@ class TestExitCodes:
         assert "numerical failure: non-finite entry in P(lambda)" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["components", "distance"])
+    def test_damped_system_in_a_1e200_window(self, command, tmp_path, capsys):
+        # rho^k of the enclosure's rounding margin overflows on this window;
+        # the margin is then infinite and every node is decomposed
+        doc = json.loads(Path(DAMPED).read_text())
+        doc["window"] = {"x_min": -1e200, "x_max": 1e200, "y_min": -1e200, "y_max": 1e200,
+                         "nx": 5, "ny": 5}
+        p = tmp_path / "damped_1e200_window.json"
+        p.write_text(json.dumps(doc))
+        levels = ["--eps", "0.1"] if command == "components" else []
+        assert main([command, "--input", str(p), *levels]) in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestOutputs:
     def test_eigs_json(self, tmp_path, capsys):
         out = tmp_path / "e.json"
@@ -426,6 +440,11 @@ class TestOutputs:
         assert len(doc["refined_points"]) == 1
         pt = doc["refined_points"][0]
         assert abs(complex(pt["re"], pt["im"])) < 1e-4
+
+    def test_faults_summary_counts_the_refinement(self, capsys):
+        assert main(["faults", "--input", DAMPED]) == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert summary.endswith(" cells=4 steps=3 dropped=0 left_window=0")
 
     def test_faults_svg_levels_share_the_grid_svd(self, tmp_path, capsys, monkeypatch):
         from polyspectra import svdcore

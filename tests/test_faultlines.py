@@ -1,4 +1,5 @@
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,20 @@ from polyspectra import (
     fault_scan,
     is_fault_point,
 )
-from polyspectra import faultlines
+from polyspectra import evaluate, faultlines
+from polyspectra.cli import parse_problem
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# The fixtures with candidate cells on their document grids.
+FAULT_FIXTURES = (
+    "normal_pencil_3x3",
+    "diag_quadratic_pair_2x2",
+    "diag_movable_eigenvalue_2x2",
+    "damped_system_3x3",
+    "isolated_fault_pencil_3x3",
+    "conic_pencil_3x3",
+)
 
 SQUARE = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=241, ny=241)
 
@@ -328,7 +342,8 @@ class TestLockstepRefinement:
         calls = self._count_calls(monkeypatch)
         rep = fault_scan(diag_quadratic_pair, win, smap)
         assert len(rep.cells) > 100
-        assert len(calls) <= 3 * faultlines.REFINE_MAXITER + 2
+        # the grid, and one fault test before each step and after the last
+        assert len(calls) <= faultlines.CROSSING_MAX_STEPS + 2
 
     def test_no_candidates_only_the_grid(self, monkeypatch, disc_pair):
         # the gap of diag(l - 1, l + 1) grows with Re l off its fault line
@@ -339,3 +354,114 @@ class TestLockstepRefinement:
         rep = fault_scan(disc_pair, win, smap)
         assert rep.cells == () and rep.empty
         assert calls == [(41, 41)]
+
+
+def document_scan(name: str) -> tuple:
+    """(P, window, surface map, fault report, candidate starts) of a fixture
+    on its document grid."""
+    spec = parse_problem((FIXTURES / f"{name}.json").read_text())
+    P, win = spec.polynomial, spec.window
+    smap = build_surface_map(P, default_probes(win))
+    rep = fault_scan(P, win, smap)
+    xs, ys = win.xs(), win.ys()
+    return P, win, smap, rep, [complex(xs[i], ys[j]) for i, j in rep.cells]
+
+
+def haar_unitary(rng, n: int) -> np.ndarray:
+    """A Haar-distributed n x n unitary: QR of a complex Gaussian matrix,
+    with the phases of R's diagonal moved into Q."""
+    Q, R = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    d = np.diag(R)
+    return Q * (d / np.abs(d))
+
+
+def finite_difference_step(P, smap, lam: complex, h: float) -> np.ndarray:
+    """The least-squares Gauss-Newton step from ``lam``, with the Jacobian of
+    the crossing residual taken by central differences in the fixed basis
+    W = [v_{c2}, v_{c1}] of ``lam``."""
+    _, _, Vh = np.linalg.svd(evaluate(P, lam))
+    W = Vh[[smap.c2 - 1, smap.c1 - 1]].conj().T
+
+    def residual(z):
+        A = evaluate(P, z) @ W
+        M = A.conj().T @ A
+        return np.array([(M[0, 0] - M[1, 1]).real, 2 * M[0, 1].real, 2 * M[0, 1].imag])
+
+    J = np.column_stack([
+        (residual(lam + h) - residual(lam - h)) / (2 * h),
+        (residual(lam + 1j * h) - residual(lam - 1j * h)) / (2 * h),
+    ])
+    return np.linalg.lstsq(J, -residual(lam), rcond=faultlines.CROSSING_RANK_RTOL)[0]
+
+
+class TestCrossingRefinement:
+    """Gauss-Newton on the crossing equations refines every candidate."""
+
+    # Largest move of a refined point under a unitary copy U P_j V of the
+    # coefficients, in cell diagonals; the fixtures' seeded copies move
+    # none by more than 2e-13.
+    UNITARY_MOVE_RTOL = 1e-9
+
+    @pytest.mark.parametrize("name", FAULT_FIXTURES)
+    def test_every_candidate_passes_within_the_budget(self, name):
+        P, win, smap, rep, starts = document_scan(name)
+        assert starts
+        points, gaps, steps, left = faultlines.crossing_points(P, smap, starts, win)
+        assert not np.isnan(gaps).any() and left == 0
+        assert steps <= faultlines.CROSSING_MAX_STEPS
+        assert all(is_fault_point(P, lam, smap) for lam in points)
+        assert (rep.steps, rep.dropped, rep.left_window) == (steps, 0, 0)
+
+    @pytest.mark.parametrize(
+        "name, count",
+        [("isolated_fault_pencil_3x3", 1), ("damped_system_3x3", 4), ("conic_pencil_3x3", 1)],
+    )
+    def test_isolated_fault_counts(self, name, count):
+        assert len(document_scan(name)[3].refined_points) == count
+
+    @pytest.mark.parametrize("name", ["diag_movable_eigenvalue_2x2", "damped_system_3x3"])
+    def test_each_start_alone_equals_the_stack(self, name):
+        P, win, smap, _, starts = document_scan(name)
+        points, gaps, _, _ = faultlines.crossing_points(P, smap, starts, win)
+        for k, start in enumerate(starts):
+            alone, gap, _, _ = faultlines.crossing_points(P, smap, [start], win)
+            assert alone.tobytes() == points[k:k + 1].tobytes()
+            assert gap.tobytes() == gaps[k:k + 1].tobytes()
+
+    def test_a_unitary_copy_moves_no_point(self):
+        P, win, smap, _, starts = document_scan("diag_quadratic_pair_2x2")
+        points, gaps, _, _ = faultlines.crossing_points(P, smap, starts, win)
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            U, V = haar_unitary(rng, P.n), haar_unitary(rng, P.n)
+            Q = MatrixPolynomial([U @ C @ V for C in P.coeffs])
+            qmap = build_surface_map(Q, default_probes(win))
+            assert (qmap.c1, qmap.c2) == (smap.c1, smap.c2)
+            moved, qgaps, _, _ = faultlines.crossing_points(Q, qmap, starts, win)
+            assert not np.isnan(gaps).any() and not np.isnan(qgaps).any()
+            assert np.abs(moved - points).max() <= self.UNITARY_MOVE_RTOL * win.cell_diagonal
+
+    def test_steps_match_a_finite_difference_jacobian(self, diag_quadratic_pair):
+        # a generic complex 3 x 3 pencil has a rank-two Jacobian; on the
+        # diagonal pair's fault curve it has rank one and the step is the
+        # least-norm one
+        from conftest import random_polynomial
+
+        rng = np.random.default_rng(9)
+        cases = [(random_polynomial(rng, 3, 1), 0.3 - 0.2j, 1e-4)]
+        cases += [(diag_quadratic_pair, z, 1e-5) for z in (0.62 + 0.1j, -0.2 + 0.7j)]
+        for P, lam, h in cases:
+            smap = build_surface_map(P, default_probes(SQUARE))
+            dx, dy = faultlines._crossing_steps(P, smap, np.array([lam]))
+            want = finite_difference_step(P, smap, lam, h)
+            assert np.hypot(dx[0] - want[0], dy[0] - want[1]) <= 1e-6 * np.hypot(*want)
+
+    def test_a_step_out_of_the_window_drops_the_start(self, diag_quadratic_pair):
+        # the fault line Re l = 1/2 lies outside this window, so the first
+        # step from a start near its edge leaves it
+        win = GridSpec(x_min=-2.0, x_max=0.45, y_min=-0.1, y_max=0.1, nx=11, ny=11)
+        smap = build_surface_map(diag_quadratic_pair, default_probes(SQUARE))
+        points, gaps, steps, left = faultlines.crossing_points(
+            diag_quadratic_pair, smap, [0.4 + 0.0j], win
+        )
+        assert np.isnan(gaps).all() and (steps, left) == (1, 1)
