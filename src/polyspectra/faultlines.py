@@ -7,14 +7,11 @@ is nonnegative and typically conic at its zeros, but the crossing equations
 are smooth: the right singular vectors W = [v_{c2}, v_{c1}] span a subspace
 that varies analytically while the pair stays apart from the other surfaces
 (Kato), and the surfaces meet where the Hermitian 2 x 2 matrix W* P* P W has
-a double eigenvalue.  ``crossing_points`` refines every candidate by batched
-Gauss-Newton steps on those equations, one stacked SVD with vectors per
-step.  ``simplex_minima`` is the one Nelder-Mead of the package, for the
-saddle search's crossing search: it takes scipy's steps bit for bit, but
-advances the simplices of all its starts together, so that each step is one
-batched singular-value call however many starts it has.  Fault detection
-never involves the weight polynomial: the operation signatures admit no
-weight input.
+a double eigenvalue.  ``crossing_system`` forms those equations' Gauss-Newton
+step; ``crossing_points`` refines every candidate by batched steps, one
+stacked SVD with vectors per step, and ``find_saddle`` walks along the
+crossing with them.  Fault detection never involves the weight polynomial:
+the operation signatures admit no weight input.
 """
 
 from __future__ import annotations
@@ -48,13 +45,6 @@ CROSSING_MAX_STEPS = 8
 # gives a rank-one Jacobian, so the step moves a start to its foot point on
 # the curve.  The Gram matrix resolves ratios down to about 1e-8.
 CROSSING_RANK_RTOL = 1e-6
-
-# Nelder-Mead in the plane: scipy's reflection, expansion, contraction and
-# shrink coefficients, initial simplex steps and stopping tolerances.
-_NDIM = 2
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
-_XATOL, _FATOL = 1e-12, 1e-15
 
 
 @dataclass(frozen=True)
@@ -153,9 +143,9 @@ def _complex_points(xy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(xy, dtype=float).view(complex)[:, 0]
 
 
-def _crossing_steps(P: MatrixPolynomial, smap: SurfaceIndexMap, lams: np.ndarray) -> tuple:
-    """One Gauss-Newton step (dx, dy) toward the crossing of surfaces c2 and
-    c1 from each point.
+def crossing_system(P: MatrixPolynomial, smap: SurfaceIndexMap, lams) -> tuple:
+    """The Gauss-Newton system of the crossing of surfaces c2 and c1 at each
+    point: ``(s, grads, gram, tangent, step)``.
 
     With W = [v_{c2}, v_{c1}] at the point, M = W* P* P W is
     diag(s_{c2}^2, s_{c1}^2) there, so the residual
@@ -163,11 +153,17 @@ def _crossing_steps(P: MatrixPolynomial, smap: SurfaceIndexMap, lams: np.ndarray
     eigenvalues, is (s_{c2}^2 - s_{c1}^2, 0, 0).  G = W* P* P' W has entries
     G_ab = s_a u_a* P' v_b, and d/dx M = G + G*, d/dy M = i (G - G*) give
     the 3 x 2 Jacobian J of r.  r and J are halved and divided by s_1, which
-    keeps the step and the squares in range.  The step solves J step = -r in
-    the least-squares sense through the Gram matrix J^T J, without the
-    directions whose singular value of J is at most ``CROSSING_RANK_RTOL``
-    times the largest: by its inverse at rank 2, by its dominant spectral
-    projector over the larger eigenvalue at rank 1, and no step at rank 0.
+    keeps the step and the squares in range.  ``s`` (k, n) holds LAPACK's
+    singular values, ``grads`` (k, 2, 2) the (Re, -Im) parts of G_aa / s_a
+    and G_bb / s_b, the gradients of s_{c2} and s_{c1} where simple, and
+    ``gram`` the entries (xx, xy, yy) of J^T J.  J has rank 2 where its
+    smaller singular value exceeds ``CROSSING_RANK_RTOL`` times the larger;
+    ``tangent`` is 0 there, and elsewhere the unit eigenvector of J^T J's
+    smaller eigenvalue as a complex number, the crossing's direction.
+    ``step`` (dx, dy) solves J step = -r in the least-squares sense without
+    J's directions below that share: by the inverse of J^T J at rank 2, by
+    its dominant spectral projector over the larger eigenvalue at rank 1,
+    and no step at rank 0.
     """
     a, b = smap.c2 - 1, smap.c1 - 1
     s, c = vector_derivatives(P, lams, (a, b))
@@ -192,7 +188,9 @@ def _crossing_steps(P: MatrixPolynomial, smap: SurfaceIndexMap, lams: np.ndarray
     full = small > CROSSING_RANK_RTOL**2 * big
     axx, ayy, axy = np.where(full, (yy, xx, -xy), (xx - small, yy - small, xy))
     den = np.where(full, big * small, np.where(big > 0, 2.0 * rad * big, np.inf))
-    return -(axx * gx + axy * gy) / den, -(axy * gx + ayy * gy) / den
+    step = -(axx * gx + axy * gy) / den, -(axy * gx + ayy * gy) / den
+    tangent = np.where(full, 0j, 1j * np.exp(0.5j * np.arctan2(xy, skew)))
+    return s, c[:, (0, 1), (0, 1)], (xx, xy, yy), tangent, step
 
 
 def crossing_points(P: MatrixPolynomial, smap: SurfaceIndexMap, starts, window: GridSpec) -> tuple:
@@ -200,124 +198,42 @@ def crossing_points(P: MatrixPolynomial, smap: SurfaceIndexMap, starts, window: 
 
     Every live start is tested with the fault rule (``_fault_rows``, the
     rule of ``is_fault_point``); while it fails and ``CROSSING_MAX_STEPS``
-    lasts, it takes one Gauss-Newton step (``_crossing_steps``).  All live
-    starts share one stacked SVD with vectors and one singular-value call
-    per step, and all arithmetic is elementwise, so a start gets the same
-    bits alone as in any stack.  Returns ``(points, gaps, steps,
-    left_window)``: each start's refined point and collapsed gap, NaN where
-    it failed the test within the budget or a step took it out of the
-    window (``left_window`` counts those), and the number of steps taken.
+    lasts, it takes one Gauss-Newton step (``crossing_system``).  A start
+    whose collapsed gap did not fall in its last step is dropped: it has
+    reached a least-squares point of the crossing equations off the fault
+    set, an avoided crossing.  All live starts share one stacked SVD with
+    vectors and one singular-value call per step, and all arithmetic is
+    elementwise, so a start gets the same bits alone as in any stack.
+    Returns ``(points, gaps, steps, left_window)``: each start's refined
+    point and collapsed gap, NaN where it was dropped or a step took it out
+    of the window (``left_window`` counts those), and the number of steps
+    taken.
     """
     lams = np.asarray(starts, dtype=complex).reshape(-1)
     points = np.full(lams.size, np.nan, dtype=complex)
     gaps = np.full(lams.size, np.nan)
     live = np.arange(lams.size)
+    last = np.full(lams.size, np.inf)  # each live start's gap before its last step
     steps = left = 0
     while live.size:
         s = singular_values_many(P, lams)
         ok = _fault_rows(s, smap)
-        points[live[ok]], gaps[live[ok]] = lams[ok], surface_gap(s[ok], smap.c1, smap.c2)
-        live, lams = live[~ok], lams[~ok]
+        gap = surface_gap(s, smap.c1, smap.c2)
+        points[live[ok]], gaps[live[ok]] = lams[ok], gap[ok]
+        going = ~ok & (gap < last)
+        live, lams, last = live[going], lams[going], gap[going]
         if not live.size or steps == CROSSING_MAX_STEPS:
             break
-        dx, dy = _crossing_steps(P, smap, lams)
+        dx, dy = crossing_system(P, smap, lams)[-1]
         x, y = lams.real + dx, lams.imag + dy
         # a non-finite step fails every comparison
         inside = (window.x_min <= x) & (x <= window.x_max)
         inside &= (window.y_min <= y) & (y <= window.y_max)
         steps += 1
         left += int(np.count_nonzero(~inside))
-        live, lams = live[inside], _complex_points(np.column_stack((x, y))[inside])
+        live, last = live[inside], last[inside]
+        lams = _complex_points(np.column_stack((x, y))[inside])
     return points, gaps, steps, left
-
-
-def simplex_minima(f, starts, window: GridSpec, maxiter: int) -> list:
-    """Nelder-Mead minima of a real function inside the window, one per start.
-
-    ``f`` maps a complex array to a real array of the same shape.  Every
-    start walks its own simplex; all live simplices advance together, and
-    each step evaluates every point they ask for in one call of ``f``.  Each
-    walker takes exactly the steps of scipy's bounded Nelder-Mead
-    (``method="Nelder-Mead"`` with ``xatol=1e-12``, ``fatol=1e-15``): the same
-    initial simplex, coefficients, comparisons, clipping and ordering.  So
-    with an ``f`` that gives a point the same bits in any array, the result
-    ``(point, value, iterations)`` of each start is the one scipy returns.
-    """
-    x0 = np.array([(z.real, z.imag) for z in starts], dtype=float).reshape(-1, 2)
-    k = len(x0)
-    if k == 0:
-        return []
-    lower = np.array([window.x_min, window.y_min])
-    upper = np.array([window.x_max, window.y_max])
-    x0 = np.clip(x0, lower, upper)
-
-    # vertex j + 1 moves coordinate j of the start by 5%, or to 0.00025 from 0
-    sim = np.repeat(x0[:, None, :], _NDIM + 1, axis=1)
-    for j in range(_NDIM):
-        sim[:, j + 1, j] = np.where(x0[:, j] != 0, (1 + _NONZDELT) * x0[:, j], _ZDELT)
-    # vertices beyond the upper bound are reflected into the window
-    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    fsim = f(_complex_points(sim.reshape(-1, _NDIM))).reshape(k, _NDIM + 1)
-    rows = np.arange(k)[:, None]
-    for _ in range(2):  # scipy sorts the first simplex twice
-        order = np.argsort(fsim, axis=1)
-        sim, fsim = sim[rows, order], fsim[rows, order]
-
-    points = np.empty((k, _NDIM))
-    values = np.empty(k)
-    iters = np.empty(k, dtype=int)
-    live = np.arange(k)
-    iterations = 1
-    while iterations < maxiter:
-        done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _XATOL) & (
-            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= _FATOL
-        )
-        if done.any():
-            ended = live[done]
-            points[ended], values[ended] = sim[done, 0], fsim[done].min(axis=1)
-            iters[ended] = iterations
-            keep = ~done
-            live, sim, fsim = live[keep], sim[keep], fsim[keep]
-            if len(live) == 0:
-                break
-            rows = rows[: len(live)]
-
-        worst = sim[:, -1]
-        xbar = np.add.reduce(sim[:, :-1], 1) / _NDIM
-        xr = np.clip((1 + _RHO) * xbar - _RHO * worst, lower, upper)
-        fxr = f(_complex_points(xr))
-        expand = fxr < fsim[:, 0]
-        accept = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~accept & (fxr < fsim[:, -1])
-        inside = ~(expand | accept | outside)
-
-        # the second point: expansion, outside or inside contraction
-        c = np.where(expand, _RHO * _CHI, np.where(outside, _PSI * _RHO, -_PSI))[:, None]
-        x2 = np.clip((1 + c) * xbar - c * worst, lower, upper)
-        fx2 = np.full(len(live), np.nan)
-        asks = ~accept
-        fx2[asks] = f(_complex_points(x2[asks]))
-        take2 = (
-            (expand & (fx2 < fxr)) | (outside & (fx2 <= fxr)) | (inside & (fx2 < fsim[:, -1]))
-        )
-        # a failed contraction shrinks the simplex; every other walker
-        # replaces its worst vertex by the second point or the reflection
-        shrink = (outside | inside) & ~take2
-        sim[:, -1] = np.where(shrink[:, None], worst, np.where(take2[:, None], x2, xr))
-        fsim[:, -1] = np.where(shrink, fsim[:, -1], np.where(take2, fx2, fxr))
-        if shrink.any():
-            s = sim[shrink]
-            s[:, 1:] = np.clip(s[:, :1] + _SIGMA * (s[:, 1:] - s[:, :1]), lower, upper)
-            sim[shrink] = s
-            fsim[shrink, 1:] = f(_complex_points(s[:, 1:].reshape(-1, _NDIM))).reshape(-1, _NDIM)
-        iterations += 1
-        order = np.argsort(fsim, axis=1)
-        sim, fsim = sim[rows, order], fsim[rows, order]
-
-    points[live], values[live], iters[live] = sim[:, 0], fsim.min(axis=1), iterations
-    return [
-        (complex(x, y), float(v), int(n)) for (x, y), v, n in zip(points.tolist(), values, iters)
-    ]
 
 
 def _filter3(op, a: np.ndarray) -> np.ndarray:

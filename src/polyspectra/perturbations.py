@@ -33,9 +33,9 @@ from .errors import (
 from .faultlines import (
     build_surface_map,
     collapsed_gap,
+    crossing_system,
     default_probes,
     is_fault_point,
-    simplex_minima,
 )
 from .matpoly import (
     MatrixPolynomial,
@@ -64,6 +64,7 @@ from .svdcore import (
     s_min,
     singular_triplets,
     singular_values_many,
+    weight_terms,
 )
 
 # Gradient norm of s_min / w, times w, below which find_saddle stops at a
@@ -79,8 +80,6 @@ RESIDUAL_RTOL = 1e-8
 BALL_RTOL = 1e-3
 # Damped Newton iterations of find_saddle before it reports no convergence.
 _SADDLE_MAX_ITER = 60
-# Nelder-Mead iteration budget of find_saddle's search for a crossing.
-_CROSSING_MAXITER = 400
 
 
 @dataclass(frozen=True)
@@ -345,11 +344,23 @@ def find_saddle(
     Runs damped Newton on the analytic gradient of the ratio (stationarity
     of the ratio coincides with a vanishing level-function gradient at the
     matching level).  When the smooth iteration stalls or the gradient loses
-    validity, the search switches to simplex minimization of the second
-    lowest distinct surface ratio (``simplex_minima`` from the last iterate,
-    within ``_CROSSING_MAXITER`` iterations): where that minimum touches the
-    lowest surface the components meet on a surface crossing, which is
-    returned as an on-fault merge point.
+    validity, the search looks for the minimum of s_{c2} / w on the crossing
+    of the two lowest distinct surfaces, where the components meet: an
+    on-fault merge point.  Each iteration takes one ``crossing_system`` at
+    lam and lam +- h t (t the crossing's tangent at the last iterate, 0 at
+    an isolated crossing) and moves lam by its Gauss-Newton step plus a
+    Newton step along the new tangent on psi = m / w(|lambda|)^2, where
+    m = (s_{c2}^2 + s_{c1}^2) / 2 is half the trace of M = W* P* P W: psi
+    is smooth across the crossing and equals (s_{c2} / w)^2 on it.  Its
+    gradient is (s_{c2} grad s_{c2} + s_{c1} grad s_{c1} - 2 m grad w / w)
+    / w^2, and its curvature the central difference of t . grad psi.  At
+    the origin, where a non-constant w(|lambda|) has a kink and psi no
+    gradient, lam moves 2 h along t, downhill.  The search ends where the
+    gap is at rounding level (s_{c2} - s_{c1} <= eps s_1), the tangent
+    derivative of sqrt(psi) times w is below ``SADDLE_GRAD_TOL``, and
+    ``is_fault_point`` holds.  An isolated crossing counts only as a local
+    minimum of psi + grad psi . d + s_1 |J d| / w^2, (s_{c2} / w)^2 to
+    first order: w^4 grad psi^T (J^T J)^-1 grad psi <= s_1^2.
     """
     lam = complex(start)
     if not window.contains(lam):
@@ -412,23 +423,49 @@ def find_saddle(
         raise SaddleNotConvergedError(
             "smooth search stalled and all surfaces coincide; no crossing to use"
         )
-
-    def second_ratios(z: np.ndarray) -> np.ndarray:
-        # np.hypot rounds |z| like abs() of one complex; np.abs does not
-        second = singular_values_many(P, z)[:, smap.c2 - 1]
-        return second / weight_eval(w, np.hypot(z.real, z.imag))
-
-    ((mu, _, nit),) = simplex_minima(second_ratios, [lam], window, _CROSSING_MAXITER)
-    s = singular_values_many(P, mu)
-    if on_spectrum(s):
-        raise SaddleAtEigenvalueError(f"crossing search converged to the spectrum at {mu:.6g}")
-    if not is_fault_point(P, mu, smap):
+    t = crossing_system(P, smap, [lam])[3][0]
+    for nit in range(1, _SADDLE_MAX_ITER + 1):
+        h = h_base * (1.0 + abs(lam))
+        L = lam + h * np.array([0.0, t, -t])
+        s, grads, gram, tangent, (dx, dy) = crossing_system(P, smap, L)
+        side, t = t, tangent[0]
+        weight, weight_grad = weight_terms(w, L)
+        pair = s[:, (smap.c2 - 1, smap.c1 - 1)]
+        m = 0.5 * np.add.reduce(pair * pair, axis=1)
+        grad = np.add.reduce(pair[:, :, None] * grads, axis=1)  # of m
+        grad = (grad - (2.0 * m / weight)[:, None] * weight_grad) / (weight * weight)[:, None]
+        slope = grad[0] @ (t.real, t.imag)
+        step, psi = complex(dx[0], dy[0]), m / (weight * weight)
+        if side and np.isnan(slope):  # the origin, where a non-constant w(|lambda|) has a kink
+            step += (2.0 * h if psi[1] <= psi[2] else -2.0 * h) * side
+        elif side and t:
+            curv = (grad[1] - grad[2]) @ (side.real, side.imag) / (2.0 * h)
+            step -= slope / curv * t
+        if (
+            pair[0, 0] - pair[0, 1] <= np.finfo(float).eps * s[0, 0]
+            and abs(slope) * weight[0] ** 2 < 2.0 * np.sqrt(m[0]) * SADDLE_GRAD_TOL
+            and is_fault_point(P, lam, smap)
+        ):
+            break
+        lam = complex(lam + step)
+        if not window.contains(lam):
+            raise SaddleOutsideWindowError(f"iterates left the window at {lam:.6g}")
+    else:
         raise SaddleOnFaultError(
-            f"search stalled at {mu:.6g} without a certified crossing "
-            f"(residual surface gap {collapsed_gap(P, mu, smap):.3e})"
+            f"search stalled at {lam:.6g} without a certified crossing "
+            f"(residual surface gap {collapsed_gap(P, lam, smap):.3e})"
         )
-    delta = float(s[-1]) / weight_eval(w, abs(mu))
-    return SaddleResult(mu=mu, delta=delta, on_fault=True, iterations=iters + nit)
+    if not t:
+        (xx, xy, yy), (gx, gy) = (g[0] for g in gram), grad[0] * weight[0] ** 2
+        if gx * gx * yy - 2.0 * gx * gy * xy + gy * gy * xx > s[0, 0] ** 2 * (xx * yy - xy * xy):
+            raise SaddleOnFaultError(
+                f"the isolated crossing at {lam:.6g} is no minimum of the second surface"
+            )
+    s = singular_values_many(P, lam)
+    if on_spectrum(s):
+        raise SaddleAtEigenvalueError(f"crossing search converged to the spectrum at {lam:.6g}")
+    delta = float(s[-1]) / weight_eval(w, abs(lam))
+    return SaddleResult(mu=lam, delta=delta, on_fault=True, iterations=iters + nit)
 
 
 def distance_to_multiple(

@@ -10,8 +10,7 @@ surface gap or the value itself is too small for the formula to be
 trusted, or at the origin under a non-constant weight.
 
 A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
-the simplex search, which evaluates every live simplex's points in one
-call per step, the fault tests, gaps, certificate residuals) goes through
+the fault tests, gaps, certificate residuals) goes through
 ``singular_values_many``, the one values-only SVD of P(lambda), for a
 single point as for a grid.  It decomposes every block with ``_svals``,
 which has two numpy kernels, written in real arithmetic on one array per
@@ -41,8 +40,8 @@ closed-form gradient in array operations and keeps O(n) floats per point
 (the boundary polish of ``contours`` and each Newton step of the saddle
 search call it once).  Its products u_a* P'(lambda) v_b come from
 ``vector_derivatives``, which forms them for any pair of singular vectors
-(the Gauss-Newton steps of the fault refinement use the two lowest
-distinct surfaces' pairs).  Its derivations are real arithmetic in a fixed
+(the Gauss-Newton steps on the crossing of the two lowest distinct
+surfaces use their pairs).  Its derivations are real arithmetic in a fixed
 order, so a point gets the same bits alone as in any stack.  A caller that
 needs the singular vectors themselves (the certificate's perturbations)
 reads ``singular_triplets``, whose SVD is ``point_stack``'s: its values are
@@ -573,17 +572,25 @@ def point_stack(P: MatrixPolynomial, w: WeightPolynomial, lams) -> PointStack:
     s_grad = c[:, 0, 0]
     gap = s[:, -2] - s[:, -1] if n >= 2 else np.full(k, np.inf)
     on_spec = on_spectrum(s)
+    weight, weight_grad = weight_terms(w, L)
+    return PointStack(
+        lam=L, s=s, s_grad=s_grad, gap=gap, on_spectrum=on_spec,
+        smooth=(gap > GAP_RTOL * s[:, 0]) & ~on_spec,
+        weight=weight, weight_grad=weight_grad,
+    )
+
+
+def weight_terms(w: WeightPolynomial, L: np.ndarray) -> tuple:
+    """w(|lambda|) and the (k, 2) gradient of w(|.|) at the points of the
+    (k,) array ``L``; a gradient row is NaN at the origin under a
+    non-constant weight, where w(|.|) has no gradient."""
     r = np.hypot(L.real, L.imag)
     away = r >= ORIGIN_TOL
     slope = weight_deriv_eval(w, r)
     safe = np.where(away, r, 1.0)
     weight_grad = np.column_stack([slope * L.real / safe, slope * L.imag / safe])
     weight_grad[~away] = 0.0 if w.is_constant else np.nan
-    return PointStack(
-        lam=L, s=s, s_grad=s_grad, gap=gap, on_spectrum=on_spec,
-        smooth=(gap > GAP_RTOL * s[:, 0]) & ~on_spec,
-        weight=weight_eval(w, r), weight_grad=weight_grad,
-    )
+    return weight_eval(w, r), weight_grad
 
 
 def _svd(P: MatrixPolynomial, L: np.ndarray) -> tuple:

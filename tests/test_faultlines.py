@@ -195,133 +195,9 @@ class TestVoronoiProperty:
                 assert d[1] - d[0] <= 2 * win.cell_diagonal
 
 
-def scipy_minimum(f, start, window, maxiter):
-    """scipy's bounded Nelder-Mead of the point function ``f`` from ``start``,
-    with the tolerances of ``simplex_minima``: (point, value, iterations)."""
-    from scipy import optimize
-
-    res = optimize.minimize(
-        lambda p: f(complex(p[0], p[1])),
-        x0=[start.real, start.imag],
-        method="Nelder-Mead",
-        bounds=[(window.x_min, window.x_max), (window.y_min, window.y_max)],
-        options=dict(maxiter=maxiter, xatol=1e-12, fatol=1e-15),
-    )
-    return complex(res.x[0], res.x[1]), float(res.fun), int(res.nit)
-
-
-def same_bits(a, b):
-    return (
-        np.complex128(a[0]).tobytes() == np.complex128(b[0]).tobytes()
-        and np.float64(a[1]).tobytes() == np.float64(b[1]).tobytes()
-        and a[2] == b[2]
-    )
-
-
-class TestSimplexMinima:
-    """The lockstep engine takes scipy's Nelder-Mead steps bit for bit."""
-
-    WINDOW = GridSpec(x_min=-2.0, x_max=3.0, y_min=-2.0, y_max=2.0, nx=11, ny=11)
-
-    @staticmethod
-    def _objectives(P, window):
-        """The collapsed gap and the second-surface ratio under w(x) = 1 + x/2,
-        as an array function for the engine and a point function for scipy."""
-        from polyspectra import WeightPolynomial
-        from polyspectra.matpoly import weight_eval
-        from polyspectra.svdcore import singular_values_many
-
-        smap = build_surface_map(P, default_probes(window))
-        w = WeightPolynomial([1.0, 0.5])
-
-        def gaps(z):
-            s = singular_values_many(P, z)
-            return s[:, smap.c2 - 1] - s[:, smap.c1 - 1]
-
-        def ratios(z):
-            return singular_values_many(P, z)[:, smap.c2 - 1] / weight_eval(
-                w, np.hypot(z.real, z.imag)
-            )
-
-        def ratio(z):
-            return float(singular_values_many(P, z)[smap.c2 - 1]) / weight_eval(w, abs(z))
-
-        return [(gaps, lambda z: collapsed_gap(P, z, smap)), (ratios, ratio)]
-
-    @pytest.mark.parametrize(
-        "name", ["diag_quadratic_pair", "isolated_fault_pencil", "damped_system", "diag_movable"]
-    )
-    def test_random_starts_match_scipy(self, name, request):
-        P = request.getfixturevalue(name)
-        win = self.WINDOW
-        rng = np.random.default_rng(7)
-        starts = list(
-            rng.uniform(win.x_min, win.x_max, 5) + 1j * rng.uniform(win.y_min, win.y_max, 5)
-        )
-        for many, one in self._objectives(P, win):
-            got = faultlines.simplex_minima(many, starts, win, 200)
-            for start, minimum in zip(starts, got):
-                assert same_bits(minimum, scipy_minimum(one, start, win, 200))
-
-    @pytest.mark.parametrize(
-        "start",
-        [complex(3.0, 2.0), complex(3.0, 0.7), complex(0.0, 1.1), complex(0.6, 0.0),
-         complex(-0.0, 0.0), complex(-2.0, -2.0)],
-    )
-    def test_window_edges_and_zero_coordinates(self, start, diag_quadratic_pair):
-        # an upper edge reflects the initial simplex into the window; a zero
-        # coordinate steps to 0.00025 instead of by 5%
-        for many, one in self._objectives(diag_quadratic_pair, self.WINDOW):
-            got = faultlines.simplex_minima(many, [start], self.WINDOW, 200)
-            assert same_bits(got[0], scipy_minimum(one, start, self.WINDOW, 200))
-
-    @pytest.mark.parametrize("maxiter", [1, 2, 3])
-    def test_tiny_budgets(self, maxiter, diag_movable):
-        starts = [complex(0.3, 0.4), complex(-1.0, 1.5)]
-        for many, one in self._objectives(diag_movable, self.WINDOW):
-            got = faultlines.simplex_minima(many, starts, self.WINDOW, maxiter)
-            for start, minimum in zip(starts, got):
-                assert same_bits(minimum, scipy_minimum(one, start, self.WINDOW, maxiter))
-
-    def test_constant_objective_ties(self):
-        # every comparison ties, so the vertex order is argsort's alone
-        starts = [complex(0.5, -0.25), complex(0.0, 0.0), complex(3.0, 2.0)]
-        got = faultlines.simplex_minima(
-            lambda z: np.full(z.shape, 1.5), starts, self.WINDOW, 50
-        )
-        for start, minimum in zip(starts, got):
-            assert same_bits(minimum, scipy_minimum(lambda z: 1.5, start, self.WINDOW, 50))
-
-    def test_signed_zero_reaches_the_objective(self):
-        # f tells -0.0 from 0.0 in the imaginary part, as complex(x, y) does
-        start = complex(0.5, -0.0)
-        got = faultlines.simplex_minima(
-            lambda z: np.copysign(1.0, z.imag), [start], self.WINDOW, 50
-        )
-        ref = scipy_minimum(lambda z: float(np.copysign(1.0, z.imag)), start, self.WINDOW, 50)
-        assert same_bits(got[0], ref)
-
-    def test_many_starts_equal_each_start_alone(self, damped_system):
-        win = self.WINDOW
-        rng = np.random.default_rng(11)
-        starts = list(
-            rng.uniform(win.x_min, win.x_max, 12) + 1j * rng.uniform(win.y_min, win.y_max, 12)
-        )
-        for many, _ in self._objectives(damped_system, win):
-            together = faultlines.simplex_minima(many, starts, win, 200)
-            assert len(together) == len(starts)
-            for start, minimum in zip(starts, together):
-                assert same_bits(minimum, faultlines.simplex_minima(many, [start], win, 200)[0])
-
-    def test_no_starts_no_calls(self):
-        def never(z):
-            raise AssertionError("called without starts")
-
-        assert faultlines.simplex_minima(never, [], self.WINDOW, 200) == []
-
-
 class TestLockstepRefinement:
-    """All candidate cells share one singular-value call per simplex step."""
+    """All candidate cells share one singular-value call per Gauss-Newton
+    step."""
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -452,9 +328,22 @@ class TestCrossingRefinement:
         cases += [(diag_quadratic_pair, z, 1e-5) for z in (0.62 + 0.1j, -0.2 + 0.7j)]
         for P, lam, h in cases:
             smap = build_surface_map(P, default_probes(SQUARE))
-            dx, dy = faultlines._crossing_steps(P, smap, np.array([lam]))
+            dx, dy = faultlines.crossing_system(P, smap, np.array([lam]))[-1]
             want = finite_difference_step(P, smap, lam, h)
             assert np.hypot(dx[0] - want[0], dy[0] - want[1]) <= 1e-6 * np.hypot(*want)
+
+    def test_avoided_crossings_are_dropped_early(self):
+        # a generic complex polynomial has avoided crossings but no crossing:
+        # each candidate's gap stops falling at a least-squares point of the
+        # crossing equations, and the start is dropped there
+        from conftest import random_polynomial
+
+        P = random_polynomial(np.random.default_rng(0), 3, 2)
+        win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=81, ny=81)
+        rep = fault_scan(P, win, build_surface_map(P, default_probes(win)))
+        assert rep.cells and rep.empty
+        assert (rep.dropped, rep.left_window) == (len(rep.cells), 0)
+        assert rep.steps < faultlines.CROSSING_MAX_STEPS
 
     def test_a_step_out_of_the_window_drops_the_start(self, diag_quadratic_pair):
         # the fault line Re l = 1/2 lies outside this window, so the first

@@ -272,6 +272,94 @@ class TestFindSaddle:
         assert not sad.on_fault
 
 
+class TestOnFaultSaddle:
+    """Where the smooth search stalls, find_saddle returns the minimum of the
+    second surface's ratio on a surface crossing, or fails."""
+
+    MOVABLE_WINDOW = GridSpec(x_min=-3.0, x_max=3.0, y_min=-2.5, y_max=2.5, nx=241, ny=241)
+
+    @pytest.mark.parametrize(
+        "weights, unitary_seed, r",
+        [
+            ([1.0], None, 0.64),
+            ([1.0, 0.3], None, 0.64 / 1.12),
+            ([0.5, 0.2, 0.1], None, 0.64 / 0.596),
+            ([1.0], 5, 0.64),
+        ],
+    )
+    def test_movable_merge_on_the_crossing(self, diag_movable, weights, unitary_seed, r):
+        # the pair 0, 2/3 merges at mu = 0.4, where |l^2 - 2l| = |(2/3 - l)(l + 2)|
+        # = 0.64; w(0.4) is 1, 1.12 or 0.596
+        P = diag_movable
+        if unitary_seed is not None:
+            rng = np.random.default_rng(unitary_seed)
+            U, V = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                    for _ in range(2))
+            P = MatrixPolynomial([U @ C @ V for C in P.coeffs])
+        sad = find_saddle(P, WeightPolynomial(weights), 1.0 / 3.0, self.MOVABLE_WINDOW)
+        assert sad.on_fault
+        assert abs(sad.mu - 0.4) <= 1e-7
+        assert sad.delta == pytest.approx(r, rel=1e-13, abs=0.0)
+
+    def test_a_crossing_through_the_origin_under_a_linear_weight(self, disc_pair):
+        # the smooth search stalls at once at the origin, where w(|l|) = 1 + |l|/2
+        # has a kink; along the crossing Re l = 0 the ratio sqrt(1 + y^2) / (1 + |y|/2)
+        # is greatest there and least, 2 / sqrt(5), at y = +-1/2
+        win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=11, ny=11)
+        sad = find_saddle(disc_pair, WeightPolynomial([1.0, 0.5]), 0j, win)
+        assert sad.on_fault
+        assert abs(sad.mu.real) <= 1e-9 and abs(abs(sad.mu.imag) - 0.5) <= 1e-6
+        assert sad.delta == pytest.approx(2.0 / np.sqrt(5.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "angle, mu", [(0.5, 0.5 + np.sqrt(3) / 2), (2.6, 0.5 - np.sqrt(3) / 2)]
+    )
+    def test_a_curved_crossing(self, diag_quadratic_pair, unit_weight, monkeypatch, angle, mu):
+        # from a point of the fault circle |l - 1/2| = sqrt(3)/2 of diag(l^2 - 1, l^2 - 2l),
+        # along which s_2^2 = 3 (1 - 3 cos^2 / 4) is least on the real axis; each
+        # Newton step takes the tangent at the iterate, not at the one before
+        self._stall_the_smooth_search(monkeypatch)
+        win = GridSpec(x_min=-2.0, x_max=3.0, y_min=-2.0, y_max=2.0, nx=11, ny=11)
+        start = 0.5 + np.sqrt(3) / 2 * np.exp(1j * angle)
+        sad = find_saddle(diag_quadratic_pair, unit_weight, start, win)
+        assert sad.on_fault and abs(sad.mu - mu) <= 1e-7 and sad.iterations <= 20
+        assert sad.delta == pytest.approx(np.sqrt(3) / 2, rel=1e-12)
+
+    @staticmethod
+    def _stall_the_smooth_search(monkeypatch):
+        from polyspectra import perturbations
+
+        smooth = perturbations._ratio_stack
+
+        def no_gradient(P, w, lams):
+            stack, ratio, grad = smooth(P, w, lams)
+            return stack, ratio, np.full_like(grad, np.nan)
+
+        monkeypatch.setattr(perturbations, "_ratio_stack", no_gradient)
+
+    def test_an_isolated_crossing_that_is_a_minimum(self, conic_pencil, unit_weight,
+                                                     monkeypatch):
+        # surfaces 2 and 3 of the conic pencil cross at 0 alone, where
+        # s_2 = s_3 = sqrt(5/16) is the least value of s_2
+        self._stall_the_smooth_search(monkeypatch)
+        win = GridSpec(x_min=-2.0, x_max=2.5, y_min=-2.0, y_max=2.0, nx=241, ny=241)
+        sad = find_saddle(conic_pencil, unit_weight, 0.02 + 0.01j, win)
+        assert sad.on_fault
+        assert abs(sad.mu) <= 1e-6
+        assert sad.delta == pytest.approx(np.sqrt(5 / 16), rel=1e-12)
+
+    def test_an_isolated_crossing_that_is_no_minimum(self, damped_system, weight_damped,
+                                                      damped_window, monkeypatch):
+        from polyspectra import SaddleOnFaultError
+
+        # one of the damped system's four isolated crossings; s_2 / w falls
+        # away from it, so it is no merge point
+        self._stall_the_smooth_search(monkeypatch)
+        start = -0.618513792870675 - 1.3751759930197398j + 0.02 + 0.01j
+        with pytest.raises(SaddleOnFaultError):
+            find_saddle(damped_system, weight_damped, start, damped_window)
+
+
 class TestCertifyMultiple:
     def test_uptri_certificate(self, uptri_quadratic, weight_quadratic, uptri_window):
         sad = find_saddle(uptri_quadratic, weight_quadratic, 1.3, uptri_window)
