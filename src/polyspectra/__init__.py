@@ -33,7 +33,7 @@ from .faultlines import (
     fault_scan,
     is_fault_point,
 )
-from .contours import boundary_curves
+from .contours import BoundaryCurve, Termination, boundary_curves, on_curve_tolerance
 from .matpoly import (
     EigenReport,
     MatrixPolynomial,
@@ -63,18 +63,15 @@ from .perturbations import (
     multiple_criterion,
 )
 from .pseudospectrum import (
-    BoundaryCurve,
     ComponentReport,
     GridSpec,
     Levels,
     ScalarField,
-    Termination,
     boundedness_check,
     components,
     compute_field,
     default_window,
     merge_epsilon,
-    on_curve_tolerance,
 )
 from .svdcore import (
     F_eps,

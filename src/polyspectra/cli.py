@@ -26,6 +26,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -36,7 +37,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .contours import boundary_curves, marching_squares, nearest_curve
+from .contours import (
+    Termination,
+    boundary_curves,
+    marching_squares,
+    nearest_curve,
+    on_curve_tolerance,
+)
 from .errors import (
     InputError,
     NumericalError,
@@ -58,11 +65,9 @@ from .pseudospectrum import (
     DEFAULT_GRID,
     GridSpec,
     Levels,
-    Termination,
     components,
     compute_field,
     default_window,
-    on_curve_tolerance,
 )
 from .svdcore import F_eps, singular_values_many
 
@@ -672,6 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         # no abbreviations: ``distance --eps`` would otherwise mean --eps-max
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        # argparse takes "-1e-05" for an option: its negative-number pattern
+        # has no exponent.  No option name starts with a digit or a point.
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
         p.add_argument("--input", required=True, help="problem JSON file")
         for flag in _COMMANDS[name][1].split():
             p.add_argument(f"--{flag}", **_FLAGS[flag])

@@ -1,47 +1,45 @@
-"""Marching-squares extraction of level curves from a sampled field, and
-the boundary curves of the pseudospectra polished from them.
+"""Marching-squares contours of a sampled field as directed graphs, and the
+boundary curves of the pseudospectra polished from them.
 
-``marching_squares`` produces polylines (chains of linearly interpolated
-edge crossings) for a given level of an (nx, ny) sample array.  numpy
-classifies every cell, resolves the ambiguous saddle cells by their center
-value and interpolates every crossed edge; only the chaining of segments
-into polylines runs in Python, once per segment.  Endpoints are keyed by
-grid edge, so segments from neighboring cells share exact coordinates and
-chain into polylines deterministically.
+``_contour`` turns one level of an (nx, ny) sample array into a graph.
+numpy classifies every cell, resolves the ambiguous saddle cells by their
+center value and interpolates every crossed edge; each crossing is a node,
+keyed by its grid edge, so neighbouring cells share it bit for bit.  The
+segment table runs every segment with the inside corners of its cell on
+its right, so each segment links its end to its start: a node has at most
+one successor and one predecessor, and the sublevel set lies on the left
+of every link.  One walker, ``_chains``, follows the links in Python, once
+per node, and ``marching_squares`` returns its chains as polylines.
 
-``boundary_curves`` draws the boundary of each eps-pseudospectrum, the
-level curve F_eps(lambda) = s_min(lambda) - eps * w(|lambda|) = 0.  It runs
-marching squares on the s_min/w field at every level, then moves every
-contour vertex of every level onto F_eps = 0 by Newton steps
-z <- z - F grad F / |grad F|^2, batched: each round evaluates the vertices
-not yet on the curve with one ``point_stack`` call.  A
-vertex is frozen where the closed-form gradient cannot be trusted (a
-multiple s_min, such as a corner where two singular-value surfaces cross),
-or where its step is not finite or longer than ``_STEP_GUARD`` cell
-diagonals; a frozen vertex is never emitted, and the polyline is split
-there.  The polyline is also split at a jump, a segment whose midpoint
-lies outside the set by more than ``_JUMP_SAG`` of its length: its ends
-were polished onto the two sides of a corner, where s_min is multiple.
-Where the grid joined two parts of the boundary across a neck narrower
-than a cell, the polyline jumps the neck twice; the exterior joins the two
-jumps, and they are swapped for the arcs that face each other across the
-neck, so each part gets its own curve.
+The boundary of the eps-pseudospectrum is the level curve
+F_eps(lambda) = s_min(lambda) - eps * w(|lambda|) = 0.  ``boundary_curves``
+joins the graphs of every level of the s_min/w field into one successor
+list and moves every node onto F_eps = 0 by Newton steps
+z <- z - F grad F / |grad F|^2, batched: each round evaluates the nodes not
+yet on the curve with one ``point_stack`` call.  Its points are therefore
+about one grid cell apart.  A node is frozen where the closed-form
+gradient cannot be trusted (a multiple s_min, such as a corner where two
+singular-value surfaces cross), or where its step is not finite or longer
+than ``_STEP_GUARD`` cell diagonals; a frozen node is never emitted, and
+its links are cut.  So is a jump, a link whose midpoint lies outside the
+set by more than ``_JUMP_SAG`` of its length: its ends were polished onto
+the two sides of a corner, where s_min is multiple.  Where the grid joined
+two parts of the boundary across a neck narrower than a cell, the contour
+jumps the neck twice; the exterior joins the two jumps, and they are
+swapped for the arcs that face each other across the neck, so each part
+gets its own curve.  Each piece is a ``BoundaryCurve`` whose points meet
+``on_curve_tolerance``, with the sublevel set on its left as the links run.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matpoly import MatrixPolynomial, WeightPolynomial
-from .pseudospectrum import (
-    BoundaryCurve,
-    GridSpec,
-    ScalarField,
-    Termination,
-    on_curve_tolerance,
-)
+from .matpoly import MatrixPolynomial, WeightPolynomial, max_norm
+from .pseudospectrum import GridSpec, ScalarField
 from .svdcore import F_eps, point_stack
 
 # Newton rounds of the boundary polish; a vertex still off the curve after
@@ -51,7 +49,7 @@ _MAX_CORRECTOR_ITERS = 20
 # freezes the vertex.
 _STEP_GUARD = 1.0
 # Distance in cell diagonals within which a curve point repeats the one
-# before it and is dropped.
+# after it and is dropped.
 _REPEAT = 1e-9
 # Share of its length by which the midpoint of a segment between two
 # polished vertices may lie outside the set before the segment counts as a
@@ -63,10 +61,11 @@ _JUMP_SAG = 0.125
 # left and right the y-edges at xs[i] and xs[i+1].
 _BOTTOM, _TOP, _LEFT, _RIGHT = range(4)
 
-# Segments of each cell case, in output order.  The case index packs the
-# "inside" bits of the corners BL=1, BR=2, TR=4, TL=8.  The ambiguous cases
-# 5 and 10 are listed for a cell center outside the level; 16 and 17 are
-# cases 5 and 10 with the center inside.
+# Segments of each cell case, in output order, each running with the inside
+# corners of the cell on its right.  The case index packs the "inside" bits
+# of the corners BL=1, BR=2, TR=4, TL=8.  The ambiguous cases 5 and 10 are
+# listed for a cell center outside the level; 16 and 17 are cases 5 and 10
+# with the center inside.
 _SEGMENT_TABLE = {
     1: ((_LEFT, _BOTTOM),),
     2: ((_BOTTOM, _RIGHT),),
@@ -82,7 +81,7 @@ _SEGMENT_TABLE = {
     12: ((_RIGHT, _LEFT),),
     13: ((_RIGHT, _BOTTOM),),
     14: ((_BOTTOM, _LEFT),),
-    16: ((_LEFT, _TOP), (_BOTTOM, _RIGHT)),
+    16: ((_LEFT, _TOP), (_RIGHT, _BOTTOM)),
     17: ((_BOTTOM, _LEFT), (_TOP, _RIGHT)),
 }
 _NPAIRS = np.zeros(18, dtype=np.intp)
@@ -90,6 +89,37 @@ _PAIRS = np.zeros((18, 2, 2), dtype=np.intp)
 for _case, _pairs in _SEGMENT_TABLE.items():
     _NPAIRS[_case] = len(_pairs)
     _PAIRS[_case, : len(_pairs)] = _pairs
+
+
+class Termination(str, enum.Enum):
+    closed = "closed"
+    left_window = "left_window"
+    gradient_invalid = "gradient_invalid"
+
+
+@dataclass(frozen=True)
+class BoundaryCurve:
+    """Ordered points of one piece of the level curve F_eps = 0, with the
+    sublevel set on the left.
+
+    ``termination`` says how the piece ends: ``closed`` (its last point is
+    its first, the smallest of its points by x, then y), ``left_window``
+    (both ends on the window edge) or ``gradient_invalid`` (an end next to
+    a vertex the polish froze, or to a jump across a corner where s_min is
+    multiple).
+    """
+
+    points: np.ndarray
+    termination: Termination
+
+    @property
+    def closed(self) -> bool:
+        return self.termination is Termination.closed
+
+
+def on_curve_tolerance(P: MatrixPolynomial) -> float:
+    """|F_eps| at or below which a point counts as on the level curve."""
+    return 1e-9 * (1.0 + max_norm(P))
 
 
 def _cell_cases(values: np.ndarray, level: float) -> np.ndarray:
@@ -137,50 +167,47 @@ def _edge_points(grid: GridSpec, values: np.ndarray, level: float, edges: np.nda
     return np.column_stack([px + t * (qx - px), py + t * (qy - py)])
 
 
-def marching_squares(grid: GridSpec, values: np.ndarray, level: float):
-    """Level curves of ``values`` as a list of (k, 2) coordinate arrays."""
+def _contour(grid: GridSpec, values: np.ndarray, level: float) -> tuple:
+    """The ``level`` contour of ``values`` as a directed graph: the crossing
+    point (k, 2) of each crossed edge, in edge order, and ``nxt``, each
+    crossing's successor along the contour with the sublevel set on its
+    left, or -1 where the contour leaves the window."""
     segments = _segments(_cell_cases(values, level), grid.nx, grid.ny)
-    if not len(segments):
-        return []
     edges, ends = np.unique(segments, return_inverse=True)
-    points = _edge_points(grid, values, level, edges)
-    ends = ends.reshape(segments.shape).tolist()
+    ends = ends.reshape(segments.shape)
+    nxt = np.full(len(edges), -1)
+    nxt[ends[:, 1]] = ends[:, 0]  # a segment runs with the set on its right
+    return _edge_points(grid, values, level, edges), nxt
 
-    # chain segments into polylines via shared edge endpoints; ``ends`` index
-    # ``edges``, which is sorted, so edge order is index order
-    adjacency: list = [[] for _ in range(len(edges))]
-    for idx, (ea, eb) in enumerate(ends):
-        adjacency[ea].append((idx, eb))
-        adjacency[eb].append((idx, ea))
 
-    used = [False] * len(ends)
-    polylines = []
+def _chains(nxt: np.ndarray, skip: np.ndarray):
+    """(nodes, closed) of each chain of the successor list ``nxt`` (-1 for
+    none), in which no node has two predecessors, through the nodes not in
+    ``skip``: first each open chain, from a node no link enters, in node
+    order, then each loop, from its lowest node.  A chain also ends before
+    a skipped node."""
+    succ, seen = nxt.tolist(), skip.tolist()
+    for v in [*np.setdiff1d(np.arange(len(succ)), nxt).tolist(), *range(len(succ))]:
+        chain, u = [], v
+        while u >= 0 and not seen[u]:
+            seen[u] = True
+            chain.append(u)
+            u = succ[u]
+        if chain:
+            yield chain, u == v
 
-    def walk(start_edge):
-        chain = [start_edge]
-        current = start_edge
-        while True:
-            nxt = None
-            for idx, other in adjacency[current]:
-                if not used[idx]:
-                    used[idx] = True
-                    nxt = other
-                    break
-            if nxt is None:
-                break
-            chain.append(nxt)
-            current = nxt
-        return points[chain]
 
-    # open ends first, in edge order; then closed loops in segment order
-    for e, nbrs in enumerate(adjacency):
-        if len(nbrs) == 1 and not used[nbrs[0][0]]:
-            polylines.append(walk(e))
-    for ea, _ in ends:
-        if any(not used[idx] for idx, _ in adjacency[ea]):
-            polylines.append(walk(ea))
-
-    return polylines
+def marching_squares(grid: GridSpec, values: np.ndarray, level: float):
+    """Level curves of ``values`` as a list of (k, 2) coordinate arrays, the
+    chains of ``_contour``: each runs with the sublevel set on its left,
+    the open ones first, from the window edge in edge order, then the
+    closed ones, from their crossing on the lowest edge, which they repeat
+    at their end."""
+    points, nxt = _contour(grid, values, level)
+    return [
+        points[chain + [chain[0]] if closed else chain]
+        for chain, closed in _chains(nxt, np.zeros(len(nxt), dtype=bool))
+    ]
 
 
 @dataclass(frozen=True)
@@ -201,29 +228,28 @@ def boundary_curves(
     """The boundary of each eps-pseudospectrum of ``levels`` inside the
     field's window, as polished pieces of its contours.
 
-    Every vertex of every level's ``marching_squares`` polylines is polished
-    onto F_eps = 0 together (see the module docstring), so every emitted
-    point has |F_eps| <= ``on_curve_tolerance(P)`` and neighbouring points
-    lie about one cell apart.  ``_curves`` splits the polished polylines at
-    frozen vertices and jumps, and orients each piece with the sublevel set
-    on its left.
+    The ``_contour`` graphs of every level are joined into one successor
+    list, and every node is polished onto F_eps = 0 together (see the
+    module docstring), so every emitted point has |F_eps| <=
+    ``on_curve_tolerance(P)`` and neighbouring points lie about one cell
+    apart.  ``_curves`` cuts the links at frozen nodes and jumps and walks
+    the pieces, each with the sublevel set on its left.
     """
-    lines, xy, eps = [], [], []
-    size = 0
-    for k, level in enumerate(levels):
-        for line in marching_squares(field.grid, field.values, level):
-            closed = len(line) > 2 and bool((line[0] == line[-1]).all())
-            pts = line[:-1] if closed else line
-            lines.append((k, np.arange(size, size + len(pts)), closed))
-            size += len(pts)
-            xy.append(pts)
-            eps.append(np.full(len(pts), float(level)))
-    xy = np.concatenate(xy) if xy else np.zeros((0, 2))
-    eps = np.concatenate(eps) if eps else np.zeros(0)
+    graphs = [_contour(field.grid, field.values, level) for level in levels]
+    sizes = [len(nxt) for _, nxt in graphs]
+    xy = np.concatenate([np.zeros((0, 2)), *(points for points, _ in graphs)])
+    nxt = np.concatenate([
+        np.zeros(0, dtype=np.intp),
+        *(np.where(g >= 0, g + base, -1) for (_, g), base in zip(graphs, np.cumsum([0, *sizes]))),
+    ])
+    level_of = np.repeat(np.arange(len(sizes)), sizes)
+    eps = np.asarray(levels, dtype=float)[level_of]
     h = field.grid.cell_diagonal
     xy, on, grad, rounds, points = _polish(P, w, xy, eps, on_curve_tolerance(P), _STEP_GUARD * h)
     z = xy[:, 0] + 1j * xy[:, 1]
-    curves, fill_rounds, fill_points = _curves(P, w, lines, len(levels), z, eps, on, grad, h)
+    curves, fill_rounds, fill_points = _curves(
+        P, w, nxt, level_of, len(sizes), z, eps, on, grad, h
+    )
     frozen = int(np.count_nonzero(~on))
     return BoundaryTrace(curves, rounds + fill_rounds, points + fill_points, frozen)
 
@@ -263,31 +289,35 @@ def _polish(P, w, xy: np.ndarray, eps: np.ndarray, tol: float, guard: float) -> 
     return xy, on, grad, rounds, points
 
 
-def _curves(P, w, lines: list, levels: int, z, eps, on, grad, h: float) -> tuple:
-    """The BoundaryCurves of each level from the polished vertices ``z``
-    (levels ``eps``, on the curve where ``on``, gradients ``grad``) of the
-    (level, vertex indices, closed) ``lines`` of a grid of cell diagonal
-    ``h``, and the rounds and points of the polish of the neck fills.
+def _curves(P, w, nxt, level_of, levels: int, z, eps, on, grad, h: float) -> tuple:
+    """The BoundaryCurves of each level from the polished nodes ``z`` of
+    the successor list ``nxt`` (level index ``level_of``, levels ``eps``,
+    on the curve where ``on``, gradients ``grad``) of a grid of cell
+    diagonal ``h``, and the rounds and points of the polish of the neck
+    fills.
 
-    A segment between two vertices on the curve is a jump when its midpoint
-    lies outside the set (``_jumps``): it cuts a corner, where s_min is
-    multiple, or crosses a neck narrower than a cell, which the grid joined.
-    Two jumps of one line that the exterior joins (``_neck``) are swapped
-    for the chords from each jump's start to the other's end, filled with
-    points a cell apart polished onto the curve, when every one of them
-    gets there; the line splits in two, one for each side of the neck.
-    Every other jump cuts its line, as a frozen vertex does.  Each piece
-    loses every point within ``_REPEAT`` cell diagonals of the one before
-    it (the vertices of the edges that meet at a grid node polish to one
-    point where the curve passes through the node), is dropped when no
-    segment remains, and is oriented with the sublevel set on its left.
+    A link between two nodes on the curve is a jump when its midpoint lies
+    outside the set (``_jumps``): it cuts a corner, where s_min is
+    multiple, or crosses a neck narrower than a cell, which the grid
+    joined.  Two jumps of one chain of ``nxt`` that the exterior joins
+    (``_neck``) are swapped for the chords from each jump's start to the
+    other's end, filled with points a cell apart polished onto the curve,
+    when every one of them gets there; the chain splits in two, one for
+    each side of the neck.  Every other jump cuts its link, as a frozen
+    node does.  ``_chains`` walks the pieces; a piece runs from the window
+    edge to the window edge (``left_window``) when it starts at a node no
+    link of ``nxt`` enters and ends at one without a successor there.  Each
+    piece loses every point within ``_REPEAT`` cell diagonals of the one
+    after it, cyclically on a loop (the crossings of the edges that meet at
+    a grid node polish to one point where the curve passes through the
+    node), and is dropped when no segment remains.  A closed piece starts
+    and ends at its smallest point, by x and then y.
     """
     tol = on_curve_tolerance(P)
-    nxt = np.full(len(z), -1)
-    line_of = np.zeros(len(z), dtype=np.intp)
-    for n, (_, idx, closed) in enumerate(lines):
-        nxt[idx] = np.roll(idx, -1) if closed else np.append(idx[1:], -1)
-        line_of[idx] = n
+    starts, stops = np.isin(np.arange(len(z)), nxt, invert=True), nxt < 0
+    chain_of = np.zeros(len(z), dtype=np.intp)
+    for c, (chain, _) in enumerate(_chains(nxt, np.zeros(len(z), dtype=bool))):
+        chain_of[chain] = c
     a = np.flatnonzero((nxt >= 0) & on)
     a = a[on[nxt[a]]]
     free = a[_jumps(P, w, z[a], z[nxt[a]], eps[a], grad[a], grad[nxt[a]], tol)].tolist()
@@ -295,7 +325,7 @@ def _curves(P, w, lines: list, levels: int, z, eps, on, grad, h: float) -> tuple
     while free:
         j = free.pop(0)
         mid = 0.5 * (z[j] + z[nxt[j]])
-        mates = [i for i in free if line_of[i] == line_of[j]]
+        mates = [i for i in free if chain_of[i] == chain_of[j]]
         for i in sorted(mates, key=lambda i: abs(0.5 * (z[i] + z[nxt[i]]) - mid)):
             if _neck(P, w, eps[j], mid, 0.5 * (z[i] + z[nxt[i]]), h, tol):
                 pairs.append((j, i))
@@ -309,12 +339,12 @@ def _curves(P, w, lines: list, levels: int, z, eps, on, grad, h: float) -> tuple
     sizes = [len(f) for f in fill]
     level = np.repeat([eps[u] for u, _ in chords], sizes)
     fill = np.concatenate([np.zeros(0, dtype=complex), *fill])
-    xy, reached, g, rounds, points = _polish(
+    xy, reached, _, rounds, points = _polish(
         P, w, np.column_stack([fill.real, fill.imag]), level, tol, _STEP_GUARD * h
     )
     ids = np.split(np.arange(len(z), len(z) + len(fill)), np.cumsum(sizes, dtype=np.intp)[:-1])
     z = np.append(z, xy[:, 0] + 1j * xy[:, 1])
-    on, grad = np.append(on, reached), np.vstack([grad, g])
+    on = np.append(on, reached)
     nxt = np.append(nxt, np.full(len(fill), -1))
     for n, (j, i) in enumerate(pairs):
         both = (n, n + len(pairs))
@@ -324,22 +354,28 @@ def _curves(P, w, lines: list, levels: int, z, eps, on, grad, h: float) -> tuple
         for c in both:
             chain = [chords[c][0], *ids[c].tolist(), chords[c][1]]
             nxt[chain[:-1]] = chain[1:]
-    nxt[cut] = -1  # the jumps left cut their lines, as frozen vertices do
+    nxt[cut] = -1  # the jumps left cut their links, as frozen nodes do
     nxt[~on] = -1
-    nxt[(nxt >= 0) & ~on[nxt]] = -1
 
+    # a fill node ends no piece of two points or more, and a loop's lowest
+    # node is not a fill node, so ``starts``, ``stops`` and ``level_of``
+    # are read at grid nodes only
     curves = [[] for _ in range(levels)]
-    for k, piece, termination in _walks(lines, nxt.tolist(), on):
-        keep = np.append(True, np.abs(np.diff(z[piece])) > _REPEAT * h)
-        if termination is Termination.closed:  # keep the first point last
-            keep[-2:] = keep[-2] & keep[-1], True
+    for chain, closed in _chains(nxt, ~on):
+        piece = np.array(chain)
+        keep = np.abs(z[np.roll(piece, -1)] - z[piece]) > _REPEAT * h
+        keep[-1] |= not closed  # an open piece keeps its last point
         piece = piece[keep]
-        if len(piece) < (3 if termination is Termination.closed else 2):
+        if len(piece) < 2:
             continue
-        g = grad[piece]
-        norm = np.hypot(g[:, 0], g[:, 1])
-        tangent = np.column_stack([-g[:, 1] / norm, g[:, 0] / norm])
-        curves[k].append(BoundaryCurve(_oriented(z[piece], tangent), termination))
+        if closed:
+            piece = np.roll(piece, -np.lexsort((z[piece].imag, z[piece].real))[0])
+            piece, termination = np.append(piece, piece[0]), Termination.closed
+        elif starts[chain[0]] and stops[chain[-1]]:
+            termination = Termination.left_window
+        else:
+            termination = Termination.gradient_invalid
+        curves[level_of[chain[0]]].append(BoundaryCurve(z[piece], termination))
     return curves, rounds, points
 
 
@@ -369,44 +405,6 @@ def _chord(za: complex, zb: complex, h: float) -> np.ndarray:
     ``h`` apart."""
     count = int(np.ceil(abs(zb - za) / h)) - 1
     return za + (zb - za) * np.arange(1, count + 1) / (count + 1)
-
-
-def _walks(lines: list, nxt: list, on: np.ndarray):
-    """(level, vertex indices, termination) of each chain of successors
-    ``nxt`` (-1 for none) through the vertices ``on`` the curve, line by
-    line: first each chain from a vertex no successor link enters, in line
-    order, then each closed loop, from its first vertex in line order,
-    which it repeats at its end.  A chain from the first vertex of an open
-    line to its last ends on the window edge both ways; any other ends next
-    to a frozen vertex or a cut jump."""
-    entered = np.zeros(len(nxt), dtype=bool)
-    entered[[v for v in nxt if v >= 0]] = True
-    seen = ~on
-    for k, idx, closed in lines:
-        order = idx.tolist()
-        for v in [u for u in order if not entered[u]] + order:
-            if seen[v]:
-                continue
-            chain, u = [v], nxt[v]
-            while u not in (-1, v):
-                chain.append(u)
-                u = nxt[u]
-            seen[chain] = True
-            if u == v:
-                yield k, np.array(chain + [v]), Termination.closed
-            elif not closed and (chain[0], chain[-1]) == (order[0], order[-1]):
-                yield k, np.array(chain), Termination.left_window
-            else:
-                yield k, np.array(chain), Termination.gradient_invalid
-
-
-def _oriented(points: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """``points``, reversed when they run against the unit ``tangent``s
-    (k, 2) at them, so that the sublevel set lies on their left."""
-    d = np.diff(points)
-    t = tangent[:-1] + tangent[1:]
-    along = np.nansum(d.real * t[:, 0] + d.imag * t[:, 1])
-    return points[::-1] if along < 0 else points
 
 
 def nearest_curve(curves, z: complex) -> tuple:

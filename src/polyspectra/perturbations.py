@@ -64,14 +64,13 @@ from .svdcore import (
     s_min,
     singular_triplets,
     singular_values_many,
+    trailing_cluster,
     weight_terms,
 )
 
 # Gradient norm of s_min / w, times w, below which find_saddle stops at a
 # stationary point.
 SADDLE_GRAD_TOL = 1e-7
-# Multiplicity cluster width for the smallest singular value, relative to s_1.
-MULTIPLICITY_RTOL = 1e-8
 # |u* Q'(mu) v| below this scale certifies the derivative criterion.
 DEFECT_RTOL = 1e-6
 # Residual bound for the constructed perturbations.
@@ -162,13 +161,6 @@ class DistanceResult:
     points: tuple = (0, 0)  # (decomposed, total) nodes of the sampled field
 
 
-def _trailing_cluster_size(values: np.ndarray) -> int:
-    """Multiplicity of the smallest singular value within the cluster width."""
-    sn = values[-1]
-    tol = MULTIPLICITY_RTOL * float(values[0])
-    return int(np.count_nonzero(values - sn <= tol))
-
-
 def _off_spectrum(P: MatrixPolynomial, mu: complex) -> SingularTripletSet:
     trip = singular_triplets(P, mu)
     if on_spectrum(trip.values):
@@ -201,7 +193,7 @@ def _build_perturbation(
 ) -> PerturbationSet:
     """Perturbation from the off-spectrum singular triplets ``trip`` of P(mu)."""
     sn = float(trip.values[-1])
-    k = _trailing_cluster_size(trip.values)
+    k = int(trailing_cluster(trip.values))
     if low_rank:
         Z = trip.left[:, -k:] @ trip.right[:, -k:].conj().T
     else:
@@ -299,7 +291,7 @@ def certify_multiple(
     derivative criterion in the trailing singular pair (None for k >= 2).
     """
     trip = _off_spectrum(P, mu)
-    k = _trailing_cluster_size(trip.values)
+    k = int(trailing_cluster(trip.values))
     q_hat = _build_perturbation(P, w, mu, trip, low_rank=False)
     q_tilde = _build_perturbation(P, w, mu, trip, low_rank=True)
     Qh = q_hat.polynomial()

@@ -1,5 +1,5 @@
-"""Grid sampling of the s_min/w landscape, sublevel components, the
-boundary curve type, and the exact grid level at which components merge.
+"""Grid sampling of the s_min/w landscape, sublevel components, and the
+exact grid level at which components merge.
 
 A single ScalarField stores the ratio s_min(lambda) / w(|lambda|) on a
 rectangular grid; the eps-sublevel set of that one field answers membership
@@ -25,20 +25,11 @@ nodes nearest the eigenvalues.  Every other node lies on the same side of
 every level as its value, so labels, counts and the values the merge
 search bisects over are the full field's, and a level outside the field's
 spans raises.
-
-The boundary of the eps-pseudospectrum is the level curve
-F_eps(lambda) = s_min(lambda) - eps * w(|lambda|) = 0, and it is drawn from
-the same field: ``contours.boundary_curves`` runs marching squares on the
-field at each level and polishes every contour vertex onto F_eps = 0 with
-batched Newton steps.  Its points are therefore about one grid cell apart,
-and the window's nx and ny set that spacing.  Each polished piece is a
-``BoundaryCurve`` whose points meet ``on_curve_tolerance``.
 """
 
 from __future__ import annotations
 
 import bisect
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +41,6 @@ from .matpoly import (
     WeightPolynomial,
     connected_components,
     leading_s_min,
-    max_norm,
     require_nonsingular_leading,
     weight_eval,
 )
@@ -198,31 +188,6 @@ class ComponentReport:
     labels: np.ndarray
     eigen_assignment: dict
     bounded: dict
-
-
-class Termination(str, enum.Enum):
-    closed = "closed"
-    left_window = "left_window"
-    gradient_invalid = "gradient_invalid"
-
-
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """Ordered points of one piece of the level curve F_eps = 0, with the
-    sublevel set on the left.
-
-    ``termination`` says how the piece ends: ``closed`` (its last point is
-    its first), ``left_window`` (both ends on the window edge) or
-    ``gradient_invalid`` (an end next to a vertex the polish froze, or to
-    a jump across a corner where s_min is multiple).
-    """
-
-    points: np.ndarray
-    termination: Termination
-
-    @property
-    def closed(self) -> bool:
-        return self.termination is Termination.closed
 
 
 def compute_field(
@@ -430,11 +395,6 @@ def components(field: ScalarField, eps: float, eigen: EigenReport) -> ComponentR
         eigen_assignment=assignment,
         bounded=bounded,
     )
-
-
-def on_curve_tolerance(P: MatrixPolynomial) -> float:
-    """|F_eps| at or below which a point counts as on the level curve."""
-    return 1e-9 * (1.0 + max_norm(P))
 
 
 def labels_near(field: ScalarField, eps: float, points) -> list:

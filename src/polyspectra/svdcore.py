@@ -71,7 +71,10 @@ from .matpoly import (
 
 # Validity thresholds for the closed-form gradient; the smoothness
 # hypotheses ("simple, nonzero") are qualitative, these make them checkable.
-GAP_RTOL = 1e-8
+# Width of the cluster of the least singular value, relative to s_1: s_min
+# is simple where the cluster is one value, and its size is a certificate's
+# geometric multiplicity.
+MULTIPLICITY_RTOL = 1e-8
 ZERO_RTOL = 1e-12
 ORIGIN_TOL = 1e-12
 
@@ -494,6 +497,13 @@ def on_spectrum(values):
     return values[..., -1] <= ZERO_RTOL * (1.0 + values[..., 0])
 
 
+def trailing_cluster(values):
+    """Size of the cluster of the least singular value, from one row or a
+    stack of rows of descending values."""
+    tol = MULTIPLICITY_RTOL * values[..., :1]
+    return np.count_nonzero(values - values[..., -1:] <= tol, axis=-1)
+
+
 def surface_gap(values, c1: int, c2: int):
     """s_{c2} - s_{c1} (1-based) from one row or a stack of rows of values."""
     return values[..., c2 - 1] - values[..., c1 - 1]
@@ -575,7 +585,7 @@ def point_stack(P: MatrixPolynomial, w: WeightPolynomial, lams) -> PointStack:
     weight, weight_grad = weight_terms(w, L)
     return PointStack(
         lam=L, s=s, s_grad=s_grad, gap=gap, on_spectrum=on_spec,
-        smooth=(gap > GAP_RTOL * s[:, 0]) & ~on_spec,
+        smooth=(trailing_cluster(s) == 1) & ~on_spec,
         weight=weight, weight_grad=weight_grad,
     )
 

@@ -200,6 +200,20 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["faults", "--window", "-1e-05", "1", "-1", "1", "--grid", "21", "21"],
+            ["perturb", "--mu", "-1e-05", "0"],
+            ["field", "--window", "-2E-1", "2.8", "-1", "1", "--grid", "21", "21"],
+        ],
+        ids=["faults-window--1e-05", "perturb-mu--1e-05", "field-window--2E-1"],
+    )
+    def test_negative_numbers_in_exponent_form(self, argv, capsys):
+        # argparse's own negative-number pattern has no exponent, and read
+        # each of these values as an option
+        assert main([*argv, "--input", UPTRI]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["components", "--csv", "out.csv"],
             ["perturb", "--mu", "1.5", "0", "--grid", "21", "21"],
             ["trace", "--grid", "21", "21"],
@@ -708,9 +722,9 @@ class TestDefaults:
         shapes = []
         original = perturbations.compute_field
 
-        def recording(P, w, grid, svals=None):
+        def recording(P, w, grid, levels=None):
             shapes.append(grid.points().shape)
-            return original(P, w, grid, svals)
+            return original(P, w, grid, levels)
 
         monkeypatch.setattr(perturbations, "compute_field", recording)
         doc = json.loads(Path(UPTRI).read_text())

@@ -13,7 +13,7 @@ from polyspectra import (
 )
 from polyspectra import contours
 from polyspectra.cli import parse_problem
-from polyspectra.contours import _edge_points, _walks, marching_squares
+from polyspectra.contours import _SEGMENT_TABLE, _chains, _edge_points, marching_squares
 from polyspectra.svdcore import point_stack
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
@@ -66,20 +66,24 @@ class TestMarchingSquares:
 
 def reference_marching_squares(grid, values, level):
     """The per-cell marching-squares loop, kept as the reference the
-    vectorised code must reproduce bit for bit."""
+    vectorised code must reproduce bit for bit.  Each segment runs with the
+    inside corners of its cell on its left, and links its start to its end;
+    the polylines are the chains of those links: first the open ones, from
+    each crossing no link enters, by edge, then the loops, each from its
+    lowest edge, which it repeats at its end."""
     xs, ys = grid.xs(), grid.ys()
     inside = values <= level
     table = {
-        1: (("left", "bottom"),), 2: (("bottom", "right"),), 3: (("left", "right"),),
-        4: (("right", "top"),), 6: (("bottom", "top"),), 7: (("left", "top"),),
-        8: (("top", "left"),), 9: (("top", "bottom"),), 11: (("top", "right"),),
-        12: (("right", "left"),), 13: (("right", "bottom"),), 14: (("bottom", "left"),),
+        1: (("bottom", "left"),), 2: (("right", "bottom"),), 3: (("right", "left"),),
+        4: (("top", "right"),), 6: (("top", "bottom"),), 7: (("top", "left"),),
+        8: (("left", "top"),), 9: (("bottom", "top"),), 11: (("right", "top"),),
+        12: (("left", "right"),), 13: (("bottom", "right"),), 14: (("left", "bottom"),),
     }
     saddles = {
-        (5, True): (("left", "top"), ("bottom", "right")),
-        (5, False): (("left", "bottom"), ("right", "top")),
-        (10, True): (("bottom", "left"), ("top", "right")),
-        (10, False): (("bottom", "right"), ("top", "left")),
+        (5, True): (("top", "left"), ("bottom", "right")),
+        (5, False): (("bottom", "left"), ("top", "right")),
+        (10, True): (("left", "bottom"), ("right", "top")),
+        (10, False): (("right", "bottom"), ("left", "top")),
     }
     names = {
         "bottom": lambda i, j: ("x", i, j),
@@ -95,7 +99,7 @@ def reference_marching_squares(grid, values, level):
         t = 0.5 if fq == fp else min(max((level - fp) / (fq - fp), 0.0), 1.0)
         return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
 
-    segments = []
+    link = {}
     for i in range(grid.nx - 1):
         for j in range(grid.ny - 1):
             case = (
@@ -109,31 +113,23 @@ def reference_marching_squares(grid, values, level):
                 pairs = saddles[case, bool(center <= level)]
             else:
                 pairs = table.get(case, ())
-            segments += [(names[a](i, j), names[b](i, j)) for a, b in pairs]
+            for a, b in pairs:
+                assert names[a](i, j) not in link
+                link[names[a](i, j)] = names[b](i, j)
 
-    adjacency = {}
-    for idx, (ea, eb) in enumerate(segments):
-        adjacency.setdefault(ea, []).append((idx, eb))
-        adjacency.setdefault(eb, []).append((idx, ea))
-    used = [False] * len(segments)
-
-    def walk(edge):
-        chain = [edge]
-        while True:
-            nxt = next(((idx, o) for idx, o in adjacency[edge] if not used[idx]), None)
-            if nxt is None:
-                return np.array([point_on(*c) for c in chain])
-            used[nxt[0]] = True
-            edge = nxt[1]
-            chain.append(edge)
-
-    polylines = []
-    for e in sorted(e for e, nbrs in adjacency.items() if len(nbrs) == 1):
-        if not all(used[idx] for idx, _ in adjacency[e]):
-            polylines.append(walk(e))
-    for ea, _ in segments:
-        if any(not used[idx] for idx, _ in adjacency[ea]):
-            polylines.append(walk(ea))
+    edges = sorted(set(link) | set(link.values()))
+    entered = set(link.values())
+    polylines, done = [], set()
+    for start in [e for e in edges if e not in entered] + edges:
+        if start in done:
+            continue
+        chain = [start]
+        while chain[-1] in link and link[chain[-1]] != start:
+            chain.append(link[chain[-1]])
+        if chain[-1] in link:
+            chain.append(start)
+        done.update(chain)
+        polylines.append(np.array([point_on(*e) for e in chain]))
     return polylines
 
 
@@ -162,9 +158,9 @@ class TestBranches:
             # case 5, center inside: the band joining BL and TR
             ((0, 1, 0, 1), 0.75, [[(0.75, 0.0), (1.0, 0.25)], [(0.25, 1.0), (0.0, 0.75)]]),
             # case 10 (BR, TL inside), center outside: BR and TL cut off
-            ((1, 0, 1, 0), 0.25, [[(0.75, 0.0), (1.0, 0.25)], [(0.25, 1.0), (0.0, 0.75)]]),
+            ((1, 0, 1, 0), 0.25, [[(0.0, 0.75), (0.25, 1.0)], [(1.0, 0.25), (0.75, 0.0)]]),
             # case 10, center inside: the band joining BR and TL
-            ((1, 0, 1, 0), 0.75, [[(0.25, 0.0), (0.0, 0.25)], [(0.75, 1.0), (1.0, 0.75)]]),
+            ((1, 0, 1, 0), 0.75, [[(0.0, 0.25), (0.25, 0.0)], [(1.0, 0.75), (0.75, 1.0)]]),
         ],
         ids=["case5-center-out", "case5-center-in", "case10-center-out", "case10-center-in"],
     )
@@ -202,10 +198,12 @@ class TestBranches:
         polys = marching_squares(grid, values, 1.5)
         assert [len(p) for p in polys] == [7, 13]
         assert [bool(np.array_equal(p[0], p[-1])) for p in polys] == [False, True]
+        # counterclockwise: the open arc from the bottom of the window edge,
+        # the loop from its crossing on the lowest edge
         assert polys[0][0].tolist() == [-3.0, -1.1666666666666665]
         assert polys[0][-1].tolist() == [-3.0, 1.1666666666666667]
-        assert polys[1][0].tolist() == [0.0, -0.5]
-        assert polys[1][1].tolist() == [-0.16666666666666663, 0.0]
+        assert polys[1][0].tolist() == [-0.16666666666666663, 0.0]
+        assert polys[1][1].tolist() == [0.0, -0.5]
         assert_bitwise_equal(polys, reference_marching_squares(grid, values, 1.5))
 
 
@@ -237,8 +235,8 @@ class TestMatchesReference:
 
 
 class TestPieces:
-    """How the polished vertices of one line split into pieces at frozen
-    vertices and cut segments."""
+    """How ``_chains`` splits the links of one line at frozen vertices and
+    cut segments."""
 
     @staticmethod
     def pieces(good, closed, cut=()):
@@ -246,31 +244,33 @@ class TestPieces:
         nxt = np.roll(idx, -1) if closed else np.append(idx[1:], -1)
         good = np.array(good)
         nxt[list(cut)] = -1
-        nxt[~good | ~good[nxt]] = -1
-        return [
-            (chain.tolist(), termination.value)
-            for _, chain, termination in _walks([(0, idx, closed)], nxt.tolist(), good)
-            if len(chain) > 1
-        ]
+        nxt[~good] = -1
+        return [(chain, loop) for chain, loop in _chains(nxt, ~good) if len(chain) > 1]
 
     def test_open_line_without_frozen_vertices_ends_on_the_window_edge(self):
-        assert self.pieces([True] * 4, False) == [([0, 1, 2, 3], "left_window")]
+        assert self.pieces([True] * 4, False) == [([0, 1, 2, 3], False)]
 
     def test_open_line_splits_at_frozen_vertices(self):
         got = self.pieces([True, True, False, True, True, True, False, True], False)
         # a piece of one point is dropped
-        assert got == [([0, 1], "gradient_invalid"), ([3, 4, 5], "gradient_invalid")]
+        assert got == [([0, 1], False), ([3, 4, 5], False)]
 
     def test_closed_loop_cut_at_k_vertices_gives_k_pieces(self):
-        assert self.pieces([True] * 5, True) == [([0, 1, 2, 3, 4, 0], "closed")]
+        assert self.pieces([True] * 5, True) == [([0, 1, 2, 3, 4], True)]
         got = self.pieces([True, False, True, True, True, False, True, True], True)
-        assert got == [([2, 3, 4], "gradient_invalid"), ([6, 7, 0], "gradient_invalid")]
+        assert got == [([2, 3, 4], False), ([6, 7, 0], False)]
 
     def test_a_cut_segment_splits_the_line_and_keeps_both_ends(self):
         got = self.pieces([True] * 5, False, [1])
-        assert got == [([0, 1], "gradient_invalid"), ([2, 3, 4], "gradient_invalid")]
+        assert got == [([0, 1], False), ([2, 3, 4], False)]
         # a closed loop cut at one segment gives one open piece
-        assert self.pieces([True] * 4, True, [2]) == [([3, 0, 1, 2], "gradient_invalid")]
+        assert self.pieces([True] * 4, True, [2]) == [([3, 0, 1, 2], False)]
+
+    def test_open_chains_come_first_and_a_loop_starts_at_its_lowest_node(self):
+        # a loop 4 -> 2 -> 5 -> 4, and an open chain 3 -> 0 -> 1
+        nxt = np.array([1, -1, 5, 0, 2, 4])
+        got = list(_chains(nxt, np.zeros(6, dtype=bool)))
+        assert got == [([3, 0, 1], False), ([2, 5, 4], True)]
 
 
 class TestPolishedPieces:
@@ -282,9 +282,11 @@ class TestPolishedPieces:
         z = np.asarray(z, dtype=complex)
         level = np.full(len(z), eps)
         grad = point_stack(P, w, z).grad_F(level)
-        lines = [(0, np.arange(len(z)), closed)]
+        idx = np.arange(len(z))
+        nxt = np.roll(idx, -1) if closed else np.append(idx[1:], -1)
         on = np.ones(len(z), dtype=bool)
-        [curves], _, _ = contours._curves(P, w, lines, 1, z, level, on, grad, 0.1)
+        level_of = np.zeros(len(z), dtype=np.intp)
+        [curves], _, _ = contours._curves(P, w, nxt, level_of, 1, z, level, on, grad, 0.1)
         return curves
 
     def test_a_piece_whose_points_coincide_is_dropped(self):
@@ -296,19 +298,84 @@ class TestPolishedPieces:
         assert self.curves(P, 0.5, [0.7, 0.7, 0.7], True) == []
         [curve] = self.curves(P, 0.5, [0.7, 0.7, 0.2 + 0.5j], False)
         assert curve.points.tolist() == [0.7, 0.2 + 0.5j]
+        assert curve.termination.value == "left_window"
 
     def test_a_segment_through_the_exterior_cuts_the_line(self):
         # diag(lambda + 1, lambda - 1) at eps 1.02: the discs overlap, and
         # the boundary of their union turns a corner at 0.2i.  A line along
-        # the left circle to 0.3 rad, then along the right one, jumps the
+        # the right circle to 0.3 rad, then along the left one, jumps the
         # corner through the exterior, and splits there
         P = MatrixPolynomial([np.diag([1.0, -1.0]), np.eye(2)])
         left = [-1 + 1.02 * np.exp(1j * t) for t in (0.5, 0.4, 0.3)]
         right = [1 - np.conj(z + 1) for z in left[::-1]]
-        pieces = self.curves(P, 1.02, left + right, False)
+        pieces = self.curves(P, 1.02, (left + right)[::-1], False)
         assert [c.termination.value for c in pieces] == ["gradient_invalid"] * 2
         # one piece on each circle
         assert sorted(bool(c.points.real.max() < 0) for c in pieces) == [False, True]
+
+    def test_a_closed_curve_starts_at_its_smallest_point(self):
+        # lambda - 0.2 at eps 0.5, counterclockwise from two different
+        # vertices: the same curve, from its smallest point by x, then y
+        P = MatrixPolynomial([[[-0.2]], [[1.0]]])
+        z = 0.2 + 0.5 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 13)[:-1])
+        [a] = self.curves(P, 0.5, z, True)
+        [b] = self.curves(P, 0.5, np.roll(z, 5), True)
+        assert a.termination.value == b.termination.value == "closed"
+        assert a.points.tobytes() == b.points.tobytes()
+        assert len(a.points) == 13 and a.points[0] == a.points[-1]
+        assert a.points[0] == min(z.tolist(), key=lambda p: (p.real, p.imag))
+
+
+class TestTableOrientation:
+    """Every segment runs with the sublevel set on one side."""
+
+    # midpoints of the edges of the unit cell, and their end corners
+    EDGES = {
+        contours._BOTTOM: ((0.5, 0.0), ((0, 0), (1, 0))),
+        contours._TOP: ((0.5, 1.0), ((0, 1), (1, 1))),
+        contours._LEFT: ((0.0, 0.5), ((0, 0), (0, 1))),
+        contours._RIGHT: ((1.0, 0.5), ((1, 0), (1, 1))),
+    }
+    BITS = {(0, 0): 1, (1, 0): 2, (1, 1): 4, (0, 1): 8}
+
+    @pytest.mark.parametrize("case", sorted(_SEGMENT_TABLE))
+    def test_inside_corners_lie_right_of_every_segment(self, case):
+        corners = {5: 5, 10: 10, 16: 5, 17: 10}.get(case, case)
+        for a, b in _SEGMENT_TABLE[case]:
+            (ax, ay), (bx, by) = self.EDGES[a][0], self.EDGES[b][0]
+            for edge in (a, b):
+                for cx, cy in self.EDGES[edge][1]:
+                    # the corners of the two crossed edges: inside ones to
+                    # the right (negative cross product), outside ones left
+                    cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+                    assert (cross < 0) == bool(corners & self.BITS[cx, cy]), (a, b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_field_polylines_have_the_set_on_their_left(seed):
+    # continuous random values never equal the level, so every crossing
+    # lies inside one edge, whose inside end is left of the segments
+    # through the crossing
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(x_min=-1.0, x_max=2.0, y_min=0.0, y_max=1.0, nx=23, ny=17)
+    values = rng.standard_normal((23, 17))
+    xs, ys = grid.xs(), grid.ys()
+    level = float(rng.standard_normal())
+
+    def inside_end(x, y):
+        [i] = np.flatnonzero(xs <= x)[-1:]
+        [j] = np.flatnonzero(ys <= y)[-1:]
+        other = (i + 1, j) if y == ys[j] else (i, j + 1)
+        return (i, j) if values[i, j] <= level else other
+
+    polys = marching_squares(grid, values, level)
+    assert polys
+    for poly in polys:
+        for p, q in zip(poly[:-1], poly[1:]):
+            for x, y in (p, q):
+                i, j = inside_end(x, y)
+                cross = (q[0] - p[0]) * (ys[j] - p[1]) - (q[1] - p[1]) * (xs[i] - p[0])
+                assert cross > 0
 
 
 def fixture_curves(path):

@@ -24,9 +24,8 @@ from polyspectra import (
 )
 from polyspectra import contours, svdcore
 from polyspectra.cli import _csv_lines, _json_text, main, parse_problem
-from polyspectra.contours import marching_squares
+from polyspectra.contours import on_curve_tolerance
 from polyspectra.perturbations import _ratio_stack
-from polyspectra.pseudospectrum import on_curve_tolerance
 from polyspectra.svdcore import point_stack, singular_triplets
 
 from conftest import random_polynomial
@@ -184,19 +183,20 @@ def reference_trace(spec):
     field = compute_field(P, w, window)
     h = window.cell_diagonal
     tol, guard = on_curve_tolerance(P), contours._STEP_GUARD * h
-    lines, z, eps, on, grad = [], [], [], [], []
+    nxt, level_of, z, eps, on, grad = [], [], [], [], [], []
     for k, level in enumerate(spec.epsilons):
-        for line in marching_squares(window, field.values, level):
-            closed = len(line) > 2 and bool((line[0] == line[-1]).all())
-            for x, y in (line[:-1] if closed else line).tolist():
-                lam, reached, g = polish_alone(P, w, level, x, y, tol, guard)
-                z.append(lam)
-                eps.append(level)
-                on.append(reached)
-                grad.append(g)
-            lines.append((k, np.arange(len(z) - len(line) + closed, len(z)), closed))
+        points, succ = contours._contour(window, field.values, level)
+        nxt += [u + len(z) if u >= 0 else -1 for u in succ.tolist()]
+        for x, y in points.tolist():
+            lam, reached, g = polish_alone(P, w, level, x, y, tol, guard)
+            z.append(lam)
+            eps.append(level)
+            on.append(reached)
+            grad.append(g)
+            level_of.append(k)
     levels, _, _ = contours._curves(
-        P, w, lines, len(spec.epsilons), np.array(z, dtype=complex), np.array(eps),
+        P, w, np.array(nxt, dtype=np.intp), np.array(level_of, dtype=np.intp),
+        len(spec.epsilons), np.array(z, dtype=complex), np.array(eps),
         np.array(on, dtype=bool), np.array(grad).reshape(-1, 2), h,
     )
     curves = [(eps, c) for eps, level in zip(spec.epsilons, levels) for c in level]

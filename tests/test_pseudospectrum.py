@@ -26,7 +26,8 @@ from polyspectra import (
 )
 from polyspectra import pseudospectrum
 from polyspectra.cli import main, parse_problem
-from polyspectra.pseudospectrum import MAX_GRID_POINTS, label_sublevel, on_curve_tolerance
+from polyspectra.contours import on_curve_tolerance
+from polyspectra.pseudospectrum import MAX_GRID_POINTS, label_sublevel
 from polyspectra.svdcore import F_eps, singular_values_many
 
 from conftest import random_polynomial, random_weight
