@@ -21,7 +21,9 @@ curves, so that every candidate cell of the largest refinement batches
 (hundreds per fixture) is digested.  ``components`` and ``distance`` also
 run as ``<command>+grid31`` and ``<command>+grid101`` at ``--grid 31 31``
 and ``--grid 101 101``: coarse grids, where some of them exit 3, so their
-error messages are digested too.  Every run digests its stderr without the
+error messages are digested too.  ``trace``, which has no ``--grid``, runs
+as ``trace+grid31`` and ``trace+grid101`` on a copy of the document whose
+``window`` has ``nx`` and ``ny`` set to that size.  Every run digests its stderr without the
 ``[polyspectra]`` summary line, which holds the wall time.
 
 ``tools/cli_digests.txt`` holds the lines of the current program, made with
@@ -96,6 +98,8 @@ OUTPUTS = {
     "components+grid101": ("json",),
     "distance+grid31": ("json",),
     "distance+grid101": ("json",),
+    "trace+grid31": ("csv", "svg", "json"),
+    "trace+grid101": ("csv", "svg", "json"),
 }
 
 
@@ -110,6 +114,8 @@ def _extra_args(run: str, path: Path) -> list | None:
     if variant.startswith("grid"):
         if command == "faults" and name not in GRID401:
             return None
+        if command == "trace":
+            return []  # the grid is set in the document (``_source``)
         size = variant[len("grid"):]
         grid = ["--grid", size, size]
         if command == "distance":
@@ -127,6 +133,24 @@ def _extra_args(run: str, path: Path) -> list | None:
     return []
 
 
+def _source(run: str, path: Path, work: Path) -> Path:
+    """The document ``run`` reads: the fixture itself, or a copy without
+    its window (``+nowindow``) or with its grid size set (``trace+grid``)."""
+    command, _, variant = run.partition("+")
+    if variant == "nowindow":
+        doc = json.loads(path.read_text())
+        del doc["window"]
+    elif command == "trace" and variant.startswith("grid"):
+        doc = json.loads(path.read_text())
+        size = int(variant[len("grid"):])
+        doc["window"].update(nx=size, ny=size)
+    else:
+        return path
+    source = work / f"{path.stem}.{variant}.json"
+    source.write_text(json.dumps(doc))
+    return source
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -141,12 +165,7 @@ def run(keep: Path | None) -> None:
                 if extra is None:
                     continue
                 files = {kind: work / f"{command}.{name}.{kind}" for kind in kinds}
-                source = path
-                if command.endswith("+nowindow"):
-                    doc = json.loads(path.read_text())
-                    del doc["window"]
-                    source = work / f"{name}.nowindow.json"
-                    source.write_text(json.dumps(doc))
+                source = _source(command, path, work)
                 argv = [command.split("+")[0], "--input", str(source), *extra]
                 for kind, out in files.items():
                     argv += [f"--{kind}", str(out)]
