@@ -481,7 +481,9 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
                 raise PreconditionError(
                     f"seed {seed:.6g} is not on the eps={eps:.6g} curve: |F_eps| = {abs(f):.3e}"
                 )
-    traced = boundary_curves(P, w, compute_field(P, w, window), eps_list)
+    # the contours read exact values only at the ends of the edges they cross
+    field = compute_field(P, w, window, Levels(spans=tuple((e, e) for e in eps_list)))
+    traced = boundary_curves(P, w, field, eps_list)
     curves = []
     for eps, level in zip(eps_list, traced.curves):
         if not level:
@@ -531,6 +533,7 @@ def _cmd_trace(spec: ProblemSpec, args, report: RunReport) -> None:
     report.stats = (
         "curves " + " ".join(f"{t.value}={ends[t]}" for t in Termination if ends[t])
         + f" rounds={traced.rounds} points={traced.points} frozen={traced.frozen}"
+        + f" nodes={field.decomposed}/{field.values.size}"
     )
 
 

@@ -233,8 +233,13 @@ def boundary_curves(
     module docstring), so every emitted point has |F_eps| <=
     ``on_curve_tolerance(P)`` and neighbouring points lie about one cell
     apart.  ``_curves`` cuts the links at frozen nodes and jumps and walks
-    the pieces, each with the sublevel set on its left.
+    the pieces, each with the sublevel set on its left.  The field is a
+    full one or one built for each of ``levels`` as a single level, which
+    is exact at both ends of every edge those levels cross; a field built
+    for other levels raises ``PreconditionError``.
     """
+    for level in levels:
+        field.check_levels(level)
     graphs = [_contour(field.grid, field.values, level) for level in levels]
     sizes = [len(nxt) for _, nxt in graphs]
     xy = np.concatenate([np.zeros((0, 2)), *(points for points, _ in graphs)])

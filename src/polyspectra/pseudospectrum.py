@@ -58,8 +58,9 @@ MAX_GRID_POINTS = 1 << 24
 WEYL_MARGIN_RTOL = 1e-13
 
 # Steps, in grid cells, of the lattices a levelled field decomposes before
-# its last call: the first lattice is decomposed whole, every later one only
-# where enclosures still meet a span.
+# its last calls: the first lattice is decomposed whole, every later one only
+# where enclosures still meet a span.  Each step is a multiple of the last,
+# so the finest lattice holds every node of the others.
 _LATTICE_STEPS = (8, 2)
 
 # Points per axis of every window whose size no input sets: the default
@@ -204,27 +205,22 @@ def compute_field(
     ``levels`` only the nodes those levels depend on are decomposed
     (``_levelled_values``).
     """
-    pts = grid.points()
-    radius = np.hypot(pts.real, pts.imag)
-    weight = weight_eval(w, radius)
     if levels is None:
         if svals is None:
-            svals = singular_values_many(P, pts)
-        values = svals[..., -1] / weight
+            svals = singular_values_many(P, grid.points())
+        values = svals[..., -1] / weight_eval(w, np.hypot.outer(grid.xs(), grid.ys()))
         exact = None
     else:
-        values, exact = _levelled_values(P, grid, pts, radius, weight, levels)
+        values, exact = _levelled_values(P, w, grid, levels)
         exact.setflags(write=False)
     values.setflags(write=False)
     return ScalarField(grid=grid, values=values, levels=levels, exact=exact)
 
 
-def _lattice(size: int, step: int) -> tuple:
+def _lattice(size: int, step: int) -> np.ndarray:
     """The nearest node of the lattice of every ``step``-th node, as its
-    lattice index, of each of ``size`` nodes along an axis, and the number
-    of nodes each lattice node is nearest to."""
-    near = np.minimum((np.arange(size) + step // 2) // step, (size - 1) // step)
-    return near, np.bincount(near)
+    lattice index, of each of ``size`` nodes along an axis."""
+    return np.minimum((np.arange(size) + step // 2) // step, (size - 1) // step)
 
 
 def _meets(lo: np.ndarray, hi: np.ndarray, spans) -> np.ndarray:
@@ -235,7 +231,7 @@ def _meets(lo: np.ndarray, hi: np.ndarray, spans) -> np.ndarray:
     return hit
 
 
-def _levelled_values(P, grid, pts, radius, weight, levels: Levels) -> tuple:
+def _levelled_values(P, w, grid, levels: Levels) -> tuple:
     """Field values and exact mask of a field that answers ``levels``.
 
     Weyl's inequality bounds s_min at a node lambda by s_min at a node c:
@@ -247,14 +243,24 @@ def _levelled_values(P, grid, pts, radius, weight, levels: Levels) -> tuple:
     margin, ``WEYL_MARGIN_RTOL * (n + deg P + 1)`` times q / w at the
     window's largest |lambda| + R and its smallest w.  Each lattice of
     ``_LATTICE_STEPS`` (every step-th node along each axis) decomposes, in
-    one batched call, its nodes whose enclosure still meets a span (all of
-    the first), and narrows every node's enclosure by its nearest lattice
-    node.  One last call decomposes every node whose enclosure still meets
-    a span, and the nodes of ``levels.exact``.  Every other node stores the
-    upper end of its enclosure, which lies on the same side of every level
-    in the spans as the node's value.
+    one batched call, its nodes whose enclosure from the lattices before it
+    still meets a span (all of the first).  One more call decomposes every
+    node whose enclosure, narrowed by its nearest node on every lattice,
+    still meets a span, and the nodes of ``levels.exact``.  Every other
+    node stores the upper end of its enclosure, which lies on the same side
+    of every level in the spans as the node's value.  A last call
+    decomposes both ends of every grid edge whose stored values lie on two
+    sides of a single level (a span [eps, eps]): marching squares reads its
+    crossing points and its saddle cells from those ends only, so the
+    contours of such a level are the full field's.
+
+    No complex grid is held: a decomposed node's point is formed from its
+    axes' coordinates, as ``grid.points()`` forms it, and the enclosures of
+    all nodes are formed a block of rows at a time, so the working set is
+    the values, the exact mask and one batched call's.
     """
     norms = P.coefficient_norms
+    xs, ys = grid.xs(), grid.ys()
     reach = max(_LATTICE_STEPS) * grid.cell_diagonal  # R, beyond every |lambda - c|
     # the rounding margin over w, as one bound for every node
     rho = max(abs(grid.x_min), abs(grid.x_max)) + max(abs(grid.y_min), abs(grid.y_max)) + reach
@@ -262,47 +268,94 @@ def _levelled_values(P, grid, pts, radius, weight, levels: Levels) -> tuple:
     # decomposes every node; a zero norm's term is left out, not inf * 0
     with np.errstate(over="ignore"):
         q = sum(c * np.float64(rho) ** k for k, c in enumerate(norms) if c)
-    margin = WEYL_MARGIN_RTOL * (P.n + P.m + 1) * q / float(weight.min())
-    # q'(|lambda| + R) / w(|lambda|), the bound's growth with |lambda - c|
-    slope = np.full(pts.shape, float(P.m * norms[-1]))
-    for k in range(P.m - 1, 0, -1):
-        slope *= radius + reach
-        slope += k * norms[k]
-    slope /= weight
-    xs, ys = grid.xs(), grid.ys()
-    s_min = np.full(pts.shape, np.nan)  # NaN until decomposed
-    flat_s, flat_pts = s_min.reshape(-1), pts.reshape(-1)
-    lo = np.full(pts.shape, -np.inf)
-    hi = np.full(pts.shape, np.inf)
+    # w(|lambda|) grows with |x| and |y| (w_j >= 0), so the window's smallest
+    # w is at its node of least |x| and least |y|
+    w_min = weight_eval(w, np.hypot(np.abs(xs).min(), np.abs(ys).min()))
+    margin = WEYL_MARGIN_RTOL * (P.n + P.m + 1) * q / w_min
+    # s_min on the finest lattice, which holds every coarser one; NaN
+    # until decomposed
+    fine = _LATTICE_STEPS[-1]
+    s_lattice = np.full((len(xs[::fine]), len(ys[::fine])), np.nan)
+    nearest = {step: (_lattice(grid.nx, step), _lattice(grid.ny, step)) for step in _LATTICE_STEPS}
 
-    def decompose(nodes: np.ndarray) -> None:
-        flat_s[nodes] = singular_values_many(P, flat_pts[nodes])[:, -1]
+    def s_min(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return singular_values_many(P, xs[i] + 1j * ys[j])[:, -1]
 
-    for step in _LATTICE_STEPS:
-        (nx, cx), (ny, cy) = _lattice(grid.nx, step), _lattice(grid.ny, step)
-        lattice = np.s_[::step, ::step]
-        i, j = np.nonzero(np.isnan(s_min[lattice]) & _meets(lo[lattice], hi[lattice], levels.spans))
-        decompose((i * grid.ny + j) * step)
-        # s_min at the nearest lattice node over w, NaN where the lattice
-        # node is not decomposed, which fmax and fmin pass over
-        near = np.repeat(s_min[lattice][nx], cy, axis=1) / weight
-        bound = np.sqrt(np.add.outer((xs - xs[::step][nx]) ** 2, (ys - ys[::step][ny]) ** 2))
-        bound *= slope
-        bound += margin
-        np.fmin(hi, near + bound, out=hi)
-        np.fmax(lo, near - bound, out=lo)
+    def enclosure(i: np.ndarray, j: np.ndarray, steps) -> tuple:
+        """Ends of the enclosures of the nodes i x j from the lattices of
+        ``steps``."""
+        radius = np.hypot.outer(xs[i], ys[j])
+        weight = weight_eval(w, radius)
+        # q'(|lambda| + R) / w(|lambda|), the bound's growth with |lambda - c|
+        radius += reach
+        slope = np.full(weight.shape, float(P.m * norms[-1]))
+        for k in range(P.m - 1, 0, -1):
+            slope *= radius
+            slope += k * norms[k]
+        del radius
+        slope /= weight
+        lo = np.full(weight.shape, -np.inf)
+        hi = np.full(weight.shape, np.inf)
+        for step in steps:
+            ni, nj = nearest[step][0][i], nearest[step][1][j]
+            # s_min at the nearest lattice node over w, NaN where the lattice
+            # node is not decomposed, which fmax and fmin pass over
+            near = s_lattice[::step // fine, ::step // fine][ni][:, nj] / weight
+            bound = np.add.outer((xs[i] - xs[::step][ni]) ** 2, (ys[j] - ys[::step][nj]) ** 2)
+            np.sqrt(bound, out=bound)
+            bound *= slope
+            bound += margin
+            end = near + bound
+            np.fmin(hi, end, out=hi)
+            np.subtract(near, bound, out=end)
+            np.fmax(lo, end, out=lo)
+        return lo, hi
 
-    todo = np.isnan(s_min)
-    todo &= _meets(lo, hi, levels.spans)
+    for k, step in enumerate(_LATTICE_STEPS):
+        i, j = np.arange(0, grid.nx, step), np.arange(0, grid.ny, step)
+        lo, hi = enclosure(i, j, _LATTICE_STEPS[:k])
+        view = s_lattice[::step // fine, ::step // fine]
+        ii, jj = np.nonzero(np.isnan(view) & _meets(lo, hi, levels.spans))
+        view[ii, jj] = s_min(i[ii], j[jj])
+
+    values = np.empty((grid.nx, grid.ny))
+    exact = np.zeros(values.shape, dtype=bool)
+    todo = np.zeros(values.shape, dtype=bool)
+    cols = np.arange(grid.ny)
+    # the seven work arrays of an eighth of the rows take less than values
+    for rows in np.array_split(np.arange(grid.nx), 8):
+        lo, hi = enclosure(rows, cols, _LATTICE_STEPS)
+        todo[rows] = _meets(lo, hi, levels.spans)
+        values[rows] = hi
+    del lo, hi
+
+    def settle(i: np.ndarray, j: np.ndarray, s: np.ndarray) -> None:
+        """Store s_min / w at the nodes (i, j), whose s_min is ``s``."""
+        values[i, j] = s / weight_eval(w, np.hypot(xs[i], ys[j]))
+        exact[i, j] = True
+
+    i, j = np.nonzero(~np.isnan(s_lattice))
+    settle(i * fine, j * fine, s_lattice[i, j])
     for z in levels.exact:
         if grid.contains(z):
             todo[grid.nearest_index(z)] = True
-    todo &= np.isnan(s_min)
-    decompose(np.flatnonzero(todo))
-    exact = ~np.isnan(s_min)
-    nodes = np.flatnonzero(exact)
-    hi.reshape(-1)[nodes] = flat_s[nodes] / weight.reshape(-1)[nodes]
-    return hi, exact
+    i, j = np.nonzero(todo & ~exact)
+    del todo
+    settle(i, j, s_min(i, j))
+
+    crossed = np.zeros(values.shape, dtype=bool)
+    for a, b in levels.spans:
+        if a == b:
+            side = values <= a
+            across = side[1:] != side[:-1]
+            crossed[1:] |= across
+            crossed[:-1] |= across
+            across = side[:, 1:] != side[:, :-1]
+            crossed[:, 1:] |= across
+            crossed[:, :-1] |= across
+    i, j = np.nonzero(crossed & ~exact)
+    settle(i, j, s_min(i, j))
+    return values, exact
 
 
 def label_sublevel(field: ScalarField, eps: float) -> tuple[np.ndarray, int]:
