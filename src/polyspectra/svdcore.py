@@ -12,9 +12,12 @@ trusted, or at the origin under a non-constant weight.
 A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
 the fault tests, gaps, certificate residuals) goes through
 ``singular_values_many``, the one values-only SVD of P(lambda), for a
-single point as for a grid.  It decomposes every block with ``_svals``,
-which has two numpy kernels, written in real arithmetic on one array per
-quantity with every matrix of the block at once.  At n = 2 a closed form
+single point as for a grid.  It decomposes every block with ``_svals``.
+At n = 1 the singular value is the modulus of the one entry, which
+``np.abs`` gives within an ulp, where ``gesdd`` took 600 times as long on
+a 241 x 241 grid.  At n = 2 and 3 it has two numpy kernels, written in
+real arithmetic on one array per quantity with every matrix of the block
+at once.  At n = 2 a closed form
 does it: a Givens rotation reduces each matrix to a real upper triangle,
 and LAPACK's DLAS2 formula (Demmel and Kahan, SISSC 1990) gives that
 triangle's singular values.  On a 401 x 401 grid it takes a fifth of the
@@ -30,7 +33,7 @@ within 8 units in the last place of s_1.  Every other n goes to
 ``np.linalg.svd`` (the Gram matrix would square the condition number).
 The calling thread runs the Horner evaluation chunk by chunk, and the
 4 MiB budget covers every evaluated chunk in flight and the kernels' work
-arrays.  At n = 2 and 3 it also runs the kernel; otherwise a grid larger
+arrays.  At n <= 3 it also runs the kernel; otherwise a grid larger
 than one chunk is decomposed on every CPU in the process's affinity mask,
 by a thread pool created for the call.  Each chunk's values land in their
 own rows, so results do not depend on the core count.  A caller that needs a gradient
@@ -88,8 +91,9 @@ _CHUNK_BYTES = 4 << 20
 _STACK_ENTRY_BYTES = 128
 
 # Bytes of work arrays per matrix in the numpy kernels, by n, at their peak
-# (tests measure it); np.linalg.svd works on one matrix at a time.
-_KERNEL_BYTES = {2: 320, 3: 384}
+# (tests measure it; at n = 1 the finiteness mask); np.linalg.svd works on
+# one matrix at a time.
+_KERNEL_BYTES = {1: 1, 2: 320, 3: 384}
 
 # The n = 3 kernel works on each matrix scaled by a power of two into
 # [1/2, 1), so s_1 >= 1/2.  An off-diagonal entry of its bidiagonal at or
@@ -156,17 +160,17 @@ def singular_values_many(P: MatrixPolynomial, lams) -> np.ndarray:
     """Descending singular values at every point of ``lams``.
 
     Result shape is ``lams.shape + (n,)``, so ``(n,)`` for a scalar point.
-    Every block goes through ``_svals``: the numpy kernels at n = 2 and 3,
+    Every block goes through ``_svals``: the numpy kernels at n <= 3,
     LAPACK otherwise, so a point gets the same bits alone as in any grid.
     An input larger than one chunk is evaluated chunk by chunk on the
-    calling thread.  At n = 2 and 3 the calling thread also decomposes each
-    chunk: the kernels are some fifty and some six hundred numpy calls per
-    chunk that hold the GIL between short loops, so worker threads only
-    contend for it, and their malloc arenas would keep the work arrays
-    resident.  Otherwise a pool of ``_WORKERS`` threads that lives for this
-    call decomposes at most ``_WORKERS`` chunks at a time; each job writes
-    its own rows, so the result does not depend on the scheduling or on
-    ``_WORKERS``.  Raises
+    calling thread.  At n <= 3 the calling thread also decomposes each
+    chunk: the kernel is one ``np.abs`` at n = 1, and some fifty and some
+    six hundred numpy calls per chunk at n = 2 and 3 that hold the GIL
+    between short loops, so worker threads only contend for it, and their
+    malloc arenas would keep the work arrays resident.  Otherwise a pool
+    of ``_WORKERS`` threads that lives for this call decomposes at most
+    ``_WORKERS`` chunks at a time; each job writes its own rows, so the
+    result does not depend on the scheduling or on ``_WORKERS``.  Raises
     ``np.linalg.LinAlgError`` where P(lambda) is not finite.
     """
     L = np.asarray(lams, dtype=complex)
@@ -197,9 +201,9 @@ def singular_values_many(P: MatrixPolynomial, lams) -> np.ndarray:
 
 def _chunk_points(n: int) -> int:
     """Points per chunk: a block of n x n complex matrices, with the
-    kernel's work arrays at n = 2 and 3 (``_KERNEL_BYTES``), takes one
+    kernel's work arrays at n <= 3 (``_KERNEL_BYTES``), takes one
     share of ``_CHUNK_BYTES`` of ``_WORKERS + 1``, so that the blocks in
-    flight fit.  At n = 2 and 3 only one is in flight.  At n = 2 a larger
+    flight fit.  At n <= 3 only one is in flight.  At n = 2 a larger
     chunk would only push its work arrays out of cache (a 401 x 401 grid
     takes about 8% longer with three times the chunk, on two CPUs).  At
     n = 3 the one chunk takes the whole budget: the kernel costs some six
@@ -232,6 +236,9 @@ def _decompose(rows: np.ndarray, block: np.ndarray) -> None:
 def _svals(block: np.ndarray) -> np.ndarray:
     """Descending singular values of each matrix in a (..., n, n) stack."""
     n = block.shape[-1]
+    if n == 1:
+        _require_finite(block)
+        return np.abs(block[..., 0])
     if n == 2:
         return _svals2(block)
     if n == 3:

@@ -492,9 +492,10 @@ class KernelChecks:
     def test_grid_values_equal_each_point_alone(self, request):
         P = request.getfixturevalue(self.POLYNOMIAL)
         assert self.GRID.nx * self.GRID.ny > 8 * svdcore._chunk_points(self.N)
-        values = singular_values_many(P, self.GRID.points())
+        points = self.GRID.points()
+        values = singular_values_many(P, points)
         for idx in list(np.ndindex(self.GRID.ny, self.GRID.nx))[::97]:
-            alone = singular_values_many(P, self.GRID.points()[idx])
+            alone = singular_values_many(P, points[idx])
             assert alone.tobytes() == values[idx].tobytes()
 
     def test_work_arrays_fit_kernel_bytes(self):
@@ -529,6 +530,25 @@ class KernelChecks:
         for points in (lams, lams[0]):  # several chunks, and one
             with pytest.raises(np.linalg.LinAlgError):
                 singular_values_many(P, points)
+
+
+class TestModulus(KernelChecks):
+    """At n = 1 ``_svals`` takes the modulus of the one entry."""
+
+    N = 1
+    KINDS = KernelChecks.UNSCALED + KernelChecks.SCALES
+    POLYNOMIAL = "scalar_double_root"
+    # more than eight chunks of n = 1 points
+    GRID = GridSpec(x_min=-1.5, x_max=3.5, y_min=-2.5, y_max=2.5, nx=821, ny=821)
+
+    @staticmethod
+    def exact(A):
+        """The modulus of each entry from 200-bit arithmetic."""
+        with mpmath.workprec(200):
+            return np.array([[float(abs(mpmath.mpc(z.real, z.imag)))] for z in A.reshape(-1)])
+
+    def test_within_3u_of_a_200_bit_reference(self, kind):
+        self.check_reference(kind, 3)
 
 
 class TestClosedForm(KernelChecks):
