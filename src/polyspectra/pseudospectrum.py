@@ -13,19 +13,21 @@ joins are the diagonal-only contacts (saddle cells), the one place a
 different connectivity rule would change.
 
 Component counts and the grid merge level depend only on which nodes lie
-at or below the levels asked about, so ``components`` and ``distance``
-build a field for those levels alone (``Levels``: single levels, or the
-band [0, eps_max] that holds every level of the merge search and that
-``distance`` reads its floor level from).
-Weyl's inequality, |s_min(P(lambda)) - s_min(P(c))| <= sum_j ||P_j||
-|lambda^j - c^j|, bounds a node's value from a nearby decomposed node c;
-such a field decomposes a lattice of every 8th node, then the nodes of a
-lattice of every 2nd node, then every node whose enclosure, widened by
-the rounding margin ``WEYL_MARGIN_RTOL``, still meets a level, and the
-nodes nearest the eigenvalues.  Every other node lies on the same side of
-every level as its value, so labels, counts and the values the merge
-search bisects over are the full field's, and a level outside the field's
-spans raises.
+at or below the levels asked about, and a level's contours only on the
+values at both ends of the grid edges it crosses, so ``components``,
+``distance`` and ``trace`` build a field for those levels alone
+(``Levels``: single levels, or the band [0, eps_max] that holds every
+level of the merge search and that ``distance`` reads its floor level
+from).  Weyl's inequality, |s_min(P(lambda)) - s_min(P(c))| <= sum_j
+||P_j|| |lambda^j - c^j|, bounds a node's value from a nearby decomposed
+node c; such a field decomposes a lattice of every 8th node, then the
+nodes of a lattice of every 2nd node, then every node whose enclosure,
+widened by the rounding margin ``WEYL_MARGIN_RTOL``, still meets a level,
+and the nodes nearest the eigenvalues, and last both ends of every edge
+a single level crosses.  Every other node lies on the same side of every
+level as its value, so labels, counts, the values the merge search
+bisects over and the contours of single levels are the full field's, and
+a level outside the field's spans raises.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ that row, so only the rounding margin keeps its enclosures valid.
 
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from polyspectra import GridSpec, MatrixPolynomial, PreconditionError, WeightPolynomial
 from polyspectra.cli import main, parse_problem
+from polyspectra.contours import boundary_curves
 from polyspectra.errors import PolyspectraError
 from polyspectra.matpoly import eigenvalues
 from polyspectra.perturbations import merge_bracket
@@ -58,6 +60,14 @@ def _copy(P: MatrixPolynomial, seed: int) -> MatrixPolynomial:
     rng = np.random.default_rng(seed)
     U, V = _unitary(rng, P.n), _unitary(rng, P.n)
     return MatrixPolynomial([U @ C @ V for C in P.coeffs])
+
+
+def _trace(P, w, field, levels) -> tuple:
+    """Everything ``boundary_curves`` returns, with each curve's points as
+    bytes."""
+    traced = boundary_curves(P, w, field, levels)
+    curves = [[(c.points.tobytes(), c.termination) for c in level] for level in traced.curves]
+    return curves, traced.rounds, traced.points, traced.frozen
 
 
 def _outcome(call):
@@ -99,9 +109,20 @@ def test_levelled_field_answers_its_levels_as_the_full_field(name, seed, nx, ny,
         want, want_count = label_sublevel(full, eps)
         got, got_count = label_sublevel(levelled, eps)
         assert got_count == want_count and np.array_equal(got, want), eps
+        # both ends of every edge the level crosses are exact
+        side, exact = values <= eps, levelled.exact
+        assert (exact[1:] & exact[:-1])[side[1:] != side[:-1]].all(), eps
+        assert (exact[:, 1:] & exact[:, :-1])[side[:, 1:] != side[:, :-1]].all(), eps
     assert np.array_equal(levelled.values[levelled.exact], values[levelled.exact])
     for lam in eigs:
         assert levelled.value_near(lam) == full.value_near(lam)
+
+    # so its contours, polished, are the full field's, bit for bit; a
+    # level it was not built for raises
+    traced = rand.sample(levels, min(2, len(levels)))
+    assert _trace(P, w, levelled, traced) == _trace(P, w, full, traced)
+    with pytest.raises(PreconditionError, match="outside the spans"):
+        boundary_curves(P, w, levelled, [*traced, 2 * levels[-1] + 1.0])
 
     # outside the spans, and at nodes that are not exact, the field raises
     gap = next((e for e in np.linspace(lo, hi, 7)[1:-1] if e not in levels), None)
@@ -132,6 +153,27 @@ def test_levelled_field_answers_its_levels_as_the_full_field(name, seed, nx, ny,
     )
     with pytest.raises(PreconditionError, match="outside the spans"):
         grid_merge_level(band, floor, 2 * top, lambda eps: True)
+
+
+def test_a_levelled_field_takes_no_more_memory_than_a_full_one():
+    # trace's field, one single level per eps, on the fixture whose trace
+    # decomposes the largest share of its nodes (54% at 401 x 401)
+    P, w, window = PROBLEMS["damped_system_3x3"]
+    spec = parse_problem((FIXTURES / "damped_system_3x3.json").read_text())
+    grid = replace(window, nx=401, ny=401)
+    levels = Levels(tuple((e, e) for e in spec.epsilons))
+    for levelled in (None, levels):  # the kernel's and Levels' first calls
+        compute_field(P, w, replace(grid, nx=41, ny=41), levelled)
+    peaks = []
+    for levelled in (None, levels):
+        tracemalloc.start()
+        try:
+            compute_field(P, w, grid, levelled)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    full, levelled = peaks
+    assert levelled <= full
 
 
 def test_components_prints_the_exact_value_at_an_eigenvalue_outside_eps(tmp_path):

@@ -8,7 +8,6 @@ must print and write what the sequential search below gives, which moves
 one vertex at a time, one single-point ``point_stack`` per Newton step.
 """
 
-import json
 import tracemalloc
 from pathlib import Path
 
@@ -23,15 +22,15 @@ from polyspectra import (
     eigenvalues,
 )
 from polyspectra import contours, svdcore
-from polyspectra.cli import _csv_lines, _json_text, main, parse_problem
+from polyspectra.cli import _csv_lines, _json_text, parse_problem
 from polyspectra.contours import on_curve_tolerance
 from polyspectra.perturbations import _ratio_stack
 from polyspectra.svdcore import point_stack, singular_triplets
 
 from conftest import random_polynomial
+from test_point_stack import run_trace
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
-CONIC = next(p for p in FIXTURES if p.stem == "conic_pencil_3x3")
 
 
 def _bits(x) -> bytes:
@@ -212,14 +211,6 @@ def reference_trace(spec):
     return curves, stdout, warnings
 
 
-def run_trace(path, tmp_path, capsys) -> tuple:
-    csv, js = tmp_path / "t.csv", tmp_path / "t.json"
-    capsys.readouterr()
-    code = main(["trace", "--input", str(path), "--csv", str(csv), "--json", str(js)])
-    out, err = capsys.readouterr()
-    return code, out.splitlines(), err, csv.read_text(), js.read_text()
-
-
 def expected_files(curves) -> tuple:
     rows = (
         f"{cid},{z.real:.17g},{z.imag:.17g}"
@@ -253,29 +244,3 @@ class TestLockstepTrace:
             assert f"warnings={warnings}" in err
         else:
             assert "warnings=" not in err
-
-    def test_summary_line_counts_the_work(self, tmp_path, capsys):
-        code, out, err, _, js = run_trace(CONIC, tmp_path, capsys)
-        assert code == 0
-        ends = [c["termination"] for c in json.loads(js)["curves"]]
-        line = next(s for s in err.splitlines() if s.startswith("[polyspectra] trace"))
-        assert f"curves closed={ends.count('closed')} " in line
-        rounds = int(line.split(" rounds=")[1].split()[0])
-        points = int(line.split(" points=")[1].split()[0])
-        frozen = int(line.split(" frozen=")[1].split()[0])
-        # the first round evaluates every vertex once, and a closed curve
-        # repeats its first point
-        vertices = sum(c["points"] for c in json.loads(js)["curves"]) - ends.count("closed")
-        assert 0 < rounds <= contours._MAX_CORRECTOR_ITERS
-        assert vertices + frozen <= points <= rounds * (vertices + frozen)
-
-    def test_error_in_a_polish_round_fails_the_command(self, tmp_path, capsys, monkeypatch):
-        def planted(P, w, lams):
-            raise np.linalg.LinAlgError("planted")
-
-        monkeypatch.setattr(contours, "point_stack", planted)
-        capsys.readouterr()
-        assert main(["trace", "--input", str(CONIC)]) == 3
-        err = capsys.readouterr().err
-        assert "numerical failure: planted" in err
-        assert "Traceback" not in err
