@@ -61,8 +61,8 @@ WEYL_MARGIN_RTOL = 1e-13
 
 # Steps, in grid cells, of the lattices a levelled field decomposes before
 # its last calls: the first lattice is decomposed whole, every later one only
-# where enclosures still meet a span.  Each step is a multiple of the last,
-# so the finest lattice holds every node of the others.
+# where enclosures still meet a span.  Each step is a multiple of the last
+# step, so the finest lattice holds every node of the others.
 _LATTICE_STEPS = (8, 2)
 
 # Points per axis of every window whose size no input sets: the default
@@ -278,7 +278,6 @@ def _levelled_values(P, w, grid, levels: Levels) -> tuple:
     # until decomposed
     fine = _LATTICE_STEPS[-1]
     s_lattice = np.full((len(xs[::fine]), len(ys[::fine])), np.nan)
-    nearest = {step: (_lattice(grid.nx, step), _lattice(grid.ny, step)) for step in _LATTICE_STEPS}
 
     def s_min(i: np.ndarray, j: np.ndarray) -> np.ndarray:
         return singular_values_many(P, xs[i] + 1j * ys[j])[:, -1]
@@ -299,7 +298,7 @@ def _levelled_values(P, w, grid, levels: Levels) -> tuple:
         lo = np.full(weight.shape, -np.inf)
         hi = np.full(weight.shape, np.inf)
         for step in steps:
-            ni, nj = nearest[step][0][i], nearest[step][1][j]
+            ni, nj = _lattice(grid.nx, step)[i], _lattice(grid.ny, step)[j]
             # s_min at the nearest lattice node over w, NaN where the lattice
             # node is not decomposed, which fmax and fmin pass over
             near = s_lattice[::step // fine, ::step // fine][ni][:, nj] / weight

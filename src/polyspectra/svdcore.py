@@ -14,11 +14,11 @@ the fault tests, gaps, certificate residuals) goes through
 ``singular_values_many``, the one values-only SVD of P(lambda), for a
 single point as for a grid.  It decomposes every block with ``_svals``.
 At n = 1 the singular value is the modulus of the one entry, which
-``np.abs`` gives within an ulp, where ``gesdd`` took 600 times as long on
-a 241 x 241 grid.  At n = 2 and 3 it has two numpy kernels, written in
-real arithmetic on one array per quantity with every matrix of the block
-at once.  At n = 2 a closed form
-does it: a Givens rotation reduces each matrix to a real upper triangle,
+``np.abs`` gives within a few units in the last place, where ``gesdd``
+took 600 times as long on a 241 x 241 grid.  At n = 2 and 3 it has two
+numpy kernels, written in real arithmetic on one array per quantity with
+every matrix of the block at once.  At n = 2 a closed form does it: a
+Givens rotation reduces each matrix to a real upper triangle,
 and LAPACK's DLAS2 formula (Demmel and Kahan, SISSC 1990) gives that
 triangle's singular values.  On a 401 x 401 grid it takes a fifth of the
 time of LAPACK's ``gesdd``, whose cost at n = 2 is call overhead, and it
