@@ -1,8 +1,11 @@
 """A field built for a set of levels answers them as the full field does.
 
 ``compute_field(P, w, grid, Levels(...))`` decomposes only the nodes whose
-Weyl enclosure meets one of the spans, and every other node stores an end
-of its enclosure.  The properties below compare it with the full field on
+Weyl enclosure meets one of the spans, and both ends of every grid edge a
+single level crosses, and every other node stores an end of its
+enclosure.  Its labels, its exact values and the boundary curves polished
+from its contours must be the full field's, and it must take no more
+memory.  The properties below compare it with the full field on
 unitary copies U P_j V of every fixture, at levels drawn at random and from
 the full field's own values, where a node's value equals the level (a tie).
 The ``tight`` problem, p(lambda) = lambda - 0.3 on a window whose bottom row
@@ -158,17 +161,17 @@ def test_levelled_field_answers_its_levels_as_the_full_field(name, seed, nx, ny,
 def test_a_levelled_field_takes_no_more_memory_than_a_full_one():
     # trace's field, one single level per eps, on the fixture whose trace
     # decomposes the largest share of its nodes (54% at 401 x 401)
-    P, w, window = PROBLEMS["damped_system_3x3"]
     spec = parse_problem((FIXTURES / "damped_system_3x3.json").read_text())
-    grid = replace(window, nx=401, ny=401)
-    levels = Levels(tuple((e, e) for e in spec.epsilons))
-    for levelled in (None, levels):  # the kernel's and Levels' first calls
-        compute_field(P, w, replace(grid, nx=41, ny=41), levelled)
+    P, w = spec.polynomial, spec.weight
+    grid = replace(spec.window, nx=401, ny=401)
+    kinds = (None, Levels(tuple((e, e) for e in spec.epsilons)))
+    for levels in kinds:  # what a process allocates once, on a small grid
+        compute_field(P, w, replace(grid, nx=41, ny=41), levels)
     peaks = []
-    for levelled in (None, levels):
+    for levels in kinds:
         tracemalloc.start()
         try:
-            compute_field(P, w, grid, levelled)
+            compute_field(P, w, grid, levels)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -23,8 +23,9 @@ run as ``<command>+grid31`` and ``<command>+grid101`` at ``--grid 31 31``
 and ``--grid 101 101``: coarse grids, where some of them exit 3, so their
 error messages are digested too.  ``trace``, which has no ``--grid``, runs
 as ``trace+grid31`` and ``trace+grid101`` on a copy of the document whose
-``window`` has ``nx`` and ``ny`` set to that size.  Every run digests its stderr without the
-``[polyspectra]`` summary line, which holds the wall time.
+``window`` has ``nx`` and ``ny`` set to that size.  Every run digests its
+stderr without the ``[polyspectra]`` summary line, which holds the wall
+time.
 
 ``tools/cli_digests.txt`` holds the lines of the current program, made with
 ``OPENBLAS_NUM_THREADS=2``; ``tests/test_cli_digests.py`` compares them with
