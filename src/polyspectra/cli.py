@@ -607,7 +607,7 @@ def _cmd_distance(spec: ProblemSpec, args, report: RunReport) -> None:
         f"r = {result.r:.6g} at mu = {cert.mu.real:.6g}{cert.mu.imag:+.6g}i "
         f"(geometric multiplicity {cert.geometric_mult}, defective={cert.defective})"
     )
-    report.stats = "points={}/{}".format(*result.points)
+    report.stats = "points={}/{} band={:.6g}".format(*result.points, result.band)
     if cert.constant_weight_substituted:
         report.warnings.append("constant weight substituted at mu = 0")
     if args.json:

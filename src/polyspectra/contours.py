@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PreconditionError
 from .matpoly import MatrixPolynomial, WeightPolynomial, max_norm
 from .pseudospectrum import GridSpec, ScalarField
 from .svdcore import F_eps, point_stack
@@ -236,10 +237,18 @@ def boundary_curves(
     the pieces, each with the sublevel set on its left.  The field is a
     full one or one built for each of ``levels`` as a single level, which
     is exact at both ends of every edge those levels cross; a field built
-    for other levels raises ``PreconditionError``.
+    for other levels, or for a band that holds one of them, raises
+    ``PreconditionError``.
     """
     for level in levels:
         field.check_levels(level)
+        # a band's field is exact only where enclosures meet the band, not
+        # at the outer end of every edge that a level inside it crosses
+        if field.levels is not None and not any(a == level == b for a, b in field.levels.spans):
+            raise PreconditionError(
+                f"level {level:.6g} lies inside a band of the field; its contours "
+                "need the level as a single level"
+            )
     graphs = [_contour(field.grid, field.values, level) for level in levels]
     sizes = [len(nxt) for _, nxt in graphs]
     xy = np.concatenate([np.zeros((0, 2)), *(points for points, _ in graphs)])

@@ -150,13 +150,15 @@ class DistanceResult:
     """Distance to the nearest polynomial with a multiple eigenvalue.
 
     ``points`` counts the grid nodes whose singular values were computed,
-    and all nodes of the grid."""
+    and all nodes of the grid; ``band`` is the top of the band of levels
+    the sampled field answers, at or above ``bracket[1]``."""
 
     r: float
     certificate: MultiplicityCertificate
     saddle: SaddleResult
     bracket: tuple
     points: tuple = (0, 0)  # (decomposed, total) nodes of the sampled field
+    band: float = 0.0
 
 
 def _off_spectrum(P: MatrixPolynomial, mu: complex) -> SingularTripletSet:
@@ -493,14 +495,16 @@ def distance_to_multiple(
     eigs = [complex(z) for z in eigen.eigenvalues]
 
     # every level the search tests lies in [eps_floor, eps_eff], and the
-    # floor level must put every eigenvalue inside a labeled cell
+    # floor level must put every eigenvalue inside a labeled cell; the field
+    # cuts the band where the eigenvalues' components already meet
     field = compute_field(P, w, window, Levels(spans=((0.0, eps_eff),), exact=tuple(eigs)))
     eps_floor = max(2.0 * max(field.value_near(z) for z in eigs), 1e-14)
     if eps_floor >= eps_eff:
         raise GridTooCoarseError(
             f"grid floor level {eps_floor:.3e} exceeds the budget {eps_eff:.3e}; refine the grid"
         )
-    lo, hi, pair = merge_bracket(field, eigs, eps_floor, eps_eff)
+    ((_, top),) = field.levels.spans
+    lo, hi, pair = merge_bracket(field, eigs, eps_floor, top)
 
     saddle = find_saddle(P, w, 0.5 * (pair[0] + pair[1]), window)
     certificate = certify_multiple(P, w, saddle.mu)
@@ -510,6 +514,7 @@ def distance_to_multiple(
         saddle=saddle,
         bracket=(float(lo), float(hi)),
         points=(field.decomposed, field.values.size),
+        band=top,
     )
 
 
@@ -519,13 +524,16 @@ def merge_bracket(field, eigs: list, eps_floor: float, eps_eff: float) -> tuple:
     level ``lo`` just below it, and that pair (a, b, label).
 
     Above eps_floor every eigenvalue cell is labeled and the sublevel sets
-    are nested, so the search's predicate is monotone in eps.
+    are nested, so the search's predicate is monotone in eps.  An eps_eff
+    at or below eps_floor is the top of a band field cut where two of the
+    eigenvalues' components meet (``Levels``), so they share one at
+    eps_floor.
     """
 
     def shared(eps: float) -> bool:
         return len(set(labels_near(field, eps, eigs))) < len(eigs)
 
-    if shared(eps_floor):
+    if eps_floor >= eps_eff or shared(eps_floor):
         raise GridTooCoarseError(
             "components already merged at the smallest grid-resolvable level; refine the grid"
         )

@@ -24,10 +24,12 @@ node c; such a field decomposes a lattice of every 8th node, then the
 nodes of a lattice of every 2nd node, then every node whose enclosure,
 widened by the rounding margin ``WEYL_MARGIN_RTOL``, still meets a level,
 and the nodes nearest the eigenvalues, and last both ends of every edge
-a single level crosses.  Every other node lies on the same side of every
-level as its value, so labels, counts, the values the merge search
-bisects over and the contours of single levels are the full field's, and
-a level outside the field's spans raises.
+a single level crosses.  After each lattice, a band is cut at the level
+where the eigenvalues' components meet on the field of enclosure upper
+ends, which bounds the merge level from above.  Every other node lies on
+the same side of every level as its value, so labels, counts, the values
+the merge search bisects over and the contours of single levels are the
+full field's, and a level outside the field's spans raises.
 """
 
 from __future__ import annotations
@@ -130,7 +132,13 @@ class GridSpec:
 class Levels:
     """The levels a field must answer: closed ``spans`` [a, b] of levels (a
     single level is [eps, eps]), and ``exact`` points, in or out of the
-    window, whose nearest in-window nodes must hold exact values."""
+    window, whose nearest in-window nodes must hold exact values.
+
+    A band [a, b], a < b, with two or more exact points in the window asks
+    for the levels up to the one at which the components of two of those
+    points' nodes first meet: the field may cut it to [a, B] for a level B
+    at which they already meet, and its ``levels`` then hold the cut
+    band."""
 
     spans: tuple
     exact: tuple = ()
@@ -213,7 +221,7 @@ def compute_field(
         values = svals[..., -1] / weight_eval(w, np.hypot.outer(grid.xs(), grid.ys()))
         exact = None
     else:
-        values, exact = _levelled_values(P, w, grid, levels)
+        values, exact, levels = _levelled_values(P, w, grid, levels)
         exact.setflags(write=False)
     values.setflags(write=False)
     return ScalarField(grid=grid, values=values, levels=levels, exact=exact)
@@ -233,8 +241,26 @@ def _meets(lo: np.ndarray, hi: np.ndarray, spans) -> np.ndarray:
     return hit
 
 
+def _narrowed(spans, upper: np.ndarray, nodes) -> tuple:
+    """``spans`` with each band [a, b], a < b, cut at the first level in
+    (a, b] at which two of the (i, j) ``nodes`` share a component of
+    {upper <= level}, by the search of ``grid_merge_level``; a band where
+    they share none at b stays whole.  ``upper`` lies at or above the
+    field's values, so its sublevel sets lie inside the field's, whose
+    components around those nodes meet there too."""
+
+    def met(eps: float) -> bool:
+        labels = [k for k in labels_at(upper <= eps, nodes) if k]
+        return len(set(labels)) < len(labels)
+
+    return tuple(
+        (a, _merge_level(upper, a, b, met)[1]) if a < b and met(b) else (a, b) for a, b in spans
+    )
+
+
 def _levelled_values(P, w, grid, levels: Levels) -> tuple:
-    """Field values and exact mask of a field that answers ``levels``.
+    """Field values, exact mask and answered ``Levels`` of a field that
+    answers ``levels``.
 
     Weyl's inequality bounds s_min at a node lambda by s_min at a node c:
     |s_min(lambda) - s_min(c)| <= sum_j ||P_j|| |lambda^j - c^j|
@@ -256,10 +282,20 @@ def _levelled_values(P, w, grid, levels: Levels) -> tuple:
     crossing points and its saddle cells from those ends only, so the
     contours of such a level are the full field's.
 
+    A band of ``levels.exact`` nodes (``Levels``) is cut after each
+    lattice by ``_narrowed``, on the upper ends of every node's enclosure
+    from the lattices decomposed so far, before the next call decides
+    which nodes to decompose: the second lattice decomposes only nodes
+    whose enclosure meets the band cut after the first, and the last call
+    only those whose enclosure meets the band cut after the second.  The
+    returned ``Levels`` hold the cut band.
+
     No complex grid is held: a decomposed node's point is formed from its
     axes' coordinates, as ``grid.points()`` forms it, and the enclosures of
     all nodes are formed a block of rows at a time, so the working set is
-    the values, the exact mask and one batched call's.
+    the values, the exact mask and one batched call's, and for a cut band
+    one more float per node (the upper ends after the first lattice, then
+    the lower ends after the second).
     """
     norms = P.coefficient_norms
     xs, ys = grid.xs(), grid.ys()
@@ -312,23 +348,44 @@ def _levelled_values(P, w, grid, levels: Levels) -> tuple:
             np.fmax(lo, end, out=lo)
         return lo, hi
 
+    spans = levels.spans
+    # a band is searched for the level at which the components of two of
+    # these nodes meet
+    nodes = [grid.nearest_index(z) for z in levels.exact if grid.contains(z)]
+    banded = len(nodes) >= 2 and any(a < b for a, b in spans)
+    cols = np.arange(grid.ny)
     for k, step in enumerate(_LATTICE_STEPS):
         i, j = np.arange(0, grid.nx, step), np.arange(0, grid.ny, step)
         lo, hi = enclosure(i, j, _LATTICE_STEPS[:k])
         view = s_lattice[::step // fine, ::step // fine]
-        ii, jj = np.nonzero(np.isnan(view) & _meets(lo, hi, levels.spans))
+        ii, jj = np.nonzero(np.isnan(view) & _meets(lo, hi, spans))
         view[ii, jj] = s_min(i[ii], j[jj])
+        if banded and k + 1 < len(_LATTICE_STEPS):
+            upper = np.empty((grid.nx, grid.ny))
+            for rows in np.array_split(np.arange(grid.nx), 8):
+                upper[rows] = enclosure(rows, cols, _LATTICE_STEPS[:k + 1])[1]
+            spans = _narrowed(spans, upper, nodes)
+            del upper
 
     values = np.empty((grid.nx, grid.ny))
     exact = np.zeros(values.shape, dtype=bool)
     todo = np.zeros(values.shape, dtype=bool)
-    cols = np.arange(grid.ny)
+    # a band is narrowed by the upper ends of all nodes before the lower
+    # ends decide which nodes to decompose, so it keeps the lower ends
+    low = np.empty(values.shape) if banded else None
     # the seven work arrays of an eighth of the rows take less than values
     for rows in np.array_split(np.arange(grid.nx), 8):
         lo, hi = enclosure(rows, cols, _LATTICE_STEPS)
-        todo[rows] = _meets(lo, hi, levels.spans)
         values[rows] = hi
+        if banded:
+            low[rows] = lo
+        else:
+            todo[rows] = _meets(lo, hi, spans)
     del lo, hi
+    if banded:
+        spans = _narrowed(spans, values, nodes)
+        todo = _meets(low, values, spans)
+        del low
 
     def settle(i: np.ndarray, j: np.ndarray, s: np.ndarray) -> None:
         """Store s_min / w at the nodes (i, j), whose s_min is ``s``."""
@@ -356,7 +413,7 @@ def _levelled_values(P, w, grid, levels: Levels) -> tuple:
             crossed[:, :-1] |= across
     i, j = np.nonzero(crossed & ~exact)
     settle(i, j, s_min(i, j))
-    return values, exact
+    return values, exact, Levels(spans, levels.exact)
 
 
 def label_sublevel(field: ScalarField, eps: float) -> tuple[np.ndarray, int]:
@@ -381,6 +438,37 @@ def label_mask(mask: np.ndarray) -> tuple[np.ndarray, int]:
     writes the labels.
     """
     rows, cols = mask.shape
+    starts, stops, run_labels, count = _labelled_runs(mask)
+    marks = np.zeros(rows * (cols + 1), dtype=np.int32)
+    marks[starts] = run_labels + 1
+    marks[stops] = -(run_labels + 1)
+    labels = np.cumsum(marks, dtype=np.int32).reshape(rows, cols + 1)[:, :cols]
+    return np.ascontiguousarray(labels), count
+
+
+def labels_at(mask: np.ndarray, nodes) -> list:
+    """The labels ``label_mask(mask)[0]`` gives the (i, j) ``nodes``, read
+    from the runs that hold them, without writing the labels of the other
+    cells."""
+    cols = mask.shape[1]
+    starts, stops, run_labels, _ = _labelled_runs(mask)
+    cells = np.array([i * (cols + 1) + j for i, j in nodes], dtype=np.intp)
+    # the last run starting at or before each cell holds it if it stops
+    # after it; a mask with no runs holds no cell
+    run = np.searchsorted(starts, cells, side="right") - 1
+    inside = run >= 0
+    inside[inside] = cells[inside] < stops[run[inside]]
+    labels = np.zeros(len(cells), dtype=np.intp)
+    labels[inside] = run_labels[run[inside]] + 1
+    return labels.tolist()
+
+
+def _labelled_runs(mask: np.ndarray) -> tuple:
+    """The runs of a 2-D boolean mask and their components: each run's
+    first cell and the cell after its last, as positions p = i (cols + 1)
+    + j, its component, numbered from 0 by first cell in raster order, and
+    the count (``label_mask``)."""
+    rows, cols = mask.shape
     width = cols + 1  # a column outside the mask ends every row's last run
     flat = np.zeros(rows * width + 1, dtype=bool)
     flat[1:].reshape(rows, width)[:, :cols] = mask
@@ -394,11 +482,7 @@ def label_mask(mask: np.ndarray) -> tuple[np.ndarray, int]:
     below = np.arange(links.sum()) + np.repeat(first - (np.cumsum(links) - links), links)
     above = np.repeat(np.arange(len(starts)), links)
     count, run_labels = connected_components(len(starts), above, below)
-    marks = np.zeros(rows * width, dtype=np.int32)
-    marks[starts] = run_labels + 1
-    marks[stops] = -(run_labels + 1)
-    labels = np.cumsum(marks, dtype=np.int32).reshape(rows, width)[:, :cols]
-    return np.ascontiguousarray(labels), count
+    return starts, stops, run_labels, count
 
 
 def components(field: ScalarField, eps: float, eigen: EigenReport) -> ComponentReport:
@@ -439,9 +523,10 @@ def components(field: ScalarField, eps: float, eigen: EigenReport) -> ComponentR
 
 def labels_near(field: ScalarField, eps: float, points) -> list:
     """Labels of the eps-sublevel set at the grid cells nearest ``points``
-    (0 where the cell lies outside the set)."""
-    labels, _ = label_sublevel(field, eps)
-    return [int(labels[field.grid.nearest_index(z)]) for z in points]
+    (0 where the cell lies outside the set), as ``label_sublevel`` numbers
+    them."""
+    field.check_levels(eps)
+    return labels_at(field.values <= eps, [field.grid.nearest_index(z) for z in points])
 
 
 def grid_merge_level(field: ScalarField, lo: float, hi: float, merged) -> tuple[float, float]:
@@ -454,7 +539,11 @@ def grid_merge_level(field: ScalarField, lo: float, hi: float, merged) -> tuple[
     below the merge (lo when there is none) and the merge level itself.
     """
     field.check_levels(lo, hi)
-    v = field.values
+    return _merge_level(field.values, lo, hi, merged)
+
+
+def _merge_level(v: np.ndarray, lo: float, hi: float, merged) -> tuple[float, float]:
+    """``grid_merge_level`` over the values ``v``."""
     levels = np.append(np.unique(v[(v > lo) & (v < hi)]), hi)
     k = bisect.bisect_left(
         range(len(levels)), True, hi=len(levels) - 1, key=lambda k: merged(float(levels[k]))

@@ -20,16 +20,18 @@ numpy kernels, written in real arithmetic on one array per quantity with
 every matrix of the block at once.  At n = 2 a closed form does it: a
 Givens rotation reduces each matrix to a real upper triangle,
 and LAPACK's DLAS2 formula (Demmel and Kahan, SISSC 1990) gives that
-triangle's singular values.  On a 401 x 401 grid it takes a fifth of the
-time of LAPACK's ``gesdd``, whose cost at n = 2 is call overhead, and it
-stays within a few units in the last place of s_1; the plain formula from
-||A||_F and |det A| does not, near s_1 = s_2.  At n = 3 four Givens
+triangle's singular values.  On a 401 x 401 grid it takes a sixteenth of
+the time of LAPACK's ``gesdd`` (10 against 174 ms on one core), whose cost
+at n = 2 is call overhead, and it stays within a few units in the last
+place of s_1; the plain formula from ||A||_F and |det A| does not, near
+s_1 = s_2.  At n = 3 four Givens
 rotations reduce each matrix to a real upper bidiagonal, five arrays
 (d1, e1, d2, e2, d3), and implicit-shift Golub-Kahan QR sweeps on those
 arrays (LAPACK's DBDSQR, from the same paper) run until e1 or e2 is
 negligible; DLAS2 then takes the 2 x 2 block that remains.  On a 401 x 401
-grid it takes half the time of the pooled ``gesdd`` or less, and it stays
-within 8 units in the last place of s_1.  Every other n goes to
+grid, with the Horner evaluation, it takes less than half the time of the
+pooled ``gesdd`` on two CPUs (85-92 against 194 ms), and it stays within
+8 units in the last place of s_1.  Every other n goes to
 ``np.linalg.svd`` (the Gram matrix would square the condition number).
 The calling thread runs the Horner evaluation chunk by chunk, and the
 4 MiB budget covers every evaluated chunk in flight and the kernels' work
@@ -205,12 +207,13 @@ def _chunk_points(n: int) -> int:
     share of ``_CHUNK_BYTES`` of ``_WORKERS + 1``, so that the blocks in
     flight fit.  At n <= 3 only one is in flight.  At n = 2 a larger
     chunk would only push its work arrays out of cache (a 401 x 401 grid
-    takes about 8% longer with three times the chunk, on two CPUs).  At
-    n = 3 the one chunk takes the whole budget: the kernel costs some six
-    hundred numpy calls per chunk whatever its size.  With chunks of 3149
-    and 1222 points instead of 6394, a 401 x 401 grid took 1.2 and 1.5
-    times as long, and the benchmark's peak RSS read up to 7 and 11 MB
-    higher: the heap kept more of the many short-lived work arrays."""
+    takes 10-23% longer with three times the chunk).  At n = 3 the one
+    chunk takes the whole budget: the kernel costs some six hundred numpy
+    calls per chunk whatever its size.  With chunks of 3149 and 1222
+    points instead of 7943, a 401 x 401 grid took 1.1-1.2 and 1.5 times as
+    long, and the benchmark's peak RSS read up to 7 and 11 MB higher (at
+    6394 points): the heap kept more of the many short-lived work
+    arrays."""
     per_point = 16 * n * n + _KERNEL_BYTES.get(n, 0)
     shares = 1 if n == 3 else _WORKERS + 1
     return max(1, _CHUNK_BYTES // (per_point * shares))
@@ -253,12 +256,16 @@ def _scaled_parts(block: np.ndarray) -> tuple:
     of two 2^-e that brings its largest part into [1/2, 1), and the
     exponents e.  Raises ``np.linalg.LinAlgError`` on a non-finite entry."""
     n = block.shape[-1]
-    parts = block.reshape(-1, n * n).view(float)
-    top = np.maximum(parts.max(axis=1), -parts.min(axis=1))
+    # reduced along the rows of the (parts, matrices) planes, numpy's max
+    # and min run as vector loops; along each matrix's few parts they would
+    # run one short reduction per matrix
+    planes = np.ascontiguousarray(block.reshape(-1, n * n).view(float).T)
+    top = np.maximum(planes.max(axis=0), -planes.min(axis=0))
     if not np.isfinite(top).all():
         raise np.linalg.LinAlgError("non-finite entry in P(lambda)")
     exp = np.frexp(top)[1]
-    return np.ldexp(parts.T, -exp, order="C"), exp
+    np.ldexp(planes, -exp, out=planes)
+    return planes, exp
 
 
 def _dlas2(f, g2, h) -> tuple:

@@ -17,7 +17,7 @@ from polyspectra import GridSpec, ScalarField, compute_field
 from polyspectra.cli import parse_problem
 from polyspectra.faultlines import _filter3
 from polyspectra.matpoly import connected_components
-from polyspectra.pseudospectrum import label_mask, label_sublevel
+from polyspectra.pseudospectrum import label_mask, label_sublevel, labels_at
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 EIGHT = np.ones((3, 3), dtype=int)
@@ -101,6 +101,23 @@ class TestLabelMask:
         for _ in range(400):
             rows, cols = rng.integers(1, 41, size=2)
             assert_labels_match_ndimage(rng.random((rows, cols)) < rng.uniform(0.05, 0.95))
+
+    def test_labels_at_nodes_are_the_image_labels(self):
+        # random masks, and masks with no run (empty), one run per row
+        # (full) and a run per cell (checkerboards); the nodes include the
+        # corners, and repeat
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            rows, cols = (int(k) for k in rng.integers(1, 41, size=2))
+            board = np.add.outer(np.arange(rows), np.arange(cols)) % 2 == 0
+            nodes = [(int(i), int(j)) for i, j in zip(rng.integers(0, rows, 30),
+                                                       rng.integers(0, cols, 30))]
+            nodes += [(0, 0), (rows - 1, cols - 1), (0, cols - 1), (rows - 1, 0), (0, 0)]
+            for mask in (rng.random((rows, cols)) < rng.uniform(0.05, 0.95),
+                         np.zeros((rows, cols), dtype=bool), np.ones((rows, cols), dtype=bool),
+                         board, ~board):
+                labels, _ = label_mask(mask)
+                assert labels_at(mask, nodes) == [int(labels[i, j]) for i, j in nodes]
 
     @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
     def test_fixture_fields_at_25_levels(self, path):

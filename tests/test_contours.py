@@ -12,9 +12,17 @@ from polyspectra import (
     compute_field,
 )
 from polyspectra import contours
-from polyspectra.cli import parse_problem
-from polyspectra.contours import _SEGMENT_TABLE, _chains, _edge_points, marching_squares
+from polyspectra.cli import _csv_lines, _json_text, parse_problem
+from polyspectra.contours import (
+    _SEGMENT_TABLE,
+    _chains,
+    _edge_points,
+    marching_squares,
+    on_curve_tolerance,
+)
 from polyspectra.svdcore import point_stack
+
+from test_point_stack import run_trace
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 
@@ -400,3 +408,100 @@ def test_sublevel_set_lies_left_of_every_curve(path):
             right.append(F_eps(P, w, eps, mid - h * normal) > 0)
     assert np.mean(np.concatenate(left)) > 0.98
     assert np.mean(np.concatenate(right)) > 0.98
+
+
+def polish_alone(P, w, eps: float, x: float, y: float, tol: float, guard: float):
+    """Newton steps of one vertex, one single-point ``point_stack`` per
+    step: the point, whether it reached the curve, and the gradient of F_eps
+    there (NaN where it cannot be trusted)."""
+    lam = complex(x, y)
+    for _ in range(contours._MAX_CORRECTOR_ITERS):
+        pe = point_stack(P, w, [lam])
+        (f,) = pe.F(eps).tolist()
+        ((gx, gy),) = pe.grad_F(eps).tolist()
+        norm = np.hypot(gx, gy)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = f / (norm * norm)
+        if abs(f) <= tol:
+            return lam, True, (gx, gy)
+        mx, my = -shift * gx, -shift * gy
+        if not np.hypot(mx, my) <= guard:
+            break
+        lam = complex(lam.real + mx, lam.imag + my)
+    return lam, False, (gx, gy)
+
+
+def reference_trace(spec):
+    """``trace`` without ``--seed``, one vertex at a time: (curves, stdout
+    lines, warnings)."""
+    P, w, window = spec.polynomial, spec.weight, spec.window
+    field = compute_field(P, w, window)
+    h = window.cell_diagonal
+    tol, guard = on_curve_tolerance(P), contours._STEP_GUARD * h
+    nxt, level_of, z, eps, on, grad = [], [], [], [], [], []
+    for k, level in enumerate(spec.epsilons):
+        points, succ = contours._contour(window, field.values, level)
+        nxt += [u + len(z) if u >= 0 else -1 for u in succ.tolist()]
+        for x, y in points.tolist():
+            lam, reached, g = polish_alone(P, w, level, x, y, tol, guard)
+            z.append(lam)
+            eps.append(level)
+            on.append(reached)
+            grad.append(g)
+            level_of.append(k)
+    levels, _, _ = contours._curves(
+        P, w, np.array(nxt, dtype=np.intp), np.array(level_of, dtype=np.intp),
+        len(spec.epsilons), np.array(z, dtype=complex), np.array(eps),
+        np.array(on, dtype=bool), np.array(grad).reshape(-1, 2), h,
+    )
+    curves = [(eps, c) for eps, level in zip(spec.epsilons, levels) for c in level]
+    warnings = [
+        f"eps={eps:.6g}: no boundary curve in the window"
+        for eps, level in zip(spec.epsilons, levels)
+        if not level
+    ]
+    stdout = [
+        f"eps={eps:.6g}: {len(c.points)} points, termination={c.termination.value}"
+        for eps, c in curves
+    ]
+    return curves, stdout, warnings
+
+
+def expected_files(curves) -> tuple:
+    rows = (
+        f"{cid},{z.real:.17g},{z.imag:.17g}"
+        for cid, (_, curve) in enumerate(curves)
+        for z in curve.points.tolist()
+    )
+    doc = {
+        "curves": [
+            {
+                "closed": c.closed,
+                "epsilon": eps,
+                "points": len(c.points),
+                "termination": c.termination.value,
+            }
+            for eps, c in curves
+        ]
+    }
+    return "".join(_csv_lines("curve_id,x,y", rows)), _json_text(doc)
+
+
+class TestBatchedPolish:
+    """``trace`` polishes every contour vertex of every level together, one
+    ``point_stack`` per round; it must print and write what
+    ``reference_trace`` gives, which moves one vertex at a time, one
+    single-point ``point_stack`` per Newton step."""
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_outputs_equal_the_sequential_search(self, path, tmp_path, capsys):
+        spec = parse_problem(path.read_text())
+        curves, stdout, warnings = reference_trace(spec)
+        code, out, err, csv, js = run_trace(path, tmp_path, capsys)
+        assert code == 0
+        assert out == stdout
+        assert (csv, js) == expected_files(curves)
+        if warnings:
+            assert f"warnings={warnings}" in err
+        else:
+            assert "warnings=" not in err

@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polyspectra import GridSpec, MatrixPolynomial, PreconditionError, WeightPolynomial
+from polyspectra import perturbations
 from polyspectra.cli import main, parse_problem
 from polyspectra.contours import boundary_curves
 from polyspectra.errors import PolyspectraError
@@ -150,12 +151,68 @@ def test_levelled_field_answers_its_levels_as_the_full_field(name, seed, nx, ny,
     top = float(rand.choice([rand.choice(above.ravel().tolist()),
                              rand.uniform(floor, float(above.max()))]))
     band = compute_field(P, w, grid, Levels(((0.0, top),), tuple(eigs)))
+    ((_, cut),) = band.levels.spans  # the band, cut at the enclosures' merge
+    assert cut <= top
     assert [band.value_near(z) for z in eigs] == [full.value_near(z) for z in eigs]
-    assert _outcome(lambda: merge_bracket(band, eigs, floor, top)) == _outcome(
+    assert _outcome(lambda: merge_bracket(band, eigs, floor, cut)) == _outcome(
         lambda: merge_bracket(full, eigs, floor, top)
     )
     with pytest.raises(PreconditionError, match="outside the spans"):
         grid_merge_level(band, floor, 2 * top, lambda eps: True)
+
+
+# each landscape fixture with the budget its distance is searched under
+BUDGETS = {
+    "uptri_quadratic_2x2": 0.05,
+    "damped_system_3x3": 0.1,
+    "conic_pencil_3x3": 0.2,
+    "isolated_fault_pencil_3x3": 0.5,
+    "diag_movable_eigenvalue_2x2": 1.0,
+}
+
+
+@pytest.mark.parametrize("size", [101, 401])
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_distance_cuts_its_band_at_the_merge(name, size, monkeypatch):
+    # distance cuts its band where the enclosures' components meet, and
+    # searches below that cut: its bracket and merging pair are still those
+    # of the full field over [floor, eps_max]
+    P, w, window = PROBLEMS[name]
+    grid = replace(window, nx=size, ny=size)
+    eps_max = BUDGETS[name]
+    eigs = [complex(z) for z in eigenvalues(P).eigenvalues]
+    full = compute_field(P, w, grid)
+    floor = max(2.0 * max(full.value_near(z) for z in eigs), 1e-14)
+    want = _outcome(lambda: merge_bracket(full, eigs, floor, eps_max))
+
+    seen = []
+
+    def recording(*args):
+        seen.append(_outcome(lambda: merge_bracket(*args)))
+        return merge_bracket(*args)
+
+    monkeypatch.setattr(perturbations, "merge_bracket", recording)
+    got = _outcome(lambda: perturbations.distance_to_multiple(P, w, eps_max, window=grid))
+    assert seen == [want]
+    if isinstance(got, perturbations.DistanceResult):
+        lo, hi, _ = want
+        assert got.bracket == (lo, hi)
+        assert hi <= got.band <= eps_max
+        if (name, size) == ("damped_system_3x3", 401):
+            done, total = got.points
+            assert 4 * done <= total
+
+
+def test_a_band_field_cannot_be_traced_inside_its_band():
+    # the band's outer edge ends need not be exact, so tracing at its top
+    # would polish other contours than the full field's
+    P, w, window = PROBLEMS["conic_pencil_3x3"]
+    grid = replace(window, nx=101, ny=101)
+    band = compute_field(P, w, grid, Levels(((0.0, 0.6),)))
+    with pytest.raises(PreconditionError, match="inside a band"):
+        boundary_curves(P, w, band, [0.6])
+    single = compute_field(P, w, grid, Levels(((0.6, 0.6),)))
+    assert _trace(P, w, single, [0.6]) == _trace(P, w, compute_field(P, w, grid), [0.6])
 
 
 def test_a_levelled_field_takes_no_more_memory_than_a_full_one():
@@ -208,6 +265,9 @@ def test_components_and_distance_report_the_decomposed_nodes(tmp_path):
             assert main([*argv, "--input", path, "--grid", "201", "201"]) == 0
         done, total = err.getvalue().split(" points=")[1].split()[0].split("/")
         assert int(total) == 201 * 201 and 0 < int(done) < 0.5 * int(total)
+    # distance also names the top of the band it searched, at most eps_max
+    band = float(err.getvalue().split(" band=")[1].split()[0])
+    assert 0 < band <= 0.2
 
 
 def test_a_node_where_p_overflows_still_exits_3(tmp_path):

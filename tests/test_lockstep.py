@@ -1,11 +1,8 @@
-"""Batched evaluation and the batched polish give what one point gives.
+"""Batched evaluation gives what one point gives.
 
 A ``point_stack`` row must equal the ``point_stack`` of its point alone
 bit for bit, and ``singular_triplets`` must give the point the singular
-values of that row; and the ``trace`` command, which polishes every
-contour vertex of every level together, one ``point_stack`` per round,
-must print and write what the sequential search below gives, which moves
-one vertex at a time, one single-point ``point_stack`` per Newton step.
+values of that row.
 """
 
 import tracemalloc
@@ -22,13 +19,11 @@ from polyspectra import (
     eigenvalues,
 )
 from polyspectra import contours, svdcore
-from polyspectra.cli import _csv_lines, _json_text, parse_problem
-from polyspectra.contours import on_curve_tolerance
+from polyspectra.cli import parse_problem
 from polyspectra.perturbations import _ratio_stack
 from polyspectra.svdcore import point_stack, singular_triplets
 
 from conftest import random_polynomial
-from test_point_stack import run_trace
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 
@@ -152,95 +147,3 @@ class TestStackedRows:
         for lams in ([2.0], [0.5, 2.0]):
             with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError, match="non-finite"):
                 point_stack(P, w, lams)
-
-
-def polish_alone(P, w, eps: float, x: float, y: float, tol: float, guard: float):
-    """Newton steps of one vertex, one single-point ``point_stack`` per
-    step: the point, whether it reached the curve, and the gradient of F_eps
-    there (NaN where it cannot be trusted)."""
-    lam = complex(x, y)
-    for _ in range(contours._MAX_CORRECTOR_ITERS):
-        pe = point_stack(P, w, [lam])
-        (f,) = pe.F(eps).tolist()
-        ((gx, gy),) = pe.grad_F(eps).tolist()
-        norm = np.hypot(gx, gy)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shift = f / (norm * norm)
-        if abs(f) <= tol:
-            return lam, True, (gx, gy)
-        mx, my = -shift * gx, -shift * gy
-        if not np.hypot(mx, my) <= guard:
-            break
-        lam = complex(lam.real + mx, lam.imag + my)
-    return lam, False, (gx, gy)
-
-
-def reference_trace(spec):
-    """``trace`` without ``--seed``, one vertex at a time: (curves, stdout
-    lines, warnings)."""
-    P, w, window = spec.polynomial, spec.weight, spec.window
-    field = compute_field(P, w, window)
-    h = window.cell_diagonal
-    tol, guard = on_curve_tolerance(P), contours._STEP_GUARD * h
-    nxt, level_of, z, eps, on, grad = [], [], [], [], [], []
-    for k, level in enumerate(spec.epsilons):
-        points, succ = contours._contour(window, field.values, level)
-        nxt += [u + len(z) if u >= 0 else -1 for u in succ.tolist()]
-        for x, y in points.tolist():
-            lam, reached, g = polish_alone(P, w, level, x, y, tol, guard)
-            z.append(lam)
-            eps.append(level)
-            on.append(reached)
-            grad.append(g)
-            level_of.append(k)
-    levels, _, _ = contours._curves(
-        P, w, np.array(nxt, dtype=np.intp), np.array(level_of, dtype=np.intp),
-        len(spec.epsilons), np.array(z, dtype=complex), np.array(eps),
-        np.array(on, dtype=bool), np.array(grad).reshape(-1, 2), h,
-    )
-    curves = [(eps, c) for eps, level in zip(spec.epsilons, levels) for c in level]
-    warnings = [
-        f"eps={eps:.6g}: no boundary curve in the window"
-        for eps, level in zip(spec.epsilons, levels)
-        if not level
-    ]
-    stdout = [
-        f"eps={eps:.6g}: {len(c.points)} points, termination={c.termination.value}"
-        for eps, c in curves
-    ]
-    return curves, stdout, warnings
-
-
-def expected_files(curves) -> tuple:
-    rows = (
-        f"{cid},{z.real:.17g},{z.imag:.17g}"
-        for cid, (_, curve) in enumerate(curves)
-        for z in curve.points.tolist()
-    )
-    doc = {
-        "curves": [
-            {
-                "closed": c.closed,
-                "epsilon": eps,
-                "points": len(c.points),
-                "termination": c.termination.value,
-            }
-            for eps, c in curves
-        ]
-    }
-    return "".join(_csv_lines("curve_id,x,y", rows)), _json_text(doc)
-
-
-class TestLockstepTrace:
-    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
-    def test_outputs_equal_the_sequential_search(self, path, tmp_path, capsys):
-        spec = parse_problem(path.read_text())
-        curves, stdout, warnings = reference_trace(spec)
-        code, out, err, csv, js = run_trace(path, tmp_path, capsys)
-        assert code == 0
-        assert out == stdout
-        assert (csv, js) == expected_files(curves)
-        if warnings:
-            assert f"warnings={warnings}" in err
-        else:
-            assert "warnings=" not in err
