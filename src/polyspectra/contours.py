@@ -246,8 +246,8 @@ def boundary_curves(
         # at the outer end of every edge that a level inside it crosses
         if field.levels is not None and not any(a == level == b for a, b in field.levels.spans):
             raise PreconditionError(
-                f"level {level:.6g} lies inside a band of the field; its contours "
-                "need the level as a single level"
+                f"level {level:.6g} lies inside a band of the field; its contours need "
+                "a field built for it as a single level"
             )
     graphs = [_contour(field.grid, field.values, level) for level in levels]
     sizes = [len(nxt) for _, nxt in graphs]

@@ -282,13 +282,10 @@ def _levelled_values(P, w, grid, levels: Levels) -> tuple:
     crossing points and its saddle cells from those ends only, so the
     contours of such a level are the full field's.
 
-    A band of ``levels.exact`` nodes (``Levels``) is cut after each
-    lattice by ``_narrowed``, on the upper ends of every node's enclosure
-    from the lattices decomposed so far, before the next call decides
-    which nodes to decompose: the second lattice decomposes only nodes
-    whose enclosure meets the band cut after the first, and the last call
-    only those whose enclosure meets the band cut after the second.  The
-    returned ``Levels`` hold the cut band.
+    After each lattice, before the next call picks its nodes, ``_narrowed``
+    cuts a band of exact points (``Levels``) on the upper ends of every
+    node's enclosure from the lattices so far; the returned ``Levels``
+    hold the cut band.
 
     No complex grid is held: a decomposed node's point is formed from its
     axes' coordinates, as ``grid.points()`` forms it, and the enclosures of
@@ -349,8 +346,7 @@ def _levelled_values(P, w, grid, levels: Levels) -> tuple:
         return lo, hi
 
     spans = levels.spans
-    # a band is searched for the level at which the components of two of
-    # these nodes meet
+    # a band asks for the level at which two of these nodes' components meet
     nodes = [grid.nearest_index(z) for z in levels.exact if grid.contains(z)]
     banded = len(nodes) >= 2 and any(a < b for a, b in spans)
     cols = np.arange(grid.ny)
@@ -370,8 +366,8 @@ def _levelled_values(P, w, grid, levels: Levels) -> tuple:
     values = np.empty((grid.nx, grid.ny))
     exact = np.zeros(values.shape, dtype=bool)
     todo = np.zeros(values.shape, dtype=bool)
-    # a band is narrowed by the upper ends of all nodes before the lower
-    # ends decide which nodes to decompose, so it keeps the lower ends
+    # a band is cut on the upper ends of all nodes before their lower ends
+    # decide which nodes to decompose, so it keeps the lower ends
     low = np.empty(values.shape) if banded else None
     # the seven work arrays of an eighth of the rows take less than values
     for rows in np.array_split(np.arange(grid.nx), 8):
