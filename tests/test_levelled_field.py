@@ -5,7 +5,9 @@ Weyl enclosure meets one of the spans, and both ends of every grid edge a
 single level crosses, and every other node stores an end of its
 enclosure.  Its labels, its exact values and the boundary curves polished
 from its contours must be the full field's, and it must take no more
-memory.  The properties below compare it with the full field on
+memory.  A band with the eigenvalues as exact points is cut where their
+components meet on the enclosures' upper ends, and ``distance``'s bracket
+and merging pair must still be the full field's.  The properties below compare it with the full field on
 unitary copies U P_j V of every fixture, at levels drawn at random and from
 the full field's own values, where a node's value equals the level (a tie).
 The ``tight`` problem, p(lambda) = lambda - 0.3 on a window whose bottom row
