@@ -78,6 +78,10 @@ RESIDUAL_RTOL = 1e-8
 BALL_RTOL = 1e-3
 # Damped Newton iterations of find_saddle before it reports no convergence.
 _SADDLE_MAX_ITER = 60
+# Gap s_c2 - s_c1, in units of eps * s_1, at or below which find_saddle's
+# crossing search takes the two surfaces as met: LAPACK leaves 2-3 units in
+# the last place at a crossing, which a bound of one unit rejects.
+SADDLE_GAP_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -348,11 +352,12 @@ def find_saddle(
     / w^2, and its curvature the central difference of t . grad psi.  At
     the origin, where a non-constant w(|lambda|) has a kink and psi no
     gradient, lam moves 2 h along t, downhill.  The search ends where the
-    gap is at rounding level (s_{c2} - s_{c1} <= eps s_1), the tangent
-    derivative of sqrt(psi) times w is below ``SADDLE_GRAD_TOL``, and
-    ``is_fault_point`` holds.  An isolated crossing counts only as a local
-    minimum of psi + grad psi . d + s_1 |J d| / w^2, (s_{c2} / w)^2 to
-    first order: w^4 grad psi^T (J^T J)^-1 grad psi <= s_1^2.
+    gap is at rounding level (s_{c2} - s_{c1} <= ``SADDLE_GAP_ULPS`` eps
+    s_1), the tangent derivative of sqrt(psi) times w is below
+    ``SADDLE_GRAD_TOL``, and ``is_fault_point`` holds.  An isolated
+    crossing counts only as a local minimum of psi + grad psi . d + s_1
+    |J d| / w^2, (s_{c2} / w)^2 to first order: w^4 grad psi^T (J^T J)^-1
+    grad psi <= s_1^2.
     """
     lam = complex(start)
     if not window.contains(lam):
@@ -426,7 +431,7 @@ def find_saddle(
             curv = (grad[1] - grad[2]) @ (side.real, side.imag) / (2.0 * h)
             step -= slope / curv * t
         if (
-            pair[0, 0] - pair[0, 1] <= np.finfo(float).eps * s[0, 0]
+            pair[0, 0] - pair[0, 1] <= SADDLE_GAP_ULPS * np.finfo(float).eps * s[0, 0]
             and abs(slope) * weight[0] ** 2 < 2.0 * np.sqrt(m[0]) * SADDLE_GRAD_TOL
             and is_fault_point(P, lam, smap)
         ):

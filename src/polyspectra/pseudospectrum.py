@@ -20,16 +20,17 @@ values at both ends of the grid edges it crosses, so ``components``,
 level of the merge search and that ``distance`` reads its floor level
 from).  Weyl's inequality, |s_min(P(lambda)) - s_min(P(c))| <= sum_j
 ||P_j|| |lambda^j - c^j|, bounds a node's value from a nearby decomposed
-node c; such a field decomposes a lattice of every 8th node, then the
-nodes of a lattice of every 2nd node, then every node whose enclosure,
-widened by the rounding margin ``WEYL_MARGIN_RTOL``, still meets a level,
-and the nodes nearest the eigenvalues, and last both ends of every edge
-a single level crosses.  After each lattice, a band is cut at the level
-where the eigenvalues' components meet on the field of enclosure upper
-ends, which bounds the merge level from above.  Every other node lies on
-the same side of every level as its value, so labels, counts, the values
-the merge search bisects over and the contours of single levels are the
-full field's, and a level outside the field's spans raises.
+node c; such a field decomposes a lattice of every 4th node, then every
+node whose enclosure from its nearest lattice node, widened by the
+rounding margin ``WEYL_MARGIN_RTOL``, still meets a level, and last the
+nodes nearest the eigenvalues and both ends of every edge a single level
+crosses.  Before the enclosures pick their nodes, a band is cut at the
+level where the eigenvalues' components meet on the field of enclosure
+upper ends, which bounds the merge level from above.  Every other node
+lies on the same side of every level as its value, so labels, counts,
+the values the merge search bisects over and the contours of single
+levels are the full field's, and a level outside the field's spans
+raises.
 """
 
 from __future__ import annotations
@@ -55,17 +56,23 @@ from .svdcore import singular_values_many
 MAX_GRID_POINTS = 1 << 24
 
 # Rounding margin m of the Weyl enclosure of a levelled field, relative to
-# (n + m + 1) sum_j ||P_j|| rho^j / w, with rho the window's largest |lambda|
-# and w its smallest weight: it covers the Horner and SVD rounding of s_min
-# at a node and at the node its enclosure comes from, and of the enclosure
-# itself, each some tens of units in the last place of that scale.
+# (n + m + 1) sum_j ||P_j|| rho^j / w, with rho = max |x| + max |y| + R over
+# the window (R the lattice step in cell diagonals, so rho lies at or above
+# every |lambda| + R) and w its smallest weight: it covers the Horner and
+# SVD rounding of s_min at a node and at the node its enclosure comes from,
+# and of the enclosure itself, each some tens of units in the last place of
+# that scale.
 WEYL_MARGIN_RTOL = 1e-13
 
-# Steps, in grid cells, of the lattices a levelled field decomposes before
-# its last calls: the first lattice is decomposed whole, every later one only
-# where enclosures still meet a span.  Each step is a multiple of the last
-# step, so the finest lattice holds every node of the others.
-_LATTICE_STEPS = (8, 2)
+# Step, in grid cells, of the lattice a levelled field decomposes whole
+# before it encloses every other node from its nearest lattice node.
+_LATTICE_STEP = 4
+
+# Nodes, in whole rows, of each block in which a levelled field forms its
+# enclosures and decomposes the nodes they leave open: at 401 x 401 a
+# block's work arrays and batched call take less than a full field's, and
+# a grid of at most this many nodes is one block, one batched call.
+_BLOCK_NODES = 1 << 14
 
 # Points per axis of every window whose size no input sets: the default
 # window, a --window without --grid, and a document window without nx/ny.
@@ -265,38 +272,35 @@ def _levelled_values(P, w, grid, levels: Levels) -> tuple:
     Weyl's inequality bounds s_min at a node lambda by s_min at a node c:
     |s_min(lambda) - s_min(c)| <= sum_j ||P_j|| |lambda^j - c^j|
     <= d q'(rho), where d = |lambda - c|, q(x) = sum_j ||P_j|| x^j and
-    rho = |lambda| + R >= max(|lambda|, |c|) for R, the largest lattice
-    step in cell diagonals.  The enclosure of the node's value is s_min(c)
-    / w(|lambda|) widened by d q'(rho) / w(|lambda|) and by the rounding
-    margin, ``WEYL_MARGIN_RTOL * (n + deg P + 1)`` times q / w at the
-    window's largest |lambda| + R and its smallest w.  Each lattice of
-    ``_LATTICE_STEPS`` (every step-th node along each axis) decomposes, in
-    one batched call, its nodes whose enclosure from the lattices before it
-    still meets a span (all of the first).  One more call decomposes every
-    node whose enclosure, narrowed by its nearest node on every lattice,
-    still meets a span, and the nodes of ``levels.exact``.  Every other
-    node stores the upper end of its enclosure, which lies on the same side
-    of every level in the spans as the node's value.  A last call
-    decomposes both ends of every grid edge whose stored values lie on two
-    sides of a single level (a span [eps, eps]): marching squares reads its
-    crossing points and its saddle cells from those ends only, so the
-    contours of such a level are the full field's.
-
-    After each lattice, before the next call picks its nodes, ``_narrowed``
-    cuts a band of exact points (``Levels``) on the upper ends of every
-    node's enclosure from the lattices so far; the returned ``Levels``
-    hold the cut band.
+    rho = |lambda| + R >= max(|lambda|, |c|) for R, the lattice step in
+    cell diagonals.  The enclosure of the node's value is s_min(c) /
+    w(|lambda|), for c its nearest node on the lattice of every
+    ``_LATTICE_STEP``-th node along each axis, widened by d q'(rho) /
+    w(|lambda|) and by the rounding margin, ``WEYL_MARGIN_RTOL * (n + deg
+    P + 1)`` times q / w at the window's max |x| + max |y| + R and its
+    smallest w.  One batched call decomposes the lattice.  A band of exact
+    points (``Levels``) is then cut by ``_narrowed`` on the field of
+    enclosure upper ends, and the returned ``Levels`` hold the cut band.
+    Next, every node whose enclosure still meets a span is decomposed.
+    Every other node stores the upper end of its enclosure, which lies on
+    the same side of every level in the spans as the node's value.  A last
+    call decomposes the nodes of ``levels.exact`` and both ends of every
+    grid edge whose stored values lie on two sides of a single level (a
+    span [eps, eps]): marching squares reads its crossing points and its
+    saddle cells from those ends only, so the contours of such a level are
+    the full field's.
 
     No complex grid is held: a decomposed node's point is formed from its
-    axes' coordinates, as ``grid.points()`` forms it, and the enclosures of
-    all nodes are formed a block of rows at a time, so the working set is
-    the values, the exact mask and one batched call's, and for a cut band
-    one more float per node (the upper ends after the first lattice, then
-    the lower ends after the second).
+    axes' coordinates, as ``grid.points()`` forms it, and the enclosures
+    are formed and the nodes they leave open decomposed a block of rows of
+    about ``_BLOCK_NODES`` nodes at a time.  So the working set is the
+    values, the exact mask and the lower ends, and then, in place of the
+    lower ends, a mask of the open nodes and one block's batched call.
     """
     norms = P.coefficient_norms
     xs, ys = grid.xs(), grid.ys()
-    reach = max(_LATTICE_STEPS) * grid.cell_diagonal  # R, beyond every |lambda - c|
+    step = _LATTICE_STEP
+    reach = step * grid.cell_diagonal  # R, beyond every |lambda - c|
     # the rounding margin over w, as one bound for every node
     rho = max(abs(grid.x_min), abs(grid.x_max)) + max(abs(grid.y_min), abs(grid.y_max)) + reach
     # a numpy power overflows to inf, which makes the margin infinite and
@@ -307,18 +311,18 @@ def _levelled_values(P, w, grid, levels: Levels) -> tuple:
     # w is at its node of least |x| and least |y|
     w_min = weight_eval(w, np.hypot(np.abs(xs).min(), np.abs(ys).min()))
     margin = WEYL_MARGIN_RTOL * (P.n + P.m + 1) * q / w_min
-    # s_min on the finest lattice, which holds every coarser one; NaN
-    # until decomposed
-    fine = _LATTICE_STEPS[-1]
-    s_lattice = np.full((len(xs[::fine]), len(ys[::fine])), np.nan)
 
     def s_min(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return singular_values_many(P, xs[i] + 1j * ys[j])[:, -1]
+        return singular_values_many(P, xs[i] + 1j * ys[j])[..., -1]
 
-    def enclosure(i: np.ndarray, j: np.ndarray, steps) -> tuple:
-        """Ends of the enclosures of the nodes i x j from the lattices of
-        ``steps``."""
-        radius = np.hypot.outer(xs[i], ys[j])
+    lattice = np.arange(0, grid.nx, step)[:, None], np.arange(0, grid.ny, step)
+    s_lattice = s_min(*lattice)
+    # each node's nearest lattice node, by lattice index along each axis
+    near_i, near_j = _lattice(grid.nx, step), _lattice(grid.ny, step)
+
+    def enclosure(rows: np.ndarray) -> tuple:
+        """Ends of the enclosures of the nodes in ``rows``."""
+        radius = np.hypot.outer(xs[rows], ys)
         weight = weight_eval(w, radius)
         # q'(|lambda| + R) / w(|lambda|), the bound's growth with |lambda - c|
         radius += reach
@@ -328,86 +332,57 @@ def _levelled_values(P, w, grid, levels: Levels) -> tuple:
             slope += k * norms[k]
         del radius
         slope /= weight
-        lo = np.full(weight.shape, -np.inf)
-        hi = np.full(weight.shape, np.inf)
-        for step in steps:
-            ni, nj = _lattice(grid.nx, step)[i], _lattice(grid.ny, step)[j]
-            # s_min at the nearest lattice node over w, NaN where the lattice
-            # node is not decomposed, which fmax and fmin pass over
-            near = s_lattice[::step // fine, ::step // fine][ni][:, nj] / weight
-            bound = np.add.outer((xs[i] - xs[::step][ni]) ** 2, (ys[j] - ys[::step][nj]) ** 2)
-            np.sqrt(bound, out=bound)
-            bound *= slope
-            bound += margin
-            end = near + bound
-            np.fmin(hi, end, out=hi)
-            np.subtract(near, bound, out=end)
-            np.fmax(lo, end, out=lo)
+        ni = near_i[rows]
+        # s_min at the nearest lattice node over w
+        lo = s_lattice[ni][:, near_j] / weight
+        bound = np.add.outer((xs[rows] - xs[ni * step]) ** 2, (ys - ys[near_j * step]) ** 2)
+        np.sqrt(bound, out=bound)
+        bound *= slope
+        bound += margin
+        hi = lo + bound
+        lo -= bound
         return lo, hi
-
-    spans = levels.spans
-    # a band asks for the level at which two of these nodes' components meet
-    nodes = [grid.nearest_index(z) for z in levels.exact if grid.contains(z)]
-    banded = len(nodes) >= 2 and any(a < b for a, b in spans)
-    cols = np.arange(grid.ny)
-    for k, step in enumerate(_LATTICE_STEPS):
-        i, j = np.arange(0, grid.nx, step), np.arange(0, grid.ny, step)
-        lo, hi = enclosure(i, j, _LATTICE_STEPS[:k])
-        view = s_lattice[::step // fine, ::step // fine]
-        ii, jj = np.nonzero(np.isnan(view) & _meets(lo, hi, spans))
-        view[ii, jj] = s_min(i[ii], j[jj])
-        if banded and k + 1 < len(_LATTICE_STEPS):
-            upper = np.empty((grid.nx, grid.ny))
-            for rows in np.array_split(np.arange(grid.nx), 8):
-                upper[rows] = enclosure(rows, cols, _LATTICE_STEPS[:k + 1])[1]
-            spans = _narrowed(spans, upper, nodes)
-            del upper
 
     values = np.empty((grid.nx, grid.ny))
     exact = np.zeros(values.shape, dtype=bool)
-    todo = np.zeros(values.shape, dtype=bool)
-    # a band is cut on the upper ends of all nodes before their lower ends
-    # decide which nodes to decompose, so it keeps the lower ends
-    low = np.empty(values.shape) if banded else None
-    # the seven work arrays of an eighth of the rows take less than values
-    for rows in np.array_split(np.arange(grid.nx), 8):
-        lo, hi = enclosure(rows, cols, _LATTICE_STEPS)
-        values[rows] = hi
-        if banded:
-            low[rows] = lo
-        else:
-            todo[rows] = _meets(lo, hi, spans)
-    del lo, hi
-    if banded:
-        spans = _narrowed(spans, values, nodes)
-        todo = _meets(low, values, spans)
-        del low
+    low = np.empty(values.shape)
+    blocks = np.array_split(np.arange(grid.nx), -(-grid.nx * grid.ny // _BLOCK_NODES))
+    for rows in blocks:
+        low[rows], values[rows] = enclosure(rows)
 
     def settle(i: np.ndarray, j: np.ndarray, s: np.ndarray) -> None:
         """Store s_min / w at the nodes (i, j), whose s_min is ``s``."""
         values[i, j] = s / weight_eval(w, np.hypot(xs[i], ys[j]))
         exact[i, j] = True
 
-    i, j = np.nonzero(~np.isnan(s_lattice))
-    settle(i * fine, j * fine, s_lattice[i, j])
-    for z in levels.exact:
-        if grid.contains(z):
-            todo[grid.nearest_index(z)] = True
-    i, j = np.nonzero(todo & ~exact)
+    settle(*lattice, s_lattice)
+    spans = levels.spans
+    # a band asks for the level at which two of these nodes' components meet
+    nodes = [grid.nearest_index(z) for z in levels.exact if grid.contains(z)]
+    if len(nodes) >= 2 and any(a < b for a, b in spans):
+        spans = _narrowed(spans, values, nodes)
+    todo = _meets(low, values, spans) & ~exact
+    del low
+    for rows in blocks:
+        i, j = np.nonzero(todo[rows])
+        settle(rows[i], j, s_min(rows[i], j))
     del todo
-    settle(i, j, s_min(i, j))
 
-    crossed = np.zeros(values.shape, dtype=bool)
+    # the exact points' nodes, and both ends of every edge a single level
+    # crosses; every node left holds an enclosure end on its value's side
+    last = np.zeros(values.shape, dtype=bool)
+    for node in nodes:
+        last[node] = True
     for a, b in levels.spans:
         if a == b:
             side = values <= a
             across = side[1:] != side[:-1]
-            crossed[1:] |= across
-            crossed[:-1] |= across
+            last[1:] |= across
+            last[:-1] |= across
             across = side[:, 1:] != side[:, :-1]
-            crossed[:, 1:] |= across
-            crossed[:, :-1] |= across
-    i, j = np.nonzero(crossed & ~exact)
+            last[:, 1:] |= across
+            last[:, :-1] |= across
+    i, j = np.nonzero(last & ~exact)
     settle(i, j, s_min(i, j))
     return values, exact, Levels(spans, levels.exact)
 

@@ -219,11 +219,14 @@ def test_a_band_field_cannot_be_traced_inside_its_band():
 
 def test_a_levelled_field_takes_no_more_memory_than_a_full_one():
     # trace's field, one single level per eps, on the fixture whose trace
-    # decomposes the largest share of its nodes (54% at 401 x 401)
+    # decomposes the largest share of its nodes (58% at 401 x 401), and
+    # distance's band field with the eigenvalues as exact points
     spec = parse_problem((FIXTURES / "damped_system_3x3.json").read_text())
     P, w = spec.polynomial, spec.weight
     grid = replace(spec.window, nx=401, ny=401)
-    kinds = (None, Levels(tuple((e, e) for e in spec.epsilons)))
+    eigs = tuple(complex(z) for z in eigenvalues(P).eigenvalues)
+    kinds = (None, Levels(tuple((e, e) for e in spec.epsilons)),
+             Levels(((0.0, 0.1),), exact=eigs))
     for levels in kinds:  # what a process allocates once, on a small grid
         compute_field(P, w, replace(grid, nx=41, ny=41), levels)
     peaks = []
@@ -234,8 +237,8 @@ def test_a_levelled_field_takes_no_more_memory_than_a_full_one():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    full, levelled = peaks
-    assert levelled <= full
+    full, single, band = peaks
+    assert single <= full and band <= full
 
 
 def test_components_prints_the_exact_value_at_an_eigenvalue_outside_eps(tmp_path):
@@ -273,12 +276,13 @@ def test_components_and_distance_report_the_decomposed_nodes(tmp_path):
 
 
 def test_a_node_where_p_overflows_still_exits_3(tmp_path):
-    # P(lambda) = 1 + 1e154 lambda^2 overflows only near the window's far
-    # corner, which no lattice of every 8th node holds; the margin, as large
-    # as the coefficient norms, then covers every level, so that node is
-    # decomposed and the command fails as on the full field
+    # P(lambda) = 1 + 1e154 lambda^2 overflows only at the three nodes of
+    # the window's far corner, which the lattice of every 4th node misses;
+    # the margin, as large as the coefficient norms, then covers every
+    # level, so those nodes are decomposed and the command fails as on the
+    # full field
     doc = {"n": 1, "m": 2, "coefficients": [{"re": [[1.0]]}, {"re": [[0.0]]}, {"re": [[1e154]]}],
-           "window": {"x_min": -1e76, "x_max": 1.3e77, "y_min": -1e76, "y_max": 1.3e77,
+           "window": {"x_min": -1e76, "x_max": 1.02e77, "y_min": -1e76, "y_max": 1.02e77,
                       "nx": 15, "ny": 15}}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))

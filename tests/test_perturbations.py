@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +29,15 @@ from polyspectra import (
     singular_triplets,
     weight_eval,
 )
+from polyspectra.cli import main
 from polyspectra.perturbations import DEFECT_RTOL
 from polyspectra.pseudospectrum import label_sublevel
 
 from conftest import random_polynomial
 
 MU = 1.4145
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # reference values for the 2x2 upper-triangular quadratic at its merge point
 DHAT_REF = np.array([[-0.0031, -0.0086], [0.0086, -0.0031]])
@@ -300,6 +305,20 @@ class TestOnFaultSaddle:
         assert sad.on_fault
         assert abs(sad.mu - 0.4) <= 1e-7
         assert sad.delta == pytest.approx(r, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [272, 304])
+    def test_distance_on_copies_whose_crossing_gap_is_a_few_ulps(self, seed, tmp_path, capsys):
+        # unitary copies U P_j V of diag_movable_eigenvalue_2x2, as the
+        # benchmark draws them for these seeds: at the crossing 0.4 LAPACK
+        # leaves s_c2 - s_c1 at 2-3 units in the last place of s_1 = 0.64
+        out = tmp_path / "distance.json"
+        argv = ["distance", "--input", str(DATA / f"diag_movable_eigenvalue_2x2_seed{seed}.json"),
+                "--grid", "401", "401", "--eps-max", "1.0", "--json", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        mu = complex(doc["certificate"]["mu"]["re"], doc["certificate"]["mu"]["im"])
+        assert doc["saddle_on_fault"] and abs(mu - 0.4) <= 1e-7
+        assert doc["r"] == pytest.approx(0.64, rel=1e-13, abs=0.0)
 
     def test_a_crossing_through_the_origin_under_a_linear_weight(self, disc_pair):
         # the smooth search stalls at once at the origin, where w(|l|) = 1 + |l|/2

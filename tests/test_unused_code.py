@@ -1,8 +1,10 @@
-"""Every function, class, method and property the package defines is used.
+"""Every function, class, method, property and constant the package
+defines is used.
 
-A module-level function or class counts as used when its name is read
-(as a name or an attribute) anywhere in ``src/polyspectra``, ``tests/``
-or ``tools/``; importing it alone does not count.  A method or property
+A module-level function or class, or a name assigned at a module's top
+level (a constant), counts as used when its name is read (as a name or an
+attribute) anywhere in ``src/polyspectra``, ``tests/`` or ``tools/``;
+importing or assigning it alone does not count.  A method or property
 that is not a dunder counts as used when some attribute of that name is
 read.  The check is by name, so it misses a dead definition whose name
 another definition shares, but it catches the code nothing reaches.
@@ -21,7 +23,7 @@ def _reads() -> tuple:
     names, attributes = set(), set()
     for path in READERS:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
@@ -50,3 +52,25 @@ def test_every_definition_is_used():
                     and item.name not in attributes
                 ]
     assert not unused, unused
+
+
+def test_every_module_constant_is_read():
+    names, attributes = _reads()
+    unread = []
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            unread += [
+                f"{path.name}: {name.id}"
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+                and not _is_dunder(name.id)
+                and name.id not in names | attributes
+            ]
+    assert not unread, unread
