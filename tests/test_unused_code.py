@@ -61,7 +61,7 @@ def test_every_module_constant_is_read():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.Assign):
                 targets = node.targets
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            elif isinstance(node, ast.AnnAssign):
                 targets = [node.target]
             else:
                 continue
