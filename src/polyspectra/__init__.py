@@ -29,7 +29,6 @@ from .faultlines import (
     SurfaceIndexMap,
     build_surface_map,
     collapsed_gap,
-    default_probes,
     fault_scan,
     is_fault_point,
 )

@@ -47,12 +47,11 @@ from .contours import (
 )
 from .errors import (
     InputError,
-    NumericalError,
     PolyspectraError,
     PreconditionError,
     SeedNotFoundError,
 )
-from .faultlines import build_surface_map, default_probes, fault_scan
+from .faultlines import build_surface_map, fault_scan
 from .matpoly import (
     EigenReport,
     MatrixPolynomial,
@@ -541,7 +540,7 @@ def _cmd_faults(spec: ProblemSpec, args, report: RunReport) -> None:
     P = spec.polynomial
     eigen = eigenvalues(P)
     window = _resolve_window(spec, args, eigen)
-    smap = build_surface_map(P, default_probes(window))
+    smap = build_surface_map(P, window)
     # one grid SVD gives both the collapsed gap and the contour levels
     contoured = bool(args.svg) and args.eps is not None
     svals = singular_values_many(P, window.points()) if contoured else None
@@ -677,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("components", "sublevel component counts and eigenvalue assignment"),
         ("trace", "boundary curves: field contours polished onto the level curve"),
         ("faults", "surface-crossing (fault) point scan"),
-        ("distance", "distance to the nearest polynomial with a multiple eigenvalue"),
+        ("distance", "merge level: an upper bound on the distance to a multiple eigenvalue"),
         ("perturb", "explicit boundary perturbations at a chosen point"),
     ):
         # no abbreviations: ``distance --eps`` would otherwise mean --eps-max
@@ -710,16 +709,13 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             _COMMANDS[args.command][0](spec, args, report)
         report.warnings.extend(str(w.message) for w in caught)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 4
-    except (NumericalError, PolyspectraError, np.linalg.LinAlgError) as exc:
+    except (PolyspectraError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     report.wall_time = time.perf_counter() - t0

@@ -1,7 +1,7 @@
 """Fault points: where the two lowest distinct singular-value surfaces meet.
 
 Surfaces that coincide identically (repeated structure in the polynomial)
-are first collapsed through a probe-based index map; the fault set is then
+are first collapsed by probing the window for them; the fault set is then
 the zero set of the gap between the two lowest surviving surfaces.  The gap
 is nonnegative and typically conic at its zeros, but the crossing equations
 are smooth: the right singular vectors W = [v_{c2}, v_{c1}] span a subspace
@@ -81,25 +81,18 @@ class FaultReport:
     left_window: int = 0  # starts whose step left the window
 
 
-def default_probes(window: GridSpec) -> np.ndarray:
-    """Generic probe points drawn uniformly from the window (deterministic)."""
-    rng = np.random.default_rng(PROBE_SEED)
-    x = rng.uniform(window.x_min, window.x_max, PROBE_COUNT)
-    y = rng.uniform(window.y_min, window.y_max, PROBE_COUNT)
-    return x + 1j * y
-
-
-def build_surface_map(P: MatrixPolynomial, probes) -> SurfaceIndexMap:
-    """Group surface indices whose singular values agree at every probe.
+def build_surface_map(P: MatrixPolynomial, window: GridSpec) -> SurfaceIndexMap:
+    """Group surface indices whose singular values agree at PROBE_COUNT
+    probes drawn uniformly from the window with PROBE_SEED.
 
     Identical surfaces occupy contiguous positions in the descending order,
     so only adjacent pairs need comparing.  Each group is represented by its
     largest index.
     """
-    probes = np.asarray(probes, dtype=complex)
-    if probes.size < 2:
-        raise PreconditionError("need at least 2 probe points (20+ recommended)")
-    svals = singular_values_many(P, probes)  # (npr, n)
+    rng = np.random.default_rng(PROBE_SEED)
+    x = rng.uniform(window.x_min, window.x_max, PROBE_COUNT)
+    y = rng.uniform(window.y_min, window.y_max, PROBE_COUNT)
+    svals = singular_values_many(P, x + 1j * y)  # (PROBE_COUNT, n)
     n = P.n
     scale = 1.0 + svals[:, :1]
     same_as_next = np.all(np.abs(np.diff(svals, axis=1)) <= IDENTITY_RTOL * scale, axis=0)

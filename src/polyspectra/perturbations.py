@@ -7,8 +7,8 @@ perturbed polynomial acquires mu as an eigenvalue whose geometric
 multiplicity equals the multiplicity of s_n(mu) as a singular value, at the
 smallest admissible ball radius s_n(mu) / w(|mu|).  Combined with a
 stationary point of s_min / w, the construction certifies a defective
-eigenvalue, which is how the distance to the nearest polynomial with a
-multiple eigenvalue is found and witnessed.
+eigenvalue, which is how an upper bound on the distance to the nearest
+polynomial with a multiple eigenvalue is found and witnessed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .faultlines import (
     build_surface_map,
     collapsed_gap,
     crossing_system,
-    default_probes,
     is_fault_point,
 )
 from .matpoly import (
@@ -151,7 +150,10 @@ class SaddleResult:
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """Distance to the nearest polynomial with a multiple eigenvalue.
+    """The level r at which the sublevel components of two distinct
+    eigenvalues first meet, with perturbations in the r-ball that make the
+    merge point a multiple eigenvalue: an upper bound on the distance to
+    the nearest polynomial with a multiple eigenvalue.
 
     ``points`` counts the grid nodes whose singular values were computed,
     and all nodes of the grid; ``band`` is the top of the band of levels
@@ -407,7 +409,7 @@ def find_saddle(
     # lowest one
     if P.n < 2:
         raise SaddleNotConvergedError("smooth search stalled on a scalar problem")
-    smap = build_surface_map(P, default_probes(window))
+    smap = build_surface_map(P, window)
     if smap.c2 is None:
         raise SaddleNotConvergedError(
             "smooth search stalled and all surfaces coincide; no crossing to use"
@@ -477,6 +479,12 @@ def distance_to_multiple(
     off the grid; at that level some member of the ball acquires a multiple
     eigenvalue at the meeting point.  If the boundedness condition fails at
     eps_max, the budget is capped at the largest level it supports.
+
+    So r bounds the distance to a multiple eigenvalue from above.  For
+    n = 1 with simple roots it is that distance: the two roots that
+    collide along the nearest perturbation stay inside its level set.  An
+    eigenvalue of P that is already multiple puts the distance at 0, which
+    r does not report.
     """
     eigen = eigenvalues(P)
     if len(eigen.eigenvalues) == 0:

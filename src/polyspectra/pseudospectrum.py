@@ -198,7 +198,6 @@ class ComponentReport:
     the component touches the window edge (unbounded within the window).
     """
 
-    epsilon: float
     count: int
     labels: np.ndarray
     eigen_assignment: dict
@@ -484,7 +483,6 @@ def components(field: ScalarField, eps: float, eigen: EigenReport) -> ComponentR
     edge_labels |= set(np.unique(labels[:, 0])) | set(np.unique(labels[:, -1]))
     bounded = {lab: lab not in edge_labels for lab in range(1, count + 1)}
     return ComponentReport(
-        epsilon=float(eps),
         count=count,
         labels=labels,
         eigen_assignment=assignment,

@@ -21,7 +21,6 @@ from polyspectra import (
     certify_multiple,
     components,
     compute_field,
-    default_probes,
     default_window,
     distance_to_multiple,
     eigenvalues,
@@ -175,7 +174,7 @@ def test_criterion_5_conic_double_point(conic_pencil):
     target = np.sqrt(5.0 / 16.0)
     (g,) = point_stack(conic_pencil, WeightPolynomial([1.0]), [0.0]).grad_F(0.0)
     win = GridSpec(x_min=-2.0, x_max=2.5, y_min=-2.0, y_max=2.0, nx=61, ny=61)
-    smap = build_surface_map(conic_pencil, default_probes(win))
+    smap = build_surface_map(conic_pencil, win)
     fault = is_fault_point(conic_pencil, 0.0, smap)
     ok = (
         abs(s[1] - target) <= 1e-10
@@ -194,16 +193,16 @@ def test_criterion_6_fault_fixtures(
     isolated_fault_pencil, scalar_double_root, diag_quadratic_pair, diag_movable
 ):
     square = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=241, ny=241)
-    smap_iso = build_surface_map(isolated_fault_pencil, default_probes(square))
+    smap_iso = build_surface_map(isolated_fault_pencil, square)
     rep_iso = fault_scan(isolated_fault_pencil, square, smap_iso)
     iso_ok = len(rep_iso.refined_points) == 1 and abs(rep_iso.refined_points[0]) <= 1e-4
 
-    smap_sc = build_surface_map(scalar_double_root, default_probes(square))
+    smap_sc = build_surface_map(scalar_double_root, square)
     rep_sc = fault_scan(scalar_double_root, square, smap_sc)
     scalar_ok = rep_sc.empty
 
     win5 = GridSpec(x_min=-2.0, x_max=3.0, y_min=-2.0, y_max=2.0, nx=241, ny=241)
-    smap5 = build_surface_map(diag_quadratic_pair, default_probes(win5))
+    smap5 = build_surface_map(diag_quadratic_pair, win5)
     rep5 = fault_scan(diag_quadratic_pair, win5, smap5)
     pts = rep5.refined_points
     d_circle = np.abs(np.abs(pts - 0.5) - np.sqrt(3) / 2)
@@ -211,7 +210,7 @@ def test_criterion_6_fault_fixtures(
     pair_ok = len(pts) > 0 and np.max(np.minimum(d_circle, d_line)) <= 2 * win5.cell_diagonal
 
     win2 = GridSpec(x_min=-3.0, x_max=3.0, y_min=-2.5, y_max=2.5, nx=61, ny=61)
-    smap2 = build_surface_map(diag_movable, default_probes(win2))
+    smap2 = build_surface_map(diag_movable, win2)
     movable_ok = is_fault_point(diag_movable, 1.0, smap2)
 
     ok = iso_ok and scalar_ok and pair_ok and movable_ok
@@ -350,7 +349,7 @@ def test_criterion_7_property_suites(uptri_quadratic, weight_quadratic, uptri_wi
         A = Q @ np.diag(eigs) @ Q.conj().T
         P = MatrixPolynomial([-A, np.eye(k)])
         win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=161, ny=161)
-        smap = build_surface_map(P, default_probes(win))
+        smap = build_surface_map(P, win)
         rep = fault_scan(P, win, smap)
         if rep.empty:
             e_ok = False

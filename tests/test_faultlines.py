@@ -9,7 +9,6 @@ from polyspectra import (
     MatrixPolynomial,
     build_surface_map,
     collapsed_gap,
-    default_probes,
     fault_scan,
     is_fault_point,
 )
@@ -55,19 +54,19 @@ def reference_surface_map(svals):
 
 class TestSurfaceMap:
     def test_distinct_diagonal(self, disc_pair):
-        smap = build_surface_map(disc_pair, default_probes(SQUARE))
+        smap = build_surface_map(disc_pair, SQUARE)
         assert smap.representative == (1, 2)
         assert (smap.c1, smap.c2) == (2, 1)
         assert smap.distinct_count == 2
 
     def test_repeated_diagonal_collapses(self):
         P = MatrixPolynomial([np.diag([-1.0, -1.0]), np.eye(2)])
-        smap = build_surface_map(P, default_probes(SQUARE))
+        smap = build_surface_map(P, SQUARE)
         assert smap.distinct_count == 1
         assert smap.c2 is None
 
     def test_quadratic_pair_distinct(self, diag_quadratic_pair):
-        smap = build_surface_map(diag_quadratic_pair, default_probes(SQUARE))
+        smap = build_surface_map(diag_quadratic_pair, SQUARE)
         assert smap.distinct_count == 2
 
     def test_matches_run_loop(self, monkeypatch):
@@ -76,35 +75,32 @@ class TestSurfaceMap:
             n = int(rng.integers(1, 9))
             # descending surfaces, some runs of them identical up to a
             # difference around the identity threshold
-            svals = -np.sort(-rng.uniform(0, 5, size=(6, n)), axis=1)
+            rows = faultlines.PROBE_COUNT
+            svals = -np.sort(-rng.uniform(0, 5, size=(rows, n)), axis=1)
             for j in np.flatnonzero(rng.uniform(size=n - 1) < 0.5):
                 svals[:, j + 1] = svals[:, j] - rng.choice([0.0, 1e-11, 1e-9])
             monkeypatch.setattr(faultlines, "singular_values_many", lambda P, z: svals)
-            smap = build_surface_map(MatrixPolynomial([np.eye(n)]), np.zeros(6))
+            smap = build_surface_map(MatrixPolynomial([np.eye(n)]), SQUARE)
             assert (smap.representative, smap.c1, smap.c2) == reference_surface_map(svals)
-
-    def test_probe_count_guard(self, disc_pair):
-        with pytest.raises(Exception):
-            build_surface_map(disc_pair, [0.1 + 0.1j])
 
 
 class TestFaultScan:
     def test_isolated_point(self, isolated_fault_pencil):
-        smap = build_surface_map(isolated_fault_pencil, default_probes(SQUARE))
+        smap = build_surface_map(isolated_fault_pencil, SQUARE)
         rep = fault_scan(isolated_fault_pencil, SQUARE, smap)
         assert not rep.empty
         assert len(rep.refined_points) == 1
         assert abs(rep.refined_points[0]) < 1e-4
 
     def test_scalar_is_empty(self, scalar_double_root):
-        smap = build_surface_map(scalar_double_root, default_probes(SQUARE))
+        smap = build_surface_map(scalar_double_root, SQUARE)
         rep = fault_scan(scalar_double_root, SQUARE, smap)
         assert rep.empty
         assert len(rep.refined_points) == 0
 
     def test_circle_and_line(self, diag_quadratic_pair):
         win = GridSpec(x_min=-2.0, x_max=3.0, y_min=-2.0, y_max=2.0, nx=241, ny=241)
-        smap = build_surface_map(diag_quadratic_pair, default_probes(win))
+        smap = build_surface_map(diag_quadratic_pair, win)
         rep = fault_scan(diag_quadratic_pair, win, smap)
         assert not rep.empty
         pts = rep.refined_points
@@ -115,7 +111,7 @@ class TestFaultScan:
 
     def test_refined_gaps_vanish(self, diag_quadratic_pair):
         win = GridSpec(x_min=-2.0, x_max=3.0, y_min=-2.0, y_max=2.0, nx=121, ny=121)
-        smap = build_surface_map(diag_quadratic_pair, default_probes(win))
+        smap = build_surface_map(diag_quadratic_pair, win)
         rep = fault_scan(diag_quadratic_pair, win, smap)
         assert np.all(rep.refined_gaps <= 1e-8 * 10)
 
@@ -127,7 +123,7 @@ class TestFaultScan:
 
         P = random_polynomial(rng, 3, 1)
         win = GridSpec(x_min=-3.0, x_max=3.0, y_min=-3.0, y_max=3.0, nx=121, ny=121)
-        smap = build_surface_map(P, default_probes(win))
+        smap = build_surface_map(P, win)
         from polyspectra.svdcore import singular_values_many
 
         s = singular_values_many(P, win.points())
@@ -145,20 +141,20 @@ class TestFaultScan:
 class TestIsFaultPoint:
     def test_movable_eigenvalue_critical_value(self, diag_movable):
         win = GridSpec(x_min=-3.0, x_max=3.0, y_min=-2.5, y_max=2.5, nx=61, ny=61)
-        smap = build_surface_map(diag_movable, default_probes(win))
+        smap = build_surface_map(diag_movable, win)
         assert is_fault_point(diag_movable, 1.0, smap)
         assert not is_fault_point(diag_movable, 5.0, smap)
 
     def test_conic_pencil_origin(self, conic_pencil):
-        smap = build_surface_map(conic_pencil, default_probes(SQUARE))
+        smap = build_surface_map(conic_pencil, SQUARE)
         assert is_fault_point(conic_pencil, 0.0, smap)
 
     def test_vacuous_without_second_surface(self, scalar_double_root):
-        smap = build_surface_map(scalar_double_root, default_probes(SQUARE))
+        smap = build_surface_map(scalar_double_root, SQUARE)
         assert not is_fault_point(scalar_double_root, 1.0, smap)
 
     def test_collapsed_gap_nonnegative(self, conic_pencil):
-        smap = build_surface_map(conic_pencil, default_probes(SQUARE))
+        smap = build_surface_map(conic_pencil, SQUARE)
         rng = np.random.default_rng(3)
         for _ in range(20):
             lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -187,7 +183,7 @@ class TestVoronoiProperty:
             A = Q @ np.diag(eigs) @ Q.conj().T
             P = MatrixPolynomial([-A, np.eye(k)])
             win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=161, ny=161)
-            smap = build_surface_map(P, default_probes(win))
+            smap = build_surface_map(P, win)
             rep = fault_scan(P, win, smap)
             assert not rep.empty
             for lam in rep.refined_points:
@@ -214,7 +210,7 @@ class TestLockstepRefinement:
     def test_calls_are_bounded_by_the_iteration_budget(self, monkeypatch, diag_quadratic_pair):
         # the document grid of diag_quadratic_pair_2x2
         win = GridSpec(x_min=-2.0, x_max=3.0, y_min=-2.0, y_max=2.0, nx=241, ny=241)
-        smap = build_surface_map(diag_quadratic_pair, default_probes(win))
+        smap = build_surface_map(diag_quadratic_pair, win)
         calls = self._count_calls(monkeypatch)
         rep = fault_scan(diag_quadratic_pair, win, smap)
         assert len(rep.cells) > 100
@@ -225,7 +221,7 @@ class TestLockstepRefinement:
         # the gap of diag(l - 1, l + 1) grows with Re l off its fault line
         # Re l = 0, so this window has no interior minimum
         win = GridSpec(x_min=0.5, x_max=2.0, y_min=-1.0, y_max=1.0, nx=41, ny=41)
-        smap = build_surface_map(disc_pair, default_probes(win))
+        smap = build_surface_map(disc_pair, win)
         calls = self._count_calls(monkeypatch)
         rep = fault_scan(disc_pair, win, smap)
         assert rep.cells == () and rep.empty
@@ -237,7 +233,7 @@ def document_scan(name: str) -> tuple:
     on its document grid."""
     spec = parse_problem((FIXTURES / f"{name}.json").read_text())
     P, win = spec.polynomial, spec.window
-    smap = build_surface_map(P, default_probes(win))
+    smap = build_surface_map(P, win)
     rep = fault_scan(P, win, smap)
     xs, ys = win.xs(), win.ys()
     return P, win, smap, rep, [complex(xs[i], ys[j]) for i, j in rep.cells]
@@ -311,7 +307,7 @@ class TestCrossingRefinement:
         for _ in range(3):
             U, V = haar_unitary(rng, P.n), haar_unitary(rng, P.n)
             Q = MatrixPolynomial([U @ C @ V for C in P.coeffs])
-            qmap = build_surface_map(Q, default_probes(win))
+            qmap = build_surface_map(Q, win)
             assert (qmap.c1, qmap.c2) == (smap.c1, smap.c2)
             moved, qgaps, _, _ = faultlines.crossing_points(Q, qmap, starts, win)
             assert not np.isnan(gaps).any() and not np.isnan(qgaps).any()
@@ -327,7 +323,7 @@ class TestCrossingRefinement:
         cases = [(random_polynomial(rng, 3, 1), 0.3 - 0.2j, 1e-4)]
         cases += [(diag_quadratic_pair, z, 1e-5) for z in (0.62 + 0.1j, -0.2 + 0.7j)]
         for P, lam, h in cases:
-            smap = build_surface_map(P, default_probes(SQUARE))
+            smap = build_surface_map(P, SQUARE)
             dx, dy = faultlines.crossing_system(P, smap, np.array([lam]))[-1]
             want = finite_difference_step(P, smap, lam, h)
             assert np.hypot(dx[0] - want[0], dy[0] - want[1]) <= 1e-6 * np.hypot(*want)
@@ -340,7 +336,7 @@ class TestCrossingRefinement:
 
         P = random_polynomial(np.random.default_rng(0), 3, 2)
         win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=81, ny=81)
-        rep = fault_scan(P, win, build_surface_map(P, default_probes(win)))
+        rep = fault_scan(P, win, build_surface_map(P, win))
         assert rep.cells and rep.empty
         assert (rep.dropped, rep.left_window) == (len(rep.cells), 0)
         assert rep.steps < faultlines.CROSSING_MAX_STEPS
@@ -349,7 +345,7 @@ class TestCrossingRefinement:
         # the fault line Re l = 1/2 lies outside this window, so the first
         # step from a start near its edge leaves it
         win = GridSpec(x_min=-2.0, x_max=0.45, y_min=-0.1, y_max=0.1, nx=11, ny=11)
-        smap = build_surface_map(diag_quadratic_pair, default_probes(SQUARE))
+        smap = build_surface_map(diag_quadratic_pair, SQUARE)
         points, gaps, steps, left = faultlines.crossing_points(
             diag_quadratic_pair, smap, [0.4 + 0.0j], win
         )

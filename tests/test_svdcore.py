@@ -17,7 +17,6 @@ from polyspectra import (
     WeightPolynomial,
     build_surface_map,
     collapsed_gap,
-    default_probes,
     eigenvalues,
     evaluate,
     s_min,
@@ -331,7 +330,7 @@ class TestValuesPath:
         lams = rng.normal(size=40) + 1j * rng.normal(size=40)
         batched = singular_values_many(conic_pencil, lams)
         window = GridSpec(x_min=-2, x_max=2, y_min=-2, y_max=2, nx=5, ny=5)
-        smap = build_surface_map(conic_pencil, default_probes(window))
+        smap = build_surface_map(conic_pencil, window)
         for lam, row in zip(lams, batched):
             assert s_min(conic_pencil, lam) == row[-1]
             assert surface_gap(singular_values_many(conic_pencil, lam), 3, 2) == row[-2] - row[-1]

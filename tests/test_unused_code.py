@@ -1,13 +1,15 @@
-"""Every function, class, method, property and constant the package
+"""Every function, class, method, property, field and constant the package
 defines is used.
 
 A module-level function or class, or a name assigned at a module's top
 level (a constant), counts as used when its name is read (as a name or an
 attribute) anywhere in ``src/polyspectra``, ``tests/`` or ``tools/``;
 importing or assigning it alone does not count.  A method or property
-that is not a dunder counts as used when some attribute of that name is
-read.  The check is by name, so it misses a dead definition whose name
-another definition shares, but it catches the code nothing reaches.
+that is not a dunder, and a field annotated in a class body, count as
+used when some attribute of that name is read; setting a field in a
+constructor call alone does not count.  The check is by name, so it
+misses a dead definition whose name another definition shares, but it
+catches the code nothing reaches.
 """
 
 import ast
@@ -73,4 +75,19 @@ def test_every_module_constant_is_read():
                 and not _is_dunder(name.id)
                 and name.id not in names | attributes
             ]
+    assert not unread, unread
+
+
+def test_every_class_field_is_read():
+    _, attributes = _reads()
+    unread = [
+        f"{path.name}: {node.name}.{item.target.id}"
+        for path in PACKAGE
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and item.target.id not in attributes
+    ]
     assert not unread, unread
