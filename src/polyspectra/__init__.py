@@ -8,7 +8,6 @@ nearest perturbations carrying multiple eigenvalues.
 __version__ = "0.1.0"
 
 from .errors import (
-    BracketError,
     ConstructionError,
     GridTooCoarseError,
     InputError,
@@ -70,7 +69,7 @@ from .pseudospectrum import (
     components,
     compute_field,
     default_window,
-    merge_epsilon,
+    merge_bracket,
 )
 from .svdcore import (
     F_eps,

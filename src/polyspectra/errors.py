@@ -27,17 +27,17 @@ class SingularLeadingCoefficientError(NumericalError):
 
 
 class GridTooCoarseError(NumericalError):
-    """An eigenvalue landed on a grid cell above the requested level; the
-    grid cannot resolve the sublevel set.  Refine nx/ny or shrink window."""
+    """The grid cannot resolve the sublevel sets asked about: an
+    eigenvalue's nearest node lies above the requested level
+    (``components``), ``distance``'s floor level (twice the largest value
+    at the eigenvalues' nodes) reaches its budget, or two of the points'
+    nodes already share a component at the bottom of the merge search
+    (``merge_bracket``).  Refine nx/ny or shrink the window."""
 
 
 class SeedNotFoundError(NumericalError):
     """No boundary curve to report: no requested level has a curve inside
     the window."""
-
-
-class BracketError(PreconditionError):
-    """A bisection bracket does not satisfy its endpoint conditions."""
 
 
 class ConstructionError(NumericalError):
@@ -66,5 +66,6 @@ class SaddleNotConvergedError(SaddleSearchError):
 
 
 class NotFoundWithinBudgetError(NumericalError):
-    """Component count never dropped below its starting value up to the
-    largest admissible level."""
+    """No two of the points' nodes share a component at the top of the
+    merge search (``merge_bracket``): for ``distance``, the eigenvalues'
+    components are still apart at the largest admissible level."""

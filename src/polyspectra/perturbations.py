@@ -16,14 +16,12 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import (
     ConstructionError,
     GridTooCoarseError,
-    NotFoundWithinBudgetError,
     PreconditionError,
     SaddleAtEigenvalueError,
     SaddleNotConvergedError,
@@ -51,8 +49,7 @@ from .pseudospectrum import (
     boundedness_check,
     compute_field,
     default_window,
-    grid_merge_level,
-    labels_near,
+    merge_bracket,
 )
 from .svdcore import (
     ORIGIN_TOL,
@@ -153,7 +150,9 @@ class DistanceResult:
     """The level r at which the sublevel components of two distinct
     eigenvalues first meet, with perturbations in the r-ball that make the
     merge point a multiple eigenvalue: an upper bound on the distance to
-    the nearest polynomial with a multiple eigenvalue.
+    the nearest polynomial with a multiple eigenvalue, and that distance
+    for n = 1 with simple roots and for lambda I - A with only A perturbed
+    (w = 1) and distinct eigenvalues (``distance_to_multiple``).
 
     ``points`` counts the grid nodes whose singular values were computed,
     and all nodes of the grid; ``band`` is the top of the band of levels
@@ -482,9 +481,12 @@ def distance_to_multiple(
 
     So r bounds the distance to a multiple eigenvalue from above.  For
     n = 1 with simple roots it is that distance: the two roots that
-    collide along the nearest perturbation stay inside its level set.  An
-    eigenvalue of P that is already multiple puts the distance at 0, which
-    r does not report.
+    collide along the nearest perturbation stay inside its level set.  So
+    it is for P(lambda) = lambda I - A with the weight 1 on P_0 alone and
+    distinct eigenvalues: the level sets are A's 2-norm pseudospectra, whose
+    first merge level is the distance from A to the nearest matrix with a
+    multiple eigenvalue (Alam and Bora, LAA 2005).  An eigenvalue of P that
+    is already multiple puts the distance at 0, which r does not report.
     """
     eigen = eigenvalues(P)
     if len(eigen.eigenvalues) == 0:
@@ -529,39 +531,3 @@ def distance_to_multiple(
         points=(field.decomposed, field.values.size),
         band=top,
     )
-
-
-def merge_bracket(field, eigs: list, eps_floor: float, eps_eff: float) -> tuple:
-    """(lo, hi, pair): the grid level ``hi`` in (eps_floor, eps_eff] at which
-    the first two of the eigenvalues ``eigs`` share a component, the field
-    level ``lo`` just below it, and that pair (a, b, label).
-
-    Above eps_floor every eigenvalue cell is labeled and the sublevel sets
-    are nested, so the search's predicate is monotone in eps.  An eps_eff
-    at or below eps_floor is the top of a band field cut where two of the
-    eigenvalues' components meet (``Levels``), so they share one at
-    eps_floor.
-    """
-
-    def shared(eps: float) -> bool:
-        return len(set(labels_near(field, eps, eigs))) < len(eigs)
-
-    if eps_floor >= eps_eff or shared(eps_floor):
-        raise GridTooCoarseError(
-            "components already merged at the smallest grid-resolvable level; refine the grid"
-        )
-    if not shared(eps_eff):
-        raise NotFoundWithinBudgetError(
-            f"the {len(eigs)} distinct eigenvalues are still in separate components at "
-            f"eps_max={eps_eff:.4e}; no merge found within budget"
-        )
-    lo, hi = grid_merge_level(field, eps_floor, eps_eff, shared)
-
-    # the merging pair: no two eigenvalues share a label at lo, so it is the
-    # closest pair sharing one at hi (ties go to the lower label)
-    at_hi = labels_near(field, hi, eigs)
-    pair = min(
-        ((a, b, la) for (a, la), (b, lb) in combinations(zip(eigs, at_hi), 2) if la == lb),
-        key=lambda p: (abs(p[0] - p[1]), p[2]),
-    )
-    return lo, hi, pair

@@ -36,11 +36,13 @@ raises.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .errors import BracketError, GridTooCoarseError, PreconditionError
+from .errors import GridTooCoarseError, NotFoundWithinBudgetError, PreconditionError
 from .matpoly import (
     EigenReport,
     MatrixPolynomial,
@@ -250,14 +252,13 @@ def _meets(lo: np.ndarray, hi: np.ndarray, spans) -> np.ndarray:
 def _narrowed(spans, upper: np.ndarray, nodes) -> tuple:
     """``spans`` with each band [a, b], a < b, cut at the first level in
     (a, b] at which two of the (i, j) ``nodes`` share a component of
-    {upper <= level}, by the search of ``grid_merge_level``; a band where
-    they share none at b stays whole.  ``upper`` lies at or above the
+    {upper <= level} (``_shared``, by ``merge_bracket``'s search); a band
+    where they share none at b stays whole.  ``upper`` lies at or above the
     field's values, so its sublevel sets lie inside the field's, whose
     components around those nodes meet there too."""
 
     def met(eps: float) -> bool:
-        labels = [k for k in labels_at(upper <= eps, nodes) if k]
-        return len(set(labels)) < len(labels)
+        return _shared(labels_at(upper <= eps, nodes))
 
     return tuple(
         (a, _merge_level(upper, a, b, met)[1]) if a < b and met(b) else (a, b) for a, b in spans
@@ -490,62 +491,73 @@ def components(field: ScalarField, eps: float, eigen: EigenReport) -> ComponentR
     )
 
 
-def labels_near(field: ScalarField, eps: float, points) -> list:
-    """Labels of the eps-sublevel set at the grid cells nearest ``points``
-    (0 where the cell lies outside the set), as ``label_sublevel`` numbers
-    them."""
-    field.check_levels(eps)
-    return labels_at(field.values <= eps, [field.grid.nearest_index(z) for z in points])
+def _shared(labels) -> bool:
+    """Whether two of ``labels`` are equal and nonzero: two nodes in one
+    component of the sublevel set."""
+    inside = [k for k in labels if k]
+    return len(set(inside)) < len(inside)
 
 
-def grid_merge_level(field: ScalarField, lo: float, hi: float, merged) -> tuple[float, float]:
-    """First level in (lo, hi] at which the predicate ``merged(eps)`` holds.
+def merge_bracket(field: ScalarField, points, lo: float, hi: float) -> tuple:
+    """(below, level, pair): the first level in (lo, hi] at which the
+    components of the nodes nearest two of ``points`` meet, the level just
+    below it (lo when there is none), and the closest pair (a, b, label)
+    of ``points`` whose nodes share a component at that level (ties go to
+    the lower label).
 
-    The sublevel labels change only where eps crosses a field value, so the
-    search runs over the sorted field values in (lo, hi), followed by hi.
-    ``merged`` must be monotone in eps, false at lo and true at hi; it is
-    called once per level tested, never at lo or hi.  Returns the level just
-    below the merge (lo when there is none) and the merge level itself.
+    The sublevel labels change only where a level crosses a field value,
+    so ``level`` is the smallest field value in (lo, hi), or hi, at which
+    two of the nodes share a nonzero label (``_shared``): the exact merge
+    level of the sampled field, found by ``_merge_level``'s bisection with
+    each level labeled once.  Raises GridTooCoarseError when lo >= hi or
+    two nodes already share a component at lo, NotFoundWithinBudgetError
+    when none do at hi, and PreconditionError for a point outside the
+    window or a level outside the field's spans.
     """
     field.check_levels(lo, hi)
-    return _merge_level(field.values, lo, hi, merged)
+    for z in points:
+        if not field.grid.contains(z):
+            raise PreconditionError(f"point {z:.6g} lies outside the window")
+    nodes = [field.grid.nearest_index(z) for z in points]
+
+    @functools.cache
+    def labels(eps: float) -> list:
+        return labels_at(field.values <= eps, nodes)
+
+    def shared(eps: float) -> bool:
+        return _shared(labels(eps))
+
+    if lo >= hi or shared(lo):
+        raise GridTooCoarseError(
+            "components already merged at the smallest grid-resolvable level; refine the grid"
+        )
+    if not shared(hi):
+        raise NotFoundWithinBudgetError(
+            f"the {len(points)} distinct eigenvalues are still in separate components at "
+            f"eps_max={hi:.4e}; no merge found within budget"
+        )
+    below, level = _merge_level(field.values, lo, hi, shared)
+    # no two nodes share a label at below, so the closest pair sharing one
+    # at level is the merging pair
+    pair = min(
+        ((a, b, la) for (a, la), (b, lb) in combinations(zip(points, labels(level)), 2)
+         if la == lb != 0),
+        key=lambda p: (abs(p[0] - p[1]), p[2]),
+    )
+    return below, level, pair
 
 
 def _merge_level(v: np.ndarray, lo: float, hi: float, merged) -> tuple[float, float]:
-    """``grid_merge_level`` over the values ``v``."""
+    """First level in (lo, hi] at which the predicate ``merged(eps)``
+    holds, and the value just below it (lo when there is none), by
+    bisection over the sorted values of ``v`` in (lo, hi), followed by hi.
+    ``merged`` must be monotone in eps, false at lo and true at hi; it is
+    called once per level tested, never at lo or hi."""
     levels = np.append(np.unique(v[(v > lo) & (v < hi)]), hi)
     k = bisect.bisect_left(
         range(len(levels)), True, hi=len(levels) - 1, key=lambda k: merged(float(levels[k]))
     )
     return (float(levels[k - 1]) if k else float(lo)), float(levels[k])
-
-
-def merge_epsilon(field: ScalarField, group_a, group_b, eps_lo: float, eps_hi: float) -> float:
-    """Grid level at which two eigenvalue groups join.
-
-    Every point of both groups must lie in the window and in the eps_lo
-    sublevel set.  At eps_lo the points must not all share one component,
-    at eps_hi they must.  Returns the smallest field value in (eps_lo,
-    eps_hi), or eps_hi, at which they do: the exact merge level of the
-    sampled field, since its labels change only at its own values.
-    """
-    points = [complex(z) for z in (*group_a, *group_b)]
-    for lam in points:
-        if not field.grid.contains(lam):
-            raise BracketError(f"group point {lam:.6g} lies outside the window")
-
-    def merged(eps: float) -> bool:
-        return len(set(labels_near(field, eps, points))) == 1
-
-    at_lo = labels_near(field, eps_lo, points)
-    if 0 in at_lo:
-        lam = points[at_lo.index(0)]
-        raise BracketError(f"point {lam:.6g} is outside the sublevel set at eps={eps_lo:.4e}")
-    if len(set(at_lo)) == 1:
-        raise BracketError(f"groups already share a component at eps_lo={eps_lo:.4e}")
-    if not merged(eps_hi):
-        raise BracketError(f"groups still separated at eps_hi={eps_hi:.4e}")
-    return grid_merge_level(field, eps_lo, eps_hi, merged)[1]
 
 
 def boundedness_check(P: MatrixPolynomial, w: WeightPolynomial, eps: float) -> bool:

@@ -28,7 +28,7 @@ from polyspectra import (
     fault_scan,
     find_saddle,
     is_fault_point,
-    merge_epsilon,
+    merge_bracket,
     multiple_criterion,
     s_min,
     singular_triplets,
@@ -114,7 +114,7 @@ def test_criterion_3_merge(uptri_quadratic, weight_quadratic, uptri_window):
     field = compute_field(P, w, uptri_window)
     count_lo = components(field, 0.005, eigen).count
     count_hi = components(field, 0.02, eigen).count
-    merge = merge_epsilon(field, [1.0], [2.0], 0.005, 0.02)
+    merge = merge_bracket(field, [1.0, 2.0], 0.005, 0.02)[1]
     sad = find_saddle(P, w, 1.3, uptri_window)
     ok = (
         count_lo == 2

@@ -33,12 +33,11 @@ from polyspectra.cli import main, parse_problem
 from polyspectra.contours import boundary_curves
 from polyspectra.errors import PolyspectraError
 from polyspectra.matpoly import eigenvalues
-from polyspectra.perturbations import merge_bracket
 from polyspectra.pseudospectrum import (
     Levels,
     compute_field,
-    grid_merge_level,
     label_sublevel,
+    merge_bracket,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -160,7 +159,7 @@ def test_levelled_field_answers_its_levels_as_the_full_field(name, seed, nx, ny,
         lambda: merge_bracket(full, eigs, floor, top)
     )
     with pytest.raises(PreconditionError, match="outside the spans"):
-        grid_merge_level(band, floor, 2 * top, lambda eps: True)
+        merge_bracket(band, eigs, floor, 2 * top)
 
 
 # each landscape fixture with the budget its distance is searched under

@@ -439,8 +439,8 @@ class TestDistanceToMultiple:
         assert res.certificate.defective
         assert not res.certificate.constant_weight_substituted
 
-    def test_bracket_is_the_grid_merge_level(self, uptri_quadratic, weight_quadratic,
-                                             uptri_window):
+    def test_bracket_is_the_merge_level_of_the_grid(self, uptri_quadratic, weight_quadratic,
+                                                    uptri_window):
         res = distance_to_multiple(
             uptri_quadratic, weight_quadratic, 0.05, window=uptri_window
         )

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from polyspectra import (
-    BracketError,
     GridSpec,
     GridTooCoarseError,
     MatrixPolynomial,
+    NotFoundWithinBudgetError,
     PreconditionError,
     ScalarField,
     Termination,
@@ -20,7 +20,7 @@ from polyspectra import (
     compute_field,
     default_window,
     eigenvalues,
-    merge_epsilon,
+    merge_bracket,
     s_min,
     weight_eval,
 )
@@ -308,7 +308,7 @@ class TestTraceCost:
 
 
 def scan_merge_level(field, points, eps_lo):
-    """Smallest field value above eps_lo at which the cells nearest
+    """Smallest field value above eps_lo at which the cells nearest two of
     ``points`` are 8-connected in the sublevel set, by a linear scan that
     adds the cells in increasing value order to a union-find."""
     values = field.values
@@ -335,13 +335,13 @@ def scan_merge_level(field, points, eps_lo):
         level = flat[idx]
         if pos + 1 < len(order) and flat[order[pos + 1]] == level:
             continue  # a level's cells all join before it is read
-        if level > eps_lo and all(m in parent for m in marked):
-            if len({find(m) for m in marked}) == 1:
-                return float(level)
+        roots = [find(m) for m in marked if m in parent]
+        if level > eps_lo and len(set(roots)) < len(roots):
+            return float(level)
     return None
 
 
-class TestMergeEpsilon:
+class TestMergeBracket:
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_level_on_random_fields(self, seed):
         # ties are common: the values are multiples of 1/30
@@ -353,34 +353,40 @@ class TestMergeEpsilon:
             values[i, j] = 0.0
         field = ScalarField(grid=grid, values=values)
         points = [complex(grid.xs()[i], grid.ys()[j]) for i, j in cells]
-        got = merge_epsilon(field, points[:-1], points[-1:], 0.0, 1.0)
+        below, got, (a, b, label) = merge_bracket(field, points, 0.0, 1.0)
         assert got == scan_merge_level(field, points, 0.0)
         assert got in values
+        assert below < got and not np.any((values > below) & (values < got))
+        labels, _ = label_sublevel(field, got)
+        assert labels[grid.nearest_index(a)] == labels[grid.nearest_index(b)] == label != 0
 
     def test_exact_level_on_uptri(self, uptri_field):
-        got = merge_epsilon(uptri_field, [1.0], [2.0], 0.005, 0.02)
+        got = merge_bracket(uptri_field, [1.0, 2.0], 0.005, 0.02)[1]
         assert got == scan_merge_level(uptri_field, [1.0, 2.0], 0.005)
 
     def test_one_labeling_per_level(self, uptri_field, monkeypatch):
-        levels = []
-        label = pseudospectrum.label_sublevel
+        # every level tested, the merge level's pair lookup included, is
+        # labeled once: each call labels a different sublevel set
+        sizes = []
+        label = pseudospectrum.labels_at
 
-        def counting(field, eps):
-            levels.append(eps)
-            return label(field, eps)
+        def counting(mask, nodes):
+            sizes.append(int(np.count_nonzero(mask)))
+            return label(mask, nodes)
 
-        monkeypatch.setattr(pseudospectrum, "label_sublevel", counting)
-        merge_epsilon(uptri_field, [1.0], [2.0], 0.005, 0.02)
-        assert len(levels) == len(set(levels))
+        monkeypatch.setattr(pseudospectrum, "labels_at", counting)
+        _, level, _ = merge_bracket(uptri_field, [1.0, 2.0], 0.005, 0.02)
+        assert len(sizes) == len(set(sizes))
+        assert int(np.count_nonzero(uptri_field.values <= level)) in sizes
 
     def test_uptri_merge_level(self, uptri_field):
-        got = merge_epsilon(uptri_field, [1.0], [2.0], 0.005, 0.02)
+        got = merge_bracket(uptri_field, [1.0, 2.0], 0.005, 0.02)[1]
         assert got == pytest.approx(0.0091, abs=2e-4)
 
     def test_disc_tangency(self, disc_pair, unit_weight):
         win = GridSpec(x_min=-2.0, x_max=2.0, y_min=-2.0, y_max=2.0, nx=201, ny=201)
         field = compute_field(disc_pair, unit_weight, win)
-        got = merge_epsilon(field, [-1.0], [1.0], 0.8, 1.2)
+        got = merge_bracket(field, [-1.0, 1.0], 0.8, 1.2)[1]
         assert got == pytest.approx(1.0, abs=1e-4)
 
     def test_damped_upper_pair(self, damped_system, weight_damped, damped_window):
@@ -389,14 +395,18 @@ class TestMergeEpsilon:
         upper = sorted(
             (z for z in eigen.eigenvalues if z.imag > 0), key=lambda z: -z.imag
         )
-        got = merge_epsilon(field, [upper[0]], [upper[1]], 0.02, 0.05)
+        got = merge_bracket(field, [upper[0], upper[1]], 0.02, 0.05)[1]
         assert 0.02 < got < 0.05
 
     def test_bad_bracket(self, uptri_field):
-        with pytest.raises(BracketError):
-            merge_epsilon(uptri_field, [1.0], [2.0], 0.02, 0.03)
-        with pytest.raises(BracketError):
-            merge_epsilon(uptri_field, [1.0], [2.0], 0.002, 0.005)
+        with pytest.raises(GridTooCoarseError, match="already merged"):
+            merge_bracket(uptri_field, [1.0, 2.0], 0.02, 0.03)
+        with pytest.raises(GridTooCoarseError, match="already merged"):
+            merge_bracket(uptri_field, [1.0, 2.0], 0.02, 0.02)
+        with pytest.raises(NotFoundWithinBudgetError, match="separate components"):
+            merge_bracket(uptri_field, [1.0, 2.0], 0.002, 0.005)
+        with pytest.raises(PreconditionError, match="outside the window"):
+            merge_bracket(uptri_field, [1.0, 2.0, 3.5], 0.005, 0.02)
 
 
 class TestBoundedness:
