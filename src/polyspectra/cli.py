@@ -69,7 +69,7 @@ from .pseudospectrum import (
     compute_field,
     default_window,
 )
-from .svdcore import F_eps, singular_values_many
+from .svdcore import F_eps, singular_values_grid
 
 
 @dataclass(frozen=True)
@@ -543,8 +543,14 @@ def _cmd_faults(spec: ProblemSpec, args, report: RunReport) -> None:
     smap = build_surface_map(P, window)
     # one grid SVD gives both the collapsed gap and the contour levels
     contoured = bool(args.svg) and args.eps is not None
-    svals = singular_values_many(P, window.points()) if contoured else None
-    rep = fault_scan(P, window, smap, svals=svals)
+    gap = s_min = None
+    if contoured:
+        pair = () if smap.c2 is None else (smap.c2 - 1, smap.c1 - 1)
+        values = singular_values_grid(P, window.xs(), window.ys(), (*pair, P.n - 1))
+        s_min = values[..., -1]
+        if pair:
+            gap = values[..., 0] - values[..., 1]
+    rep = fault_scan(P, window, smap, gap=gap)
     print(f"fault scan: {len(rep.refined_points)} refined point(s), empty={rep.empty}")
     report.stats = (
         f"cells={len(rep.cells)} steps={rep.steps} dropped={rep.dropped}"
@@ -565,7 +571,7 @@ def _cmd_faults(spec: ProblemSpec, args, report: RunReport) -> None:
     if args.svg:
         layers = []
         if contoured:
-            field = compute_field(P, spec.weight, window, svals=svals)
+            field = compute_field(P, spec.weight, window, s_min=s_min)
             layers = _contour_layers(window, field, args.eps)
         svg = _svg_document(window, layers, eigen.eigenvalues, rep.refined_points)
         _emit(report, args.svg, svg)

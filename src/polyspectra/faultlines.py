@@ -22,8 +22,13 @@ import numpy as np
 
 from .errors import PreconditionError
 from .matpoly import MatrixPolynomial
-from .pseudospectrum import GridSpec
-from .svdcore import singular_values_many, surface_gap, vector_derivatives
+from .pseudospectrum import _BLOCK_NODES, GridSpec
+from .svdcore import (
+    singular_values_grid,
+    singular_values_many,
+    surface_gap,
+    vector_derivatives,
+)
 
 # Probe agreement threshold for "identical surfaces".  Agreement at every
 # generic probe is strong (not certified) evidence of global identity,
@@ -229,19 +234,30 @@ def crossing_points(P: MatrixPolynomial, smap: SurfaceIndexMap, starts, window: 
     return points, gaps, steps, left
 
 
-def _filter3(op, a: np.ndarray) -> np.ndarray:
-    """``op`` (np.maximum or np.minimum) over each node's 3 x 3 block, the
-    array extended by its edge values."""
-    a = np.pad(a, 1, mode="edge")
+def _filter3(op, a: np.ndarray, rows: slice | None = None) -> np.ndarray:
+    """``op`` (np.maximum or np.minimum) over the 3 x 3 block of each node
+    in ``rows`` (all rows by default), the array extended by its edge
+    values: the one-row halo's indices are clipped to the array, as
+    ``np.pad(mode="edge")`` extends it."""
+    rows = slice(0, len(a)) if rows is None else rows
+    a = a[np.clip(np.arange(rows.start - 1, rows.stop + 1), 0, len(a) - 1)]
     a = op(op(a[:-2], a[1:-1]), a[2:])
+    a = np.pad(a, ((0, 0), (1, 1)), mode="edge")
     return op(op(a[:, :-2], a[:, 1:-1]), a[:, 2:])
+
+
+def _blocks(size: int, width: int) -> list:
+    """Slices of ``size`` lines of ``width`` nodes each, about
+    ``_BLOCK_NODES`` nodes per slice."""
+    step = max(1, _BLOCK_NODES // width)
+    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
 
 
 def fault_scan(
     P: MatrixPolynomial,
     grid: GridSpec,
     smap: SurfaceIndexMap,
-    svals: np.ndarray | None = None,
+    gap: np.ndarray | None = None,
 ) -> FaultReport:
     """Locate fault points inside the window.
 
@@ -253,8 +269,17 @@ def fault_scan(
     holds within the step budget.
     An empty report is a valid outcome; with fewer than two distinct
     surfaces (scalar problems, fully repeated structure) the fault set is
-    vacuously empty.  A caller that already holds
-    ``singular_values_many(P, grid.points())`` passes it as ``svals``.
+    vacuously empty.  A caller that already holds the (nx, ny) collapsed
+    gap on the grid passes it as ``gap``.
+
+    The working set is the gap, the slope and the candidate mask, 17 B per
+    node, and blocks of about ``_BLOCK_NODES`` nodes.  The grid call
+    (``singular_values_grid``) keeps only s_{c2} and s_{c1}, and its
+    chunks are in flight only before the gap is formed.  The slope's
+    x-derivative is taken a block of columns at a time and its
+    y-derivative a block of rows at a time, each by ``np.gradient`` along
+    the full axis, and the 3 x 3 filters a block of rows at a time, so
+    every value has the bits of the whole-array operations.
     """
     if smap.c2 is None:
         return FaultReport(
@@ -263,19 +288,32 @@ def fault_scan(
             refined_gaps=np.zeros(0, dtype=float),
             empty=True,
         )
-    if svals is None:
-        svals = singular_values_many(P, grid.points())
-    g = surface_gap(svals, smap.c1, smap.c2)
     xs, ys = grid.xs(), grid.ys()
-    gx, gy = np.gradient(g, xs, ys)
-    slope = np.maximum(np.hypot(gx, gy), np.finfo(float).tiny)
-    tau_cell = 10.0 * grid.cell_diagonal * _filter3(np.maximum, slope)
+    if gap is None:
+        pair = singular_values_grid(P, xs, ys, (smap.c2 - 1, smap.c1 - 1))
+        gap = pair[..., 0] - pair[..., 1]
+        del pair
+    row_blocks = _blocks(grid.nx, grid.ny)
+    slope = np.empty_like(gap)
+    for cols in _blocks(grid.ny, grid.nx):
+        slope[:, cols] = np.gradient(gap[:, cols], xs, axis=0)
+    for rows in row_blocks:
+        block = slope[rows]
+        np.hypot(block, np.gradient(gap[rows], ys, axis=1), out=block)
+        np.maximum(block, np.finfo(float).tiny, out=block)
+    tau = 10.0 * grid.cell_diagonal
 
-    is_min = g <= _filter3(np.minimum, g)
-    is_min[[0, -1], :] = False
-    is_min[:, [0, -1]] = False
+    # interior 8-neighbor minima below the slope margin
+    candidate = np.empty(gap.shape, dtype=bool)
+    for rows in row_blocks:
+        g = gap[rows]
+        block = candidate[rows]
+        np.less_equal(g, _filter3(np.minimum, gap, rows), out=block)
+        block &= g <= tau * _filter3(np.maximum, slope, rows)
+    candidate[[0, -1], :] = False
+    candidate[:, [0, -1]] = False
     # argwhere lists the cells in row-major, i.e. sorted, order
-    cells = tuple((int(i), int(j)) for i, j in np.argwhere(is_min & (g <= tau_cell)))
+    cells = tuple((int(i), int(j)) for i, j in np.argwhere(candidate))
 
     starts = [complex(xs[i], ys[j]) for i, j in cells]
     points, gaps, steps, left = crossing_points(P, smap, starts, grid)

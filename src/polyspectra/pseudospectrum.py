@@ -176,8 +176,10 @@ class ScalarField:
         return self.values.size if self.exact is None else int(np.count_nonzero(self.exact))
 
     def check_levels(self, lo: float, hi: float | None = None) -> None:
-        """Raise unless one span holds every level of [lo, hi]."""
+        """Raise unless lo <= hi and one span holds every level of [lo, hi]."""
         hi = lo if hi is None else hi
+        if lo > hi:
+            raise PreconditionError(f"levels [{lo:.6g}, {hi:.6g}] are out of order")
         if self.levels is not None and not any(a <= lo and hi <= b for a, b in self.levels.spans):
             raise PreconditionError(
                 f"levels [{lo:.6g}, {hi:.6g}] lie outside the spans the field was built for"
@@ -212,21 +214,21 @@ def compute_field(
     grid: GridSpec,
     levels: Levels | None = None,
     *,
-    svals: np.ndarray | None = None,
+    s_min: np.ndarray | None = None,
 ) -> ScalarField:
     """Sample s_min / w on the grid.
 
     Each point is an independent evaluation; the batched SVD keeps the loop
     in LAPACK.  Without ``levels`` every node is decomposed and one field
-    serves every eps; a caller that already holds
-    ``singular_values_many(P, grid.points())`` passes it as ``svals``.  With
+    serves every eps; a caller that already holds the (nx, ny) s_min on
+    the grid passes it as ``s_min``.  With
     ``levels`` only the nodes those levels depend on are decomposed
     (``_levelled_values``).
     """
     if levels is None:
-        if svals is None:
-            svals = singular_values_many(P, grid.points())
-        values = svals[..., -1] / weight_eval(w, np.hypot.outer(grid.xs(), grid.ys()))
+        if s_min is None:
+            s_min = singular_values_many(P, grid.points())[..., -1]
+        values = s_min / weight_eval(w, np.hypot.outer(grid.xs(), grid.ys()))
         exact = None
     else:
         values, exact, levels = _levelled_values(P, w, grid, levels)
@@ -514,6 +516,9 @@ def merge_bracket(field: ScalarField, points, lo: float, hi: float) -> tuple:
     when none do at hi, and PreconditionError for a point outside the
     window or a level outside the field's spans.
     """
+    merged = "components already merged at the smallest grid-resolvable level; refine the grid"
+    if lo >= hi:
+        raise GridTooCoarseError(merged)
     field.check_levels(lo, hi)
     for z in points:
         if not field.grid.contains(z):
@@ -527,10 +532,8 @@ def merge_bracket(field: ScalarField, points, lo: float, hi: float) -> tuple:
     def shared(eps: float) -> bool:
         return _shared(labels(eps))
 
-    if lo >= hi or shared(lo):
-        raise GridTooCoarseError(
-            "components already merged at the smallest grid-resolvable level; refine the grid"
-        )
+    if shared(lo):
+        raise GridTooCoarseError(merged)
     if not shared(hi):
         raise NotFoundWithinBudgetError(
             f"the {len(points)} distinct eigenvalues are still in separate components at "

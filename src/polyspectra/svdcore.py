@@ -13,6 +13,9 @@ A caller that needs only singular values (grids, ``s_min`` and ``F_eps``,
 the fault tests, gaps, certificate residuals) goes through
 ``singular_values_many``, the one values-only SVD of P(lambda), for a
 single point as for a grid.  It decomposes every block with ``_svals``.
+A grid caller that reads a few of the values goes through
+``singular_values_grid``, which shares its chunk loop, forms each chunk's
+points from the grid's axes and keeps only the columns asked for.
 At n = 1 the singular value is the modulus of the one entry, which
 ``np.abs`` gives within a few units in the last place, where ``gesdd``
 took 600 times as long on a 241 x 241 grid.  At n = 2 and 3 it has two
@@ -38,7 +41,9 @@ The calling thread runs the Horner evaluation chunk by chunk, and the
 arrays.  At n <= 3 it also runs the kernel; otherwise a grid larger
 than one chunk is decomposed on every CPU in the process's affinity mask,
 by a thread pool created for the call.  Each chunk's values land in their
-own rows, so results do not depend on the core count.  A caller that needs a gradient
+own rows, so results do not depend on the core count.  A grid's working
+set is then its kept values, 8 B per node and column, and the chunks in
+flight.  A caller that needs a gradient
 reads it from ``point_stack``, which decomposes a stack of points with one
 stacked SVD with vectors, a chunk at a time, derives every point's
 closed-form gradient in array operations and keeps O(n) floats per point
@@ -164,41 +169,72 @@ def singular_values_many(P: MatrixPolynomial, lams) -> np.ndarray:
     Result shape is ``lams.shape + (n,)``, so ``(n,)`` for a scalar point.
     Every block goes through ``_svals``: the numpy kernels at n <= 3,
     LAPACK otherwise, so a point gets the same bits alone as in any grid.
-    An input larger than one chunk is evaluated chunk by chunk on the
-    calling thread.  At n <= 3 the calling thread also decomposes each
-    chunk: the kernel is one ``np.abs`` at n = 1, and some fifty and some
-    six hundred numpy calls per chunk at n = 2 and 3 that hold the GIL
-    between short loops, so worker threads only contend for it, and their
-    malloc arenas would keep the work arrays resident.  Otherwise a pool
-    of ``_WORKERS`` threads that lives for this call decomposes at most
-    ``_WORKERS`` chunks at a time; each job writes its own rows, so the
-    result does not depend on the scheduling or on ``_WORKERS``.  Raises
-    ``np.linalg.LinAlgError`` where P(lambda) is not finite.
+    The points go through ``_chunked``.  Raises ``np.linalg.LinAlgError``
+    where P(lambda) is not finite.
     """
     L = np.asarray(lams, dtype=complex)
+    return _chunked(P, L.shape, L.size, L.reshape(-1).__getitem__, slice(None))
+
+
+def singular_values_grid(P: MatrixPolynomial, xs: np.ndarray, ys: np.ndarray, columns) -> np.ndarray:
+    """The descending singular values in ``columns`` (0-based) at every
+    node ``xs[i] + 1j * ys[j]`` of a grid, shape (nx, ny, len(columns)).
+
+    No complex grid is held: ``_chunked`` forms each chunk's points, a
+    flat slice of the nodes in row-major order, from the axes as
+    ``GridSpec.points()`` forms them, and writes only ``columns``.  So the
+    kernel calls, and the bits, are those of
+    ``singular_values_many(P, grid.points())``, which would also hold
+    16 B per node of points and 8 B per node of every value left unread.
+    """
+    nx, ny = len(xs), len(ys)
+
+    def points(rows: slice) -> np.ndarray:
+        i, j = np.divmod(np.arange(rows.start, rows.stop), ny)
+        return xs[i] + 1j * ys[j]
+
+    return _chunked(P, (nx, ny), nx * ny, points, list(columns))
+
+
+def _chunked(P: MatrixPolynomial, shape: tuple, size: int, points, columns) -> np.ndarray:
+    """The descending singular values in ``columns`` (a slice or 0-based
+    indices) of P at the ``size`` points of ``shape``, shape
+    ``shape + (len(columns),)``; ``points(rows)`` gives the points of the
+    slice ``rows`` of them, in row-major order.
+
+    At most one chunk of points is one kernel call on the points in
+    ``shape``; a single point costs no more.  Otherwise the points are
+    evaluated a chunk of ``_chunk_points(n)`` at a time on the calling
+    thread.  At n <= 3 the calling thread also decomposes each chunk: the
+    kernel is one ``np.abs`` at n = 1, and some fifty and some six hundred
+    numpy calls per chunk at n = 2 and 3 that hold the GIL between short
+    loops, so worker threads only contend for it, and their malloc arenas
+    would keep the work arrays resident.  Otherwise a pool of ``_WORKERS``
+    threads that lives for this call decomposes at most ``_WORKERS``
+    chunks at a time; each job writes its own rows, so the result does
+    not depend on the scheduling or on ``_WORKERS``.
+    """
     chunk = _chunk_points(P.n)
-    if L.size <= chunk:  # a single point costs no more than one kernel call
-        return _svals(evaluate_many(P, L))
-    flat = L.reshape(-1)
-    out = np.empty((flat.size, P.n), dtype=float)
+    if size <= chunk:
+        return _svals(evaluate_many(P, points(slice(0, size)).reshape(shape)))[..., columns]
+    out = np.empty((size, len(np.arange(P.n)[columns])), dtype=float)
+    spans = [slice(start, min(start + chunk, size)) for start in range(0, size, chunk)]
     if P.n in _KERNEL_BYTES:
-        for start in range(0, flat.size, chunk):
-            rows = slice(start, start + chunk)
-            _decompose(out[rows], evaluate_many(P, flat[rows]))
-        return out.reshape(L.shape + (P.n,))
+        for rows in spans:
+            _decompose(out[rows], evaluate_many(P, points(rows)), columns)
+        return out.reshape(shape + out.shape[-1:])
     # Wait before evaluating, so the calling thread's Horner shares the CPUs
     # with at most _WORKERS - 1 running SVDs.  A block goes straight into
     # submit: only its job refers to it.
     with ThreadPoolExecutor(_WORKERS) as pool:
         jobs = deque()
-        for start in range(0, flat.size, chunk):
+        for rows in spans:
             if len(jobs) == _WORKERS:
                 jobs.popleft().result()
-            rows = slice(start, start + chunk)
-            jobs.append(pool.submit(_decompose, out[rows], evaluate_many(P, flat[rows])))
+            jobs.append(pool.submit(_decompose, out[rows], evaluate_many(P, points(rows)), columns))
         for job in jobs:
             job.result()
-    return out.reshape(L.shape + (P.n,))
+    return out.reshape(shape + out.shape[-1:])
 
 
 def _chunk_points(n: int) -> int:
@@ -232,8 +268,8 @@ def _require_finite(block: np.ndarray) -> None:
         raise np.linalg.LinAlgError("non-finite entry in P(lambda)")
 
 
-def _decompose(rows: np.ndarray, block: np.ndarray) -> None:
-    rows[...] = _svals(block)
+def _decompose(rows: np.ndarray, block: np.ndarray, columns) -> None:
+    rows[...] = _svals(block)[:, columns]
 
 
 def _svals(block: np.ndarray) -> np.ndarray:

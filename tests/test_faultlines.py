@@ -223,9 +223,80 @@ class TestLockstepRefinement:
         win = GridSpec(x_min=0.5, x_max=2.0, y_min=-1.0, y_max=1.0, nx=41, ny=41)
         smap = build_surface_map(disc_pair, win)
         calls = self._count_calls(monkeypatch)
+        original = faultlines.singular_values_grid
+
+        def grid(P, xs, ys, columns):
+            calls.append(("grid", len(xs), len(ys)))
+            return original(P, xs, ys, columns)
+
+        monkeypatch.setattr(faultlines, "singular_values_grid", grid)
         rep = fault_scan(disc_pair, win, smap)
         assert rep.cells == () and rep.empty
-        assert calls == [(41, 41)]
+        assert calls == [("grid", 41, 41)]
+
+
+class TestWorkingSet:
+    """A fault scan keeps O(1) arrays per grid node, not the grid's points
+    or every singular value."""
+
+    # the gap, the slope and the candidate mask (17 B), or the grid call's
+    # two kept columns and the gap formed from them (24 B), per node
+    BYTES_PER_NODE = 24
+
+    def test_the_damped_scan_fits_its_bytes_per_node(self):
+        import tracemalloc
+
+        from polyspectra.svdcore import _CHUNK_BYTES
+
+        spec = parse_problem((FIXTURES / "damped_system_3x3.json").read_text())
+        P, win = spec.polynomial, spec.window
+        assert (win.nx, win.ny) == (401, 401)
+        smap = build_surface_map(P, win)
+        tracemalloc.start()
+        try:
+            rep = fault_scan(P, win, smap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.cells) == 4
+        assert peak <= self.BYTES_PER_NODE * win.nx * win.ny + _CHUNK_BYTES
+
+    def test_faults_with_levels_decomposes_the_grid_once(self, monkeypatch, tmp_path):
+        from polyspectra import cli, pseudospectrum, svdcore
+
+        grids, sizes, evaluated = [], [], [0]
+        original_grid = svdcore.singular_values_grid
+        original_many = svdcore.singular_values_many
+        original_evaluate = svdcore.evaluate_many
+
+        def grid(P, xs, ys, columns):
+            grids.append((len(xs), len(ys), tuple(columns)))
+            return original_grid(P, xs, ys, columns)
+
+        def many(P, lams):
+            sizes.append(np.size(lams))
+            return original_many(P, lams)
+
+        def evaluate(P, lams):
+            evaluated[0] += np.size(lams)
+            return original_evaluate(P, lams)
+
+        monkeypatch.setattr(cli, "singular_values_grid", grid)
+        monkeypatch.setattr(faultlines, "singular_values_grid", grid)
+        monkeypatch.setattr(faultlines, "singular_values_many", many)
+        monkeypatch.setattr(pseudospectrum, "singular_values_many", many)
+        monkeypatch.setattr(svdcore, "evaluate_many", evaluate)
+        code = cli.main([
+            "faults", "--input", str(FIXTURES / "damped_system_3x3.json"),
+            "--grid", "101", "101", "--eps", "0.05", "0.2", "--svg", str(tmp_path / "out.svg"),
+        ])
+        assert code == 0
+        nodes = 101 * 101
+        # s_{c2}, s_{c1} and s_min at every node, from one call
+        assert grids == [(101, 101, (1, 2, 2))]
+        assert max(sizes) < nodes
+        # the grid once, and the probes and the fault tests of the refinement
+        assert nodes <= evaluated[0] < 2 * nodes
 
 
 def document_scan(name: str) -> tuple:

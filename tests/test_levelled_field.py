@@ -35,6 +35,7 @@ from polyspectra.errors import PolyspectraError
 from polyspectra.matpoly import eigenvalues
 from polyspectra.pseudospectrum import (
     Levels,
+    ScalarField,
     compute_field,
     label_sublevel,
     merge_bracket,
@@ -214,6 +215,16 @@ def test_a_band_field_cannot_be_traced_inside_its_band():
         boundary_curves(P, w, band, [0.6])
     single = compute_field(P, w, grid, Levels(((0.6, 0.6),)))
     assert _trace(P, w, single, [0.6]) == _trace(P, w, compute_field(P, w, grid), [0.6])
+
+
+def test_levels_out_of_order_are_rejected():
+    # [0.5, 0.1] is empty: no span holds it, though 0.5 >= 0 and 0.1 <= 0.2
+    grid = GridSpec(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=2, ny=2)
+    field = ScalarField(grid=grid, values=np.zeros((2, 2)), levels=Levels(((0.0, 0.2),)),
+                        exact=np.ones((2, 2), dtype=bool))
+    field.check_levels(0.1, 0.2)
+    with pytest.raises(PreconditionError, match="out of order"):
+        field.check_levels(0.5, 0.1)
 
 
 def test_a_levelled_field_takes_no_more_memory_than_a_full_one():

@@ -416,6 +416,64 @@ class TestPooledPath:
         assert self.chunk(16, workers) * 16 * 16 * 16 <= peak[0] <= svdcore._CHUNK_BYTES
 
 
+class TestGridPath:
+    """``singular_values_grid`` forms each chunk's points from the axes and
+    keeps only the columns asked for, with ``singular_values_many``'s bits."""
+
+    @staticmethod
+    def reference(P, xs, ys, columns):
+        # the points as GridSpec.points() forms them
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        return singular_values_many(P, X + 1j * Y)[..., list(columns)]
+
+    @pytest.mark.parametrize(
+        ("n", "columns"), [(1, (0,)), (2, (1,)), (2, (0, 1)), (3, (1, 2)), (3, (1, 2, 2)), (16, (15, 3, 0))]
+    )
+    def test_bitwise_equal_to_the_columns_of_the_values_path(self, n, columns):
+        rng = np.random.default_rng(200 + n)
+        P = random_polynomial(rng, n, 2)
+        chunk = svdcore._chunk_points(n)
+        nx = int(np.sqrt(chunk)) + 3
+        ny = nx + 1
+        assert (nx * ny) % chunk != 0 and nx * ny > chunk
+        for shape in ((nx, ny), (1, ny), (nx, 1), (1, chunk + 7), (chunk + 7, 1), (5, 7)):
+            xs = np.linspace(-1.5, 2.0, shape[0])
+            ys = np.linspace(-2.0, 1.0, shape[1])
+            values = svdcore.singular_values_grid(P, xs, ys, columns)
+            assert values.shape == shape + (len(columns),)
+            assert values.tobytes() == self.reference(P, xs, ys, columns).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_the_pool_path_is_bitwise_equal(self, workers, monkeypatch):
+        monkeypatch.setattr(svdcore, "_WORKERS", workers)
+        rng = np.random.default_rng(210)
+        P = random_polynomial(rng, 16, 2)
+        xs, ys = np.linspace(-1, 1, 53), np.linspace(-2, 2, 41)
+        assert 53 * 41 > 3 * svdcore._chunk_points(16)
+        values = svdcore.singular_values_grid(P, xs, ys, (15, 0))
+        assert values.tobytes() == self.reference(P, xs, ys, (15, 0)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_every_evaluation_holds_at_most_one_chunk(self, n, monkeypatch):
+        sizes = []
+        original = svdcore.evaluate_many
+
+        def recording(P, lams):
+            sizes.append(np.size(lams))
+            return original(P, lams)
+
+        monkeypatch.setattr(svdcore, "evaluate_many", recording)
+        rng = np.random.default_rng(220 + n)
+        P = random_polynomial(rng, n, 1)
+        chunk = svdcore._chunk_points(n)
+        nx = int(np.sqrt(2 * chunk)) + 1
+        xs, ys = np.linspace(-1, 1, nx), np.linspace(-1, 1, nx + 2)
+        svdcore.singular_values_grid(P, xs, ys, (n - 1,))
+        assert len(sizes) >= 2
+        assert max(sizes) <= chunk
+        assert sum(sizes) == nx * (nx + 2)
+
+
 def pytest_generate_tests(metafunc):
     # each kernel class names the stack kinds its accuracy tests run on
     if "kind" in metafunc.fixturenames:
